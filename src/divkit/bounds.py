@@ -191,8 +191,6 @@ def fdiv_lower_via_degroot(f: GeneratorFunction, omega: float, i_val: float) -> 
     """
     if not 0.0 < omega < 1.0:
         raise DomainError("omega must lie in (0, 1)")
-    if -1e-12 <= i_val < 0.0:
-        i_val = 0.0  # tolerate rounding in computed DeGroot values
     if not 0.0 <= i_val <= min(omega, 1.0 - omega):
         raise DomainError(
             f"DeGroot value {i_val!r} outside [0, min(omega, 1-omega)]"

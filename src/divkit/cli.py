@@ -16,19 +16,30 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from typing import Any, Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
-from . import bounds as bounds_mod
 from .bayes_poisson import (
     poisson_bound_report,
     poisson_degroot_exact,
     poisson_divergences,
     poisson_k0,
 )
+from .bounds import (
+    c_gamma,
+    chi2_lower_from_tv,
+    crossover_d,
+    egamma_upper,
+    kl_upper_log_chi2,
+    make_report,
+    pinsker_bh_switch,
+    straight_line_egamma_ub,
+    tv_kl_frontier,
+)
 from .distributions import DiscreteDistribution, make_distribution, spectrum
 from .divergences import divergence, f_divergence
 from .errors import DivkitError, DomainError, UnknownKindError, ValidationError
-from .generators import conjugate, parse_generator
+from .generators import conjugate, parse_generator, parse_kind, parse_number
 from .local import local_limit_estimate
 from .spectrum_repr import (
     represent_degroot_weight,
@@ -38,39 +49,22 @@ from .spectrum_repr import (
     spectrum_identity,
 )
 
-_DIV_KINDS = {
-    "kl": ("kl", None),
-    "jeffreys": ("jeffreys", None),
-    "hellinger": ("hellinger", "alpha"),
-    "chi_s": ("chi_s", "s"),
-    "tv": ("tv", None),
-    "triangular": ("triangular", None),
-    "lin": ("lin", "theta"),
-    "js": ("js", None),
-    "e_gamma": ("e_gamma", "gamma"),
-    "degroot": ("degroot", "omega"),
-    "chi2": ("chi2", None),
-    "sq_hellinger": ("sq_hellinger", None),
-    "bhattacharyya": ("bhattacharyya", None),
-    "alpha": ("alpha", "alpha"),
-    "renyi": ("renyi", "alpha"),
-}
-
-_BOUND_SPECS = {
-    "pinsker_lb_kl": ("lower", ("tv",)),
-    "bh_lb_kl": ("lower", ("tv",)),
-    "vajda_lb_kl": ("lower", ("tv",)),
-    "bh_ub_tv": ("upper", ("kl",)),
-    "vajda_ub_tv": ("upper", ("kl",)),
-    "egamma_ub_chi2": ("upper", ("gamma", "chi2")),
-    "egamma_ub_kl": ("upper", ("gamma", "kl")),
-    "straight_line_egamma_ub": ("upper", ("gamma", "kl")),
-    "chi2_lb_tv_tight": ("lower", ("tv",)),
-    "chi2_lb_tv_jensen": ("lower", ("tv",)),
-    "kl_ub_log_chi2": ("upper", ("chi2",)),
-    "c_gamma": ("upper", ("gamma",)),
-    "crossover_d": ("upper", ("gamma",)),
-    "pinsker_bh_switch": ("upper", ()),
+# bound name -> (direction, --args keys in call order, bound function)
+_BOUNDS: dict[str, tuple[str, tuple[str, ...], Callable[..., float]]] = {
+    "pinsker_lb_kl": ("lower", ("tv",), partial(tv_kl_frontier, "pinsker_lb_kl")),
+    "bh_lb_kl": ("lower", ("tv",), partial(tv_kl_frontier, "bh_lb_kl")),
+    "vajda_lb_kl": ("lower", ("tv",), partial(tv_kl_frontier, "vajda_lb_kl")),
+    "bh_ub_tv": ("upper", ("kl",), partial(tv_kl_frontier, "bh_ub_tv")),
+    "vajda_ub_tv": ("upper", ("kl",), partial(tv_kl_frontier, "vajda_ub_tv")),
+    "egamma_ub_chi2": ("upper", ("gamma", "chi2"), partial(egamma_upper, "chi2")),
+    "egamma_ub_kl": ("upper", ("gamma", "kl"), partial(egamma_upper, "kl")),
+    "straight_line_egamma_ub": ("upper", ("gamma", "kl"), straight_line_egamma_ub),
+    "chi2_lb_tv_tight": ("lower", ("tv",), partial(chi2_lower_from_tv, "tight")),
+    "chi2_lb_tv_jensen": ("lower", ("tv",), partial(chi2_lower_from_tv, "jensen")),
+    "kl_ub_log_chi2": ("upper", ("chi2",), kl_upper_log_chi2),
+    "c_gamma": ("upper", ("gamma",), c_gamma),
+    "crossover_d": ("upper", ("gamma",), crossover_d),
+    "pinsker_bh_switch": ("upper", (), pinsker_bh_switch),
 }
 
 
@@ -167,23 +161,8 @@ def _read_distribution(path: str) -> DiscreteDistribution:
     return make_distribution([float(x) for x in data])
 
 
-def _parse_kind(spec: str) -> tuple[str, dict[str, float]]:
-    name, _, raw = spec.partition(":")
-    try:
-        kind, pname = _DIV_KINDS[name]
-    except KeyError:
-        raise UnknownKindError(f"unknown divergence kind {spec!r}") from None
-    if pname is None:
-        if raw:
-            raise ValidationError(f"{name!r} takes no parameter")
-        return kind, {}
-    if not raw:
-        raise ValidationError(f"{name!r} needs a parameter, e.g. {name}:0.5")
-    return kind, {pname: float(raw)}
-
-
 def _cmd_div(args: argparse.Namespace, fmt: str) -> int:
-    kind, params = _parse_kind(args.kind)
+    kind, params = parse_kind(args.kind)
     p = _read_distribution(args.p)
     q = _read_distribution(args.q)
     result = divergence(kind, p, q, **params)
@@ -197,7 +176,7 @@ def _cmd_div(args: argparse.Namespace, fmt: str) -> int:
 def _cmd_represent(args: argparse.Namespace, fmt: str) -> int:
     p = _read_distribution(args.p)
     q = _read_distribution(args.q)
-    kind, params = _parse_kind(args.kind)
+    kind, params = parse_kind(args.kind)
     direct = float(divergence(kind, p, q, **params))
     if args.engine == "named":
         value = represent_named(kind, p, q, **params)
@@ -239,57 +218,37 @@ def _cmd_spectrum(args: argparse.Namespace, fmt: str) -> int:
     return 0
 
 
-def _parse_args_kv(raw: str) -> dict[str, float]:
+def _parse_args_kv(raw: str, keys: tuple[str, ...]) -> dict[str, float]:
+    """The --args k=v items: exactly ``keys``, plus an optional certified."""
     out: dict[str, float] = {}
-    if not raw:
-        return out
-    for item in raw.split(","):
+    for item in raw.split(",") if raw else ():
         key, _, val = item.partition("=")
+        key = key.strip()
         if not val:
             raise ValidationError(f"bad --args item {item!r}; expected k=v")
-        out[key.strip()] = float(val)
+        if key not in keys and key != "certified":
+            raise ValidationError(
+                f"unexpected --args key {key!r}; expected {', '.join(keys) or 'none'}"
+            )
+        out[key] = parse_number(val, f"--args {key}")
+    missing = [k for k in keys if k not in out]
+    if missing:
+        raise ValidationError(f"--args is missing {', '.join(missing)}")
     return out
-
-
-def _eval_bound(name: str, kv: dict[str, float]) -> float:
-    if name == "pinsker_lb_kl" or name == "bh_lb_kl" or name == "vajda_lb_kl":
-        return bounds_mod.tv_kl_frontier(name, kv["tv"])
-    if name == "bh_ub_tv" or name == "vajda_ub_tv":
-        return bounds_mod.tv_kl_frontier(name, kv["kl"])
-    if name == "egamma_ub_chi2":
-        return bounds_mod.egamma_upper("chi2", kv["gamma"], kv["chi2"])
-    if name == "egamma_ub_kl":
-        return bounds_mod.egamma_upper("kl", kv["gamma"], kv["kl"])
-    if name == "straight_line_egamma_ub":
-        return bounds_mod.straight_line_egamma_ub(kv["gamma"], kv["kl"])
-    if name == "chi2_lb_tv_tight":
-        return bounds_mod.chi2_lower_from_tv("tight", kv["tv"])
-    if name == "chi2_lb_tv_jensen":
-        return bounds_mod.chi2_lower_from_tv("jensen", kv["tv"])
-    if name == "kl_ub_log_chi2":
-        return bounds_mod.kl_upper_log_chi2(kv["chi2"])
-    if name == "c_gamma":
-        return bounds_mod.c_gamma(kv["gamma"])
-    if name == "crossover_d":
-        return bounds_mod.crossover_d(kv["gamma"])
-    if name == "pinsker_bh_switch":
-        return bounds_mod.pinsker_bh_switch()
-    raise UnknownKindError(f"unknown bound {name!r}")
 
 
 def _cmd_bounds(args: argparse.Namespace, fmt: str) -> int:
     if args.list:
-        _emit({"bounds": sorted(_BOUND_SPECS)}, fmt)
+        _emit({"bounds": sorted(_BOUNDS)}, fmt)
         return 0
     if not args.name:
         raise ValidationError("bounds needs --name or --list")
-    if args.name not in _BOUND_SPECS:
+    if args.name not in _BOUNDS:
         raise UnknownKindError(f"unknown bound {args.name!r}")
-    direction, _ = _BOUND_SPECS[args.name]
-    kv = _parse_args_kv(args.args or "")
-    certified = kv.pop("certified", None)
-    value = _eval_bound(args.name, kv)
-    report = bounds_mod.make_report(args.name, value, certified, direction)
+    direction, keys, bound = _BOUNDS[args.name]
+    kv = _parse_args_kv(args.args or "", keys)
+    value = bound(*(kv[k] for k in keys))
+    report = make_report(args.name, value, kv.get("certified"), direction)
     _emit(asdict(report), fmt)
     return 0
 
@@ -305,11 +264,11 @@ def _cmd_figure1(args: argparse.Namespace, fmt: str) -> int:
             raise DomainError(f"gamma {g} must exceed 1")
     sys.stdout.write("D,gamma,straight_line,bh_curve\n")
     for g in gammas:
-        cg = bounds_mod.c_gamma(g)
+        cg = c_gamma(g)
         for i in range(1, args.steps + 1):
             d = args.d_max * i / args.steps
             straight = cg * d
-            curve = bounds_mod.egamma_upper("kl", g, d)
+            curve = egamma_upper("kl", g, d)
             sys.stdout.write(
                 f"{d:.12g},{g:.12g},{straight:.12g},{curve:.12g}\n"
             )

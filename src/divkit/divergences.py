@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .distributions import DiscreteDistribution, mixture
-from .errors import DomainError, UnknownKindError, ValidationError
-from .generators import GeneratorFunction
+from .errors import DomainError, ValidationError
+from .generators import GeneratorFunction, kind_args
 
 __all__ = [
     "DivergenceValue",
@@ -100,7 +100,7 @@ def _chi2(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     return math.fsum(terms)
 
 
-def _hellinger(alpha: float, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
+def _hellinger(p: DiscreteDistribution, q: DiscreteDistribution, alpha: float) -> float:
     if alpha <= 0.0:
         raise DomainError("Hellinger order must be positive")
     if alpha == 1.0:
@@ -127,7 +127,7 @@ def _bhattacharyya(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     return -math.log(s)
 
 
-def _chi_s(s: float, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
+def _chi_s(p: DiscreteDistribution, q: DiscreteDistribution, s: float) -> float:
     if s < 1.0:
         raise DomainError("chi^s order must satisfy s >= 1")
     if s == 1.0:
@@ -152,14 +152,14 @@ def _triangular(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     return math.fsum(terms)
 
 
-def _lin(theta: float, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
+def _lin(p: DiscreteDistribution, q: DiscreteDistribution, theta: float) -> float:
     if not 0.0 < theta < 1.0:
         raise DomainError("Lin parameter must lie in (0, 1)")
     m = mixture(p, q, theta)
     return theta * _kl(p, m) + (1.0 - theta) * _kl(q, m)
 
 
-def _e_gamma(gamma: float, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
+def _e_gamma(p: DiscreteDistribution, q: DiscreteDistribution, gamma: float) -> float:
     if gamma < 1.0:
         raise DomainError("E_gamma order must satisfy gamma >= 1")
     return math.fsum(
@@ -167,13 +167,48 @@ def _e_gamma(gamma: float, p: DiscreteDistribution, q: DiscreteDistribution) -> 
     )
 
 
-def _degroot(omega: float, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
+def _degroot(p: DiscreteDistribution, q: DiscreteDistribution, omega: float) -> float:
     if not 0.0 < omega < 1.0:
         raise DomainError("DeGroot prior must lie in (0, 1)")
-    posterior = math.fsum(
-        min(omega * pm, (1.0 - omega) * qm) for pm, qm in _zip_masses(p, q)
+    # min(omega, 1-omega) - sum min(omega p, (1-omega) q) as a sum of
+    # positive parts, so no cancellation can push it below zero
+    if omega <= 0.5:
+        return math.fsum(
+            max(omega * pm - (1.0 - omega) * qm, 0.0) for pm, qm in _zip_masses(p, q)
+        )
+    return math.fsum(
+        max((1.0 - omega) * qm - omega * pm, 0.0) for pm, qm in _zip_masses(p, q)
     )
-    return min(omega, 1.0 - omega) - posterior
+
+
+def _renyi(p: DiscreteDistribution, q: DiscreteDistribution, alpha: float) -> float:
+    if alpha <= 0.0:
+        raise DomainError("Renyi order must be positive")
+    if alpha == 1.0:
+        return _kl(p, q)
+    arg = 1.0 + (alpha - 1.0) * _hellinger(p, q, alpha)
+    if math.isinf(arg) or arg <= 0.0:
+        return math.inf  # arg <= 0: disjoint supports at alpha < 1
+    return math.log(arg) / (alpha - 1.0)
+
+
+_CLOSED_FORMS: dict[str, Callable[..., float]] = {
+    "kl": _kl,
+    "jeffreys": lambda p, q: _kl(p, q) + _kl(q, p),
+    "hellinger": _hellinger,
+    "chi2": _chi2,
+    "sq_hellinger": _sq_hellinger,
+    "bhattacharyya": _bhattacharyya,
+    "alpha": lambda p, q, alpha: _hellinger(p, q, alpha) / alpha,
+    "chi_s": _chi_s,
+    "tv": _tv,
+    "triangular": _triangular,
+    "lin": _lin,
+    "js": lambda p, q: _lin(p, q, 0.5),
+    "e_gamma": _e_gamma,
+    "degroot": _degroot,
+    "renyi": _renyi,
+}
 
 
 def divergence(
@@ -185,39 +220,8 @@ def divergence(
     bhattacharyya, alpha(alpha), chi_s(s), tv, triangular, lin(theta), js,
     e_gamma(gamma), degroot(omega), renyi(alpha).
     """
-    if kind == "kl":
-        val = _kl(p, q)
-    elif kind == "jeffreys":
-        val = _kl(p, q) + _kl(q, p)
-    elif kind == "hellinger":
-        val = _hellinger(params["alpha"], p, q)
-    elif kind == "chi2":
-        val = _chi2(p, q)
-    elif kind == "sq_hellinger":
-        val = _sq_hellinger(p, q)
-    elif kind == "bhattacharyya":
-        val = _bhattacharyya(p, q)
-    elif kind == "alpha":
-        val = _hellinger(params["alpha"], p, q) / params["alpha"]
-    elif kind == "chi_s":
-        val = _chi_s(params["s"], p, q)
-    elif kind == "tv":
-        val = _tv(p, q)
-    elif kind == "triangular":
-        val = _triangular(p, q)
-    elif kind == "lin":
-        val = _lin(params["theta"], p, q)
-    elif kind == "js":
-        val = _lin(0.5, p, q)
-    elif kind == "e_gamma":
-        val = _e_gamma(params["gamma"], p, q)
-    elif kind == "degroot":
-        val = _degroot(params["omega"], p, q)
-    elif kind == "renyi":
-        return renyi(params["alpha"], p, q)
-    else:
-        raise UnknownKindError(f"unknown divergence kind {kind!r}")
-    return DivergenceValue(val, kind, dict(params))
+    args = kind_args(kind, params)  # refuses kinds outside KINDS
+    return DivergenceValue(_CLOSED_FORMS[kind](p, q, *args), kind, dict(params))
 
 
 def renyi(alpha: float, p: DiscreteDistribution, q: DiscreteDistribution) -> DivergenceValue:
@@ -227,19 +231,7 @@ def renyi(alpha: float, p: DiscreteDistribution, q: DiscreteDistribution) -> Div
     the one-to-one transform log(1 + (a-1) H_a) / (a-1) of the Hellinger
     divergence of the same order.
     """
-    if alpha <= 0.0:
-        raise DomainError("Renyi order must be positive")
-    if alpha == 1.0:
-        return DivergenceValue(_kl(p, q), "renyi", {"alpha": 1.0})
-    h = _hellinger(alpha, p, q)
-    arg = 1.0 + (alpha - 1.0) * h
-    if math.isinf(arg):
-        val = math.inf
-    elif arg <= 0.0:
-        val = math.inf  # disjoint supports at alpha < 1
-    else:
-        val = math.log(arg) / (alpha - 1.0)
-    return DivergenceValue(val, "renyi", {"alpha": alpha})
+    return DivergenceValue(_renyi(p, q, alpha), "renyi", {"alpha": alpha})
 
 
 def degroot_from_egamma(
@@ -253,7 +245,7 @@ def degroot_from_egamma(
     if not 0.0 < omega < 1.0:
         raise DomainError("DeGroot prior must lie in (0, 1)")
     if omega <= 0.5:
-        val = omega * _e_gamma((1.0 - omega) / omega, p, q)
+        val = omega * _e_gamma(p, q, (1.0 - omega) / omega)
     else:
-        val = (1.0 - omega) * _e_gamma(omega / (1.0 - omega), q, p)
+        val = (1.0 - omega) * _e_gamma(q, p, omega / (1.0 - omega))
     return DivergenceValue(val, "degroot_from_egamma", {"omega": omega})

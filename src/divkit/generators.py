@@ -14,13 +14,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
-from .errors import CapabilityError, DomainError, KinkError, RangeError, ValidationError
+from .errors import (
+    CapabilityError,
+    DomainError,
+    KinkError,
+    RangeError,
+    UnknownKindError,
+    ValidationError,
+)
 
 __all__ = [
     "GeneratorFunction",
+    "KINDS",
     "generator",
+    "kind_args",
+    "parse_kind",
+    "parse_number",
     "parse_generator",
     "conjugate",
     "affine_shift",
@@ -391,10 +402,17 @@ def _custom(
     )
 
 
-_CLI_NAMES: dict[str, tuple[str, Optional[str]]] = {
+# Every divergence kind: name -> (catalog generator family or None, name of
+# its one parameter or None).  The direct sums, the named representations
+# and the CLI all read kind and parameter names from here.
+KINDS: dict[str, tuple[Optional[str], Optional[str]]] = {
     "kl": ("kl", None),
     "jeffreys": ("jeffreys", None),
     "hellinger": ("hellinger", "alpha"),
+    "chi2": ("chi_squared", None),
+    "sq_hellinger": (None, None),
+    "bhattacharyya": (None, None),
+    "alpha": (None, "alpha"),
     "chi_s": ("chi_s", "s"),
     "tv": ("total_variation", None),
     "triangular": ("triangular", None),
@@ -402,24 +420,58 @@ _CLI_NAMES: dict[str, tuple[str, Optional[str]]] = {
     "js": ("jensen_shannon", None),
     "e_gamma": ("e_gamma", "gamma"),
     "degroot": ("degroot", "omega"),
-    "chi2": ("chi_squared", None),
+    "renyi": (None, "alpha"),
 }
+
+
+def kind_args(kind: str, params: Mapping[str, float]) -> tuple[float, ...]:
+    """The parameter of ``kind`` taken from ``params``, as a 0- or 1-tuple."""
+    try:
+        _, pname = KINDS[kind]
+    except KeyError:
+        raise UnknownKindError(f"unknown divergence kind {kind!r}") from None
+    if pname is None:
+        return ()
+    if pname not in params:
+        raise DomainError(f"{kind!r} needs the parameter {pname!r}")
+    return (params[pname],)
+
+
+def parse_number(raw: str, what: str) -> float:
+    """A finite float from text; anything else is a ValidationError."""
+    try:
+        x = float(raw)
+    except ValueError:
+        raise ValidationError(f"{what}: not a number: {raw!r}") from None
+    if not math.isfinite(x):
+        raise ValidationError(f"{what}: must be finite, got {raw!r}")
+    return x
+
+
+def parse_kind(spec: str) -> tuple[str, dict[str, float]]:
+    """Split a CLI kind like "kl", "hellinger:0.5" or "degroot:0.25" into
+    the kind and its parameter mapping."""
+    name, _, raw = spec.partition(":")
+    try:
+        _, pname = KINDS[name]
+    except KeyError:
+        raise UnknownKindError(f"unknown divergence kind {spec!r}") from None
+    if pname is None:
+        if raw:
+            raise DomainError(f"{name!r} takes no parameter")
+        return name, {}
+    if not raw:
+        raise DomainError(f"{name!r} needs a parameter, e.g. {name}:0.5")
+    return name, {pname: parse_number(raw, f"{name} parameter {pname}")}
 
 
 def parse_generator(spec: str) -> GeneratorFunction:
     """Resolve a CLI name like "kl", "hellinger:0.5" or "degroot:0.25"."""
-    name, _, raw = spec.partition(":")
-    try:
-        family, pname = _CLI_NAMES[name]
-    except KeyError:
-        raise DomainError(f"unknown generator name {spec!r}") from None
-    if pname is None:
-        if raw:
-            raise DomainError(f"{name!r} takes no parameter")
-        return generator(family)
-    if not raw:
-        raise DomainError(f"{name!r} needs a parameter, e.g. {name}:0.5")
-    return generator(family, **{pname: float(raw)})
+    kind, params = parse_kind(spec)
+    family = KINDS[kind][0]
+    if family is None:
+        raise DomainError(f"{kind!r} has no catalog generator")
+    return generator(family, **params)
 
 
 def conjugate(f: GeneratorFunction) -> GeneratorFunction:

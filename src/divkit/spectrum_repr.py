@@ -2,11 +2,13 @@
 spectrum.
 
 Every engine here reduces the spectrum to segments on which it is constant
-and then integrates the representation kernel segment by segment: exactly
-where the kernel has an elementary antiderivative (powers of beta,
-1/(beta+1)^2), by adaptive 21-point Gauss-Kronrod quadrature otherwise
-(the logarithmic kernels of Lin/Jensen-Shannon/Jeffreys).  This makes the
-agreement tests a check of the formulas rather than of the quadrature.
+and then integrates the representation kernel segment by segment.  The
+named catalog is exact for every kind: each kernel has an elementary
+antiderivative (powers of beta, 1/(beta+1)^2, and the logarithmic kernels
+of Lin/Jensen-Shannon/Jeffreys), so its agreement tests check the formulas
+alone.  Only the general, inverse-g and DeGroot-weight engines, which take
+an arbitrary generator, integrate by adaptive 21-point Gauss-Kronrod
+quadrature.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
     KinkError,
     UnknownKindError,
 )
-from .generators import GeneratorFunction, g_eval, g_inverse, weight
+from .generators import GeneratorFunction, g_eval, g_inverse, kind_args, weight
 from .quadrature import integrate
 
 __all__ = [
@@ -236,47 +238,6 @@ def _exact_piecewise(
     return math.fsum(pieces)
 
 
-def _quad_piecewise(
-    f: SpectrumFunction,
-    kernel: Callable[[float], float],
-    use_tail: bool,
-    lo: float = 0.0,
-    hi: float = math.inf,
-    tail_integral: Optional[float] = None,
-) -> float:
-    """Same contract as _exact_piecewise but with per-segment quadrature;
-    an infinite upper limit needs the closed-form tail integral of the bare
-    kernel over [beta_last, inf)."""
-    pieces = []
-    if not f.breakpoints:
-        return 0.0
-    beta_first = math.exp(f.breakpoints[0])
-    beta_last = math.exp(f.breakpoints[-1])
-    if use_tail and lo < beta_first:
-        head_hi = min(beta_first, hi)
-        if head_hi > lo:
-            pieces.append(integrate(kernel, lo, head_hi, rel_tol=1e-10))
-    for x0, x1, cval in _log_segments(f):
-        b0, b1 = max(math.exp(x0), lo), min(math.exp(x1), hi)
-        if b1 <= b0:
-            continue
-        val = (1.0 - cval) if use_tail else cval
-        if val != 0.0:
-            pieces.append(val * integrate(kernel, b0, b1, rel_tol=1e-10))
-    if not use_tail and hi > beta_last:
-        sup_f = f.cum_masses[-1]
-        if sup_f != 0.0:
-            if math.isinf(hi):
-                if tail_integral is None:
-                    raise ValueError("infinite limit without a tail integral")
-                pieces.append(sup_f * tail_integral)
-            else:
-                pieces.append(
-                    sup_f * integrate(kernel, max(beta_last, lo), hi, rel_tol=1e-10)
-                )
-    return math.fsum(pieces)
-
-
 def _named_kl(f: SpectrumFunction) -> float:
     _require_mutual(f)
     up = _exact_piecewise(f, math.log, use_tail=True, lo=1.0)
@@ -285,6 +246,8 @@ def _named_kl(f: SpectrumFunction) -> float:
 
 
 def _named_hellinger(f: SpectrumFunction, alpha: float) -> float:
+    if alpha == 1.0:
+        return _named_kl(f)  # analytic extension at order 1
     _require_mutual(f)
     am1 = alpha - 1.0
     anti = lambda b: b**am1 / am1
@@ -317,6 +280,8 @@ def _named_bhattacharyya(f: SpectrumFunction) -> float:
 
 
 def _named_renyi(f: SpectrumFunction, alpha: float) -> float:
+    if alpha == 1.0:
+        return _named_kl(f)  # analytic extension at order 1
     _require_mutual(f)
     am1 = alpha - 1.0
     anti = lambda b: b**am1 / am1
@@ -377,25 +342,43 @@ def _named_triangular(f: SpectrumFunction) -> float:
 def _named_lin(f: SpectrumFunction, theta: float) -> float:
     _require_mutual(f)
     a = theta / (1.0 - theta)
-    kernel = lambda b: math.log1p(a * b) / (b * b)
-    # exact antiderivative used for the infinite tail where F == 1
-    anti = lambda b: -math.log1p(a * b) / b + a * math.log(b / (1.0 + a * b))
-    tail = -a * math.log(a) - anti(math.exp(f.breakpoints[-1])) if f.breakpoints else 0.0
+    # antiderivative of the kernel log1p(a b) / b^2 that vanishes at infinity:
+    # -log1p(a b) / b + a ln(a b / (1 + a b)), two terms of one sign
+    def anti(b: float) -> float:
+        u = a * b
+        log_ratio = -math.log1p(1.0 / u) if u > 1.0 else math.log(u) - math.log1p(u)
+        return -math.log1p(u) / b + a * log_ratio
+
     entropy = -theta * math.log(theta) - (1.0 - theta) * math.log(1.0 - theta)
-    integral = _quad_piecewise(f, kernel, use_tail=False, tail_integral=tail)
+    integral = _exact_piecewise(f, anti, use_tail=False, anti_at_inf=0.0)
     return entropy - (1.0 - theta) * integral
-
-
-def _named_js(f: SpectrumFunction) -> float:
-    return _named_lin(f, 0.5)
 
 
 def _named_jeffreys(f: SpectrumFunction) -> float:
     _require_mutual(f)
-    kernel = lambda b: 1.0 / b + math.log(b) / (b * b)
-    up = _quad_piecewise(f, kernel, use_tail=True, lo=1.0)
-    down = _quad_piecewise(f, kernel, use_tail=False, hi=1.0)
+    # antiderivative of the kernel 1/b + ln(b) / b^2, zero at b = 1
+    anti = lambda b: (1.0 - 1.0 / b) * (1.0 + math.log(b))
+    up = _exact_piecewise(f, anti, use_tail=True, lo=1.0)
+    down = _exact_piecewise(f, anti, use_tail=False, hi=1.0)
     return up - down
+
+
+_NAMED: dict[str, Callable[..., float]] = {
+    "kl": _named_kl,
+    "hellinger": _named_hellinger,
+    "chi2": _named_chi2,
+    "sq_hellinger": _named_sq_hellinger,
+    "bhattacharyya": _named_bhattacharyya,
+    "renyi": _named_renyi,
+    "chi_s": _named_chi_s,
+    "tv": _named_tv,
+    "degroot": _named_degroot,
+    "e_gamma": _named_e_gamma,
+    "triangular": _named_triangular,
+    "lin": _named_lin,
+    "js": lambda f: _named_lin(f, 0.5),
+    "jeffreys": _named_jeffreys,
+}
 
 
 def represent_named(
@@ -405,38 +388,16 @@ def represent_named(
 
     Mutual absolute continuity is required except where one-sided
     domination suffices (E_gamma and DeGroot with omega <= 1/2 need only
-    P << Q; DeGroot with omega > 1/2 only Q << P).
+    P << Q; DeGroot with omega > 1/2 only Q << P).  For tv, ``form="head"``
+    integrates the head of the spectrum instead of its tail.
     """
-    f = spectrum(p, q)
-    if kind == "kl":
-        return _named_kl(f)
-    if kind == "hellinger":
-        return _named_hellinger(f, params["alpha"])
-    if kind == "chi2":
-        return _named_chi2(f)
-    if kind == "sq_hellinger":
-        return _named_sq_hellinger(f)
-    if kind == "bhattacharyya":
-        return _named_bhattacharyya(f)
-    if kind == "renyi":
-        return _named_renyi(f, params["alpha"])
-    if kind == "chi_s":
-        return _named_chi_s(f, params["s"])
-    if kind == "tv":
-        return _named_tv(f, params.get("form", "tail"))  # type: ignore[arg-type]
-    if kind == "degroot":
-        return _named_degroot(f, params["omega"])
-    if kind == "e_gamma":
-        return _named_e_gamma(f, params["gamma"])
-    if kind == "triangular":
-        return _named_triangular(f)
-    if kind == "lin":
-        return _named_lin(f, params["theta"])
-    if kind == "js":
-        return _named_js(f)
-    if kind == "jeffreys":
-        return _named_jeffreys(f)
-    raise UnknownKindError(f"no integral representation for kind {kind!r}")
+    args = kind_args(kind, params)
+    named = _NAMED.get(kind)
+    if named is None:
+        raise UnknownKindError(f"no integral representation for kind {kind!r}")
+    if named is _named_tv and "form" in params:
+        args = (params["form"],)
+    return named(spectrum(p, q), *args)
 
 
 def spectrum_identity(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
@@ -458,24 +419,22 @@ def spectrum_from_egamma(
 
     Uses the exact right-derivative of gamma -> E_gamma; this reproduces
     the right-continuous CDF for x >= 0 and the left limit at atoms for
-    x < 0 (so it matches spectrum_eval at every continuity point).
+    x < 0 (so it matches spectrum_eval at every continuity point).  In
+    1 - E_gamma + gamma E'_gamma the gamma-terms cancel analytically, which
+    leaves the P-mass on one side of x; comparing log-ratios with x keeps
+    that finite for every x, where exp(|x|) would overflow past 709.78.
     """
     f = spectrum(p, q)
     _require_mutual(f)
+    ratios = [
+        (pm, math.log(pm) - math.log(qm))
+        for pm, qm in zip(p.masses, q.masses)
+        if pm > 0.0
+    ]
     if x >= 0.0:
-        gamma = math.exp(x)
-        e_val = math.fsum(
-            pm - gamma * qm for pm, qm in zip(p.masses, q.masses) if pm > gamma * qm
-        )
-        slope = -math.fsum(
-            qm for pm, qm in zip(p.masses, q.masses) if pm > gamma * qm
-        )
-        return 1.0 - e_val + (gamma * slope if slope != 0.0 else 0.0)
-    gamma = math.exp(-x)
-    # -E'_gamma(Q||P) with the swapped-pair right-derivative
-    return math.fsum(
-        pm for pm, qm in zip(p.masses, q.masses) if qm > gamma * pm
-    )
+        return 1.0 - math.fsum(pm for pm, r in ratios if r > x)
+    # -E'_gamma(Q||P) at gamma = exp(-x), with the swapped-pair right-derivative
+    return math.fsum(pm for pm, r in ratios if r < x)
 
 
 def _degroot_right_derivative(

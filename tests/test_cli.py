@@ -80,6 +80,24 @@ class TestDiv:
         code, _, err = run_cli(capsys, "div", "--kind", "kl", "--p", p, "--q", "/no/such.json")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["div", "--kind", "hellinger:abc", "--p", "{p}", "--q", "{q}"],
+            ["div", "--kind", "hellinger:nan", "--p", "{p}", "--q", "{q}"],
+            ["div", "--kind", "hellinger:inf", "--p", "{p}", "--q", "{q}"],
+            ["bounds", "--name", "egamma_ub_kl", "--args", "gamma=abc,kl=1"],
+            ["bounds", "--name", "pinsker_lb_kl", "--args", "kl=1"],
+        ],
+        ids=["hellinger_abc", "hellinger_nan", "hellinger_inf", "gamma_abc", "pinsker_kl"],
+    )
+    def test_malformed_parameters_exit_2(self, capsys, dist_files, argv):
+        p, q = dist_files
+        code, out, err = run_cli(capsys, *(a.format(p=p, q=q) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("divkit:") and "internal error" not in err
+
     def test_deterministic_output(self, capsys, dist_files):
         p, q = dist_files
         _, out1, _ = run_cli(capsys, "div", "--kind", "js", "--p", p, "--q", q)

@@ -18,6 +18,8 @@ from divkit import (
     mixture,
     renyi,
 )
+from divkit.generators import KINDS
+from divkit.spectrum_repr import _NAMED
 from helpers import brute_force_e_gamma, random_pair
 
 CATALOG = [
@@ -184,6 +186,21 @@ class TestNamedDivergences:
         )
 
 
+class TestKindTable:
+    # one in-domain value per parameter name that KINDS uses
+    VALUES = {"alpha": 0.5, "s": 2.0, "theta": 0.3, "gamma": 1.5, "omega": 0.3}
+
+    def test_every_kind_dispatches(self, bern_pair):
+        for kind, (_, pname) in KINDS.items():
+            params = {} if pname is None else {pname: self.VALUES[pname]}
+            result = divergence(kind, *bern_pair, **params)
+            assert result.kind == kind
+            assert result.value >= 0.0
+
+    def test_named_catalog_keys_are_kinds(self):
+        assert set(_NAMED) <= set(KINDS)
+
+
 class TestRenyi:
     def test_order_two(self, bern_pair):
         assert float(renyi(2.0, *bern_pair)) == pytest.approx(
@@ -234,12 +251,16 @@ class TestDegrootFromEgamma:
 
     def test_matches_direct_both_branches(self):
         rng = np.random.default_rng(43)
-        for _ in range(100):
+        for i in range(200):
             p, q = random_pair(rng, int(rng.integers(2, 7)))
+            if i % 2:
+                # near-equal pair, where min(w, 1-w) - sum(min) would cancel
+                p = mixture(p, q, 10.0 ** rng.uniform(-8.0, -2.0))
             for omega in (0.2, 0.5, 0.8):
                 via = float(degroot_from_egamma(omega, p, q))
                 direct = float(divergence("degroot", p, q, omega=omega))
                 assert abs(via - direct) <= 1e-12
+                assert direct >= 0.0
 
 
 class TestInvariances:

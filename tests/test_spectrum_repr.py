@@ -57,6 +57,9 @@ NAMED_ENTRIES = [
     ("degroot", {"omega": 0.2}),
     ("degroot", {"omega": 0.5}),
     ("degroot", {"omega": 0.8}),
+    # order 1: KL by analytic extension
+    ("hellinger", {"alpha": 1.0}),
+    ("renyi", {"alpha": 1.0}),
 ]
 
 
@@ -289,6 +292,10 @@ class TestSpectrumReconstruction:
         assert spectrum_from_egamma(p, q, 0.0) == pytest.approx(0.3, abs=1e-14)
         assert spectrum_from_egamma(p, q, 1.0) == pytest.approx(1.0, abs=1e-14)
         assert spectrum_from_egamma(p, q, -1.0) == pytest.approx(0.0, abs=1e-14)
+        # past |x| = 709.78 exp(|x|) overflows; the CDF is saturated there
+        for x in (710.0, 800.0):
+            assert spectrum_from_egamma(p, q, x) == 1.0
+            assert spectrum_from_egamma(p, q, -x) == 0.0
 
     def test_degroot_examples(self, bern_pair):
         p, q = bern_pair
