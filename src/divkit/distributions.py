@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 _NORMALIZATION_TOL = 1e-12
+# Prefix length past which spectrum() carries the prefix as its exact
+# expansion; below it the prefix is summed as it stands.
+_EXPANSION_AT = 32
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,8 @@ def make_distribution(weights: Sequence[float]) -> DiscreteDistribution:
     """Normalize non-negative weights into a DiscreteDistribution.
 
     Atom order is preserved.  Raises ValidationError on negative,
-    non-finite, or all-zero weights.
+    non-finite, or all-zero weights.  Weights whose sum overflows are
+    divided by the largest one before normalizing.
     """
     ws = [float(w) for w in weights]
     if not ws:
@@ -100,7 +104,13 @@ def make_distribution(weights: Sequence[float]) -> DiscreteDistribution:
             raise ValidationError(f"non-finite weight {w!r}")
         if w < 0.0:
             raise ValidationError(f"negative weight {w!r}")
-    total = math.fsum(ws)
+    try:
+        total = math.fsum(ws)
+    except OverflowError:
+        # the sum passes the float range: scale by the largest weight first
+        top = max(ws)
+        ws = [w / top for w in ws]
+        total = math.fsum(ws)
     if total <= 0.0:
         raise ValidationError("weights sum to zero")
     return DiscreteDistribution(tuple(w / total for w in ws))
@@ -134,12 +144,34 @@ def relative_information(
     return math.log(pm) - math.log(qm)
 
 
+def _exact_expansion(xs: list[float], total: float) -> list[float]:
+    """A few floats whose exact sum is the exact sum of xs.
+
+    ``total`` is ``fsum(xs)``; each further element is the correctly rounded
+    residual of xs minus the elements so far, until a residual is zero.
+    """
+    out: list[float] = []
+    while total != 0.0:
+        out.append(total)
+        total = math.fsum(xs + [-v for v in out])
+    return out
+
+
 def spectrum(p: DiscreteDistribution, q: DiscreteDistribution) -> SpectrumFunction:
     """Build the relative information spectrum of (P, Q).
 
     Atoms with mass under both measures contribute a breakpoint at their
     log-ratio, ties merged by summing P-mass; singular atoms are recorded
     in the two singular-mass fields; p == q == 0 atoms are dropped.
+
+    ``cum_masses[j]`` is ``fsum`` of the P-masses of every atom up to
+    breakpoint j, correctly rounded, in O(n log n) time (the sort).  The
+    running prefix is carried exactly: once it holds more than
+    ``_EXPANSION_AT`` addends it is replaced by its exact expansion, a few
+    floats with the same exact sum.  Since ``fsum`` rounds the exact sum of
+    its addends, every prefix sum is bit-identical to ``fsum`` over the
+    whole prefix, while no ``fsum`` call sees more than a few dozen addends
+    beyond the current tie group.
     """
     _require_shared_alphabet(p, q)
     groups: dict[float, list[float]] = {}
@@ -159,6 +191,8 @@ def spectrum(p: DiscreteDistribution, q: DiscreteDistribution) -> SpectrumFuncti
     for x in breakpoints:
         seen.extend(groups[x])
         cums.append(math.fsum(seen))
+        if len(seen) > _EXPANSION_AT:
+            seen = _exact_expansion(seen, cums[-1])
     return SpectrumFunction(
         breakpoints=breakpoints,
         cum_masses=tuple(cums),

@@ -106,13 +106,43 @@ def _hellinger(p: DiscreteDistribution, q: DiscreteDistribution, alpha: float) -
     if alpha == 1.0:
         return _kl(p, q)  # analytic extension at order 1
     s_terms = []
+    try:
+        for pm, qm in _zip_masses(p, q):
+            if qm == 0.0:
+                if pm > 0.0 and alpha > 1.0:
+                    return math.inf
+            elif pm > 0.0:
+                s_terms.append(qm * (pm / qm) ** alpha)
+        s = math.fsum(s_terms)
+    except OverflowError:
+        s = math.inf
+    if math.isinf(s):
+        # a term or the sum left the float range: (S - 1)/(alpha - 1) from ln S
+        log_s = _log_hellinger_sum(p, q, alpha)
+        if log_s < 700.0:
+            return math.expm1(log_s) / (alpha - 1.0)
+        try:
+            return math.exp(log_s - math.log(alpha - 1.0))
+        except OverflowError:
+            return math.inf
+    return (s - 1.0) / (alpha - 1.0)
+
+
+def _log_hellinger_sum(
+    p: DiscreteDistribution, q: DiscreteDistribution, alpha: float
+) -> float:
+    """ln of sum q (p/q)^alpha by log-sum-exp, for orders at which the
+    terms leave the float range; +inf when alpha > 1 and P has mass where
+    Q vanishes."""
+    logs = []
     for pm, qm in _zip_masses(p, q):
         if qm == 0.0:
             if pm > 0.0 and alpha > 1.0:
                 return math.inf
         elif pm > 0.0:
-            s_terms.append(qm * (pm / qm) ** alpha)
-    return (math.fsum(s_terms) - 1.0) / (alpha - 1.0)
+            logs.append(math.log(qm) + alpha * (math.log(pm) - math.log(qm)))
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(v - top) for v in logs))
 
 
 def _sq_hellinger(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
@@ -187,8 +217,12 @@ def _renyi(p: DiscreteDistribution, q: DiscreteDistribution, alpha: float) -> fl
     if alpha == 1.0:
         return _kl(p, q)
     arg = 1.0 + (alpha - 1.0) * _hellinger(p, q, alpha)
-    if math.isinf(arg) or arg <= 0.0:
-        return math.inf  # arg <= 0: disjoint supports at alpha < 1
+    if math.isinf(arg):
+        # 1 + (alpha - 1) H = S passed the float range; ln S is finite
+        # unless P has mass where Q vanishes
+        return _log_hellinger_sum(p, q, alpha) / (alpha - 1.0)
+    if arg <= 0.0:
+        return math.inf  # disjoint supports at alpha < 1
     return math.log(arg) / (alpha - 1.0)
 
 

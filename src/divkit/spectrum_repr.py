@@ -6,14 +6,16 @@ and then integrates the representation kernel segment by segment.  The
 named catalog is exact for every kind: each kernel has an elementary
 antiderivative (powers of beta, 1/(beta+1)^2, and the logarithmic kernels
 of Lin/Jensen-Shannon/Jeffreys), so its agreement tests check the formulas
-alone.  Only the general, inverse-g and DeGroot-weight engines, which take
-an arbitrary generator, integrate by adaptive 21-point Gauss-Kronrod
+alone.  The inverse-g engine is an exact sum of g increments over the same
+segments.  Only the general and DeGroot-weight engines, which take an
+arbitrary generator, integrate by adaptive 21-point Gauss-Kronrod
 quadrature.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -21,9 +23,8 @@ from .distributions import (
     DiscreteDistribution,
     SpectrumFunction,
     spectrum,
-    spectrum_eval,
 )
-from .divergences import divergence
+from .divergences import _singular_masses, divergence
 from .errors import (
     AbsoluteContinuityError,
     CapabilityError,
@@ -31,7 +32,7 @@ from .errors import (
     KinkError,
     UnknownKindError,
 )
-from .generators import GeneratorFunction, g_eval, g_inverse, kind_args, weight
+from .generators import GeneratorFunction, g_eval, kind_args, weight
 from .quadrature import integrate
 
 __all__ = [
@@ -67,43 +68,51 @@ class SegmentedIntegrand:
         return self.segments[-1][1] if self.segments else 1.0
 
 
-def _require_pq_dominated(f: SpectrumFunction) -> None:
-    if f.singular_mass_p != 0.0:
+def _require_pq_dominated(singular_mass_p: float) -> None:
+    if singular_mass_p != 0.0:
         raise AbsoluteContinuityError(
             "P is not absolutely continuous w.r.t. Q "
-            f"(P-mass {f.singular_mass_p} sits where Q vanishes)"
+            f"(P-mass {singular_mass_p} sits where Q vanishes)"
         )
 
 
-def _require_qp_dominated(f: SpectrumFunction) -> None:
-    if f.singular_mass_q != 0.0:
+def _require_qp_dominated(singular_mass_q: float) -> None:
+    if singular_mass_q != 0.0:
         raise AbsoluteContinuityError(
             "Q is not absolutely continuous w.r.t. P "
-            f"(Q-mass {f.singular_mass_q} sits where P vanishes)"
+            f"(Q-mass {singular_mass_q} sits where P vanishes)"
         )
 
 
 def _require_mutual(f: SpectrumFunction) -> None:
-    _require_pq_dominated(f)
-    _require_qp_dominated(f)
+    _require_pq_dominated(f.singular_mass_p)
+    _require_qp_dominated(f.singular_mass_q)
+
+
+def _require_mutual_pair(p: DiscreteDistribution, q: DiscreteDistribution) -> None:
+    """_require_mutual in one pass over the masses, without a spectrum."""
+    q_where_p0, p_where_q0 = _singular_masses(p, q)
+    _require_pq_dominated(p_where_q0)
+    _require_qp_dominated(q_where_p0)
 
 
 def _log_segments(f: SpectrumFunction, extra_cuts: tuple[float, ...] = ()):
     """Segments (x_lo, x_hi, cdf value) between spectrum breakpoints, cut
-    at 0 and at any extra log-abscissae."""
-    pts = set(f.breakpoints)
-    if f.breakpoints:
-        lo, hi = f.breakpoints[0], f.breakpoints[-1]
-        if lo < 0.0 < hi:
-            pts.add(0.0)
-        for c in extra_cuts:
-            if lo < c < hi:
-                pts.add(c)
-    ordered = sorted(pts)
-    return [
-        (x0, x1, spectrum_eval(f, x0))
-        for x0, x1 in zip(ordered, ordered[1:])
-    ]
+    at 0 and at any extra log-abscissae, in one pass over the breakpoints."""
+    bps, cums = f.breakpoints, f.cum_masses
+    if not bps:
+        return []
+    cuts = sorted({c for c in (0.0, *extra_cuts) if bps[0] < c < bps[-1]})
+    segs = []
+    k = 0
+    for x0, x1, cval in zip(bps, bps[1:], cums):
+        while k < len(cuts) and cuts[k] <= x1:
+            if cuts[k] < x1:
+                segs.append((x0, cuts[k], cval))
+                x0 = cuts[k]
+            k += 1
+        segs.append((x0, x1, cval))
+    return segs
 
 
 def g_segments(p: DiscreteDistribution, q: DiscreteDistribution) -> SegmentedIntegrand:
@@ -150,10 +159,12 @@ def represent_inverse_g(
 ) -> float:
     """Divergence via the two inverse branches of the g transform.
 
-    Integrates 1 - F(l1(t)) and F(l2(t)) over t, inverting g numerically
-    at every quadrature node.  Two nested numeric layers, so the accuracy
-    contract is looser (~1e-6 relative) than the weight-kernel engine.
-    Requires f strictly convex at 1.
+    The integrands 1 - F(l1(t)) and F(l2(t)) are step functions of t with
+    jumps at the g(x_j), so the integral over t is an exact sum over the
+    spectrum segments [x0, x1] (cut at 0) on which F equals c:
+    (g(x1) - g(x0)) (1 - c) for x0 >= 0 and (g(x0) - g(x1)) c below 0.
+    No quadrature and no inversion of g, so it agrees with the direct sum
+    to rounding error.  Requires a differentiable f.
     """
     if not f.is_smooth:
         raise KinkError("g inversion needs a differentiable, strictly convex f")
@@ -161,27 +172,25 @@ def represent_inverse_g(
     _require_mutual(spec)
     if not spec.breakpoints:
         return 0.0
+    segs = _log_segments(spec)
+    # F is 0 below the first breakpoint and its top value above the last;
+    # those stretches reach x = 0 only when every ratio sits on one side of
+    # 1, which rounding in the masses can cause
     x_min, x_max = spec.breakpoints[0], spec.breakpoints[-1]
-    total = 0.0
-    if x_max > 0.0:
-        t_hi = g_eval(f, x_max)
-        total += integrate(
-            lambda t: 1.0 - spectrum_eval(spec, g_inverse(f, t, "positive")),
-            0.0,
-            t_hi,
-            rel_tol=1e-9,
-            max_intervals=4000,
-        )
-    if x_min < 0.0:
-        t_hi = g_eval(f, x_min)
-        total += integrate(
-            lambda t: spectrum_eval(spec, g_inverse(f, t, "negative")),
-            0.0,
-            t_hi,
-            rel_tol=1e-9,
-            max_intervals=4000,
-        )
-    return total
+    if x_min > 0.0:
+        segs.insert(0, (0.0, x_min, 0.0))
+    if x_max < 0.0:
+        segs.append((x_max, 0.0, spec.cum_masses[-1]))
+    if not segs:
+        return 0.0
+    gs = [g_eval(f, x0) for x0, _, _ in segs]
+    gs.append(g_eval(f, segs[-1][1]))
+    pieces = []
+    for (x0, _, c), g0, g1 in zip(segs, gs, gs[1:]):
+        val, dg = (1.0 - c, g1 - g0) if x0 >= 0.0 else (c, g0 - g1)
+        if val != 0.0:
+            pieces.append(val * dg)
+    return math.fsum(pieces)
 
 
 # -- named catalog -----------------------------------------------------------
@@ -221,10 +230,16 @@ def _exact_piecewise(
         head_hi = min(beta_first, hi)
         if head_hi > lo:
             pieces.append(anti_at(head_hi) - anti_at(lo))
-    # interior segments
-    for x0, x1, cval in _log_segments(f, extra_cuts=log_cuts):
-        b0, b1 = math.exp(x0), math.exp(x1)
-        b0, b1 = max(b0, lo), min(b1, hi)
+    # interior segments: only those with exp(x_hi) > lo and exp(x_lo) < hi
+    segs = _log_segments(f, extra_cuts=log_cuts)
+    first = bisect_right(segs, lo, key=lambda s: math.exp(s[1]))
+    last = bisect_left(segs, hi, lo=first, key=lambda s: math.exp(s[0]))
+    window = segs[first:last]
+    betas = [math.exp(x0) for x0, _, _ in window]
+    if window:
+        betas.append(math.exp(window[-1][1]))
+    for (_, _, cval), e0, e1 in zip(window, betas, betas[1:]):
+        b0, b1 = max(e0, lo), min(e1, hi)
         if b1 <= b0:
             continue
         val = (1.0 - cval) if use_tail else cval
@@ -315,18 +330,18 @@ def _named_degroot(f: SpectrumFunction, omega: float) -> float:
     anti = lambda b: -1.0 / b
     thr = (1.0 - omega) / omega
     if omega <= 0.5:
-        _require_pq_dominated(f)
+        _require_pq_dominated(f.singular_mass_p)
         return (1.0 - omega) * _exact_piecewise(
             f, anti, use_tail=True, lo=thr, anti_at_inf=0.0, extra_cuts=(thr,)
         )
-    _require_qp_dominated(f)
+    _require_qp_dominated(f.singular_mass_q)
     return (1.0 - omega) * _exact_piecewise(
         f, anti, use_tail=False, hi=thr, extra_cuts=(thr,)
     )
 
 
 def _named_e_gamma(f: SpectrumFunction, gamma: float) -> float:
-    _require_pq_dominated(f)
+    _require_pq_dominated(f.singular_mass_p)
     anti = lambda b: -1.0 / b
     return gamma * _exact_piecewise(
         f, anti, use_tail=True, lo=gamma, anti_at_inf=0.0, extra_cuts=(gamma,)
@@ -408,7 +423,7 @@ def spectrum_identity(p: DiscreteDistribution, q: DiscreteDistribution) -> float
     Q << P (P may still put mass where Q vanishes).
     """
     f = spectrum(p, q)
-    _require_qp_dominated(f)
+    _require_qp_dominated(f.singular_mass_q)
     return _exact_piecewise(f, lambda b: -1.0 / b, use_tail=False, anti_at_inf=0.0)
 
 
@@ -424,8 +439,7 @@ def spectrum_from_egamma(
     leaves the P-mass on one side of x; comparing log-ratios with x keeps
     that finite for every x, where exp(|x|) would overflow past 709.78.
     """
-    f = spectrum(p, q)
-    _require_mutual(f)
+    _require_mutual_pair(p, q)
     ratios = [
         (pm, math.log(pm) - math.log(qm))
         for pm, qm in zip(p.masses, q.masses)
@@ -456,8 +470,7 @@ def spectrum_from_degroot(
 
     Same one-sided-derivative convention as spectrum_from_egamma.
     """
-    f = spectrum(p, q)
-    _require_mutual(f)
+    _require_mutual_pair(p, q)
     if abs(x) > 700.0:
         raise DomainError("prior solved from x underflows past |x| ~ 700")
     # overflow-safe solve of x = ln((1-omega)/omega)

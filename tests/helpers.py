@@ -40,6 +40,23 @@ def brute_force_e_gamma(
     return best
 
 
+def prefix_fsum_cum_masses(
+    p: DiscreteDistribution, q: DiscreteDistribution
+) -> tuple[float, ...]:
+    """Reference spectrum CDF: fsum over the whole P-mass prefix at every
+    breakpoint, ties merged on bit-equal log-ratios (quadratic in n)."""
+    groups: dict[float, list[float]] = {}
+    for pm, qm in zip(p.masses, q.masses):
+        if pm > 0.0 and qm > 0.0:
+            groups.setdefault(math.log(pm) - math.log(qm), []).append(pm)
+    seen: list[float] = []
+    cums = []
+    for x in sorted(groups):
+        seen.extend(groups[x])
+        cums.append(math.fsum(seen))
+    return tuple(cums)
+
+
 def assert_close(actual: float, expected: float, tol: float, label: str = "") -> None:
     assert abs(actual - expected) <= tol, (
         f"{label}: {actual!r} vs expected {expected!r} (tol {tol})"

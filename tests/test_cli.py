@@ -98,6 +98,23 @@ class TestDiv:
         assert out == ""
         assert err.startswith("divkit:") and "internal error" not in err
 
+    def test_weights_whose_sum_overflows(self, capsys, tmp_path, dist_files):
+        _, q = dist_files
+        p = tmp_path / "huge.json"
+        p.write_text("[1e308, 1e308]")
+        code, out, _ = run_cli(capsys, "div", "--kind", "tv", "--p", str(p), "--q", q)
+        assert code == 0
+        assert json.loads(out)["value_nats"] == 0.0
+
+    @pytest.mark.parametrize(
+        "kind, expected", [("renyi:3000", pytest.approx(0.336353305329)), ("hellinger:3000", "inf")]
+    )
+    def test_large_order(self, capsys, dist_files, kind, expected):
+        p, q = dist_files
+        code, out, _ = run_cli(capsys, "div", "--kind", kind, "--p", p, "--q", q)
+        assert code == 0
+        assert json.loads(out)["value_nats"] == expected
+
     def test_deterministic_output(self, capsys, dist_files):
         p, q = dist_files
         _, out1, _ = run_cli(capsys, "div", "--kind", "js", "--p", p, "--q", q)

@@ -16,7 +16,7 @@ from divkit import (
     spectrum,
     spectrum_eval,
 )
-from helpers import random_pair
+from helpers import prefix_fsum_cum_masses, random_pair
 
 
 class TestMakeDistribution:
@@ -38,6 +38,13 @@ class TestMakeDistribution:
     def test_atom_order_preserved(self):
         d = make_distribution([5, 2, 3])
         assert d.masses == (0.5, 0.2, 0.3)
+
+    @pytest.mark.parametrize(
+        "weights, masses",
+        [([1e308, 1e308], (0.5, 0.5)), ([1.5e308, 1e308, 5e307], (0.5, 1 / 3, 1 / 6))],
+    )
+    def test_overflowing_sum_normalizes(self, weights, masses):
+        assert make_distribution(weights).masses == pytest.approx(masses, rel=1e-15)
 
 
 class TestRelativeInformation:
@@ -122,6 +129,61 @@ class TestSpectrum:
             s = spectrum(p, q)
             assert s.singular_mass_p == 0.0 and s.singular_mass_q == 0.0
             assert abs(s.cum_masses[-1] - 1.0) <= 1e-14
+
+
+def _oracle_pairs():
+    """Seeded weight pairs: plain, tied ratios, subnormal masses (weights
+    down to 5e-324) with skewed ratios, and near-equal mixtures
+    lam P + (1 - lam) Q against Q."""
+    rng = np.random.default_rng(20180417)
+    sizes = (2, 8, 31, 32, 33, 34, 64, 100, 257, 1000, 3000)
+    for k, n in enumerate(sizes * 4):
+        mode = k // len(sizes)
+        wq = rng.uniform(0.01, 1.0, size=n).tolist()
+        if mode == 0:
+            wp = rng.uniform(0.01, 1.0, size=n).tolist()
+        elif mode == 1:
+            wp = [w * float(rng.choice([0.5, 1.0, 2.0])) for w in wq]
+        elif mode == 2:
+            wp = (10.0 ** rng.uniform(-320, 0, size=n)).tolist()
+            wp[:3] = [5e-324, 1e-310, 1e-200][: len(wp)]
+            wq = (10.0 ** rng.uniform(-300, 0, size=n)).tolist()
+        else:
+            q = make_distribution(wq)
+            p = make_distribution(rng.uniform(0.01, 1.0, size=n).tolist())
+            lam = float(rng.choice([1e-3, 1e-9, 1e-15]))
+            wp = list(mixture(p, q, lam).masses)
+        yield n, mode, wp, wq
+
+
+class TestSpectrumCore:
+    def test_cum_masses_bit_equal_to_prefix_fsum(self):
+        for n, mode, wp, wq in _oracle_pairs():
+            p, q = make_distribution(wp), make_distribution(wq)
+            expected = prefix_fsum_cum_masses(p, q)
+            assert spectrum(p, q).cum_masses == expected, (n, mode)
+            if n <= 300:  # the swapped pair groups the atoms in another order
+                assert spectrum(q, p).cum_masses == prefix_fsum_cum_masses(q, p), (n, mode)
+
+    def test_fsum_addends_linear_in_n(self, monkeypatch):
+        # the prefix-fsum loop hands math.fsum about n^2/2 addends
+        n = 10_000
+        rng = np.random.default_rng(4)
+        p = make_distribution(rng.uniform(0.01, 1.0, size=n).tolist())
+        q = make_distribution(rng.uniform(0.01, 1.0, size=n).tolist())
+        fsum = math.fsum
+        addends = [0]
+
+        def counting_fsum(xs):
+            xs = list(xs)
+            addends[0] += len(xs)
+            return fsum(xs)
+
+        monkeypatch.setattr(math, "fsum", counting_fsum)
+        s = spectrum(p, q)
+        monkeypatch.undo()
+        assert len(s.breakpoints) == n
+        assert addends[0] <= 100 * n
 
 
 class TestSpectrumEval:

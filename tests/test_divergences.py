@@ -232,6 +232,28 @@ class TestRenyi:
         q = make_distribution([0, 0.5, 0.5])
         assert float(renyi(2.0, p, q)) == math.inf
 
+    def test_large_order_past_the_float_range(self, bern_pair):
+        # 1.4^3000 overflows; D_alpha = ln(0.5 (1.4^a + 0.6^a)) / (a - 1)
+        alpha = 3000.0
+        expected = (alpha * math.log(1.4) + math.log(0.5)) / (alpha - 1.0)
+        assert float(divergence("renyi", *bern_pair, alpha=alpha)) == pytest.approx(
+            expected, rel=1e-13
+        )
+        assert float(divergence("hellinger", *bern_pair, alpha=alpha)) == math.inf
+        p = make_distribution([0.5, 0.5, 0])
+        q = make_distribution([0, 0.5, 0.5])
+        assert float(renyi(alpha, p, q)) == math.inf
+
+    def test_subnormal_mass_ratio_past_the_float_range(self):
+        # p/q = 1e323 overflows to inf at the second atom
+        p = make_distribution([0.5, 0.5])
+        q = make_distribution([1.0, 5e-324])
+        s = 0.5**0.5 + math.exp(0.5 * math.log(0.5) + 0.5 * math.log(5e-324))
+        assert float(divergence("hellinger", p, q, alpha=0.5)) == pytest.approx(
+            2.0 * (1.0 - s), rel=1e-14
+        )
+        assert float(renyi(0.5, p, q)) == pytest.approx(-2.0 * math.log(s), rel=1e-14)
+
 
 class TestDegrootFromEgamma:
     def test_below_half(self, bern_pair):

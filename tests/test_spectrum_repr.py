@@ -6,9 +6,11 @@ import pytest
 from divkit import (
     AbsoluteContinuityError,
     CapabilityError,
+    DiscreteDistribution,
     KinkError,
     divergence,
     f_divergence,
+    g_eval,
     g_segments,
     generator,
     make_distribution,
@@ -143,12 +145,12 @@ class TestRepresentGeneral:
 class TestRepresentInverseG:
     def test_chi_squared(self, bern_pair):
         got = represent_inverse_g(generator("chi_squared"), *bern_pair)
-        assert got == pytest.approx(0.16, rel=1e-6)
+        assert got == pytest.approx(0.16, rel=1e-12)
 
     def test_kl(self, bern_pair):
         expected = 0.7 * math.log(1.4) + 0.3 * math.log(0.6)
         got = represent_inverse_g(generator("kl"), *bern_pair)
-        assert got == pytest.approx(expected, rel=1e-6)
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_equal_distributions(self):
         d = make_distribution([0.5, 0.5])
@@ -158,7 +160,27 @@ class TestRepresentInverseG:
         p, q = trinomial_pair
         direct = float(f_divergence(generator("jeffreys"), p, q))
         got = represent_inverse_g(generator("jeffreys"), p, q)
-        assert got == pytest.approx(direct, rel=1e-6)
+        assert got == pytest.approx(direct, rel=1e-12)
+
+    def test_every_ratio_above_one(self):
+        # masses within the normalization tolerance of 1 can put every
+        # ratio above 1; then 1 - F(l1(t)) = 1 on all of [0, g(x)]
+        p = DiscreteDistribution((0.5000000000000001, 0.5000000000000001))
+        q = make_distribution([0.5, 0.5])
+        x = math.log(p[0]) - math.log(q[0])
+        f = generator("kl")
+        assert x > 0.0
+        assert represent_inverse_g(f, p, q) == g_eval(f, x)
+
+    def test_oracle_equivalence(self):
+        rng = np.random.default_rng(97)
+        for _ in range(20):
+            p, q = random_pair(rng, int(rng.integers(2, 65)))
+            for _, family, params in SMOOTH:
+                gen = generator(family, **params)
+                direct = float(f_divergence(gen, p, q))
+                got = represent_inverse_g(gen, p, q)
+                assert abs(got - direct) <= 1e-12 * max(1.0, direct), family
 
 
 class TestRepresentNamed:
