@@ -21,7 +21,6 @@ from typing import Any, Callable, Sequence
 
 from .bayes_poisson import (
     poisson_bound_report,
-    poisson_degroot_exact,
     poisson_divergences,
     poisson_k0,
 )
@@ -286,18 +285,20 @@ def _cmd_poisson(args: argparse.Namespace, fmt: str) -> int:
         # echo that rounding next to the full-precision value
         d["bound_value_2sig"] = f"{r.bound_value:.1e}"
         bound_dicts.append(d)
+    if mu > lam:
+        k0 = poisson_k0(lam, mu, omega)
+    elif mu < lam:
+        k0 = poisson_k0(mu, lam, 1 - omega)
+    else:
+        k0 = None  # equal laws: no threshold, and the information is 0
     payload = {
         "mu": mu,
         "lambda": lam,
         "omega": omega,
         "kl": kl,
         "chi2": chi2,
-        "k0": poisson_k0(lam, mu, omega) if mu > lam else poisson_k0(mu, lam, 1 - omega),
-        "exact_degroot": poisson_degroot_exact(mu, lam, omega),
-        "truncation_epsilon": 1e-12,
-        # tail truncation plus the double-precision cancellation floor of
-        # the head-sum formula; values inside the budget are numerically zero
-        "exact_degroot_error_budget": 10 * 1e-12 + 1e-15,
+        "k0": k0,
+        "exact_degroot": reports[0].certified_quantity,
         "bounds": bound_dicts,
     }
     _emit(payload, fmt)

@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 
 from .distributions import DiscreteDistribution, mixture
 from .errors import DomainError, ValidationError
-from .generators import GeneratorFunction, kind_args
+from .generators import GeneratorFunction, _exp_or_inf, kind_args
 
 __all__ = [
     "DivergenceValue",
@@ -57,11 +57,28 @@ def _singular_masses(p: DiscreteDistribution, q: DiscreteDistribution):
 def f_divergence(
     f: GeneratorFunction, p: DiscreteDistribution, q: DiscreteDistribution
 ) -> DivergenceValue:
-    """D_f(P||Q) from the definition, singular parts included."""
-    terms = [
-        qm * f._eval(pm / qm) for pm, qm in _zip_masses(p, q) if pm > 0.0 and qm > 0.0
-    ]
-    total = math.fsum(terms)
+    """D_f(P||Q) from the definition, singular parts included.
+
+    A ratio u = p/q or a value f(u) past the float range makes its term
+    q f(u) inf, nan or an OverflowError; only then is the sum redone with
+    such terms as p f(u)/u, which is p f._eval_log(ln p - ln q) where the
+    family supplies it and p f*(0) otherwise.  For convex f with finite
+    f*(0), q f(u) - p f*(0) is q times a bounded function of u, and q is
+    below 1e-150 wherever u or f(u) of a catalog family overflows.
+    """
+    try:
+        terms = [
+            qm * f._eval(pm / qm) for pm, qm in _zip_masses(p, q) if pm > 0.0 and qm > 0.0
+        ]
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # a power overflowed, or inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        total = math.fsum(
+            _overflow_term(f, pm, qm)
+            for pm, qm in _zip_masses(p, q)
+            if pm > 0.0 and qm > 0.0
+        )
     q_p0, p_q0 = _singular_masses(p, q)
     for mass, limit in ((q_p0, f.f_at_zero), (p_q0, f.fstar_at_zero)):
         if mass > 0.0:
@@ -69,6 +86,20 @@ def f_divergence(
                 return DivergenceValue(math.inf, f.family, dict(f.params))
             total += mass * limit
     return DivergenceValue(total, f.family, dict(f.params))
+
+
+def _overflow_term(f: GeneratorFunction, pm: float, qm: float) -> float:
+    ratio = pm / qm
+    if ratio < math.inf:
+        try:
+            term = qm * f._eval(ratio)
+        except OverflowError:
+            term = math.inf
+        if math.isfinite(term):
+            return term
+    if f._eval_log is None:
+        return pm * f.fstar_at_zero
+    return pm * f._eval_log(math.log(pm) - math.log(qm))
 
 
 # closed forms ---------------------------------------------------------------
@@ -81,7 +112,16 @@ def _kl(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
             if qm == 0.0:
                 return math.inf
             terms.append(pm * math.log(pm / qm))
-    return math.fsum(terms)
+    total = math.fsum(terms)
+    if total == math.inf:
+        # a ratio pm/qm passed the float range; ln pm - ln qm keeps its
+        # term finite
+        total = math.fsum(
+            pm * (math.log(pm / qm) if pm / qm < math.inf else math.log(pm) - math.log(qm))
+            for pm, qm in _zip_masses(p, q)
+            if pm > 0.0
+        )
+    return total
 
 
 def _tv(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
@@ -163,12 +203,22 @@ def _chi_s(p: DiscreteDistribution, q: DiscreteDistribution, s: float) -> float:
     if s == 1.0:
         return _tv(p, q)
     terms = []
-    for pm, qm in _zip_masses(p, q):
-        if qm == 0.0:
-            if pm > 0.0:
-                return math.inf
-        else:
-            terms.append(abs(pm - qm) ** s / qm ** (s - 1.0))
+    try:
+        for pm, qm in _zip_masses(p, q):
+            if qm == 0.0:
+                if pm > 0.0:
+                    return math.inf
+            else:
+                terms.append(abs(pm - qm) ** s / qm ** (s - 1.0))
+    except (OverflowError, ZeroDivisionError):
+        # a power left the float range: take each term from its logarithm
+        if any(qm == 0.0 < pm for pm, qm in _zip_masses(p, q)):
+            return math.inf
+        terms = [
+            _exp_or_inf(s * math.log(abs(pm - qm)) - (s - 1.0) * math.log(qm))
+            for pm, qm in _zip_masses(p, q)
+            if qm > 0.0 and pm != qm
+        ]
     return math.fsum(terms)
 
 

@@ -50,6 +50,9 @@ class GeneratorFunction:
     always exists and is finite; ``left_deriv_at_one`` differs from it only
     at a kink sitting exactly at 1.  ``second_at_one`` is f''(1) when
     defined. ``kink`` is the abscissa where the derivative fails, or None.
+    ``_eval_log``, which the families whose f(u)/u is unbounded supply, is
+    x -> f(e^x) e^-x: it gives f(u)/u where u or f(u) leaves the float
+    range.
     """
 
     family: str
@@ -63,6 +66,7 @@ class GeneratorFunction:
     _eval: Callable[[float], float]
     _deriv: Optional[Callable[[float], float]]
     _second: Optional[Callable[[float], float]]
+    _eval_log: Optional[Callable[[float], float]] = None
 
     def __post_init__(self) -> None:
         if abs(self._eval(1.0)) > 1e-12:
@@ -117,6 +121,13 @@ def _named(**kv: float) -> tuple[tuple[str, float], ...]:
     return tuple(kv.items())
 
 
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _kl() -> GeneratorFunction:
     return GeneratorFunction(
         family="kl",
@@ -130,6 +141,7 @@ def _kl() -> GeneratorFunction:
         _eval=lambda t: t * math.log(t),
         _deriv=lambda t: math.log(t) + 1.0,
         _second=lambda t: 1.0 / t,
+        _eval_log=lambda x: x,
     )
 
 
@@ -146,6 +158,7 @@ def _jeffreys() -> GeneratorFunction:
         _eval=lambda t: (t - 1.0) * math.log(t),
         _deriv=lambda t: math.log(t) + 1.0 - 1.0 / t,
         _second=lambda t: 1.0 / t + 1.0 / (t * t),
+        _eval_log=lambda x: -math.expm1(-x) * x,
     )
 
 
@@ -153,6 +166,10 @@ def _hellinger(alpha: float) -> GeneratorFunction:
     if alpha <= 0.0 or alpha == 1.0 or math.isinf(alpha):
         raise DomainError("Hellinger order must lie in (0,1) or (1,inf)")
     am1 = alpha - 1.0
+
+    def ev_log(x: float) -> float:
+        return (_exp_or_inf(am1 * x) - math.exp(-x)) / am1
+
     return GeneratorFunction(
         family="hellinger",
         params=_named(alpha=alpha),
@@ -165,6 +182,7 @@ def _hellinger(alpha: float) -> GeneratorFunction:
         _eval=lambda t: (t**alpha - 1.0) / am1,
         _deriv=lambda t: alpha * t ** (alpha - 1.0) / am1,
         _second=lambda t: alpha * t ** (alpha - 2.0),
+        _eval_log=ev_log if alpha > 1.0 else None,
     )
 
 
@@ -181,6 +199,7 @@ def _chi_squared() -> GeneratorFunction:
         _eval=lambda t: (t - 1.0) ** 2,
         _deriv=lambda t: 2.0 * (t - 1.0),
         _second=lambda t: 2.0,
+        _eval_log=lambda x: _exp_or_inf(x) - 2.0 + math.exp(-x),
     )
 
 
@@ -237,6 +256,16 @@ def _chi_s(s: float) -> GeneratorFunction:
     def sd(t: float) -> float:
         return s * (s - 1.0) * abs(t - 1.0) ** (s - 2.0)
 
+    def ev_log(x: float) -> float:
+        # e^-x |e^x - 1|^s from its logarithm
+        if x == 0.0:
+            return 0.0
+        if x > 0.0:
+            log_gap = x + math.log1p(-math.exp(-x))
+        else:
+            log_gap = math.log(-math.expm1(x))
+        return _exp_or_inf(s * log_gap - x)
+
     return GeneratorFunction(
         family="chi_s",
         params=_named(s=s),
@@ -249,6 +278,7 @@ def _chi_s(s: float) -> GeneratorFunction:
         _eval=ev,
         _deriv=dv,
         _second=sd,
+        _eval_log=ev_log,
     )
 
 
@@ -527,6 +557,13 @@ def affine_shift(f: GeneratorFunction, c: float) -> GeneratorFunction:
         def dv(t: float) -> float:  # type: ignore[misc]
             return base_deriv(t) + c
 
+    ev_log = None
+    if f._eval_log is not None:
+        base_log = f._eval_log
+
+        def ev_log(x: float) -> float:  # type: ignore[misc]
+            return base_log(x) - c * math.expm1(-x)
+
     return GeneratorFunction(
         family=f.family,
         params=f.params,
@@ -539,6 +576,7 @@ def affine_shift(f: GeneratorFunction, c: float) -> GeneratorFunction:
         _eval=ev,
         _deriv=dv,
         _second=f._second,
+        _eval_log=ev_log,
     )
 
 

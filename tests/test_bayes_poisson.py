@@ -1,9 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import divkit.bayes_poisson as bp
 from divkit import (
+    DivkitError,
     DomainError,
     PoissonModel,
     poisson_bound_report,
@@ -29,7 +34,7 @@ class TestPmf:
     @pytest.mark.parametrize("lam", [0.5, 10.0, 200.0])
     def test_normalization(self, lam):
         model = PoissonModel(lam)
-        total = model.head_sum(model.truncation_index())
+        total = math.fsum(model.pmf(k) for k in range(model.truncation_index() + 1))
         assert total >= 1.0 - 1e-12
 
     def test_domains(self):
@@ -122,7 +127,7 @@ class TestDegrootExact:
         val = poisson_degroot_exact(101.0, 99.0, 0.1)
         chi = math.expm1(4.0 / 99.0)
         chi_bound = -0.4 + math.sqrt(0.25 - 0.09 / (1 + 0.1 * chi))
-        assert val >= -1e-12
+        assert val > 0.0
         assert val <= chi_bound
 
     def test_half_prior_is_quarter_tv(self):
@@ -158,7 +163,7 @@ class TestDegrootExact:
             mu = float(rng.uniform(0.5, 50.0))
             omega = float(rng.uniform(0.05, 0.95))
             val = poisson_degroot_exact(mu, lam, omega)
-            assert -1e-12 <= val <= min(omega, 1.0 - omega) + 1e-12
+            assert 0.0 <= val <= min(omega, 1.0 - omega)
 
 
 class TestBoundReport:
@@ -185,3 +190,133 @@ class TestBoundReport:
         for report in poisson_bound_report(7.0, 7.0, 0.5):
             assert report.bound_value >= 0.0
             assert report.certified_quantity == 0.0
+
+
+def degroot_oracle(mu, lam, omega, sigmas=40):
+    """I_omega(P_mu || P_lam) at 40 digits: the sum of the positive parts of
+    omega P_mu[k] - (1-omega) P_lam[k] (omega <= 1/2) or of the reverse
+    difference, over every count within `sigmas` standard deviations of
+    either law (the rest is below e^(-sigmas^2 / 2) of the masses)."""
+    with mpmath.workdps(40):
+        m, l = mpmath.mpf(mu), mpmath.mpf(lam)
+        a = mpmath.mpf(omega)
+        b = 1 - a
+        lo = max(0, math.floor(min(mu, lam) - sigmas * math.sqrt(min(mu, lam)) - 50))
+        hi = math.ceil(max(mu, lam) + sigmas * math.sqrt(max(mu, lam)) + 250)
+        pm = mpmath.exp(lo * mpmath.log(m) - m - mpmath.loggamma(lo + 1))
+        pl = mpmath.exp(lo * mpmath.log(l) - l - mpmath.loggamma(lo + 1))
+        total = mpmath.mpf(0)
+        for k in range(lo, hi + 1):
+            d = a * pm - b * pl if a <= b else b * pl - a * pm
+            if d > 0:
+                total += d
+            pm *= m / (k + 1)
+            pl *= l / (k + 1)
+        return float(total)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(113)
+    cases = []
+    for _ in range(30):
+        lam = float(10.0 ** rng.uniform(-1.0, 4.0))
+        if rng.uniform() < 0.75:
+            mu = lam * (1.0 + float(10.0 ** rng.uniform(-4.0, 0.5)))
+        else:
+            mu = float(10.0 ** rng.uniform(-1.0, 4.0))
+        omega = float(rng.uniform(0.01, 0.99))
+        cases.append((mu, lam, omega) if rng.uniform() < 0.5 else (lam, mu, omega))
+    return cases
+
+
+class TestDegrootOracle:
+    def test_paper_example(self):
+        val = poisson_degroot_exact(101.0, 99.0, 0.1)
+        assert val > 0.0
+        assert val == pytest.approx(degroot_oracle(101.0, 99.0, 0.1), rel=1e-12)
+        assert val == pytest.approx(4.0824100341660e-24, rel=1e-12)
+
+    @pytest.mark.parametrize("mu,lam,omega", _oracle_cases())
+    def test_seeded_rates(self, mu, lam, omega):
+        # measured: within 7e-16 (1 + |ln I|); the |ln I| part is the
+        # rounding of Loader's exponent at a tail mass
+        expected = degroot_oracle(mu, lam, omega)
+        val = poisson_degroot_exact(mu, lam, omega)
+        if expected == 0.0:
+            assert val == 0.0
+        else:
+            assert val == pytest.approx(expected, rel=2e-15 * (1.0 - math.log(expected)))
+
+    def test_rate_one_million(self):
+        # I = 1.3e-3 is a bulk value, so 12 standard deviations hold all of it
+        mu, lam, omega = 1.001e6, 1e6, 0.1
+        expected = degroot_oracle(mu, lam, omega, sigmas=12)
+        assert poisson_degroot_exact(mu, lam, omega) == pytest.approx(expected, rel=1e-13)
+
+
+class TestDegrootCost:
+    @pytest.mark.parametrize(
+        "mu,lam,omega",
+        [(1.001e6, 1e6, 0.1), (1.01e6, 1e6, 0.5), (1e6, 1.0001e6, 0.3), (1e6, 0.5e6, 0.999)],
+    )
+    def test_terms_grow_like_sqrt_rate(self, monkeypatch, mu, lam, omega):
+        terms = 1  # the first term, at the start count
+        walk = bp._walk
+
+        def counting_walk(*args):
+            nonlocal terms
+            out = walk(*args)
+            terms += len(out)
+            return out
+
+        monkeypatch.setattr(bp, "_walk", counting_walk)
+        poisson_degroot_exact(mu, lam, omega)
+        assert 1 < terms <= 30 * math.sqrt(max(mu, lam))
+
+
+_SPECIAL_RATES = [math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1.5e9, 1e300]
+_RATES = st.one_of(st.floats(min_value=0.0, max_value=1e6), st.sampled_from(_SPECIAL_RATES))
+_PRIORS = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([math.nan, math.inf, -0.5, 1.5, 5e-324, 1.0 - 2.0**-53]),
+)
+
+
+class TestInputBoundary:
+    @given(mu=_RATES, lam=_RATES, omega=_PRIORS, equal=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_value_or_divkit_error(self, mu, lam, omega, equal):
+        if equal:
+            lam = mu
+        try:
+            val = poisson_degroot_exact(mu, lam, omega)
+        except DivkitError:
+            val = None
+        else:
+            assert 0.0 <= val <= min(omega, 1.0 - omega)
+        try:
+            reports = poisson_bound_report(mu, lam, omega)
+        except DivkitError:
+            return
+        assert [r.certified_quantity for r in reports] == [val] * 3
+
+    @pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0, bp.MAX_RATE * 1.5, 1e300])
+    def test_rate_outside_the_domain(self, rate):
+        for call in (
+            lambda: poisson_degroot_exact(rate, 2.0, 0.5),
+            lambda: poisson_divergences(2.0, rate),
+            lambda: poisson_k0(2.0, rate, 0.5),
+            lambda: PoissonModel(rate),
+        ):
+            with pytest.raises(DomainError):
+                call()
+
+    def test_minsum_has_its_own_cap(self):
+        with pytest.raises(DomainError):
+            poisson_degroot_minsum(bp.MINSUM_MAX_RATE * 2.0, 1.0, 0.5)
+
+    def test_rate_ratio_past_the_float_range(self):
+        # mu / lam underflows to 0; ln mu - ln lam keeps the KL finite
+        kl, chi2 = poisson_divergences(5e-324, 1e3)
+        assert kl == pytest.approx(1e3, rel=1e-12)
+        assert poisson_degroot_exact(5e-324, 1e3, 0.5) == 0.5

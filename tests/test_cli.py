@@ -237,6 +237,37 @@ class TestPoisson:
         )
         assert code == 2
 
+    def test_example_exact_value(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "poisson", "--mu", "101", "--lambda", "99", "--omega", "0.1"
+        )
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["exact_degroot"] == pytest.approx(4.0824100341660e-24, rel=1e-10)
+        assert [b["certified_quantity"] for b in payload["bounds"]] == [
+            payload["exact_degroot"]
+        ] * 3
+        assert "truncation_epsilon" not in payload
+        assert "exact_degroot_error_budget" not in payload
+
+    def test_equal_rates(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "poisson", "--mu", "5", "--lambda", "5", "--omega", "0.5"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["k0"] is None
+        assert payload["exact_degroot"] == 0.0
+
+    @pytest.mark.parametrize("mu", ["inf", "1e300", "nan"])
+    def test_rate_outside_the_domain(self, capsys, mu):
+        code, out, err = run_cli(
+            capsys, "poisson", "--mu", mu, "--lambda", "2", "--omega", "0.5"
+        )
+        assert code == 2
+        assert out == ""
+        assert "rate" in err and "internal error" not in err
+
 
 class TestLocal:
     def test_kl(self, capsys, dist_files):

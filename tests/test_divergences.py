@@ -85,6 +85,32 @@ class TestFDivergence:
         f = generator("total_variation")
         assert float(f_divergence(f, p, q)) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("kind,params", CATALOG)
+    def test_mass_ratio_past_the_float_range(self, kind, params):
+        # q = 1e-310 puts p/q = 5e309 past the float range at the second
+        # atom; q = 1e-200 keeps p/q = 5e199 but puts (p/q)^2 past it
+        p = make_distribution([0.5, 0.5])
+        for tiny in (1e-310, 1e-200):
+            q = make_distribution([1.0 - tiny, tiny])
+            direct = float(divergence(kind, p, q, **params))
+            generic = float(f_divergence(_generator_for(kind, params), p, q))
+            if math.isinf(direct):
+                assert generic == direct
+            else:
+                assert generic == pytest.approx(direct, rel=1e-12)
+
+    def test_kl_mass_ratio_past_the_float_range(self):
+        p = make_distribution([0.5, 0.5])
+        q = make_distribution([1.0, 1e-310])
+        expected = 0.5 * math.log(0.5) + 0.5 * (math.log(0.5) - math.log(1e-310))
+        assert float(divergence("kl", p, q)) == pytest.approx(expected, rel=1e-15)
+        assert float(divergence("kl", p, q)) == pytest.approx(356.2075422, rel=1e-9)
+        assert float(f_divergence(generator("kl"), p, q)) == pytest.approx(
+            expected, rel=1e-15
+        )
+        shifted = affine_shift(generator("kl"), 2.0)
+        assert float(f_divergence(shifted, p, q)) == pytest.approx(expected, rel=1e-12)
+
     def test_matches_closed_forms(self):
         rng = np.random.default_rng(23)
         for _ in range(100):

@@ -82,6 +82,18 @@ class TestCatalog:
         u = 1e8
         assert abs(f.eval(u) / u - f.fstar_at_zero) <= 1e-6
 
+    @pytest.mark.parametrize("family,params", ALL_FAMILIES)
+    def test_log_form_matches_eval(self, family, params):
+        # every family with f*(0) = inf evaluates f(u)/u from ln u
+        f = generator(family, **params)
+        assert (f._eval_log is None) == math.isfinite(f.fstar_at_zero)
+        shifted = affine_shift(f, 0.7)
+        for x in (-3.0, -0.1, 0.1, 2.0, 30.0):
+            u = math.exp(x)
+            for g in (f, shifted):
+                if g._eval_log is not None:
+                    assert g._eval_log(x) == pytest.approx(g.eval(u) / u, rel=1e-13)
+
     def test_fstar_limit_hellinger_rate(self):
         # sub-linear convergence u^(alpha-1)/(1-alpha); check at that scale
         for alpha in (0.25, 0.5, 0.75):
