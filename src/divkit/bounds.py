@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, RootError, ValidationError
-from .generators import GeneratorFunction, conjugate
+from .generators import GeneratorFunction
 
 __all__ = [
     "BoundReport",
@@ -59,14 +59,21 @@ def make_report(
 ) -> BoundReport:
     if direction not in ("lower", "upper"):
         raise DomainError(f"direction must be 'lower' or 'upper', got {direction!r}")
+    if math.isnan(bound_value) or (
+        certified_quantity is not None and math.isnan(certified_quantity)
+    ):
+        raise DomainError(
+            f"{name}: NaN bound {bound_value!r} or certified value "
+            f"{certified_quantity!r}"
+        )
     slack: Optional[float] = None
     if certified_quantity is not None:
-        if direction == "lower":
+        if bound_value == certified_quantity:
+            slack = 0.0  # also the same infinity on both sides
+        elif direction == "lower":
             slack = certified_quantity - bound_value
         else:
             slack = bound_value - certified_quantity
-        if math.isnan(slack):  # inf vs inf comparisons
-            slack = 0.0
     return BoundReport(name, bound_value, certified_quantity, direction, slack)
 
 
@@ -141,17 +148,24 @@ def lambert_w(branch: str, x: float) -> LambertBranchValue:
 
 
 def c_gamma(gamma: float) -> float:
-    """Tightest constant c with E_gamma <= c * KL, for gamma > 1 (nats).
+    """Tightest constant c with E_gamma <= c * KL, for gamma in (1, inf]
+    (nats); the limit at gamma = inf is 0.
 
-    Obtained from the secondary Lambert branch:
-    t = -gamma W_{-1}(-(1/gamma) e^(-1/gamma)), c = (t - gamma) /
-    (t ln t + 1 - t).
+    With w = W_{-1}(-(1/gamma) e^(-1/gamma)) on the secondary Lambert
+    branch and t = -gamma w, c = (t - gamma) / (t ln t + 1 - t).  It is
+    evaluated divided through by t, as (1 - gamma/t) / (ln t - 1 + 1/t)
+    with ln t = ln gamma + ln(-w), so t itself, which overflows from
+    gamma ~ 3e305, is never formed.  The argument of W_{-1} is subnormal
+    from gamma ~ 4.5e307 and underflows only at gamma = inf; c is
+    stationary in t there, so the few-ulp error of w stays out of c.
     """
-    if gamma <= 1.0:
+    if not gamma > 1.0:
         raise DomainError("c_gamma defined for gamma > 1")
-    z = -math.exp(-1.0 / gamma) / gamma
-    t = -gamma * lambert_w("secondary", z).w
-    return (t - gamma) / (t * math.log(t) + 1.0 - t)
+    if gamma == math.inf:
+        return 0.0
+    w = lambert_w("secondary", -math.exp(-1.0 / gamma) / gamma).w
+    log_t = math.log(gamma) + math.log(-w)
+    return (1.0 + 1.0 / w) / (log_t - 1.0 - 1.0 / (gamma * w))
 
 
 def straight_line_egamma_ub(gamma: float, d: float) -> float:
@@ -161,8 +175,10 @@ def straight_line_egamma_ub(gamma: float, d: float) -> float:
     return c_gamma(gamma) * d
 
 
-def _conj_eval(fc: GeneratorFunction, t: float) -> float:
-    return fc.f_at_zero if t == 0.0 else fc._eval(t)
+def _fstar(f: GeneratorFunction, t: float) -> float:
+    """The conjugate f*(t) = t f(1/t), with its limit f*(0) at t = 0,
+    evaluated in place instead of through a conjugate generator."""
+    return f.fstar_at_zero if t == 0.0 else t * f._eval(1.0 / t)
 
 
 def fdiv_lower_via_egamma(f: GeneratorFunction, e_val: float, gamma: float) -> float:
@@ -175,11 +191,10 @@ def fdiv_lower_via_egamma(f: GeneratorFunction, e_val: float, gamma: float) -> f
         raise DomainError("E_gamma value must lie in [0, 1)")
     if gamma < 1.0:
         raise DomainError("gamma must be >= 1")
-    fc = conjugate(f)
     return (
-        _conj_eval(fc, 1.0 + e_val / gamma)
-        + _conj_eval(fc, (1.0 - e_val) / gamma)
-        - _conj_eval(fc, 1.0 / gamma)
+        _fstar(f, 1.0 + e_val / gamma)
+        + _fstar(f, (1.0 - e_val) / gamma)
+        - _fstar(f, 1.0 / gamma)
     )
 
 
@@ -195,18 +210,17 @@ def fdiv_lower_via_degroot(f: GeneratorFunction, omega: float, i_val: float) -> 
         raise DomainError(
             f"DeGroot value {i_val!r} outside [0, min(omega, 1-omega)]"
         )
-    fc = conjugate(f)
     if omega <= 0.5:
         comp = 1.0 - omega
         return (
-            _conj_eval(fc, 1.0 + i_val / comp)
-            + _conj_eval(fc, (omega - i_val) / comp)
-            - _conj_eval(fc, omega / comp)
+            _fstar(f, 1.0 + i_val / comp)
+            + _fstar(f, (omega - i_val) / comp)
+            - _fstar(f, omega / comp)
         )
     return (
-        _conj_eval(fc, 1.0 + i_val / omega)
-        + _conj_eval(fc, (1.0 - omega - i_val) / omega)
-        - _conj_eval(fc, (1.0 - omega) / omega)
+        _fstar(f, 1.0 + i_val / omega)
+        + _fstar(f, (1.0 - omega - i_val) / omega)
+        - _fstar(f, (1.0 - omega) / omega)
     )
 
 

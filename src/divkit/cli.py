@@ -20,6 +20,7 @@ from functools import partial
 from typing import Any, Callable, Sequence
 
 from .bayes_poisson import (
+    _threshold,
     poisson_bound_report,
     poisson_divergences,
     poisson_k0,
@@ -288,7 +289,9 @@ def _cmd_poisson(args: argparse.Namespace, fmt: str) -> int:
     if mu > lam:
         k0 = poisson_k0(lam, mu, omega)
     elif mu < lam:
-        k0 = poisson_k0(mu, lam, 1 - omega)
+        # the roles swap and the prior becomes 1 - omega, taken exactly:
+        # in floats 1 - omega rounds to 1 for omega below ~1e-16
+        k0 = _threshold(mu, lam, omega, flip=True)[0]
     else:
         k0 = None  # equal laws: no threshold, and the information is 0
     payload = {

@@ -41,17 +41,24 @@ class DivergenceValue:
 
 
 def _zip_masses(p: DiscreteDistribution, q: DiscreteDistribution):
-    if len(p) != len(q):
+    if len(p.masses) != len(q.masses):
         raise ValidationError(
-            f"distributions live on different alphabets ({len(p)} vs {len(q)} atoms)"
+            "distributions live on different alphabets "
+            f"({len(p.masses)} vs {len(q.masses)} atoms)"
         )
     return zip(p.masses, q.masses)
 
 
 def _singular_masses(p: DiscreteDistribution, q: DiscreteDistribution):
-    q_where_p0 = math.fsum(qm for pm, qm in _zip_masses(p, q) if pm == 0.0 and qm > 0.0)
-    p_where_q0 = math.fsum(pm for pm, qm in _zip_masses(p, q) if qm == 0.0 and pm > 0.0)
-    return q_where_p0, p_where_q0
+    """(Q-mass where p = 0, P-mass where q = 0), in one pass."""
+    q_where_p0, p_where_q0 = [], []
+    for pm, qm in _zip_masses(p, q):
+        if pm == 0.0:
+            if qm > 0.0:
+                q_where_p0.append(qm)
+        elif qm == 0.0:
+            p_where_q0.append(pm)
+    return math.fsum(q_where_p0), math.fsum(p_where_q0)
 
 
 def f_divergence(
@@ -59,28 +66,40 @@ def f_divergence(
 ) -> DivergenceValue:
     """D_f(P||Q) from the definition, singular parts included.
 
-    A ratio u = p/q or a value f(u) past the float range makes its term
-    q f(u) inf, nan or an OverflowError; only then is the sum redone with
-    such terms as p f(u)/u, which is p f._eval_log(ln p - ln q) where the
-    family supplies it and p f*(0) otherwise.  For convex f with finite
-    f*(0), q f(u) - p f*(0) is q times a bounded function of u, and q is
-    below 1e-150 wherever u or f(u) of a catalog family overflows.
+    One pass over the masses collects the terms q f(p/q) and the two
+    singular masses.  A ratio u = p/q or a value f(u) past the float range
+    makes its term q f(u) inf, nan or an OverflowError; only then is the
+    pass redone, with such terms as p f(u)/u, which is
+    p f._eval_log(ln p - ln q) where the family supplies it and p f*(0)
+    otherwise.  For convex f with finite f*(0), q f(u) - p f*(0) is q
+    times a bounded function of u, and q is below 1e-150 wherever u or
+    f(u) of a catalog family overflows.
     """
+    pairs = _zip_masses(p, q)
+    ev = f._eval
+    terms, q_p0, p_q0 = [], [], []
     try:
-        terms = [
-            qm * f._eval(pm / qm) for pm, qm in _zip_masses(p, q) if pm > 0.0 and qm > 0.0
-        ]
+        for pm, qm in pairs:
+            if qm > 0.0:
+                if pm > 0.0:
+                    terms.append(qm * ev(pm / qm))
+                else:
+                    q_p0.append(qm)
+            elif pm > 0.0:
+                p_q0.append(pm)
         total = math.fsum(terms)
     except (OverflowError, ValueError):  # a power overflowed, or inf - inf
         total = math.nan
-    if not math.isfinite(total):
+    if math.isfinite(total):
+        singular = (math.fsum(q_p0), math.fsum(p_q0))
+    else:
         total = math.fsum(
             _overflow_term(f, pm, qm)
-            for pm, qm in _zip_masses(p, q)
+            for pm, qm in zip(p.masses, q.masses)
             if pm > 0.0 and qm > 0.0
         )
-    q_p0, p_q0 = _singular_masses(p, q)
-    for mass, limit in ((q_p0, f.f_at_zero), (p_q0, f.fstar_at_zero)):
+        singular = _singular_masses(p, q)
+    for mass, limit in zip(singular, (f.f_at_zero, f.fstar_at_zero)):
         if mass > 0.0:
             if math.isinf(limit):
                 return DivergenceValue(math.inf, f.family, dict(f.params))

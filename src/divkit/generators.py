@@ -508,7 +508,8 @@ def conjugate(f: GeneratorFunction) -> GeneratorFunction:
     """The conjugate generator f*(t) = t f(1/t); swaps divergence arguments.
 
     Conjugation is an involution; f* inherits limits and the second
-    derivative at 1 from f.
+    derivative at 1 from f.  The bounds in ``divkit.bounds`` do not build
+    it: they evaluate t f(1/t), and f*(0) = ``f.fstar_at_zero``, in place.
     """
     base_eval, base_deriv, base_second = f._eval, f._deriv, f._second
 

@@ -6,7 +6,14 @@ import math
 
 import numpy as np
 
-from divkit import DiscreteDistribution, make_distribution
+from divkit import (
+    DiscreteDistribution,
+    ValidationError,
+    conjugate,
+    generator,
+    make_distribution,
+)
+from divkit.divergences import DivergenceValue, _overflow_term
 
 
 def random_pair(
@@ -55,6 +62,116 @@ def prefix_fsum_cum_masses(
         seen.extend(groups[x])
         cums.append(math.fsum(seen))
     return tuple(cums)
+
+
+def catalog_generators():
+    """Every catalog family (the parametric ones at orders on both sides of
+    their special values) and a kinked custom generator with finite limits."""
+    return [
+        generator("kl"),
+        generator("jeffreys"),
+        generator("hellinger", alpha=0.5),
+        generator("hellinger", alpha=2.0),
+        generator("chi_squared"),
+        generator("chi_s", s=1.0),
+        generator("chi_s", s=1.5),
+        generator("chi_s", s=3.0),
+        generator("total_variation"),
+        generator("triangular"),
+        generator("lin", theta=0.3),
+        generator("jensen_shannon"),
+        generator("e_gamma", gamma=1.0),
+        generator("e_gamma", gamma=2.0),
+        generator("degroot", omega=0.3),
+        generator("degroot", omega=0.7),
+        generator(
+            "custom",
+            eval=lambda t: (math.sqrt(t) - 1.0) ** 2 + 0.5 * abs(t - 1.0),
+            f_at_zero=1.5,
+            fstar_at_zero=1.5,
+            right_deriv_at_one=0.5,
+            left_deriv_at_one=-0.5,
+            kink=1.0,
+        ),
+    ]
+
+
+def _conj_eval(fc, t: float) -> float:
+    return fc.f_at_zero if t == 0.0 else fc._eval(t)
+
+
+def conjugate_fdiv_lower_via_egamma(f, e_val: float, gamma: float) -> float:
+    """Reference E_gamma lower bound, evaluated on a conjugate generator
+    built per call."""
+    fc = conjugate(f)
+    return (
+        _conj_eval(fc, 1.0 + e_val / gamma)
+        + _conj_eval(fc, (1.0 - e_val) / gamma)
+        - _conj_eval(fc, 1.0 / gamma)
+    )
+
+
+def conjugate_fdiv_lower_via_degroot(f, omega: float, i_val: float) -> float:
+    """Reference DeGroot lower bound, evaluated on a conjugate generator
+    built per call."""
+    fc = conjugate(f)
+    if omega <= 0.5:
+        comp = 1.0 - omega
+        return (
+            _conj_eval(fc, 1.0 + i_val / comp)
+            + _conj_eval(fc, (omega - i_val) / comp)
+            - _conj_eval(fc, omega / comp)
+        )
+    return (
+        _conj_eval(fc, 1.0 + i_val / omega)
+        + _conj_eval(fc, (1.0 - omega - i_val) / omega)
+        - _conj_eval(fc, (1.0 - omega) / omega)
+    )
+
+
+def multipass_f_divergence(
+    f, p: DiscreteDistribution, q: DiscreteDistribution
+) -> DivergenceValue:
+    """Reference f-divergence: the regular terms, the Q-mass where p = 0 and
+    the P-mass where q = 0 each in a pass of their own."""
+
+    def pairs():
+        if len(p) != len(q):
+            raise ValidationError(
+                f"distributions live on different alphabets ({len(p)} vs {len(q)} atoms)"
+            )
+        return zip(p.masses, q.masses)
+
+    try:
+        terms = [qm * f._eval(pm / qm) for pm, qm in pairs() if pm > 0.0 and qm > 0.0]
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):
+        total = math.nan
+    if not math.isfinite(total):
+        total = math.fsum(
+            _overflow_term(f, pm, qm) for pm, qm in pairs() if pm > 0.0 and qm > 0.0
+        )
+    q_p0 = math.fsum(qm for pm, qm in pairs() if pm == 0.0 and qm > 0.0)
+    p_q0 = math.fsum(pm for pm, qm in pairs() if qm == 0.0 and pm > 0.0)
+    for mass, limit in ((q_p0, f.f_at_zero), (p_q0, f.fstar_at_zero)):
+        if mass > 0.0:
+            if math.isinf(limit):
+                return DivergenceValue(math.inf, f.family, dict(f.params))
+            total += mass * limit
+    return DivergenceValue(total, f.family, dict(f.params))
+
+
+def outcome(fn, *args):
+    """A call's result in a form that compares bit for bit: the value's hex
+    (and the family and parameters of a DivergenceValue), or the exception's
+    type and message."""
+    try:
+        val = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return ("raised", type(exc).__name__, str(exc))
+    if isinstance(val, DivergenceValue):
+        return (val.value.hex(), val.kind, val.params)
+    return val.hex()
 
 
 def assert_close(actual: float, expected: float, tol: float, label: str = "") -> None:

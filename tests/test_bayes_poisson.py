@@ -191,6 +191,15 @@ class TestBoundReport:
             assert report.bound_value >= 0.0
             assert report.certified_quantity == 0.0
 
+    @pytest.mark.parametrize("omega", [1e-300, 1e-304, 1e-306, 1e-308, 5e-324])
+    def test_tiny_prior(self, omega):
+        # the straight-line constant at odds (1 - omega)/omega past 1e300,
+        # and at inf once the odds overflow
+        for mu, lam in ((1.0, 2.0), (2.0, 1.0), (101.0, 99.0)):
+            for report in poisson_bound_report(mu, lam, omega):
+                assert math.isfinite(report.bound_value), report
+                assert report.slack >= 0.0, report
+
 
 def degroot_oracle(mu, lam, omega, sigmas=40):
     """I_omega(P_mu || P_lam) at 40 digits: the sum of the positive parts of

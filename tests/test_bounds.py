@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from divkit import (
     chi2_lower_from_tv,
     crossover_d,
     degroot_upper,
+    GeneratorFunction,
     divergence,
     egamma_upper,
     fdiv_lower_via_degroot,
@@ -26,7 +28,13 @@ from divkit import (
     straight_line_egamma_ub,
     tv_kl_frontier,
 )
-from helpers import random_pair
+from helpers import (
+    catalog_generators,
+    conjugate_fdiv_lower_via_degroot,
+    conjugate_fdiv_lower_via_egamma,
+    outcome,
+    random_pair,
+)
 
 
 def bisect_t_gamma(gamma: float) -> float:
@@ -113,6 +121,78 @@ class TestCGamma:
     def test_domain(self):
         with pytest.raises(DomainError):
             c_gamma(1.0)
+        with pytest.raises(DomainError):
+            c_gamma(math.nan)
+
+    @pytest.mark.parametrize(
+        "gamma", [1.5, 3.0, 10.0, 1e100, 1e300, 1e304, 1e306, 1e308, 1.79e308]
+    )
+    def test_against_mpmath(self, gamma):
+        # t ln t overflows from ~1e304 and t itself from ~3e305; the
+        # argument of W_{-1} is subnormal from ~4.5e307
+        with mpmath.workdps(40):
+            g = mpmath.mpf(gamma)
+            w = mpmath.lambertw(-mpmath.exp(-1 / g) / g, -1).real
+            t = -g * w
+            ref = (t - g) / (t * mpmath.log(t) + 1 - t)
+            assert abs((c_gamma(gamma) - ref) / ref) <= 1e-13
+
+    def test_limit_at_infinity(self):
+        assert c_gamma(math.inf) == 0.0
+        assert 0.0 < c_gamma(1.7976931348623157e308) < c_gamma(1e300)
+
+
+class TestConjugateInPlace:
+    """The bounds evaluate f*(t) = t f(1/t) in place; the reference builds
+    a conjugate generator per call, and the two agree bit for bit."""
+
+    def test_egamma_bit_equal_to_conjugate(self):
+        rng = np.random.default_rng(601)
+        points = [(0.0, 1.0), (0.0, 2.0), (0.5, 1.0), (0.999, 1e300)]
+        for _ in range(60):
+            e_val = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 1.0))
+            points.append((e_val, float(10.0 ** rng.uniform(0.0, 6.0))))
+        for f in catalog_generators():
+            for e_val, gamma in points:
+                assert outcome(fdiv_lower_via_egamma, f, e_val, gamma) == outcome(
+                    conjugate_fdiv_lower_via_egamma, f, e_val, gamma
+                ), (f.family, f.params, e_val, gamma)
+
+    def test_degroot_bit_equal_to_conjugate(self):
+        rng = np.random.default_rng(602)
+        omegas = [0.5, 1e-300, 1.0 - 2.0**-53] + [
+            float(rng.uniform(0.0, 1.0)) for _ in range(25)
+        ]
+        points = []
+        for omega in omegas:
+            top = min(omega, 1.0 - omega)
+            # I = top puts the middle argument at 0: the f*(0) branch
+            points += [(omega, 0.0), (omega, top), (omega, float(rng.uniform(0.0, top)))]
+        for f in catalog_generators():
+            for omega, i_val in points:
+                assert outcome(fdiv_lower_via_degroot, f, omega, i_val) == outcome(
+                    conjugate_fdiv_lower_via_degroot, f, omega, i_val
+                ), (f.family, f.params, omega, i_val)
+
+    def test_sweep_builds_no_generator(self, monkeypatch):
+        gens = catalog_generators()
+        built = [0]
+        post_init = GeneratorFunction.__post_init__
+
+        def counting_post_init(self):
+            built[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(GeneratorFunction, "__post_init__", counting_post_init)
+        generator("kl")
+        assert built[0] == 1  # the counter sees every construction
+        built[0] = 0
+        for f in gens:
+            for gamma in (1.0, 1.2, 2.0, 5.0):
+                fdiv_lower_via_egamma(f, 0.3, gamma)
+            for omega in (0.25, 0.5, 0.75):
+                fdiv_lower_via_degroot(f, omega, 0.1)
+        assert built[0] == 0
 
 
 class TestFdivLowerViaEgamma:
@@ -370,6 +450,22 @@ class TestBoundReport:
     def test_without_certified(self):
         rep = make_report("x", 1.0, None, "upper")
         assert rep.slack is None
+
+    def test_same_infinity_has_zero_slack(self):
+        assert make_report("x", math.inf, math.inf, "upper").slack == 0.0
+        assert make_report("x", math.inf, math.inf, "lower").slack == 0.0
+        assert make_report("x", -math.inf, math.inf, "lower").slack == math.inf
+        assert make_report("x", 0.5, math.inf, "upper").slack == -math.inf
+
+    @pytest.mark.parametrize(
+        "bound,certified",
+        [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan), (math.nan, None),
+         (math.inf, math.nan)],
+    )
+    def test_nan_raises(self, bound, certified):
+        for direction in ("lower", "upper"):
+            with pytest.raises(DomainError):
+                make_report("x", bound, certified, direction)
 
 
 class TestCertificationSweep:

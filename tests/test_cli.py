@@ -259,6 +259,16 @@ class TestPoisson:
         assert payload["k0"] is None
         assert payload["exact_degroot"] == 0.0
 
+    def test_tiny_prior(self, capsys):
+        # 1 - omega rounds to 1 here; the threshold takes it exactly
+        code, out, _ = run_cli(
+            capsys, "poisson", "--mu", "1", "--lambda", "2", "--omega", "5e-324"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["k0"] == -1073
+        assert all(b["slack"] >= 0.0 for b in payload["bounds"])
+
     @pytest.mark.parametrize("mu", ["inf", "1e300", "nan"])
     def test_rate_outside_the_domain(self, capsys, mu):
         code, out, err = run_cli(

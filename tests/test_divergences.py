@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from divkit import (
     DomainError,
     UnknownKindError,
+    ValidationError,
     affine_shift,
     conjugate,
     degroot_from_egamma,
@@ -20,7 +21,13 @@ from divkit import (
 )
 from divkit.generators import KINDS
 from divkit.spectrum_repr import _NAMED
-from helpers import brute_force_e_gamma, random_pair
+from helpers import (
+    brute_force_e_gamma,
+    catalog_generators,
+    multipass_f_divergence,
+    outcome,
+    random_pair,
+)
 
 CATALOG = [
     ("kl", {}),
@@ -119,6 +126,66 @@ class TestFDivergence:
                 direct = float(divergence(kind, p, q, **params))
                 generic = float(f_divergence(_generator_for(kind, params), p, q))
                 assert abs(direct - generic) <= 1e-12 * max(1.0, abs(direct))
+
+
+def _one_pass_pairs(rng):
+    """Seeded pairs that reach every branch of the one-pass sum: zero
+    masses on either side, disjoint supports, 1e-310 masses (the overflow
+    fallback) and plain pairs."""
+    pairs = []
+    for i in range(160):
+        n = int(rng.integers(2, 12))
+        wp = rng.uniform(0.01, 1.0, size=n).tolist()
+        wq = rng.uniform(0.01, 1.0, size=n).tolist()
+        case = i % 4
+        if case == 1:
+            for w in (wp, wq):
+                for j in rng.choice(n, size=int(rng.integers(0, n)), replace=False):
+                    w[j] = 0.0
+            wp[int(rng.integers(0, n))] = 0.5
+            wq[int(rng.integers(0, n))] = 0.5
+        elif case == 2:
+            cut = int(rng.integers(1, n))
+            wp = [w if j < cut else 0.0 for j, w in enumerate(wp)]
+            wq = [0.0 if j < cut else w for j, w in enumerate(wq)]
+        elif case == 3:
+            for w in (wp, wq):
+                if rng.random() < 0.8:
+                    w[int(rng.integers(0, n))] = 1e-310
+        pairs.append((make_distribution(wp), make_distribution(wq)))
+    return pairs
+
+
+class TestOnePass:
+    """f_divergence takes the terms and both singular masses in one pass;
+    the reference takes three, and the two agree bit for bit."""
+
+    def test_bit_equal_to_multipass(self):
+        pairs = _one_pass_pairs(np.random.default_rng(611))
+        for f in catalog_generators():
+            for p, q in pairs:
+                assert outcome(f_divergence, f, p, q) == outcome(
+                    multipass_f_divergence, f, p, q
+                ), (f.family, f.params, p.masses, q.masses)
+
+    def test_reaches_the_overflow_fallback(self):
+        # a 1e-310 mass under Q sends KL's fast sum to inf
+        p = make_distribution([0.5, 0.5])
+        q = make_distribution([1.0, 1e-310])
+        f = generator("kl")
+        assert math.isinf(math.fsum(qm * f(pm / qm) for pm, qm in zip(p.masses, q.masses)))
+        assert math.isfinite(f_divergence(f, p, q).value)
+
+    def test_mismatched_lengths_same_message(self):
+        p = make_distribution([0.5, 0.5])
+        q = make_distribution([0.2, 0.3, 0.5])
+        for f in catalog_generators():
+            for a, b in ((p, q), (q, p)):
+                with pytest.raises(ValidationError) as new:
+                    f_divergence(f, a, b)
+                with pytest.raises(ValidationError) as ref:
+                    multipass_f_divergence(f, a, b)
+                assert str(new.value) == str(ref.value)
 
 
 class TestNamedDivergences:
