@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from . import bounds
 from .errors import DomainError
 from .bounds import BoundReport, make_report
+from .generators import _kl_term
 
 __all__ = [
     "MAX_RATE",
@@ -84,45 +85,14 @@ def _stirlerr(n: int) -> float:
     return (1.0 / 12 - s / nn) / n
 
 
-def _bd0(x: float, m: float) -> float:
-    """x ln(x/m) + m - x without cancellation near x = m: Loader's (2000)
-    series in v = (x - m)/(x + m), here for |v| < 1/2, where the direct
-    form would lose up to a decimal digit."""
-    d = x - m
-    if abs(d) < 0.5 * (x + m):
-        v = d / (x + m)
-        s = d * v
-        ej = 2.0 * x * v
-        v *= v
-        j = 3
-        while True:
-            ej *= v
-            s1 = s + ej / j
-            if s1 == s:
-                return s
-            s = s1
-            j += 2
-    return (x * _log_ratio(x, m) if x else 0.0) + m - x
-
-
-def _log_ratio(mu: float, lam: float) -> float:
-    """ln(mu / lam): log1p keeps near-equal rates exact to a few ulps, and
-    the logarithms' difference covers a ratio past the float range."""
-    ratio = mu / lam
-    if 0.5 < ratio < 2.0:
-        return math.log1p((mu - lam) / lam)
-    if 0.0 < ratio < math.inf:
-        return math.log(ratio)
-    return math.log(mu) - math.log(lam)
-
-
 @dataclass(frozen=True)
 class PoissonModel:
     """Poisson law with rate in (0, MAX_RATE].
 
     The log-mass is Loader's saddle-point form
-    -stirlerr(k) - bd0(k, rate) - ln(2 pi k) / 2, accurate to ~1e-16 times
-    its size, where k ln(rate) - rate - lgamma(k + 1) would lose ~1e-16 k.
+    -stirlerr(k) - bd0(k, rate) - ln(2 pi k) / 2, bd0 being the KL family's
+    shifted term (``generators._kl_term``), accurate to ~2e-15 times its
+    size, where k ln(rate) - rate - lgamma(k + 1) would lose ~1e-16 k.
     The truncation index rate + 20 sqrt(rate) + 30, used by the min-sum
     cross-check, keeps the dropped tail mass below ~1e-12 for rates up to
     1e4.
@@ -138,7 +108,8 @@ class PoissonModel:
             raise DomainError("Poisson support is the non-negative integers")
         if k == 0:
             return -self.rate
-        return -_stirlerr(k) - _bd0(k, self.rate) - 0.5 * (_LN_2PI + math.log(k))
+        bd0 = _kl_term(k - self.rate, self.rate, k)
+        return -_stirlerr(k) - bd0 - 0.5 * (_LN_2PI + math.log(k))
 
     def pmf(self, k: int) -> float:
         return math.exp(self.log_pmf(k))
@@ -159,7 +130,7 @@ def poisson_divergences(mu: float, lam: float) -> tuple[float, float]:
     chi^2(P_mu || P_lam) = exp((mu - lam)^2 / lam) - 1.
     """
     _check_rates(mu, lam)
-    kl = mu * _log_ratio(mu, lam) + lam - mu
+    kl = _kl_term(mu - lam, lam, mu)
     try:
         chi2 = math.expm1((mu - lam) ** 2 / lam)
     except OverflowError:

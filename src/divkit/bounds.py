@@ -224,25 +224,44 @@ def fdiv_lower_via_degroot(f: GeneratorFunction, omega: float, i_val: float) -> 
     )
 
 
+def _root_gap(b: float, r: float) -> float:
+    """sqrt(b^2 + a) - b for b >= 0 and a = r^2 >= 0, as a / (sqrt(b^2 + a)
+    + b), without cancellation; from r, and with a halved denominator, so
+    that no intermediate leaves the float range for finite b and r."""
+    if r == 0.0:
+        return 0.0
+    return r * (0.5 * r / (0.5 * math.hypot(b, r) + 0.5 * b))
+
+
+def _share(x: float, scale: float) -> float:
+    """x / (scale + x) for x >= 0 and scale > 0, 1 at x = inf, divided
+    through by the larger of the two so that no intermediate overflows."""
+    if x > scale:
+        return 1.0 / (1.0 + scale / x)
+    r = x / scale
+    return r / (1.0 + r)
+
+
 def egamma_upper(kind: str, gamma: float, value: float) -> float:
     """Closed-form upper bounds on E_gamma from chi^2 or KL (nats).
 
     kind="chi2":  (1/2)[1 - g + sqrt((g-1)^2 + 4 g x / (1 + g + x))];
     kind="kl":    (1/2)[1 - g + sqrt((g-1)^2 + 4 g (1 - e^(-D)))].
-    At gamma = 1 the KL form is the Bretagnolle-Huber bound on E_1.
+    At gamma = 1 the KL form is the Bretagnolle-Huber bound on E_1.  Both
+    are (1/2)(sqrt(b^2 + a) - b) with b = g - 1, taken by ``_root_gap``
+    without cancellation, so they hold for gamma up to the float range.
     """
     if gamma < 1.0:
         raise DomainError("gamma must be >= 1")
     if value < 0.0:
         raise DomainError("divergence input must be non-negative")
     if kind == "chi2":
-        inner = 1.0 if math.isinf(value) else value / (1.0 + gamma + value)
-        term = 4.0 * gamma * inner
+        share = _share(value, 1.0 + gamma)
     elif kind == "kl":
-        term = 4.0 * gamma * (1.0 - math.exp(-value))
+        share = -math.expm1(-value)
     else:
         raise DomainError(f"unknown egamma_upper kind {kind!r}")
-    return 0.5 * (1.0 - gamma + math.sqrt((gamma - 1.0) ** 2 + term))
+    return 0.5 * _root_gap(gamma - 1.0, 2.0 * math.sqrt(gamma) * math.sqrt(share))
 
 
 def hellinger_renyi_lower(kind: str, alpha: float, gamma: float, e_val: float) -> float:
@@ -294,9 +313,17 @@ def tv_kl_frontier(kind: str, value: float) -> float:
             raise DomainError("relative entropy must be non-negative")
         if kind == "bh_ub_tv":
             return 2.0 * math.sqrt(-math.expm1(-d))
-        z = -math.exp(-1.0 - d)
-        w = lambert_w("principal", z).w
-        return 2.0 * (1.0 + w) / (1.0 - w)
+        # 1 + w for w = W0(-e^(-1-D)); next to the branch point, where z
+        # would lose its distance 1 - e^-D from -1/e, from the branch-point
+        # series in r = sqrt(2 (1 - e^-D)), whose next term is below 2e-13 r
+        delta = -math.expm1(-d)
+        if delta < 1e-4:
+            r = math.sqrt(2.0 * delta)
+            tail = 43.0 / 540.0 - r * (769.0 / 17280.0 - r * (221.0 / 8505.0))
+            one_plus_w = r * (1.0 - r * (1.0 / 3.0 - r * (11.0 / 72.0 - r * tail)))
+        else:
+            one_plus_w = 1.0 + lambert_w("principal", -math.exp(-1.0 - d)).w
+        return 2.0 * one_plus_w / (2.0 - one_plus_w)
     raise DomainError(f"unknown frontier kind {kind!r}")
 
 
@@ -326,20 +353,19 @@ def degroot_upper(
             raise DomainError(f"{name} must be non-negative")
         return val
 
+    # "chi2" and "kl_bh" are sqrt(b^2 + a) - b with b = |1/2 - omega|, taken
+    # by _root_gap, so that they do not cancel to 0 as omega nears 0 or 1
+    gap = abs(0.5 - omega)
     if kind == "chi2":
         # derived from the E_gamma chi^2 bound through the prior scaling;
-        # symmetric under (omega, P, Q) -> (1-omega, Q, P)
+        # symmetric under (omega, P, Q) -> (1-omega, Q, P):
+        # a = omega (1-omega) m chi / (1 + m chi), m = min(omega, 1-omega)
         if omega <= 0.5:
-            chi = _need(chi_pq, "chi_pq")
-            ratio = 0.0 if math.isinf(chi) else omega * (1.0 - omega) / (1.0 + omega * chi)
-            return omega - 0.5 + math.sqrt(0.25 - ratio)
-        chi = _need(chi_qp, "chi_qp")
-        ratio = (
-            0.0
-            if math.isinf(chi)
-            else omega * (1.0 - omega) / (1.0 + (1.0 - omega) * chi)
-        )
-        return 0.5 - omega + math.sqrt(0.25 - ratio)
+            m, chi = omega, _need(chi_pq, "chi_pq")
+        else:
+            m, chi = 1.0 - omega, _need(chi_qp, "chi_qp")
+        share = _share(m * chi, 1.0)
+        return _root_gap(gap, math.sqrt(omega * (1.0 - omega)) * math.sqrt(share))
     if kind == "kl_line":
         if omega < 0.5:
             return omega * c_gamma((1.0 - omega) / omega) * _need(d_pq, "d_pq")
@@ -347,14 +373,10 @@ def degroot_upper(
             return (1.0 - omega) * c_gamma(omega / (1.0 - omega)) * _need(d_qp, "d_qp")
         return math.sqrt(min(_need(d_pq, "d_pq"), _need(d_qp, "d_qp")) / 8.0)
     if kind == "kl_bh":
-        if omega <= 0.5:
-            d = _need(d_pq, "d_pq")
-        else:
-            d = _need(d_qp, "d_qp")
-        return (
-            min(omega, 1.0 - omega)
-            - 0.5
-            + math.sqrt(0.25 - omega * (1.0 - omega) * math.exp(-d))
+        # a = omega (1-omega) (1 - e^-D)
+        d = _need(d_pq, "d_pq") if omega <= 0.5 else _need(d_qp, "d_qp")
+        return _root_gap(
+            gap, math.sqrt(omega * (1.0 - omega)) * math.sqrt(-math.expm1(-d))
         )
     raise DomainError(f"unknown degroot_upper kind {kind!r}")
 

@@ -5,7 +5,9 @@ ships analytic first (and where available second) derivatives; numerical
 differentiation is never used because the derivatives feed integrands where
 noise compounds.  Kinked families (total variation, E_gamma, DeGroot,
 chi^s at s = 1) expose their derivative as undefined exactly at the kink
-abscissa.
+abscissa.  Each family also ships its shifted term f(1+d) - f'(1) d
+(``Breg``), from the one table ``_BREGS`` that the generators and the
+direct sums in ``divkit.divergences`` both read.
 
 Everything here is in nats: the catalog's logarithms are natural.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .errors import (
     CapabilityError,
@@ -50,9 +52,9 @@ class GeneratorFunction:
     always exists and is finite; ``left_deriv_at_one`` differs from it only
     at a kink sitting exactly at 1.  ``second_at_one`` is f''(1) when
     defined. ``kink`` is the abscissa where the derivative fails, or None.
-    ``_eval_log``, which the families whose f(u)/u is unbounded supply, is
-    x -> f(e^x) e^-x: it gives f(u)/u where u or f(u) leaves the float
-    range.
+    ``_breg`` is the family's shifted term (see ``Breg``), which the direct
+    sums and the mixture-path sums read; a generator built without one, such
+    as a custom or a conjugate generator, gets ``_generic_breg``'s.
     """
 
     family: str
@@ -66,11 +68,13 @@ class GeneratorFunction:
     _eval: Callable[[float], float]
     _deriv: Optional[Callable[[float], float]]
     _second: Optional[Callable[[float], float]]
-    _eval_log: Optional[Callable[[float], float]] = None
+    _breg: Optional["Breg"] = None
 
     def __post_init__(self) -> None:
         if abs(self._eval(1.0)) > 1e-12:
             raise ValidationError(f"generator {self.family} violates f(1)=0")
+        if self._breg is None:
+            object.__setattr__(self, "_breg", _generic_breg(self))
 
     def __call__(self, t: float) -> float:
         return self._eval(t)
@@ -121,122 +125,319 @@ def _named(**kv: float) -> tuple[tuple[str, float], ...]:
     return tuple(kv.items())
 
 
-def _exp_or_inf(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
+# shifted terms ---------------------------------------------------------------
+
+
+class Breg(NamedTuple):
+    """A family's shifted term f(1 + x) - c x, c a subgradient of f at 1: the
+    same for f and every f + k (t - 1), >= 0, and written without
+    cancellation.  ``term`` is q times it at x = d/q, called with the first
+    ``reads`` of (d, q, p), p = q + d the first measure's mass: a direct sum
+    passes d = p - q, a mixture path d = +-lam (p - q), which its rounded
+    masses no longer carry.  A term takes p/q from d except near d/q = -1,
+    where d no longer carries it and the term reads p; elsewhere p is at
+    most a factor, whose rounding costs an ulp.  ``at_zero`` = f(0) + c and
+    ``at_inf`` = f*(0) - c are the terms per unit of mass where p = 0 and
+    where q = 0.  ``at_log``, where given, is the term at x = ln(p/q) > 0
+    from x and p, for an atom whose p/q, or a power of it, passes the float
+    range.
+    """
+
+    term: Callable[..., float]
+    at_zero: float
+    at_inf: float
+    at_log: Optional[Callable[[float, float], float]] = None
+    reads: int = 3
+
+
+# below this x = d/q, d = p - q no longer carries p/q to full precision
+_LOW_EDGE = -1.0 + 2.0**-8
+# for |x| below this (over the order, for Hellinger orders above 1) the
+# Hellinger term is ten terms of its power series, at full precision; above
+# it the closed form loses a few ulps at most
+_SERIES_AT = 2.0**-5
+
+
+def _exp_times(m: float, y: float) -> float:
+    """m e^y, where e^y alone may pass the float range and m e^y not; inf
+    where m e^y does."""
+    if y < 700.0:
+        return m * math.exp(y)
+    y += math.log(m)
+    return math.exp(y) if y < 709.78 else math.inf
+
+
+def _kl_term(d: float, q: float, p: float) -> float:
+    """q ((1+x) ln(1+x) - x) at x = d/q, i.e. p ln(p/q) - (p - q): Loader's
+    (2000) bd0(p, q).  For |x| < 1/4 it is his series in v = x/(2+x),
+    d v + 2 p (v^3/3 + v^5/5 + ...), whose first omitted term is below
+    1e-17 of the sum; beyond, the logarithm's form holds ~2e-15 relative.
+    Finite at every p, q > 0; p = 0 raises, for the singular pass."""
+    x = d / q
+    if -0.25 < x < 0.25:
+        v = x / (2.0 + x)
+        w = v * v
+        s = 2 / 11 + w * (2 / 13 + w * (2 / 15 + w * (2 / 17 + w * (2 / 19))))
+        s = 2 / 3 + w * (2 / 5 + w * (2 / 7 + w * (2 / 9 + w * s)))
+        return v * (d + p * w * s)
+    if _LOW_EDGE < x < math.inf:
+        return p * math.log1p(x) - d
+    # ln p - ln q, where d no longer carries p/q or p/q passes the float range
+    return p * (math.log(p) - math.log(q)) - d
+
+
+_KL = Breg(_kl_term, 1.0, math.inf)
+# (p - q) ln(p/q), the KL terms of P against Q and of Q against P
+_JEFFREYS = Breg(lambda d, q, p: _kl_term(d, q, p) + _kl_term(-d, p, q), math.inf, math.inf)
+
+
+# q x^2; past the float range of p/q, p e^x (1 - e^-x)^2 at x = ln(p/q)
+_CHI2 = Breg(
+    lambda d, q: d * (d / q), 1.0, math.inf,
+    lambda x, p: _exp_times(p, x) * math.expm1(-x) ** 2, reads=2,
+)
+
+
+def _hellinger_half_term(d: float, q: float, p: float) -> float:
+    # order 1/2: q (sqrt(p/q) - 1)^2 = (sqrt p - sqrt q)^2, where
+    # sqrt p - sqrt q = d / (sqrt p + sqrt q)
+    r = d / (math.sqrt(p) + math.sqrt(q))
+    return r * r
+
+
+_HELLINGER_HALF = Breg(_hellinger_half_term, 1.0, 1.0)
+
+
+def _hellinger_breg(alpha: float) -> Breg:
+    if not 0.0 < alpha < math.inf or alpha == 1.0:
+        raise DomainError("Hellinger order must lie in (0,1) or (1,inf)")
+    if alpha == 0.5:
+        return _HELLINGER_HALF
+    if alpha == 2.0:
+        return _CHI2  # q x^2
+    am1 = alpha - 1.0
+    near = _SERIES_AT / alpha if alpha > 1.0 else _SERIES_AT
+    # ((1+x)^a - 1 - a x)/(a - 1) over x^2, to x^9
+    coefs = [alpha / 2.0]
+    for k in range(2, 11):
+        coefs.append(coefs[-1] * (alpha - k) / (k + 1))
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = coefs
+
+    def term(d: float, q: float, p: float) -> float:
+        x = d / q
+        if -near < x < near:
+            s = c5 + x * (c6 + x * (c7 + x * (c8 + x * c9)))
+            return d * x * (c0 + x * (c1 + x * (c2 + x * (c3 + x * (c4 + x * s)))))
+        if x < _LOW_EDGE:
+            return (q * (p / q) ** alpha - p) / am1 - d
+        # p ((p/q)^(a-1) - 1)/(a-1) - d, which tends to the KL term at a = 1
+        return p * math.expm1(am1 * math.log1p(x)) / am1 - d
+
+    def at_log(x: float, p: float) -> float:
+        # p (e^((a-1) x) - 1)/(a-1) - p (1 - e^-x); past e^700 the first
+        # part alone holds every bit
+        y = am1 * x
+        if y < 700.0:
+            return p * (math.expm1(y) / am1 + math.expm1(-x))
+        return _exp_times(p, y - math.log(am1))
+
+    if alpha < 1.0:  # the term is finite at every ratio
+        return Breg(term, 1.0, alpha / -am1)
+    return Breg(term, 1.0, math.inf, at_log)
+
+
+_TV = Breg(abs, 1.0, 1.0, reads=1)
+
+
+def _chi_s_breg(s: float) -> Breg:
+    if s < 1.0:
+        raise DomainError("chi^s order must satisfy s >= 1")
+    if s == 1.0:
+        return _TV
+
+    def term(d: float, q: float) -> float:
+        return q * abs(d / q) ** s
+
+    def at_log(x: float, p: float) -> float:
+        # p e^-x (e^x - 1)^s, from its logarithm
+        return _exp_times(p, s * (x + math.log1p(-math.exp(-x))) - x)
+
+    return Breg(term, 1.0, math.inf, at_log, reads=2)
+
+
+# q x^2/(2 + x) at x = d/q
+_TRIANGULAR = Breg(lambda d, q: d * (d / (2.0 * q + d)), 1.0, 1.0, reads=2)
+
+
+def _lin_breg(theta: float) -> Breg:
+    if not 0.0 < theta < 1.0:
+        raise DomainError("Lin parameter must lie in (0, 1)")
+    comp = 1.0 - theta
+
+    def term(d: float, q: float, p: float) -> float:
+        # theta KL(P||M) + (1-theta) KL(Q||M) at one atom, M = theta P +
+        # (1-theta) Q: two KL terms, at p - m = comp d and q - m = -theta d
+        m = q + theta * d
+        return theta * _kl_term(comp * d, m, p) + comp * _kl_term(-theta * d, m, q)
+
+    return Breg(term, -comp * math.log(comp), -theta * math.log(theta))
+
+
+_JS = _lin_breg(0.5)
+
+
+def _e_gamma_breg(gamma: float) -> Breg:
+    if gamma < 1.0:
+        raise DomainError("E_gamma order must satisfy gamma >= 1")
+
+    def term(d: float, q: float, p: float) -> float:
+        x = p - gamma * q  # from the masses, keeping every bit of them
+        return x if x > 0.0 else 0.0
+
+    return Breg(term, 0.0, 1.0)
+
+
+def _degroot_breg(omega: float) -> Breg:
+    if not 0.0 < omega < 1.0:
+        raise DomainError("DeGroot prior must lie in (0, 1)")
+    comp = 1.0 - omega
+    # min(omega, 1-omega) - min(omega t, 1-omega) less the subgradient's
+    # line: the positive part of omega p - (1-omega) q, from the masses,
+    # with its sign turned for omega > 1/2
+    side = 1.0 if omega <= 0.5 else -1.0
+
+    def term(d: float, q: float, p: float) -> float:
+        x = side * (omega * p - comp * q)
+        return x if x > 0.0 else 0.0
+
+    return Breg(term, 0.0, omega) if omega <= 0.5 else Breg(term, comp, 0.0)
+
+
+# family -> its shifted term, made from the family's parameter; the
+# generators below and divergences.divergence() both read it.  The kinds
+# take Hellinger order 1 as KL, by analytic extension, where a generator
+# refuses it.
+_BREGS: dict[str, Callable[..., Breg]] = {
+    "kl": lambda: _KL,
+    "jeffreys": lambda: _JEFFREYS,
+    "hellinger": lambda alpha: _KL if alpha == 1.0 else _hellinger_breg(alpha),
+    "chi_squared": lambda: _CHI2,
+    "chi_s": _chi_s_breg,
+    "total_variation": lambda: _TV,
+    "triangular": lambda: _TRIANGULAR,
+    "lin": _lin_breg,
+    "jensen_shannon": lambda: _JS,
+    "e_gamma": _e_gamma_breg,
+    "degroot": _degroot_breg,
+}
+
+
+def _generic_breg(f: GeneratorFunction) -> Breg:
+    """q f(p/q) - f'(1) d for a generator outside the catalog, from p/q in
+    the masses, so that it is never rounded through d."""
+    ev, c = f._eval, f.right_deriv_at_one
+
+    def term(d: float, q: float, p: float) -> float:
+        return q * ev(p / q) - c * d
+
+    return Breg(term, f.f_at_zero + c, f.fstar_at_zero - c)
+
+
+# generators ------------------------------------------------------------------
+
+
+def _make(
+    family: str,
+    *,
+    params: tuple[tuple[str, float], ...] = (),
+    breg: Optional[Breg] = None,
+    eval: Callable[[float], float],
+    deriv: Optional[Callable[[float], float]] = None,
+    second: Optional[Callable[[float], float]] = None,
+    f_at_zero: float,
+    fstar_at_zero: float,
+    right_deriv_at_one: float,
+    left_deriv_at_one: Optional[float] = None,
+    second_at_one: Optional[float] = None,
+    kink: Optional[float] = None,
+) -> GeneratorFunction:
+    """A GeneratorFunction whose left derivative at 1 is its right one
+    unless given; the catalog's families and ``custom`` are built here."""
+    return GeneratorFunction(
+        family=family,
+        params=params,
+        f_at_zero=f_at_zero,
+        fstar_at_zero=fstar_at_zero,
+        right_deriv_at_one=right_deriv_at_one,
+        left_deriv_at_one=(
+            right_deriv_at_one if left_deriv_at_one is None else left_deriv_at_one
+        ),
+        second_at_one=second_at_one,
+        kink=kink,
+        _eval=eval,
+        _deriv=deriv,
+        _second=second,
+        _breg=breg,
+    )
 
 
 def _kl() -> GeneratorFunction:
-    return GeneratorFunction(
-        family="kl",
-        params=(),
-        f_at_zero=0.0,
-        fstar_at_zero=math.inf,
-        right_deriv_at_one=1.0,
-        left_deriv_at_one=1.0,
-        second_at_one=1.0,
-        kink=None,
-        _eval=lambda t: t * math.log(t),
-        _deriv=lambda t: math.log(t) + 1.0,
-        _second=lambda t: 1.0 / t,
-        _eval_log=lambda x: x,
+    return _make(
+        "kl", breg=_KL, f_at_zero=0.0, fstar_at_zero=math.inf,
+        right_deriv_at_one=1.0, second_at_one=1.0,
+        eval=lambda t: t * math.log(t),
+        deriv=lambda t: math.log(t) + 1.0,
+        second=lambda t: 1.0 / t,
     )
 
 
 def _jeffreys() -> GeneratorFunction:
-    return GeneratorFunction(
-        family="jeffreys",
-        params=(),
-        f_at_zero=math.inf,
-        fstar_at_zero=math.inf,
-        right_deriv_at_one=0.0,
-        left_deriv_at_one=0.0,
-        second_at_one=2.0,
-        kink=None,
-        _eval=lambda t: (t - 1.0) * math.log(t),
-        _deriv=lambda t: math.log(t) + 1.0 - 1.0 / t,
-        _second=lambda t: 1.0 / t + 1.0 / (t * t),
-        _eval_log=lambda x: -math.expm1(-x) * x,
+    return _make(
+        "jeffreys", breg=_JEFFREYS, f_at_zero=math.inf, fstar_at_zero=math.inf,
+        right_deriv_at_one=0.0, second_at_one=2.0,
+        eval=lambda t: (t - 1.0) * math.log(t),
+        deriv=lambda t: math.log(t) + 1.0 - 1.0 / t,
+        second=lambda t: 1.0 / t + 1.0 / (t * t),
     )
 
 
 def _hellinger(alpha: float) -> GeneratorFunction:
-    if alpha <= 0.0 or alpha == 1.0 or math.isinf(alpha):
-        raise DomainError("Hellinger order must lie in (0,1) or (1,inf)")
+    breg = _hellinger_breg(alpha)
     am1 = alpha - 1.0
-
-    def ev_log(x: float) -> float:
-        return (_exp_or_inf(am1 * x) - math.exp(-x)) / am1
-
-    return GeneratorFunction(
-        family="hellinger",
-        params=_named(alpha=alpha),
-        f_at_zero=1.0 / (1.0 - alpha),
-        fstar_at_zero=math.inf if alpha > 1.0 else 0.0,
-        right_deriv_at_one=alpha / am1,
-        left_deriv_at_one=alpha / am1,
-        second_at_one=alpha,
-        kink=None,
-        _eval=lambda t: (t**alpha - 1.0) / am1,
-        _deriv=lambda t: alpha * t ** (alpha - 1.0) / am1,
-        _second=lambda t: alpha * t ** (alpha - 2.0),
-        _eval_log=ev_log if alpha > 1.0 else None,
+    return _make(
+        "hellinger", params=_named(alpha=alpha), breg=breg,
+        f_at_zero=1.0 / (1.0 - alpha), fstar_at_zero=math.inf if alpha > 1.0 else 0.0,
+        right_deriv_at_one=alpha / am1, second_at_one=alpha,
+        eval=lambda t: (t**alpha - 1.0) / am1,
+        deriv=lambda t: alpha * t ** (alpha - 1.0) / am1,
+        second=lambda t: alpha * t ** (alpha - 2.0),
     )
 
 
 def _chi_squared() -> GeneratorFunction:
-    return GeneratorFunction(
-        family="chi_squared",
-        params=(),
-        f_at_zero=1.0,
-        fstar_at_zero=math.inf,
-        right_deriv_at_one=0.0,
-        left_deriv_at_one=0.0,
-        second_at_one=2.0,
-        kink=None,
-        _eval=lambda t: (t - 1.0) ** 2,
-        _deriv=lambda t: 2.0 * (t - 1.0),
-        _second=lambda t: 2.0,
-        _eval_log=lambda x: _exp_or_inf(x) - 2.0 + math.exp(-x),
+    return _make(
+        "chi_squared", breg=_CHI2, f_at_zero=1.0, fstar_at_zero=math.inf,
+        right_deriv_at_one=0.0, second_at_one=2.0,
+        eval=lambda t: (t - 1.0) ** 2,
+        deriv=lambda t: 2.0 * (t - 1.0),
+        second=lambda t: 2.0,
     )
 
 
-def _total_variation() -> GeneratorFunction:
-    return GeneratorFunction(
-        family="total_variation",
-        params=(),
-        f_at_zero=1.0,
-        fstar_at_zero=1.0,
-        right_deriv_at_one=1.0,
-        left_deriv_at_one=-1.0,
-        second_at_one=None,
-        kink=1.0,
-        _eval=lambda t: abs(t - 1.0),
-        _deriv=lambda t: 1.0 if t > 1.0 else -1.0,
-        _second=None,
+def _total_variation(family: str = "total_variation") -> GeneratorFunction:
+    return _make(
+        family, params=_named(s=1.0) if family == "chi_s" else (), breg=_TV,
+        f_at_zero=1.0, fstar_at_zero=1.0,
+        right_deriv_at_one=1.0, left_deriv_at_one=-1.0, kink=1.0,
+        eval=lambda t: abs(t - 1.0),
+        deriv=lambda t: 1.0 if t > 1.0 else -1.0,
     )
 
 
 def _chi_s(s: float) -> GeneratorFunction:
-    if s < 1.0:
-        raise DomainError("chi^s order must satisfy s >= 1")
+    breg = _chi_s_breg(s)
     if s == 1.0:
-        tv = _total_variation()
-        return GeneratorFunction(
-            family="chi_s",
-            params=_named(s=1.0),
-            f_at_zero=tv.f_at_zero,
-            fstar_at_zero=tv.fstar_at_zero,
-            right_deriv_at_one=tv.right_deriv_at_one,
-            left_deriv_at_one=tv.left_deriv_at_one,
-            second_at_one=None,
-            kink=1.0,
-            _eval=tv._eval,
-            _deriv=tv._deriv,
-            _second=None,
-        )
+        return _total_variation(family="chi_s")
     if s == 2.0:
         second_at_one: Optional[float] = 2.0
     elif s > 2.0:
@@ -244,111 +445,61 @@ def _chi_s(s: float) -> GeneratorFunction:
     else:
         second_at_one = None  # |t-1|^(s-2) blows up at 1 for s in (1,2)
 
-    def ev(t: float) -> float:
-        return abs(t - 1.0) ** s
-
     def dv(t: float) -> float:
         d = t - 1.0
         if d == 0.0:
             return 0.0
         return s * abs(d) ** (s - 1.0) * math.copysign(1.0, d)
 
-    def sd(t: float) -> float:
-        return s * (s - 1.0) * abs(t - 1.0) ** (s - 2.0)
-
-    def ev_log(x: float) -> float:
-        # e^-x |e^x - 1|^s from its logarithm
-        if x == 0.0:
-            return 0.0
-        if x > 0.0:
-            log_gap = x + math.log1p(-math.exp(-x))
-        else:
-            log_gap = math.log(-math.expm1(x))
-        return _exp_or_inf(s * log_gap - x)
-
-    return GeneratorFunction(
-        family="chi_s",
-        params=_named(s=s),
-        f_at_zero=1.0,
-        fstar_at_zero=math.inf,
-        right_deriv_at_one=0.0,
-        left_deriv_at_one=0.0,
-        second_at_one=second_at_one,
-        kink=None,
-        _eval=ev,
-        _deriv=dv,
-        _second=sd,
-        _eval_log=ev_log,
+    return _make(
+        "chi_s", params=_named(s=s), breg=breg, f_at_zero=1.0, fstar_at_zero=math.inf,
+        right_deriv_at_one=0.0, second_at_one=second_at_one,
+        eval=lambda t: abs(t - 1.0) ** s,
+        deriv=dv,
+        second=lambda t: s * (s - 1.0) * abs(t - 1.0) ** (s - 2.0),
     )
 
 
 def _triangular() -> GeneratorFunction:
-    return GeneratorFunction(
-        family="triangular",
-        params=(),
-        f_at_zero=1.0,
-        fstar_at_zero=1.0,
-        right_deriv_at_one=0.0,
-        left_deriv_at_one=0.0,
-        second_at_one=1.0,
-        kink=None,
-        _eval=lambda t: (t - 1.0) ** 2 / (t + 1.0),
-        _deriv=lambda t: (t - 1.0) * (t + 3.0) / (t + 1.0) ** 2,
-        _second=lambda t: 8.0 / (t + 1.0) ** 3,
+    return _make(
+        "triangular", breg=_TRIANGULAR, f_at_zero=1.0, fstar_at_zero=1.0,
+        right_deriv_at_one=0.0, second_at_one=1.0,
+        eval=lambda t: (t - 1.0) ** 2 / (t + 1.0),
+        deriv=lambda t: (t - 1.0) * (t + 3.0) / (t + 1.0) ** 2,
+        second=lambda t: 8.0 / (t + 1.0) ** 3,
     )
 
 
 def _lin(theta: float, family: str = "lin") -> GeneratorFunction:
-    if not 0.0 < theta < 1.0:
-        raise DomainError("Lin parameter must lie in (0, 1)")
+    breg = _lin_breg(theta)
     comp = 1.0 - theta
 
     def ev(t: float) -> float:
         m = theta * t + comp
         return theta * t * math.log(t) - m * math.log(m)
 
-    def dv(t: float) -> float:
-        return theta * (math.log(t) - math.log(theta * t + comp))
-
-    def sd(t: float) -> float:
-        return theta * comp / (t * (theta * t + comp))
-
-    return GeneratorFunction(
-        family=family,
-        params=_named(theta=theta) if family == "lin" else (),
-        f_at_zero=-comp * math.log(comp),
-        fstar_at_zero=-theta * math.log(theta),
-        right_deriv_at_one=0.0,
-        left_deriv_at_one=0.0,
-        second_at_one=theta * comp,
-        kink=None,
-        _eval=ev,
-        _deriv=dv,
-        _second=sd,
+    return _make(
+        family, params=_named(theta=theta) if family == "lin" else (), breg=breg,
+        f_at_zero=breg.at_zero, fstar_at_zero=breg.at_inf,
+        right_deriv_at_one=0.0, second_at_one=theta * comp,
+        eval=ev,
+        deriv=lambda t: theta * (math.log(t) - math.log(theta * t + comp)),
+        second=lambda t: theta * comp / (t * (theta * t + comp)),
     )
 
 
 def _e_gamma(gamma: float) -> GeneratorFunction:
-    if gamma < 1.0:
-        raise DomainError("E_gamma order must satisfy gamma >= 1")
-    return GeneratorFunction(
-        family="e_gamma",
-        params=_named(gamma=gamma),
-        f_at_zero=0.0,
-        fstar_at_zero=1.0,
-        right_deriv_at_one=1.0 if gamma == 1.0 else 0.0,
-        left_deriv_at_one=0.0,
-        second_at_one=None,
-        kink=gamma,
-        _eval=lambda t: max(t - gamma, 0.0),
-        _deriv=lambda t: 1.0 if t > gamma else 0.0,
-        _second=None,
+    breg = _e_gamma_breg(gamma)
+    return _make(
+        "e_gamma", params=_named(gamma=gamma), breg=breg, f_at_zero=0.0, fstar_at_zero=1.0,
+        right_deriv_at_one=1.0 if gamma == 1.0 else 0.0, left_deriv_at_one=0.0, kink=gamma,
+        eval=lambda t: max(t - gamma, 0.0),
+        deriv=lambda t: 1.0 if t > gamma else 0.0,
     )
 
 
 def _degroot(omega: float) -> GeneratorFunction:
-    if not 0.0 < omega < 1.0:
-        raise DomainError("DeGroot prior must lie in (0, 1)")
+    breg = _degroot_breg(omega)
     m = min(omega, 1.0 - omega)
     kink = (1.0 - omega) / omega
     if omega < 0.5:
@@ -357,18 +508,11 @@ def _degroot(omega: float) -> GeneratorFunction:
         d_right = d_left = 0.0
     else:
         d_right, d_left = 0.0, -0.5
-    return GeneratorFunction(
-        family="degroot",
-        params=_named(omega=omega),
-        f_at_zero=m,
-        fstar_at_zero=0.0,
-        right_deriv_at_one=d_right,
-        left_deriv_at_one=d_left,
-        second_at_one=None,
-        kink=kink,
-        _eval=lambda t: m - min(omega * t, 1.0 - omega),
-        _deriv=lambda t: -omega if t < kink else 0.0,
-        _second=None,
+    return _make(
+        "degroot", params=_named(omega=omega), breg=breg, f_at_zero=m, fstar_at_zero=0.0,
+        right_deriv_at_one=d_right, left_deriv_at_one=d_left, kink=kink,
+        eval=lambda t: m - min(omega * t, 1.0 - omega),
+        deriv=lambda t: -omega if t < kink else 0.0,
     )
 
 
@@ -395,41 +539,12 @@ def generator(family: str, **params: float) -> GeneratorFunction:
     e_gamma(gamma), degroot(omega), custom.
     """
     if family == "custom":
-        return _custom(**params)  # type: ignore[arg-type]
+        return _make("custom", **params)  # type: ignore[arg-type]
     try:
         builder = _FAMILIES[family]
     except KeyError:
         raise DomainError(f"unknown generator family {family!r}") from None
     return builder(**params)
-
-
-def _custom(
-    *,
-    eval: Callable[[float], float],
-    deriv: Optional[Callable[[float], float]] = None,
-    second: Optional[Callable[[float], float]] = None,
-    f_at_zero: float,
-    fstar_at_zero: float,
-    right_deriv_at_one: float,
-    left_deriv_at_one: Optional[float] = None,
-    second_at_one: Optional[float] = None,
-    kink: Optional[float] = None,
-) -> GeneratorFunction:
-    return GeneratorFunction(
-        family="custom",
-        params=(),
-        f_at_zero=f_at_zero,
-        fstar_at_zero=fstar_at_zero,
-        right_deriv_at_one=right_deriv_at_one,
-        left_deriv_at_one=(
-            right_deriv_at_one if left_deriv_at_one is None else left_deriv_at_one
-        ),
-        second_at_one=second_at_one,
-        kink=kink,
-        _eval=eval,
-        _deriv=deriv,
-        _second=second,
-    )
 
 
 # Every divergence kind: name -> (catalog generator family or None, name of
@@ -508,8 +623,9 @@ def conjugate(f: GeneratorFunction) -> GeneratorFunction:
     """The conjugate generator f*(t) = t f(1/t); swaps divergence arguments.
 
     Conjugation is an involution; f* inherits limits and the second
-    derivative at 1 from f.  The bounds in ``divkit.bounds`` do not build
-    it: they evaluate t f(1/t), and f*(0) = ``f.fstar_at_zero``, in place.
+    derivative at 1 from f.  Its shifted term is ``_generic_breg``'s.  The
+    bounds in ``divkit.bounds`` do not build it: they evaluate t f(1/t), and
+    f*(0) = ``f.fstar_at_zero``, in place.
     """
     base_eval, base_deriv, base_second = f._eval, f._deriv, f._second
 
@@ -546,7 +662,8 @@ def conjugate(f: GeneratorFunction) -> GeneratorFunction:
 
 
 def affine_shift(f: GeneratorFunction, c: float) -> GeneratorFunction:
-    """f(t) + c (t - 1); defines the same divergence as f."""
+    """f(t) + c (t - 1); defines the same divergence as f, and shares its
+    shifted term."""
     base_eval, base_deriv = f._eval, f._deriv
 
     def ev(t: float) -> float:
@@ -557,13 +674,6 @@ def affine_shift(f: GeneratorFunction, c: float) -> GeneratorFunction:
 
         def dv(t: float) -> float:  # type: ignore[misc]
             return base_deriv(t) + c
-
-    ev_log = None
-    if f._eval_log is not None:
-        base_log = f._eval_log
-
-        def ev_log(x: float) -> float:  # type: ignore[misc]
-            return base_log(x) - c * math.expm1(-x)
 
     return GeneratorFunction(
         family=f.family,
@@ -577,7 +687,7 @@ def affine_shift(f: GeneratorFunction, c: float) -> GeneratorFunction:
         _eval=ev,
         _deriv=dv,
         _second=f._second,
-        _eval_log=ev_log,
+        _breg=f._breg,  # the shifted term is the same for f + c (t - 1)
     )
 
 

@@ -24,7 +24,7 @@ from .distributions import (
     SpectrumFunction,
     spectrum,
 )
-from .divergences import _singular_masses, divergence
+from .divergences import _masses, _singular_masses, divergence
 from .errors import (
     AbsoluteContinuityError,
     CapabilityError,
@@ -91,7 +91,7 @@ def _require_mutual(f: SpectrumFunction) -> None:
 
 def _require_mutual_pair(p: DiscreteDistribution, q: DiscreteDistribution) -> None:
     """_require_mutual in one pass over the masses, without a spectrum."""
-    q_where_p0, p_where_q0 = _singular_masses(p, q)
+    q_where_p0, p_where_q0 = _singular_masses(*_masses(p, q))
     _require_pq_dominated(p_where_q0)
     _require_qp_dominated(q_where_p0)
 

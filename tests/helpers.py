@@ -13,7 +13,7 @@ from divkit import (
     generator,
     make_distribution,
 )
-from divkit.divergences import DivergenceValue, _overflow_term
+from divkit.divergences import DivergenceValue, _edge_term
 
 
 def random_pair(
@@ -132,8 +132,14 @@ def conjugate_fdiv_lower_via_degroot(f, omega: float, i_val: float) -> float:
 def multipass_f_divergence(
     f, p: DiscreteDistribution, q: DiscreteDistribution
 ) -> DivergenceValue:
-    """Reference f-divergence: the regular terms, the Q-mass where p = 0 and
-    the P-mass where q = 0 each in a pass of their own."""
+    """Reference f-divergence over f's shifted term q (f(p/q) - c (p/q - 1)).
+
+    First every atom's term in a list of its own, summed once; where a term
+    fails or the sum is not finite, the terms of the atoms charged by both
+    measures, the Q-mass where p = 0 and the P-mass where q = 0 each in a
+    pass of their own, the singular masses weighted by f(0) + c and
+    f*(0) - c."""
+    b = f._breg
 
     def pairs():
         if len(p) != len(q):
@@ -142,22 +148,28 @@ def multipass_f_divergence(
             )
         return zip(p.masses, q.masses)
 
+    def term(pm, qm):
+        return b.term(*(pm - qm, qm, pm)[: b.reads])
+
     try:
-        terms = [qm * f._eval(pm / qm) for pm, qm in pairs() if pm > 0.0 and qm > 0.0]
-        total = math.fsum(terms)
-    except (OverflowError, ValueError):
+        total = math.fsum([term(pm, qm) for pm, qm in pairs()])
+    except (ZeroDivisionError, OverflowError, ValueError):
         total = math.nan
-    if not math.isfinite(total):
+    if math.isfinite(total):
+        return DivergenceValue(total, f.family, dict(f.params))
+    try:
         total = math.fsum(
-            _overflow_term(f, pm, qm) for pm, qm in pairs() if pm > 0.0 and qm > 0.0
+            [_edge_term(b, pm - qm, qm, pm) for pm, qm in pairs() if pm > 0.0 and qm > 0.0]
         )
+    except OverflowError:
+        total = math.inf
     q_p0 = math.fsum(qm for pm, qm in pairs() if pm == 0.0 and qm > 0.0)
     p_q0 = math.fsum(pm for pm, qm in pairs() if qm == 0.0 and pm > 0.0)
-    for mass, limit in ((q_p0, f.f_at_zero), (p_q0, f.fstar_at_zero)):
+    for mass, per_unit in ((q_p0, b.at_zero), (p_q0, b.at_inf)):
         if mass > 0.0:
-            if math.isinf(limit):
+            if math.isinf(per_unit):
                 return DivergenceValue(math.inf, f.family, dict(f.params))
-            total += mass * limit
+            total += mass * per_unit
     return DivergenceValue(total, f.family, dict(f.params))
 
 

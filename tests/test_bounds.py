@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -22,12 +23,15 @@ from divkit import (
     hellinger_renyi_lower,
     kl_upper_log_chi2,
     lambert_w,
+    make_distribution,
     make_report,
     pinsker_bh_switch,
+    poisson_bound_report,
     renyi,
     straight_line_egamma_ub,
     tv_kl_frontier,
 )
+from divkit.cli import main
 from helpers import (
     catalog_generators,
     conjugate_fdiv_lower_via_degroot,
@@ -504,3 +508,103 @@ class TestCertificationSweep:
 def test_lambert_principal_round_trip_property(x):
     w = lambert_w("principal", x).w
     assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
+
+
+def _egamma_upper_oracle(kind, gamma, value):
+    """(1/2)[1 - g + sqrt((g-1)^2 + a)] as written, in mpmath with the 700
+    digits that absorb its cancellation for gamma up to 1.79e308 and inputs
+    down to 1e-300."""
+    with mpmath.workdps(700):
+        g, x = mpmath.mpf(gamma), mpmath.mpf(value)
+        if kind == "chi2":
+            a = 4 * g * (1 if value == math.inf else x / (1 + g + x))
+        else:
+            a = 4 * g * (1 - mpmath.exp(-x))
+        return (1 - g + mpmath.sqrt((g - 1) ** 2 + a)) / 2
+
+
+def _degroot_upper_oracle(kind, omega, value):
+    """The chi2 and kl_bh DeGroot bounds as written, in mpmath with the 700
+    digits that absorb their cancellation for omega down to 1e-300."""
+    with mpmath.workdps(700):
+        w, x = mpmath.mpf(omega), mpmath.mpf(value)
+        m, b = min(w, 1 - w), abs(mpmath.mpf(0.5) - w)
+        if kind == "chi2":
+            ratio = 0 if value == math.inf else w * (1 - w) / (1 + m * x)
+        else:
+            ratio = w * (1 - w) * mpmath.exp(-x)
+        return mpmath.sqrt(mpmath.mpf(0.25) - ratio) - b
+
+
+def _close(got, expected):
+    # 1e-13 relative; the floor admits the lost digits of a result in the
+    # subnormal range, below 2.2e-308
+    return abs(mpmath.mpf(got) - expected) <= 1e-13 * abs(expected) + 1e-318
+
+
+class TestRootGapOracle:
+    """The sqrt(b^2 + a) - b bounds in the cancellation-free form, against
+    the form as written at 40 digits and past, for gamma up to 1.79e308 and
+    omega from 1e-300 to 1 - 2^-53."""
+
+    GAMMAS = (1.0, 1.0 + 1e-12, 1.5, 10.0, 1e8, 1e16, 1e20, 1e100, 1e200, 1e300, 1.79e308)
+    OMEGAS = (1e-300, 1e-100, 1e-16, 1e-3, 0.25, 0.5, 0.75, 1.0 - 1e-3, 1.0 - 1e-12, 1.0 - 2.0**-53)
+
+    def test_egamma_upper(self):
+        for gamma in self.GAMMAS:
+            for kind, values in (
+                ("chi2", (0.0, 1e-300, 1e-12, 0.3, 1.0, 30.0, 1e300, math.inf)),
+                ("kl", (0.0, 1e-300, 1e-12, 0.3, 1.0, 30.0, 800.0)),
+            ):
+                for value in values:
+                    got = egamma_upper(kind, gamma, value)
+                    expected = _egamma_upper_oracle(kind, gamma, value)
+                    assert _close(got, expected), (kind, gamma, value, got, expected)
+
+    def test_degroot_upper(self):
+        for omega in self.OMEGAS:
+            for value in (0.0, 1e-300, 1e-10, 0.5, 3.0, 1e10, math.inf):
+                got = degroot_upper("chi2", omega, chi_pq=value, chi_qp=value)
+                expected = _degroot_upper_oracle("chi2", omega, value)
+                assert _close(got, expected), ("chi2", omega, value, got, expected)
+                if value < math.inf:
+                    got = degroot_upper("kl_bh", omega, d_pq=value, d_qp=value)
+                    expected = _degroot_upper_oracle("kl_bh", omega, value)
+                    assert _close(got, expected), ("kl_bh", omega, value, got, expected)
+
+    def test_large_gamma_keeps_the_bound(self):
+        # E_gamma <= the bound on a valid pair: P = (a, 1-a),
+        # Q = (a 1e-25, 1 - a 1e-25) with a = 0.0177 has KL ~ 1.0014 and
+        # E_gamma = a (1 - 1e-5) at gamma = 1e20
+        a = 0.0177
+        p = make_distribution([a, 1.0 - a])
+        q = make_distribution([a * 1e-25, 1.0 - a * 1e-25])
+        kl = float(divergence("kl", p, q))
+        e = float(divergence("e_gamma", p, q, gamma=1e20))
+        assert e <= egamma_upper("kl", 1e20, kl)
+        assert egamma_upper("kl", 1e20, 1.0) == pytest.approx(-math.expm1(-1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", ["1e20", "1e200", "1.79e308"])
+    def test_cli_large_gamma(self, capsys, gamma):
+        code = main(["bounds", "--name", "egamma_ub_kl", "--args", f"gamma={gamma},kl=1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert json.loads(out)["bound_value"] == pytest.approx(-math.expm1(-1.0), rel=1e-9)
+
+    def test_prior_next_to_one(self):
+        reports = poisson_bound_report(1.0, 2.0, 1.0 - 2.0**-53)
+        for report in reports:
+            assert report.bound_value > 0.0
+            assert report.slack >= 0.0
+
+
+def test_vajda_tv_bound_next_to_the_branch_point():
+    # W0(-e^(-1-D)) for small D: z = -e^(-1-D) keeps only ~D/eps of its
+    # distance to -1/e, so the bound takes 1 - e^-D directly
+    with mpmath.workdps(700):
+        for k in range(-1200, 12, 7):
+            d = 10.0 ** (k / 4)
+            w = mpmath.re(mpmath.lambertw(-mpmath.exp(-1 - mpmath.mpf(d))))
+            expected = 2 * (1 + w) / (1 - w)
+            got = tv_kl_frontier("vajda_ub_tv", d)
+            assert abs(got - expected) <= 1e-12 * expected, (d, got, expected)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divkit import (
+    DiscreteDistribution,
     DomainError,
     UnknownKindError,
     ValidationError,
@@ -95,16 +96,36 @@ class TestFDivergence:
     @pytest.mark.parametrize("kind,params", CATALOG)
     def test_mass_ratio_past_the_float_range(self, kind, params):
         # q = 1e-310 puts p/q = 5e309 past the float range at the second
-        # atom; q = 1e-200 keeps p/q = 5e199 but puts (p/q)^2 past it
-        p = make_distribution([0.5, 0.5])
-        for tiny in (1e-310, 1e-200):
-            q = make_distribution([1.0 - tiny, tiny])
+        # atom; q = 1e-200 keeps p/q = 5e199 but puts (p/q)^2 past it;
+        # p = 1e-10 over q = 1e-320 puts p/q past it while p (p/q) stays
+        # inside
+        half = make_distribution([0.5, 0.5])
+        pairs = [(half, make_distribution([1.0 - tiny, tiny])) for tiny in (1e-310, 1e-200)]
+        pairs.append(
+            (make_distribution([1e-10, 1.0 - 1e-10]), make_distribution([1e-320, 1.0 - 1e-320]))
+        )
+        for p, q in pairs:
             direct = float(divergence(kind, p, q, **params))
             generic = float(f_divergence(_generator_for(kind, params), p, q))
             if math.isinf(direct):
                 assert generic == direct
             else:
                 assert generic == pytest.approx(direct, rel=1e-12)
+
+    def test_term_finite_where_its_ratio_is_not(self):
+        # p/q = 1e310 and, per unit of p, (p/q)^(alpha - 1) pass the float
+        # range, but p ((p/q)^(alpha - 1) - 1)/(alpha - 1) ~ 1e300 does not;
+        # at order 2 the Hellinger divergence is chi^2
+        p = make_distribution([1e-10, 1.0 - 1e-10])
+        q = make_distribution([1e-320, 1.0 - 1e-320])
+        chi2 = float(divergence("chi2", p, q))
+        assert chi2 == pytest.approx(1e-20 / q.masses[0], rel=1e-12)
+        for value in (
+            divergence("hellinger", p, q, alpha=2.0),
+            f_divergence(generator("hellinger", alpha=2.0), p, q),
+            2.0 * divergence("alpha", p, q, alpha=2.0).value,
+        ):
+            assert float(value) == pytest.approx(chi2, rel=1e-12)
 
     def test_kl_mass_ratio_past_the_float_range(self):
         p = make_distribution([0.5, 0.5])
@@ -324,6 +345,21 @@ class TestRenyi:
         p = make_distribution([0.5, 0.5, 0])
         q = make_distribution([0, 0.5, 0.5])
         assert float(renyi(2.0, p, q)) == math.inf
+
+    def test_infinite_below_one_on_disjoint_supports(self):
+        # masses summing to just under 1 put the Hellinger sum's
+        # S = 1 + (alpha - 1) H a rounding above 0; the supports decide
+        split = make_distribution(
+            [0.7141294836112025, 0.9210986675838745, 0.3949634040007439, 0, 0, 0]
+        ), make_distribution(
+            [0, 0, 0, 0.8009087709852283, 0.44462105605076063, 0.9355867217045211]
+        )
+        assert math.fsum(split[0].masses) + math.fsum(split[1].masses) < 2.0
+        short = DiscreteDistribution((0.5, 0.5 - 1e-13, 0.0))
+        for p, q in (split, (short, DiscreteDistribution((0.0, 0.0, 1.0)))):
+            assert float(divergence("bhattacharyya", p, q)) == math.inf
+            for alpha in (0.3, 0.5, 0.9):
+                assert float(renyi(alpha, p, q)) == math.inf
 
     def test_large_order_past_the_float_range(self, bern_pair):
         # 1.4^3000 overflows; D_alpha = ln(0.5 (1.4^a + 0.6^a)) / (a - 1)

@@ -84,15 +84,23 @@ class TestCatalog:
 
     @pytest.mark.parametrize("family,params", ALL_FAMILIES)
     def test_log_form_matches_eval(self, family, params):
-        # every family with f*(0) = inf evaluates f(u)/u from ln u
+        # every family whose term grows as a power of p/q takes it past the
+        # float range from x = ln(p/q); per unit of p that is
+        # f(u)/u - f'(1) (1 - 1/u) at u = e^x, the same for f and its affine
+        # shift.  The KL and Jeffreys terms grow as ln(p/q) and take it from
+        # ln p - ln q themselves.
         f = generator(family, **params)
-        assert (f._eval_log is None) == math.isfinite(f.fstar_at_zero)
+        at_log = f._breg.at_log
+        grows_as_power = math.isinf(f.fstar_at_zero) and family not in ("kl", "jeffreys")
+        assert (at_log is not None) == grows_as_power
         shifted = affine_shift(f, 0.7)
-        for x in (-3.0, -0.1, 0.1, 2.0, 30.0):
+        assert shifted._breg is f._breg
+        for x in (0.1, 2.0, 30.0):
             u = math.exp(x)
             for g in (f, shifted):
-                if g._eval_log is not None:
-                    assert g._eval_log(x) == pytest.approx(g.eval(u) / u, rel=1e-13)
+                if at_log is not None:
+                    expected = g.eval(u) / u - g.right_deriv_at_one * (1.0 - 1.0 / u)
+                    assert at_log(x, 1.0) == pytest.approx(expected, rel=1e-13)
 
     def test_fstar_limit_hellinger_rate(self):
         # sub-linear convergence u^(alpha-1)/(1-alpha); check at that scale
