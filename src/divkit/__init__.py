@@ -40,14 +40,11 @@ from .generators import (
     affine_shift,
     conjugate,
     g_eval,
-    g_inverse,
     generator,
     parse_generator,
-    weight,
 )
 from .bounds import (
     BoundReport,
-    LambertBranchValue,
     c_gamma,
     chi2_lower_from_tv,
     crossover_d,
@@ -82,8 +79,6 @@ from .local import (
     renyi_local_estimate,
 )
 from .spectrum_repr import (
-    SegmentedIntegrand,
-    g_segments,
     represent_degroot_weight,
     represent_general,
     represent_inverse_g,
@@ -112,9 +107,7 @@ __all__ = [
     "parse_generator",
     "conjugate",
     "affine_shift",
-    "weight",
     "g_eval",
-    "g_inverse",
     # divergences
     "DivergenceValue",
     "f_divergence",
@@ -122,8 +115,6 @@ __all__ = [
     "renyi",
     "degroot_from_egamma",
     # spectrum representations
-    "SegmentedIntegrand",
-    "g_segments",
     "represent_general",
     "represent_inverse_g",
     "represent_named",
@@ -133,7 +124,6 @@ __all__ = [
     "represent_degroot_weight",
     # bounds
     "BoundReport",
-    "LambertBranchValue",
     "lambert_w",
     "c_gamma",
     "straight_line_egamma_ub",

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, RootError, ValidationError
-from .generators import GeneratorFunction
+from .generators import GeneratorFunction, _exp_times
 
 __all__ = [
     "BoundReport",
-    "LambertBranchValue",
     "lambert_w",
     "c_gamma",
     "straight_line_egamma_ub",
@@ -77,15 +76,6 @@ def make_report(
     return BoundReport(name, bound_value, certified_quantity, direction, slack)
 
 
-@dataclass(frozen=True)
-class LambertBranchValue:
-    branch: str
-    w: float
-
-    def __float__(self) -> float:
-        return self.w
-
-
 def _halley(x: float, w0: float) -> float:
     w = w0
     for _ in range(100):
@@ -102,7 +92,7 @@ def _halley(x: float, w0: float) -> float:
     return w
 
 
-def lambert_w(branch: str, x: float) -> LambertBranchValue:
+def lambert_w(branch: str, x: float) -> float:
     """Real Lambert W: solve w e^w = x on the requested branch.
 
     principal: x >= -1/e, w >= -1;  secondary: -1/e <= x < 0, w <= -1.
@@ -115,13 +105,13 @@ def lambert_w(branch: str, x: float) -> LambertBranchValue:
         if x < _BRANCH_POINT:
             raise DomainError(f"x={x!r} below the branch point -1/e")
         if x == _BRANCH_POINT:
-            return LambertBranchValue(branch, -1.0)
+            return -1.0
         if x == 0.0:
-            return LambertBranchValue(branch, 0.0)
+            return 0.0
         delta = 1.0 + math.e * x
         if delta < 5e-13:
             # series around the branch point; Halley stalls at w = -1
-            return LambertBranchValue(branch, -1.0 + math.sqrt(2.0 * delta))
+            return -1.0 + math.sqrt(2.0 * delta)
         if x <= -0.27:
             w0 = -1.0 + math.sqrt(2.0 * delta)
         elif x <= math.e:
@@ -129,21 +119,21 @@ def lambert_w(branch: str, x: float) -> LambertBranchValue:
         else:
             lx = math.log(x)
             w0 = lx - math.log(lx)
-        return LambertBranchValue(branch, _halley(x, w0))
+        return _halley(x, w0)
     if branch == "secondary":
         if x < _BRANCH_POINT or x >= 0.0:
             raise DomainError(f"x={x!r} outside [-1/e, 0) for the secondary branch")
         if x == _BRANCH_POINT:
-            return LambertBranchValue(branch, -1.0)
+            return -1.0
         delta = 1.0 + math.e * x
         if delta < 5e-13:
-            return LambertBranchValue(branch, -1.0 - math.sqrt(2.0 * delta))
+            return -1.0 - math.sqrt(2.0 * delta)
         if x >= -0.27:
             lx = math.log(-x)
             w0 = lx - math.log(-lx)
         else:
             w0 = -1.0 - math.sqrt(2.0 * delta)
-        return LambertBranchValue(branch, _halley(x, w0))
+        return _halley(x, w0)
     raise DomainError(f"unknown branch {branch!r}")
 
 
@@ -163,7 +153,7 @@ def c_gamma(gamma: float) -> float:
         raise DomainError("c_gamma defined for gamma > 1")
     if gamma == math.inf:
         return 0.0
-    w = lambert_w("secondary", -math.exp(-1.0 / gamma) / gamma).w
+    w = lambert_w("secondary", -math.exp(-1.0 / gamma) / gamma)
     log_t = math.log(gamma) + math.log(-w)
     return (1.0 + 1.0 / w) / (log_t - 1.0 - 1.0 / (gamma * w))
 
@@ -266,29 +256,42 @@ def egamma_upper(kind: str, gamma: float, value: float) -> float:
 
 def hellinger_renyi_lower(kind: str, alpha: float, gamma: float, e_val: float) -> float:
     """Lower bounds on the Hellinger or Renyi divergence of order alpha
-    from one E_gamma value (alpha = 1 is the logarithmic branch; nats)."""
-    if alpha <= 0.0:
-        raise DomainError("order must be positive")
-    if gamma < 1.0:
+    from one E_gamma value (alpha = 1 is the logarithmic branch; nats).
+
+    With a = alpha, up = 1 + E/gamma, down = 1 - E and t = down^(1-a) - 1,
+    the Hellinger bound is (up^(1-a) - 1)/(a-1) + gamma^(a-1) t/(a-1) and
+    the Renyi bound ln(up^(1-a) + gamma^(a-1) t)/(a-1).  t/(a-1) >= 0, and
+    gamma^(a-1) |t| is taken from its logarithm, so a bound is inf only
+    where it passes the float range.
+    """
+    if not 0.0 < alpha < math.inf:
+        raise DomainError("order must be positive and finite")
+    if not gamma >= 1.0:
         raise DomainError("gamma must be >= 1")
     if not 0.0 <= e_val < 1.0:
         raise DomainError("E_gamma value must lie in [0, 1)")
-    up = 1.0 + e_val / gamma
-    down = 1.0 - e_val
-    if alpha == 1.0:
-        val = -math.log(up * down)
-        if kind in ("hellinger", "renyi"):
-            return val
+    if kind not in ("hellinger", "renyi"):
         raise DomainError(f"unknown kind {kind!r}")
-    oma = 1.0 - alpha
+    if alpha == 1.0:  # -ln(up down), up down = 1 - u, from u while it is small
+        u = e_val * ((gamma - 1.0 + e_val) / gamma)
+        if u < 0.5:
+            return -math.log1p(-u)
+        return -(math.log1p(e_val / gamma) + math.log1p(-e_val))
+    if e_val == 0.0:
+        return 0.0  # t = 0 and up = 1
+    am1 = alpha - 1.0
+    up_m1 = math.expm1(-am1 * math.log1p(e_val / gamma))  # up^(1-alpha) - 1
+    y = -am1 * math.log1p(-e_val)  # ln down^(1-alpha), of the sign of alpha - 1
+    if y > 0.0:
+        log_t = y + math.log(-math.expm1(-y))  # ln|t|
+    else:  # -inf where alpha - 1 times E underflows
+        log_t = math.log(-math.expm1(y)) if y < 0.0 else -math.inf
+    log_b = am1 * math.log(gamma) + log_t  # ln(gamma^(alpha-1) |t|)
     if kind == "hellinger":
-        return (
-            up**oma + (down / gamma) ** oma - 1.0 - gamma ** (alpha - 1.0)
-        ) / (alpha - 1.0)
-    if kind == "renyi":
-        inner = up**oma + gamma ** (alpha - 1.0) * (down**oma - 1.0)
-        return math.log(inner) / (alpha - 1.0)
-    raise DomainError(f"unknown kind {kind!r}")
+        return up_m1 / am1 + _exp_times(1.0 / abs(am1), log_b)
+    if am1 < 0.0 or log_b < 0.0:  # 1 + up_m1 + b, b = gamma^(alpha-1) t
+        return math.log1p(up_m1 + math.copysign(math.exp(log_b), am1)) / am1
+    return (log_b + math.log1p((1.0 + up_m1) * math.exp(-log_b))) / am1
 
 
 def tv_kl_frontier(kind: str, value: float) -> float:
@@ -322,7 +325,7 @@ def tv_kl_frontier(kind: str, value: float) -> float:
             tail = 43.0 / 540.0 - r * (769.0 / 17280.0 - r * (221.0 / 8505.0))
             one_plus_w = r * (1.0 - r * (1.0 / 3.0 - r * (11.0 / 72.0 - r * tail)))
         else:
-            one_plus_w = 1.0 + lambert_w("principal", -math.exp(-1.0 - d)).w
+            one_plus_w = 1.0 + lambert_w("principal", -math.exp(-1.0 - d))
         return 2.0 * one_plus_w / (2.0 - one_plus_w)
     raise DomainError(f"unknown frontier kind {kind!r}")
 

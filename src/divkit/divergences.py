@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .distributions import DiscreteDistribution
 from .errors import DomainError, ValidationError
-from .generators import _BREGS, KINDS, Breg, GeneratorFunction, kind_args
+from .generators import _BREGS, KINDS, Breg, GeneratorFunction, _edge_term, kind_args
 
 __all__ = [
     "DivergenceValue",
@@ -64,22 +64,6 @@ def _singular_masses(ps: Sequence[float], qs: Sequence[float]):
         elif qm == 0.0:
             p_where_q0.append(pm)
     return math.fsum(q_where_p0), math.fsum(p_where_q0)
-
-
-def _edge_term(b: Breg, d: float, qm: float, pm: float) -> float:
-    """One atom's term, p and q > 0, where the pass over all atoms failed:
-    the term if finite, else its form in x = ln(p/q), ``at_log``, or where
-    the family has none its limit at x = +-inf."""
-    try:
-        term = b.term(*(d, qm, pm)[: b.reads])
-    except (OverflowError, ValueError):
-        term = math.nan
-    if math.isfinite(term):
-        return term
-    x = math.log(pm) - math.log(qm)
-    if x > 0.0 and b.at_log is not None:
-        return b.at_log(x, pm)
-    return pm * b.at_inf if x > 0.0 else qm * b.at_zero
 
 
 def _shifted_sum(

@@ -7,7 +7,8 @@ noise compounds.  Kinked families (total variation, E_gamma, DeGroot,
 chi^s at s = 1) expose their derivative as undefined exactly at the kink
 abscissa.  Each family also ships its shifted term f(1+d) - f'(1) d
 (``Breg``), from the one table ``_BREGS`` that the generators and the
-direct sums in ``divkit.divergences`` both read.
+direct sums in ``divkit.divergences`` both read; the g transform of the
+spectral engines (``g_eval``) is read from it too.
 
 Everything here is in nats: the catalog's logarithms are natural.
 """
@@ -22,7 +23,6 @@ from .errors import (
     CapabilityError,
     DomainError,
     KinkError,
-    RangeError,
     UnknownKindError,
     ValidationError,
 )
@@ -37,9 +37,7 @@ __all__ = [
     "parse_generator",
     "conjugate",
     "affine_shift",
-    "weight",
     "g_eval",
-    "g_inverse",
 ]
 
 
@@ -186,9 +184,14 @@ def _kl_term(d: float, q: float, p: float) -> float:
     return p * (math.log(p) - math.log(q)) - d
 
 
-_KL = Breg(_kl_term, 1.0, math.inf)
-# (p - q) ln(p/q), the KL terms of P against Q and of Q against P
-_JEFFREYS = Breg(lambda d, q, p: _kl_term(d, q, p) + _kl_term(-d, p, q), math.inf, math.inf)
+# past the float range of p/q, p (x - (1 - e^-x)) at x = ln(p/q)
+_KL = Breg(_kl_term, 1.0, math.inf, lambda x, p: p * (x + math.expm1(-x)))
+# (p - q) ln(p/q), the KL terms of P against Q and of Q against P; past the
+# float range, p (1 - e^-x) x
+_JEFFREYS = Breg(
+    lambda d, q, p: _kl_term(d, q, p) + _kl_term(-d, p, q), math.inf, math.inf,
+    lambda x, p: -p * x * math.expm1(-x),
+)
 
 
 # q x^2; past the float range of p/q, p e^x (1 - e^-x)^2 at x = ln(p/q)
@@ -330,6 +333,22 @@ _BREGS: dict[str, Callable[..., Breg]] = {
     "e_gamma": _e_gamma_breg,
     "degroot": _degroot_breg,
 }
+
+
+def _edge_term(b: Breg, d: float, qm: float, pm: float) -> float:
+    """One atom's term, p and q > 0, where the pass over all atoms failed:
+    the term if finite, else its form in x = ln(p/q), ``at_log``, or where
+    the family has none its limit at x = +-inf."""
+    try:
+        term = b.term(*(d, qm, pm)[: b.reads])
+    except (OverflowError, ValueError):
+        term = math.nan
+    if math.isfinite(term):
+        return term
+    x = math.log(pm) - math.log(qm)
+    if x > 0.0 and b.at_log is not None:
+        return b.at_log(x, pm)
+    return pm * b.at_inf if x > 0.0 else qm * b.at_zero
 
 
 def _generic_breg(f: GeneratorFunction) -> Breg:
@@ -691,91 +710,32 @@ def affine_shift(f: GeneratorFunction, c: float) -> GeneratorFunction:
     )
 
 
-def weight(f: GeneratorFunction, beta: float, c: Optional[float] = None) -> float:
-    """Weight kernel of the spectral integral representation.
-
-    Without c this is (1/beta)|f'(beta) - (f(beta) + f'(1))/beta|, which is
-    non-negative and vanishes at 1.  With c the signed correction
-    (c/beta^2) (1{beta>=1} - 1{beta<1}) is added, which leaves every
-    divergence representation unchanged but can simplify the kernel.
-    """
-    if beta <= 0.0:
-        raise DomainError("weight defined on beta > 0")
-    d = f.deriv(beta)
-    w = abs(d - (f._eval(beta) + f.right_deriv_at_one) / beta) / beta
-    if c is not None:
-        w += (c / (beta * beta)) * (1.0 if beta >= 1.0 else -1.0)
-    return w
-
-
 def g_eval(f: GeneratorFunction, x: float) -> float:
-    """The transform exp(-x) f(exp(x)) - f'(1)(1 - exp(-x)).
+    """The transform g(x) = e^-x f(e^x) - c (1 - e^-x): f's shifted term
+    (``f._breg``) at (d, q, p) = (1 - e^-x, e^-x, 1), by ``_g_edge``.
 
-    Non-negative with g(0) = 0; strictly decreasing on (-inf, 0] and
-    increasing on [0, inf) whenever f is strictly convex at 1.
+    Non-negative with g(0) = 0; decreasing on (-inf, 0] and increasing on
+    [0, inf), strictly where f is strictly convex.  c is the subgradient of
+    f at 1 that the term uses: f'(1) for a differentiable f; for a kinked
+    family it can differ from ``right_deriv_at_one`` (total variation's
+    term |d| takes c = 0 where that is 1), and the representation engines
+    that read g refuse kinked generators.
     """
-    d1 = f.right_deriv_at_one
+    v = _g_edge(f._breg, x)
+    if x >= 0.0 or v == 0.0:
+        return v
+    return _exp_times(v, -x)  # e^-x passes the float range below x ~ -709.78
+
+
+def _g_edge(b: Breg, x: float) -> float:
+    """The shifted term at the pair (p, q) = (e^x, 1) scaled so that the
+    larger mass is 1: g(x) at (1 - e^-x, e^-x, 1) for x >= 0 and e^x g(x)
+    at (e^x - 1, 1, e^x) for x <= 0, so that no argument leaves [-1, 1].
+    Past x = 700, where e^-x would lose bits as a subnormal, the term is
+    ``at_log`` at p = 1, or where the family has none its limit ``at_inf``.
+    """
     if x > 700.0:
-        return f.fstar_at_zero - d1 if math.isfinite(f.fstar_at_zero) else math.inf
-    if x < -700.0:
-        return math.inf if f.f_at_zero + d1 > 0.0 else 0.0
-    ex = math.exp(x)
-    emx = math.exp(-x)
-    return emx * f._eval(ex) - d1 * (1.0 - emx)
-
-
-def _g_pos_limit(f: GeneratorFunction) -> float:
-    if math.isinf(f.fstar_at_zero):
-        return math.inf
-    return f.fstar_at_zero - f.right_deriv_at_one
-
-
-def _g_neg_limit(f: GeneratorFunction) -> float:
-    return math.inf if f.f_at_zero + f.right_deriv_at_one > 0.0 else 0.0
-
-
-def g_inverse(f: GeneratorFunction, t: float, branch: str) -> float:
-    """Invert the g transform on one of its two monotone branches.
-
-    branch="positive" returns the solution x >= 0, branch="negative" the
-    solution x <= 0.  Requires f strictly convex at 1 (so g is strictly
-    monotone per branch).  Closed form for the chi-squared family,
-    bracketed bisection elsewhere (absolute tolerance 1e-12 on x).
-    """
-    if branch not in ("positive", "negative"):
-        raise DomainError(f"unknown branch {branch!r}")
-    if t < 0.0:
-        raise DomainError("g is non-negative; t must be >= 0")
-    if t == 0.0:
-        return 0.0
-    if f.kink is not None:
-        raise KinkError("g inversion needs a differentiable, strictly convex f")
-    if f.family == "chi_squared":
-        # g(x) = 4 sinh^2(x/2); from arcsinh this inverts to
-        # 2 ln((sqrt(u) + sqrt(u+4)) / 2) on the positive branch.
-        x = 2.0 * math.log((math.sqrt(t) + math.sqrt(t + 4.0)) / 2.0)
-        return x if branch == "positive" else -x
-
-    limit = _g_pos_limit(f) if branch == "positive" else _g_neg_limit(f)
-    if t >= limit:
-        raise RangeError(f"t={t!r} outside the {branch} branch range [0, {limit!r})")
-    sign = 1.0 if branch == "positive" else -1.0
-
-    def h(y: float) -> float:
-        return g_eval(f, sign * y)
-
-    lo, hi = 0.0, 1.0
-    while h(hi) < t:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e9:
-            raise RangeError(f"failed to bracket t={t!r} on the {branch} branch")
-    for _ in range(200):
-        if hi - lo <= 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        if h(mid) < t:
-            lo = mid
-        else:
-            hi = mid
-    return sign * 0.5 * (lo + hi)
+        return b.at_inf if b.at_log is None else b.at_log(x, 1.0)
+    if x >= 0.0:
+        return _edge_term(b, -math.expm1(-x), math.exp(-x), 1.0)
+    return _edge_term(b, math.expm1(x), 1.0, math.exp(x))

@@ -6,17 +6,15 @@ and then integrates the representation kernel segment by segment.  The
 named catalog is exact for every kind: each kernel has an elementary
 antiderivative (powers of beta, 1/(beta+1)^2, and the logarithmic kernels
 of Lin/Jensen-Shannon/Jeffreys), so its agreement tests check the formulas
-alone.  The inverse-g engine is an exact sum of g increments over the same
-segments.  Only the general and DeGroot-weight engines, which take an
-arbitrary generator, integrate by adaptive 21-point Gauss-Kronrod
-quadrature.
+alone.  The general and inverse-g engines are one exact sum of g
+increments over the same segments.  Only the DeGroot-weight engine
+integrates, by adaptive 21-point Gauss-Kronrod quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .distributions import (
@@ -32,12 +30,10 @@ from .errors import (
     KinkError,
     UnknownKindError,
 )
-from .generators import GeneratorFunction, g_eval, kind_args, weight
+from .generators import GeneratorFunction, _g_edge, kind_args
 from .quadrature import integrate
 
 __all__ = [
-    "SegmentedIntegrand",
-    "g_segments",
     "represent_general",
     "represent_inverse_g",
     "represent_named",
@@ -46,26 +42,6 @@ __all__ = [
     "spectrum_from_degroot",
     "represent_degroot_weight",
 ]
-
-
-@dataclass(frozen=True)
-class SegmentedIntegrand:
-    """Piecewise-constant tail function on likelihood-ratio segments.
-
-    ``segments`` is a sorted tuple of (beta_lo, beta_hi, g_value) covering
-    [beta_min, beta_max] with a cut at beta = 1; g_value is the constant
-    value of the spectral tail function G on the open segment.
-    """
-
-    segments: tuple[tuple[float, float, float], ...]
-
-    @property
-    def beta_min(self) -> float:
-        return self.segments[0][0] if self.segments else 1.0
-
-    @property
-    def beta_max(self) -> float:
-        return self.segments[-1][1] if self.segments else 1.0
 
 
 def _require_pq_dominated(singular_mass_p: float) -> None:
@@ -115,59 +91,26 @@ def _log_segments(f: SpectrumFunction, extra_cuts: tuple[float, ...] = ()):
     return segs
 
 
-def g_segments(p: DiscreteDistribution, q: DiscreteDistribution) -> SegmentedIntegrand:
-    """Exact segmentation of the spectral tail function of (P, Q)."""
-    f = spectrum(p, q)
-    _require_mutual(f)
-    segs = []
-    for x0, x1, c in _log_segments(f):
-        gval = c if x1 <= 0.0 else 1.0 - c
-        segs.append((math.exp(x0), math.exp(x1), gval))
-    return SegmentedIntegrand(tuple(segs))
-
-
-def represent_general(
+def _g_sum(
     f: GeneratorFunction,
     p: DiscreteDistribution,
     q: DiscreteDistribution,
     c: float = 0.0,
 ) -> float:
-    """Divergence as the inner product of the weight kernel with the
-    spectral tail function.
+    """The sum over the spectrum segments [x0, x1] (cut at 0), on which F
+    equals cdf, of G |g(x1) - g(x0)| -- G = 1 - cdf above 0, cdf below --
+    plus, where c is not 0, the c kernel's exact part
+    +-c G (e^-x0 - e^-x1), + above 0 and - below.
 
-    Works for any generator differentiable on (0, inf) and any shift
-    constant c (the result is c-independent); requires mutual absolute
-    continuity.  Kinked generators are routed to the named catalog.
+    g comes from f's shifted term through ``generators._g_edge``.  Below 0
+    each piece is formed from cdf e^-x = exp(ln cdf - x), at most the Q-mass
+    below the ratio, times the term at (e^x - 1, 1, e^x), so that e^-x never
+    leaves the float range.
     """
     if not f.is_smooth:
         raise KinkError(
             f"generator {f.family} has a kink; use represent_named instead"
         )
-    seg = g_segments(p, q)
-    pieces = []
-    for blo, bhi, gval in seg.segments:
-        if gval == 0.0:
-            continue
-        pieces.append(
-            gval * integrate(lambda b: weight(f, b, c=c), blo, bhi, rel_tol=1e-10)
-        )
-    return math.fsum(pieces)
-
-
-def represent_inverse_g(
-    f: GeneratorFunction, p: DiscreteDistribution, q: DiscreteDistribution
-) -> float:
-    """Divergence via the two inverse branches of the g transform.
-
-    The integrands 1 - F(l1(t)) and F(l2(t)) are step functions of t with
-    jumps at the g(x_j), so the integral over t is an exact sum over the
-    spectrum segments [x0, x1] (cut at 0) on which F equals c:
-    (g(x1) - g(x0)) (1 - c) for x0 >= 0 and (g(x0) - g(x1)) c below 0.
-    No quadrature and no inversion of g, so it agrees with the direct sum
-    to rounding error.  Requires a differentiable f.
-    """
-    if not f.is_smooth:
-        raise KinkError("g inversion needs a differentiable, strictly convex f")
     spec = spectrum(p, q)
     _require_mutual(spec)
     if not spec.breakpoints:
@@ -183,14 +126,63 @@ def represent_inverse_g(
         segs.append((x_max, 0.0, spec.cum_masses[-1]))
     if not segs:
         return 0.0
-    gs = [g_eval(f, x0) for x0, _, _ in segs]
-    gs.append(g_eval(f, segs[-1][1]))
+    b = f._breg
+    edges = [_g_edge(b, x) for x in [x0 for x0, _, _ in segs] + [segs[-1][1]]]
     pieces = []
-    for (x0, _, c), g0, g1 in zip(segs, gs, gs[1:]):
-        val, dg = (1.0 - c, g1 - g0) if x0 >= 0.0 else (c, g0 - g1)
-        if val != 0.0:
-            pieces.append(val * dg)
+    for (x0, x1, cdf), v0, v1 in zip(segs, edges, edges[1:]):
+        if x0 >= 0.0:
+            tail = 1.0 - cdf
+            if tail == 0.0:
+                continue
+            if v1 != v0:  # not the same inf at both ends, past x = 700
+                pieces.append(tail * (v1 - v0))
+            if c != 0.0:
+                pieces.append(c * tail * (math.exp(-x0) - math.exp(-x1)))
+        elif cdf != 0.0:
+            log_cdf = math.log(cdf)
+            a0, a1 = math.exp(log_cdf - x0), math.exp(log_cdf - x1)
+            pieces.append(a0 * v0 - a1 * v1)
+            if c != 0.0:
+                pieces.append(-c * (a0 - a1))
     return math.fsum(pieces)
+
+
+def represent_general(
+    f: GeneratorFunction,
+    p: DiscreteDistribution,
+    q: DiscreteDistribution,
+    c: float = 0.0,
+) -> float:
+    """Divergence as the integral of the weight kernel w_{f,c} against the
+    spectral tail function G, taken exactly.
+
+    The kernel is w = |h'| plus the c part (c/beta^2)(1{beta>=1} -
+    1{beta<1}), where h(beta) = (f(beta) + f'(1))/beta = g(ln beta) + f'(1)
+    is monotone on either side of 1.  G is constant on each spectrum
+    segment, so the integral is the sum of G |g(x1) - g(x0)| over the
+    segments, with the c part's exact segment integrals
+    c G (e^-x0 - e^-x1) added above 1 and subtracted below; those sum to 0
+    up to the masses' rounding, so the result is c-independent.  Works for any
+    generator differentiable on (0, inf); requires mutual absolute
+    continuity.  Kinked generators are routed to the named catalog.
+    """
+    return _g_sum(f, p, q, c)
+
+
+def represent_inverse_g(
+    f: GeneratorFunction, p: DiscreteDistribution, q: DiscreteDistribution
+) -> float:
+    """Divergence via the two inverse branches of the g transform.
+
+    The integrands 1 - F(l1(t)) and F(l2(t)) are step functions of t with
+    jumps at the g(x_j), so the integral over t is an exact sum over the
+    spectrum segments [x0, x1] (cut at 0) on which F is constant:
+    (g(x1) - g(x0)) (1 - F) for x0 >= 0 and (g(x0) - g(x1)) F below 0 --
+    the general engine's sum at c = 0.  No quadrature and no inversion of
+    g, so it agrees with the direct sum to rounding error.  Requires a
+    differentiable f.
+    """
+    return _g_sum(f, p, q)
 
 
 # -- named catalog -----------------------------------------------------------

@@ -4,16 +4,21 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 
 from divkit import (
     DiscreteDistribution,
+    KinkError,
     ValidationError,
     conjugate,
     generator,
     make_distribution,
 )
 from divkit.divergences import DivergenceValue, _edge_term
+
+mp = mpmath.mp
+INF = mpmath.inf
 
 
 def random_pair(
@@ -171,6 +176,88 @@ def multipass_f_divergence(
                 return DivergenceValue(math.inf, f.family, dict(f.params))
             total += mass * per_unit
     return DivergenceValue(total, f.family, dict(f.params))
+
+
+def mp_family(family: str, a: float | None):
+    """(f, f(0), f*(0), c) in mpmath for a catalog family; c is the
+    subgradient at 1 that the package's term uses."""
+    if family == "kl":
+        return (lambda u: u * mpmath.log(u)), 0, INF, 1
+    if family == "jeffreys":
+        return (lambda u: (u - 1) * mpmath.log(u)), INF, INF, 0
+    if family == "hellinger":
+        al = mpmath.mpf(a)
+        return (
+            (lambda u: (u**al - 1) / (al - 1)),
+            1 / (1 - al),
+            INF if a > 1.0 else 0,
+            al / (al - 1),
+        )
+    if family == "chi_squared":
+        return (lambda u: (u - 1) ** 2), 1, INF, 0
+    if family in ("total_variation", "chi_s") and (a is None or a == 1.0):
+        return (lambda u: abs(u - 1)), 1, 1, 0
+    if family == "chi_s":
+        return (lambda u: abs(u - 1) ** mpmath.mpf(a)), 1, INF, 0
+    if family == "triangular":
+        return (lambda u: (u - 1) ** 2 / (u + 1)), 1, 1, 0
+    if family in ("lin", "jensen_shannon"):
+        th = mpmath.mpf(0.5 if a is None else a)
+
+        def lin(u):
+            m = th * u + 1 - th
+            return th * u * mpmath.log(u) - m * mpmath.log(m)
+
+        return lin, -(1 - th) * mpmath.log(1 - th), -th * mpmath.log(th), 0
+    if family == "e_gamma":
+        g = mpmath.mpf(a)
+        return (lambda u: max(u - g, 0)), 0, 1, 0
+    if family == "degroot":
+        w = mpmath.mpf(a)
+        m = min(w, 1 - w)
+        return (lambda u: m - min(w * u, 1 - w)), m, 0, (-w if a <= 0.5 else 0)
+    raise AssertionError(family)
+
+
+def _mp_deriv(family: str, a: float | None):
+    """f' in mpmath for a differentiable catalog family."""
+    if family == "kl":
+        return lambda u: mpmath.log(u) + 1
+    if family == "jeffreys":
+        return lambda u: mpmath.log(u) + 1 - 1 / u
+    if family == "hellinger":
+        al = mpmath.mpf(a)
+        return lambda u: al * u ** (al - 1) / (al - 1)
+    if family == "chi_squared":
+        return lambda u: 2 * (u - 1)
+    if family == "chi_s":
+        s = mpmath.mpf(a)
+        return lambda u: s * abs(u - 1) ** (s - 1) * mpmath.sign(u - 1)
+    if family == "triangular":
+        return lambda u: (u - 1) * (u + 3) / (u + 1) ** 2
+    if family in ("lin", "jensen_shannon"):
+        th = mpmath.mpf(0.5 if a is None else a)
+        return lambda u: th * (mpmath.log(u) - mpmath.log(th * u + 1 - th))
+    raise AssertionError(family)
+
+
+def weight_kernel(f, beta, c: float | None = None):
+    """The paper's kernel w_{f,c}(beta) of the general representation, in
+    40-digit arithmetic from the textbook generator of f's family:
+    |f'(beta) - (f(beta) + f'(1))/beta| / beta, which is |h'(beta)| for
+    h(beta) = (f(beta) + f'(1))/beta, plus, where c is given,
+    (c/beta^2)(1{beta >= 1} - 1{beta < 1}).  Refuses a kinked f."""
+    if not f.is_smooth:
+        raise KinkError(f"the kernel of {f.family} needs a differentiable f")
+    a = f.params[0][1] if f.params else None
+    fm, _, _, d1 = mp_family(f.family, a)
+    df = _mp_deriv(f.family, a)
+    with mp.workdps(40):
+        b = mpmath.mpf(beta)
+        w = abs(df(b) - (fm(b) + d1) / b) / b
+        if c is not None:
+            w += c / b**2 * (1 if b >= 1 else -1)
+        return w
 
 
 def outcome(fn, *args):

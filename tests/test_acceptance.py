@@ -345,7 +345,7 @@ def test_criterion_09_lambert_w():
     )
     worst = 0.0
     for x in xs:
-        w = lambert_w("principal", float(x)).w
+        w = lambert_w("principal", float(x))
         err = abs(w * math.exp(w) - x) / max(abs(x), 1e-300)
         worst = max(worst, err)
         assert err <= 1e-12
@@ -356,7 +356,7 @@ def test_criterion_09_lambert_w():
         ]
     )
     for x in xs:
-        w = lambert_w("secondary", float(x)).w
+        w = lambert_w("secondary", float(x))
         err = abs(w * math.exp(w) - x) / abs(x)
         worst = max(worst, err)
         assert err <= 1e-12

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -63,19 +64,19 @@ def c_gamma_by_bisection(gamma: float) -> float:
 
 class TestLambertW:
     def test_principal_at_zero(self):
-        assert lambert_w("principal", 0.0).w == 0.0
+        assert lambert_w("principal", 0.0) == 0.0
 
     def test_branch_point(self):
         bp = -math.exp(-1.0)
-        assert lambert_w("principal", bp).w == -1.0
-        assert lambert_w("secondary", bp).w == -1.0
+        assert lambert_w("principal", bp) == -1.0
+        assert lambert_w("secondary", bp) == -1.0
 
     def test_principal_at_e(self):
-        assert lambert_w("principal", math.e).w == pytest.approx(1.0, abs=1e-15)
+        assert lambert_w("principal", math.e) == pytest.approx(1.0, abs=1e-15)
 
     def test_branch_constraints(self):
-        assert lambert_w("principal", -0.2).w >= -1.0
-        assert lambert_w("secondary", -0.2).w <= -1.0
+        assert lambert_w("principal", -0.2) >= -1.0
+        assert lambert_w("secondary", -0.2) <= -1.0
 
     @pytest.mark.parametrize(
         "branch,x",
@@ -91,10 +92,10 @@ class TestLambertW:
             np.logspace(1, 300, 500)
         )
         for x in xs:
-            w = lambert_w("principal", float(x)).w
+            w = lambert_w("principal", float(x))
             assert abs(w * math.exp(w) - x) <= 1e-12 * max(abs(x), 1e-300)
         for x in np.linspace(bp + 1e-12, -1e-12, 2000):
-            w = lambert_w("secondary", float(x)).w
+            w = lambert_w("secondary", float(x))
             assert abs(w * math.exp(w) - x) <= 1e-12 * abs(x)
 
 
@@ -102,7 +103,7 @@ class TestCGamma:
     def test_reference_value(self):
         # t_2 ~ 3.5129, c_2 ~ 0.7959 from the Lambert-branch solve
         z = -0.5 * math.exp(-0.5)
-        t2 = -2.0 * lambert_w("secondary", z).w
+        t2 = -2.0 * lambert_w("secondary", z)
         assert t2 == pytest.approx(3.5129, abs=2e-4)
         assert c_gamma(2.0) == pytest.approx(0.7959, abs=2e-4)
 
@@ -117,7 +118,7 @@ class TestCGamma:
 
     def test_lambert_round_trip_of_t(self):
         for gamma in (1.5, 2.0, 9.0):
-            t = -gamma * lambert_w("secondary", -math.exp(-1 / gamma) / gamma).w
+            t = -gamma * lambert_w("secondary", -math.exp(-1 / gamma) / gamma)
             lhs = (-t / gamma) * math.exp(-t / gamma)
             rhs = -(1 / gamma) * math.exp(-1 / gamma)
             assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
@@ -268,6 +269,60 @@ class TestHellingerRenyiLower:
                 assert r == pytest.approx(
                     math.log(1 + (alpha - 1) * h) / (alpha - 1), abs=1e-12
                 )
+
+    def test_grid_against_mpmath(self):
+        # large orders, gamma up to 1e300 and E_gamma next to 1, where the
+        # powers pass the float range: a value within 1e-12 max(1, |v|) of
+        # the 40-digit one, or inf exactly where that passes the float range
+        big = mpmath.mpf(sys.float_info.max)
+        for kind in ("hellinger", "renyi"):
+            for alpha in (0.01, 0.1, 0.5, 2, 3, 10, 50, 100, 1e3, 1e4):
+                for gamma in (1.0, 10.0, 1e8, 1e100, 1e300):
+                    for e in (0.0, 0.5, 1 - 1e-6, 1 - 1e-16):
+                        got = hellinger_renyi_lower(kind, alpha, gamma, e)
+                        ref = _hellinger_renyi_oracle(kind, alpha, gamma, e)
+                        label = (kind, alpha, gamma, e, got)
+                        if abs(ref) > big:
+                            assert got == math.inf, label
+                        else:
+                            assert abs(got - ref) <= 1e-12 * max(1, abs(ref)), label
+
+    def test_value_past_e300(self):
+        # inf here would not be a lower bound: the bound is ~1e300
+        got = hellinger_renyi_lower("hellinger", 3.0, 1e200, 1e-100)
+        ref = _hellinger_renyi_oracle("hellinger", 3.0, 1e200, 1e-100)
+        assert abs(got - ref) <= 1e-12 * ref
+        assert hellinger_renyi_lower("hellinger", 3.0, 1e300, 0.0) == 0.0
+
+    def test_order_one_small_e_gamma(self):
+        # -ln((1 + E/gamma)(1 - E)), whose product rounds next to 1 for a
+        # small E; the 40-digit value from -ln(1 - E (gamma - 1 + E)/gamma)
+        for gamma in (1.0, 1.5, 2.0, 1e8):
+            for e in (1e-12, 1e-10, 1e-6, 0.3, 1 - 1e-16):
+                with mpmath.workdps(40):
+                    g, x = mpmath.mpf(gamma), mpmath.mpf(e)
+                    ref = -mpmath.log1p(-x * (g - 1 + x) / g)
+                for kind in ("hellinger", "renyi"):
+                    got = hellinger_renyi_lower(kind, 1.0, gamma, e)
+                    assert abs(got - ref) <= 1e-14 * ref, (kind, gamma, e, got)
+
+    def test_non_finite_order_or_gamma(self):
+        for alpha, gamma in ((math.inf, 2.0), (math.nan, 2.0), (2.0, math.nan)):
+            for kind in ("hellinger", "renyi"):
+                with pytest.raises(DomainError):
+                    hellinger_renyi_lower(kind, alpha, gamma, 0.5)
+
+
+def _hellinger_renyi_oracle(kind, alpha, gamma, e):
+    """The Hellinger and Renyi bounds in 40 digits, from
+    up^(1-a) - 1 and down^(1-a) - 1 taken as expm1 of (1-a) log1p(.)."""
+    with mpmath.workdps(40):
+        a, g, e = mpmath.mpf(alpha), mpmath.mpf(gamma), mpmath.mpf(e)
+        up_m1 = mpmath.expm1((1 - a) * mpmath.log1p(e / g))
+        t = mpmath.expm1((1 - a) * mpmath.log1p(-e))
+        if kind == "hellinger":
+            return (up_m1 + g ** (a - 1) * t) / (a - 1)
+        return mpmath.log1p(up_m1 + g ** (a - 1) * t) / (a - 1)
 
 
 class TestTvKlFrontier:
@@ -506,7 +561,7 @@ class TestCertificationSweep:
 @settings(max_examples=200, derandomize=True)
 @given(st.floats(min_value=-0.36787944117144228, max_value=1e6))
 def test_lambert_principal_round_trip_property(x):
-    w = lambert_w("principal", x).w
+    w = lambert_w("principal", x)
     assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
 
 

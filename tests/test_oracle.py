@@ -26,6 +26,7 @@ from divkit import (
     make_distribution,
 )
 from divkit.generators import KINDS
+from helpers import mp_family
 
 mp = mpmath.mp
 INF = mpmath.inf
@@ -64,49 +65,8 @@ ORACLE_KINDS = [
 REL_TOL = 1e-10
 
 
-def _family(family: str, a: float | None):
-    """(f, f(0), f*(0), c) in mpmath for a catalog family; c is the
-    subgradient at 1 that the package's term uses."""
-    if family == "kl":
-        return (lambda u: u * mpmath.log(u)), 0, INF, 1
-    if family == "jeffreys":
-        return (lambda u: (u - 1) * mpmath.log(u)), INF, INF, 0
-    if family == "hellinger":
-        al = mpmath.mpf(a)
-        return (
-            (lambda u: (u**al - 1) / (al - 1)),
-            1 / (1 - al),
-            INF if a > 1.0 else 0,
-            al / (al - 1),
-        )
-    if family == "chi_squared":
-        return (lambda u: (u - 1) ** 2), 1, INF, 0
-    if family in ("total_variation", "chi_s") and (a is None or a == 1.0):
-        return (lambda u: abs(u - 1)), 1, 1, 0
-    if family == "chi_s":
-        return (lambda u: abs(u - 1) ** mpmath.mpf(a)), 1, INF, 0
-    if family == "triangular":
-        return (lambda u: (u - 1) ** 2 / (u + 1)), 1, 1, 0
-    if family in ("lin", "jensen_shannon"):
-        th = mpmath.mpf(0.5 if a is None else a)
-
-        def lin(u):
-            m = th * u + 1 - th
-            return th * u * mpmath.log(u) - m * mpmath.log(m)
-
-        return lin, -(1 - th) * mpmath.log(1 - th), -th * mpmath.log(th), 0
-    if family == "e_gamma":
-        g = mpmath.mpf(a)
-        return (lambda u: max(u - g, 0)), 0, 1, 0
-    if family == "degroot":
-        w = mpmath.mpf(a)
-        m = min(w, 1 - w)
-        return (lambda u: m - min(w * u, 1 - w)), m, 0, (-w if a <= 0.5 else 0)
-    raise AssertionError(family)
-
-
 def _oracle_sum(family: str, a, ps, qs):
-    f, f0, fs0, c = _family(family, a)
+    f, f0, fs0, c = mp_family(family, a)
     total = mpmath.mpf(0)
     for pm, qm in zip(ps, qs):
         p, q = mpmath.mpf(pm), mpmath.mpf(qm)

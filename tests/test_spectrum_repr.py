@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,7 +12,6 @@ from divkit import (
     divergence,
     f_divergence,
     g_eval,
-    g_segments,
     generator,
     make_distribution,
     represent_degroot_weight,
@@ -24,7 +24,10 @@ from divkit import (
     spectrum_from_egamma,
     spectrum_identity,
 )
-from helpers import random_pair
+from divkit import quadrature
+from divkit.spectrum_repr import _log_segments
+from helpers import random_pair, weight_kernel
+from test_oracle import oracle
 
 SMOOTH = [
     ("kl", "kl", {}),
@@ -66,33 +69,27 @@ NAMED_ENTRIES = [
 
 
 class TestSegments:
+    # the segments between spectrum breakpoints, cut at 0, on which every
+    # engine's kernel meets a constant F
     def test_bernoulli_segments(self, bern_pair):
-        seg = g_segments(*bern_pair)
-        assert len(seg.segments) == 2
-        (b0, b1, g0), (b2, b3, g1) = seg.segments
-        assert b0 == pytest.approx(0.6, rel=1e-15)
-        assert b1 == 1.0 == b2
-        assert b3 == pytest.approx(1.4, rel=1e-15)
-        assert g0 == 0.3  # F below 1
-        assert g1 == pytest.approx(0.7, abs=1e-15)  # 1 - F above 1
-        assert seg.beta_min == b0 and seg.beta_max == b3
+        segs = _log_segments(spectrum(*bern_pair))
+        assert len(segs) == 2
+        (x0, x1, c0), (x2, x3, c1) = segs
+        assert math.exp(x0) == pytest.approx(0.6, rel=1e-15)
+        assert x1 == 0.0 == x2
+        assert math.exp(x3) == pytest.approx(1.4, rel=1e-15)
+        assert c0 == c1 == 0.3  # F on both sides of 1
 
     def test_identical_distributions(self):
         d = make_distribution([0.5, 0.5])
-        assert g_segments(d, d).segments == ()
+        assert _log_segments(spectrum(d, d)) == []
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(59)
         for _ in range(50):
             p, q = random_pair(rng, int(rng.integers(2, 8)))
-            for _, _, gval in g_segments(p, q).segments:
-                assert 0.0 <= gval <= 1.0
-
-    def test_singular_pair_rejected(self):
-        p = make_distribution([0.5, 0.5, 0])
-        q = make_distribution([0.25, 0.25, 0.5])
-        with pytest.raises(AbsoluteContinuityError):
-            g_segments(p, q)
+            for _, _, cval in _log_segments(spectrum(p, q)):
+                assert 0.0 <= cval <= 1.0
 
 
 class TestRepresentGeneral:
@@ -139,7 +136,107 @@ class TestRepresentGeneral:
                 gen = generator(fam, **pr)
                 direct = float(f_divergence(gen, p, q))
                 rep = represent_general(gen, p, q, c=1.0)
-                assert abs(rep - direct) <= 1e-8 * max(1.0, direct)
+                assert abs(rep - direct) <= 1e-12 * max(1.0, direct)
+
+    def test_kernel_quadrature_oracle(self):
+        # the paper's integral itself: mpmath.quad of w_{f,c}(beta) G(beta)
+        # over each segment between the sorted ratios and 1
+        rng = np.random.default_rng(101)
+        for _ in range(10):
+            p, q = random_pair(rng, int(rng.integers(2, 9)))
+            ratios = sorted({pm / qm for pm, qm in zip(p.masses, q.masses)} | {1.0})
+            with mpmath.mp.workdps(40):
+                # G on each segment: F below 1, 1 - F above, F(beta) the
+                # P-mass of the ratios up to beta
+                segs = []
+                for lo, hi in zip(ratios, ratios[1:]):
+                    below = mpmath.fsum(
+                        pm for pm, qm in zip(p.masses, q.masses)
+                        if mpmath.mpf(pm) / qm <= (lo + hi) / 2
+                    )
+                    segs.append((lo, hi, below if hi <= 1 else 1 - below))
+            for _, fam, pr in SMOOTH:
+                gen = generator(fam, **pr)
+                for c in (0.0, 1.0):
+                    # the kernel in 40 digits, each segment's integral to 20
+                    with mpmath.mp.workdps(20):
+                        ref = mpmath.fsum(
+                            big_g * mpmath.quad(
+                                lambda b: weight_kernel(gen, b, c), [lo, hi],
+                                method="gauss-legendre",
+                            )
+                            for lo, hi, big_g in segs
+                        )
+                    rep = represent_general(gen, p, q, c=c)
+                    assert abs(rep - ref) <= 1e-12 * max(1, ref), (fam, c, rep, ref)
+
+    def test_near_equal_pairs_against_oracle(self):
+        # lam P + (1 - lam) Q against Q, where the values are as small as
+        # lam^2 and g near 0 must not cancel
+        rng = np.random.default_rng(103)
+        for _ in range(40):
+            n = int(rng.integers(2, 33))
+            p0, q = random_pair(rng, n)
+            lam = 10.0 ** rng.uniform(-7.0, -2.0)
+            p = make_distribution(
+                [lam * a + (1.0 - lam) * b for a, b in zip(p0.masses, q.masses)]
+            )
+            for kind, fam, pr in SMOOTH:
+                ref = oracle(kind, pr, p.masses, q.masses)
+                gen = generator(fam, **pr)
+                for got in (represent_inverse_g(gen, p, q), represent_general(gen, p, q)):
+                    assert abs(got - ref) <= 1e-8 * ref, (kind, lam, got, float(ref))
+
+    def test_no_quadrature(self, monkeypatch, bern_pair, trinomial_pair):
+        calls = [0]
+        integrate = quadrature.integrate
+
+        def counting_integrate(*args, **kwargs):
+            calls[0] += 1
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr("divkit.spectrum_repr.integrate", counting_integrate)
+        represent_degroot_weight(generator("kl"), *bern_pair)
+        assert calls[0] > 0  # the counter sees the engine that integrates
+        calls[0] = 0
+        for pair in (bern_pair, trinomial_pair):
+            for _, fam, pr in SMOOTH:
+                represent_general(generator(fam, **pr), *pair, c=1.0)
+                represent_inverse_g(generator(fam, **pr), *pair)
+        assert calls[0] == 0
+
+
+class TestLogRatioPastTheFloatRange:
+    # P = (1/2, 1/2) against Q = (1, 1e-310) and the swapped pair: one
+    # log-ratio near +713 or -712, where e^x or e^-x leaves the float range
+    PAIRS = [
+        (make_distribution([0.5, 0.5]), make_distribution([1.0, 1e-310])),
+        (make_distribution([1.0, 1e-310]), make_distribution([0.5, 0.5])),
+    ]
+    FAMILIES = [
+        ("kl", {}),
+        ("chi_squared", {}),
+        ("hellinger", {"alpha": 0.5}),
+        ("hellinger", {"alpha": 3.0}),
+        ("triangular", {}),
+        ("jensen_shannon", {}),
+        ("jeffreys", {}),
+    ]
+
+    @pytest.mark.parametrize("family,params", FAMILIES)
+    def test_engines_match_direct(self, family, params):
+        gen = generator(family, **params)
+        for p, q in self.PAIRS:
+            direct = float(f_divergence(gen, p, q))
+            for engine in (represent_inverse_g, represent_general):
+                got = engine(gen, p, q)
+                if direct == math.inf:
+                    assert got == math.inf, (engine.__name__, got)
+                else:
+                    assert abs(got - direct) <= 1e-12 * direct, (engine.__name__, got, direct)
+            assert represent_general(gen, p, q, c=1.0) == pytest.approx(
+                represent_general(gen, p, q), rel=1e-12
+            )
 
 
 class TestRepresentInverseG:
