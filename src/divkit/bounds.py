@@ -1,7 +1,7 @@
 """The inequality catalog: E_gamma / DeGroot lower bounds on general
 f-divergences, closed-form upper bounds on E_gamma and DeGroot information,
-the Pinsker / Bretagnolle-Huber / Vajda frontier, and the Lambert-W
-machinery behind the straight-line constant.
+the Pinsker / Bretagnolle-Huber / Vajda frontier (through Lambert W), and
+the straight-line constant c_gamma.
 
 All bound functions are pure scalar maps, so they compose with divergence
 values computed elsewhere (or supplied externally).  KL and Renyi
@@ -137,25 +137,68 @@ def lambert_w(branch: str, x: float) -> float:
     raise DomainError(f"unknown branch {branch!r}")
 
 
+# (1/(k+1)!, k/(k+1)!) for k = 15 .. 1: the series of (e^u - 1 - u)/u and
+# of its derivative, by Horner
+_EXCESS_COEFS = tuple(
+    (1.0 / math.factorial(k + 1), k / math.factorial(k + 1)) for k in range(15, 0, -1)
+)
+
+
+def _excess_ratio(u: float) -> tuple[float, float]:
+    """(e^u - 1 - u)/u and its derivative, for 0 < u < 1.3.  Below 1/2 it
+    is the series sum over k >= 1 of u^k/(k+1)!, whose terms are all
+    positive and whose first omitted one is below 1e-17 of the sum; above,
+    e^u - 1 - u loses at most a factor 4 to cancellation."""
+    if u >= 0.5:
+        em1 = math.expm1(u)
+        return (em1 - u) / u, ((u - 1.0) * em1 + u) / (u * u)
+    value = slope = 0.0
+    for c, kc in _EXCESS_COEFS:
+        value = value * u + c
+        slope = slope * u + kc
+    return value * u, slope
+
+
+def _log_ratio(u: float) -> tuple[float, float]:
+    """ln((e^u - 1)/u) and its derivative, for u > 1.2."""
+    return u + math.log1p(-math.exp(-u)) - math.log(u), 1.0 / -math.expm1(-u) - 1.0 / u
+
+
 def c_gamma(gamma: float) -> float:
     """Tightest constant c with E_gamma <= c * KL, for gamma in (1, inf]
     (nats); the limit at gamma = inf is 0.
 
-    With w = W_{-1}(-(1/gamma) e^(-1/gamma)) on the secondary Lambert
-    branch and t = -gamma w, c = (t - gamma) / (t ln t + 1 - t).  It is
-    evaluated divided through by t, as (1 - gamma/t) / (ln t - 1 + 1/t)
-    with ln t = ln gamma + ln(-w), so t itself, which overflows from
-    gamma ~ 3e305, is never formed.  The argument of W_{-1} is subnormal
-    from gamma ~ 4.5e307 and underflows only at gamma = inf; c is
-    stationary in t there, so the few-ulp error of w stays out of c.
+    The two roots of w e^w = -(1/gamma) e^(-1/gamma) are -1/gamma and
+    -t/gamma, t = 1 + s the secondary Lambert root, so s = gamma log1p(s)
+    and c = (t - gamma) / (t ln t + 1 - t) = gamma/s.  In u = log1p(s) =
+    s/gamma that is e^u - 1 = gamma u and c = 1/u.  Newton solves it on a
+    convex increasing function: for gamma <= 2 as
+    (e^u - 1 - u)/u = gamma - 1, which is exact in floats and whose
+    series holds every bit as u nears 0 with gamma near 1; above 2 as
+    ln((e^u - 1)/u) = ln gamma, so that e^u, past the float range from
+    gamma ~ 1e306, is never formed.
     """
     if not gamma > 1.0:
         raise DomainError("c_gamma defined for gamma > 1")
     if gamma == math.inf:
         return 0.0
-    w = lambert_w("secondary", -math.exp(-1.0 / gamma) / gamma)
-    log_t = math.log(gamma) + math.log(-w)
-    return (1.0 + 1.0 / w) / (log_t - 1.0 - 1.0 / (gamma * w))
+    if gamma <= 2.0:
+        # the root of u/2 + u^2/6 = gamma - 1, the series' first two terms
+        target, solve = gamma - 1.0, _excess_ratio
+        u = 2.0 * target / (math.sqrt(0.25 + target / 1.5) + 0.5)
+    else:
+        # u = ln gamma + ln u, less ln(1 - e^-u), from u ~ 1 + ln gamma
+        target, solve = math.log(gamma), _log_ratio
+        u = target + math.log1p(target)
+    for _ in range(100):
+        value, slope = solve(u)
+        step = (value - target) / slope
+        u -= step
+        # Newton converges quadratically here: a step below 1e-8 u leaves
+        # an error below 1e-16 u
+        if abs(step) <= 1e-8 * u:
+            break
+    return 1.0 / u
 
 
 def straight_line_egamma_ub(gamma: float, d: float) -> float:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from operator import sub
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .distributions import DiscreteDistribution
 from .errors import DomainError, ValidationError
@@ -122,51 +122,68 @@ def f_divergence(
     return DivergenceValue(_shifted_sum(f._breg, *_masses(p, q)), f.family, dict(f.params))
 
 
-def _hellinger(ps: Sequence[float], qs: Sequence[float], alpha: float) -> float:
-    return _shifted_sum(_BREGS["hellinger"](alpha), ps, qs)
+def _hellinger(masses: tuple[Sequence[float], Sequence[float]], alpha: float) -> float:
+    return _shifted_sum(_BREGS["hellinger"](alpha), *masses)
 
 
-def _log_hellinger_sum(ps: Sequence[float], qs: Sequence[float], alpha: float) -> float:
-    """ln of sum q (p/q)^alpha by log-sum-exp from the masses: +inf when
-    alpha > 1 and P has mass where Q vanishes, -inf when alpha < 1 and the
-    supports are disjoint."""
-    logs = []
-    for pm, qm in zip(ps, qs):
-        if qm == 0.0:
-            if pm > 0.0 and alpha > 1.0:
-                return math.inf
-        elif pm > 0.0:
-            logs.append(math.log(qm) + alpha * (math.log(pm) - math.log(qm)))
+def _log_sum_exp(logs: list[float]) -> float:
+    """ln sum e^v over ``logs``, -inf for none."""
     if not logs:
         return -math.inf
     top = max(logs)
     return top + math.log(math.fsum(math.exp(v - top) for v in logs))
 
 
-def _renyi(ps: Sequence[float], qs: Sequence[float], alpha: float) -> float:
+def _log_hellinger_sum(masses: tuple[Sequence[float], Sequence[float]], alpha: float) -> float:
+    """ln of sum q (p/q)^alpha by log-sum-exp from the masses: +inf when
+    alpha > 1 and P has mass where Q vanishes, -inf when alpha < 1 and the
+    supports are disjoint."""
+    logs = []
+    for pm, qm in zip(*masses):
+        if qm == 0.0:
+            if pm > 0.0 and alpha > 1.0:
+                return math.inf
+        elif pm > 0.0:
+            logs.append(math.log(qm) + alpha * (math.log(pm) - math.log(qm)))
+    return _log_sum_exp(logs)
+
+
+def _renyi_map(
+    hellinger: Callable[[Any, float], float],
+    log_sum: Callable[[Any, float], float],
+    pair: Any,
+    alpha: float,
+) -> float:
+    """Renyi of order alpha from the Hellinger divergence
+    H = ``hellinger(pair, alpha)``: ln(1 + (alpha - 1) H) / (alpha - 1), KL
+    at order 1."""
     if alpha <= 0.0:
         raise DomainError("Renyi order must be positive")
-    h = _hellinger(ps, qs, alpha)
+    h = hellinger(pair, alpha)
     if alpha == 1.0:
         return h
     arg = (alpha - 1.0) * h
     if -0.5 < arg < math.inf:
         return math.log1p(arg) / (alpha - 1.0)
-    # S = 1 + (alpha - 1) H is below 1/2 (alpha < 1), where the masses give
-    # ln S better than the shift does, and 0 exactly on disjoint supports;
-    # or S passed the float range (alpha > 1)
-    return _log_hellinger_sum(ps, qs, alpha) / (alpha - 1.0)
+    # S = 1 + (alpha - 1) H is below 1/2 (alpha < 1), where ln S is better
+    # taken from its terms than from the shift, and 0 exactly on disjoint
+    # supports; or S passed the float range (alpha > 1)
+    return log_sum(pair, alpha) / (alpha - 1.0)
 
 
-# the kinds that are maps of the Hellinger sum; every other kind is the sum
-# of its family's shifted term
+# The kinds that are maps of the Hellinger divergence; every other kind is
+# the sum of its family's shifted term.  A map is called as
+# map(h, log_sum, pair, *param), where h(pair, alpha) is the Hellinger
+# divergence and log_sum(pair, alpha) is ln sum q (p/q)^alpha: divergence()
+# passes the direct sums over the masses, spectrum_repr.represent_named()
+# the spectral sums over the spectrum.
 _HELLINGER_MAPS: dict[str, Callable[..., float]] = {
-    "hellinger": _hellinger,
-    "sq_hellinger": lambda ps, qs: 0.5 * _hellinger(ps, qs, 0.5),
+    "hellinger": lambda h, log_sum, pair, alpha: h(pair, alpha),
+    "sq_hellinger": lambda h, log_sum, pair: 0.5 * h(pair, 0.5),
     # -ln sum sqrt(p q), half the Renyi divergence of order 1/2
-    "bhattacharyya": lambda ps, qs: 0.5 * _renyi(ps, qs, 0.5),
-    "alpha": lambda ps, qs, alpha: _hellinger(ps, qs, alpha) / alpha,
-    "renyi": _renyi,
+    "bhattacharyya": lambda h, log_sum, pair: 0.5 * _renyi_map(h, log_sum, pair, 0.5),
+    "alpha": lambda h, log_sum, pair, alpha: h(pair, alpha) / alpha,
+    "renyi": _renyi_map,
 }
 
 
@@ -186,7 +203,7 @@ def divergence(
     args = kind_args(kind, params)  # refuses kinds outside KINDS
     mapped = _HELLINGER_MAPS.get(kind)
     if mapped is not None:
-        value = mapped(*_masses(p, q), *args)
+        value = mapped(_hellinger, _log_hellinger_sum, _masses(p, q), *args)
     else:
         value = _shifted_sum(_BREGS[KINDS[kind][0]](*args), *_masses(p, q))
     return DivergenceValue(value, kind, dict(params))
@@ -199,7 +216,7 @@ def renyi(alpha: float, p: DiscreteDistribution, q: DiscreteDistribution) -> Div
     the one-to-one transform log(1 + (a-1) H_a) / (a-1) of the Hellinger
     divergence of the same order.
     """
-    return DivergenceValue(_renyi(*_masses(p, q), alpha), "renyi", {"alpha": alpha})
+    return divergence("renyi", p, q, alpha=alpha)
 
 
 def degroot_from_egamma(

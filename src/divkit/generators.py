@@ -138,7 +138,7 @@ class Breg(NamedTuple):
     ``at_inf`` = f*(0) - c are the terms per unit of mass where p = 0 and
     where q = 0.  ``at_log``, where given, is the term at x = ln(p/q) > 0
     from x and p, for an atom whose p/q, or a power of it, passes the float
-    range.
+    range, and for the spectral engines past x = 700 (``_g_edge``).
     """
 
     term: Callable[..., float]
@@ -231,7 +231,9 @@ def _hellinger_breg(alpha: float) -> Breg:
         if -near < x < near:
             s = c5 + x * (c6 + x * (c7 + x * (c8 + x * c9)))
             return d * x * (c0 + x * (c1 + x * (c2 + x * (c3 + x * (c4 + x * s)))))
-        if x < _LOW_EDGE:
+        # at x = inf (p/q past the float range) this form is not finite,
+        # which sends the atom to at_log
+        if x < _LOW_EDGE or x == math.inf:
             return (q * (p / q) ** alpha - p) / am1 - d
         # p ((p/q)^(a-1) - 1)/(a-1) - d, which tends to the KL term at a = 1
         return p * math.expm1(am1 * math.log1p(x)) / am1 - d
@@ -244,9 +246,7 @@ def _hellinger_breg(alpha: float) -> Breg:
             return p * (math.expm1(y) / am1 + math.expm1(-x))
         return _exp_times(p, y - math.log(am1))
 
-    if alpha < 1.0:  # the term is finite at every ratio
-        return Breg(term, 1.0, alpha / -am1)
-    return Breg(term, 1.0, math.inf, at_log)
+    return Breg(term, 1.0, alpha / -am1 if alpha < 1.0 else math.inf, at_log)
 
 
 _TV = Breg(abs, 1.0, 1.0, reads=1)
@@ -297,7 +297,11 @@ def _e_gamma_breg(gamma: float) -> Breg:
         x = p - gamma * q  # from the masses, keeping every bit of them
         return x if x > 0.0 else 0.0
 
-    return Breg(term, 0.0, 1.0)
+    def at_log(x: float, p: float) -> float:
+        # p (1 - gamma e^-x), which e^-x as a subnormal would round
+        return p * max(-math.expm1(math.log(gamma) - x), 0.0)
+
+    return Breg(term, 0.0, 1.0, at_log)
 
 
 def _degroot_breg(omega: float) -> Breg:
@@ -313,7 +317,13 @@ def _degroot_breg(omega: float) -> Breg:
         x = side * (omega * p - comp * q)
         return x if x > 0.0 else 0.0
 
-    return Breg(term, 0.0, omega) if omega <= 0.5 else Breg(term, comp, 0.0)
+    def at_log(x: float, p: float) -> float:
+        # omega p (1 - e^(l - x)), l = ln((1-omega)/omega) the log-odds,
+        # which e^-x as a subnormal would round
+        log_odds = math.log1p(-omega) - math.log(omega)
+        return omega * p * max(-math.expm1(log_odds - x), 0.0)
+
+    return Breg(term, 0.0, omega, at_log) if omega <= 0.5 else Breg(term, comp, 0.0)
 
 
 # family -> its shifted term, made from the family's parameter; the
@@ -718,8 +728,10 @@ def g_eval(f: GeneratorFunction, x: float) -> float:
     [0, inf), strictly where f is strictly convex.  c is the subgradient of
     f at 1 that the term uses: f'(1) for a differentiable f; for a kinked
     family it can differ from ``right_deriv_at_one`` (total variation's
-    term |d| takes c = 0 where that is 1), and the representation engines
-    that read g refuse kinked generators.
+    term |d| takes c = 0 where that is 1).  The named representations sum
+    g's increments for kinked families too, which needs no derivative; the
+    general and inverse-g engines, whose generators may be custom, refuse
+    a kinked one.
     """
     v = _g_edge(f._breg, x)
     if x >= 0.0 or v == 0.0:
@@ -732,7 +744,8 @@ def _g_edge(b: Breg, x: float) -> float:
     larger mass is 1: g(x) at (1 - e^-x, e^-x, 1) for x >= 0 and e^x g(x)
     at (e^x - 1, 1, e^x) for x <= 0, so that no argument leaves [-1, 1].
     Past x = 700, where e^-x would lose bits as a subnormal, the term is
-    ``at_log`` at p = 1, or where the family has none its limit ``at_inf``.
+    ``at_log`` at p = 1, or where the family has none its limit ``at_inf``,
+    which every such family reaches by then.
     """
     if x > 700.0:
         return b.at_inf if b.at_log is None else b.at_log(x, 1.0)

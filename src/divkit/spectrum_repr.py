@@ -1,36 +1,43 @@
 """Integral representations of f-divergences via the relative information
 spectrum.
 
-Every engine here reduces the spectrum to segments on which it is constant
-and then integrates the representation kernel segment by segment.  The
-named catalog is exact for every kind: each kernel has an elementary
-antiderivative (powers of beta, 1/(beta+1)^2, and the logarithmic kernels
-of Lin/Jensen-Shannon/Jeffreys), so its agreement tests check the formulas
-alone.  The general and inverse-g engines are one exact sum of g
-increments over the same segments.  Only the DeGroot-weight engine
-integrates, by adaptive 21-point Gauss-Kronrod quadrature.
+Every engine here reduces the spectrum to segments on which it is constant.
+The named, general and inverse-g engines are one exact sum over those
+segments (``_g_sum``): the paper's general representation, whose kernel
+|h'| integrates on a segment to |g(x1) - g(x0)|, with g read from a shifted
+term (``generators.Breg``).  A named kind reads its family's term from
+``generators._BREGS``, the table ``divergence()`` sums, and the
+Hellinger-based kinds are the maps of ``divergences._HELLINGER_MAPS``; so a
+named representation is checked against the paper's per-kind kernels (the
+tests' 40-digit quadrature), not against ``divergence()`` alone.  Only the
+DeGroot-weight engine integrates, by adaptive 21-point Gauss-Kronrod
+quadrature.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from typing import Callable, Optional
+from operator import sub
 
 from .distributions import (
     DiscreteDistribution,
     SpectrumFunction,
     spectrum,
 )
-from .divergences import _masses, _singular_masses, divergence
+from .divergences import (
+    _HELLINGER_MAPS,
+    _log_sum_exp,
+    _masses,
+    _singular_masses,
+    divergence,
+)
 from .errors import (
     AbsoluteContinuityError,
     CapabilityError,
     DomainError,
     KinkError,
-    UnknownKindError,
 )
-from .generators import GeneratorFunction, _g_edge, kind_args
+from .generators import _BREGS, KINDS, Breg, GeneratorFunction, _g_edge, kind_args
 from .quadrature import integrate
 
 __all__ = [
@@ -72,47 +79,42 @@ def _require_mutual_pair(p: DiscreteDistribution, q: DiscreteDistribution) -> No
     _require_qp_dominated(q_where_p0)
 
 
-def _log_segments(f: SpectrumFunction, extra_cuts: tuple[float, ...] = ()):
+def _log_segments(f: SpectrumFunction):
     """Segments (x_lo, x_hi, cdf value) between spectrum breakpoints, cut
-    at 0 and at any extra log-abscissae, in one pass over the breakpoints."""
-    bps, cums = f.breakpoints, f.cum_masses
-    if not bps:
-        return []
-    cuts = sorted({c for c in (0.0, *extra_cuts) if bps[0] < c < bps[-1]})
+    at 0."""
+    bps = f.breakpoints
     segs = []
-    k = 0
-    for x0, x1, cval in zip(bps, bps[1:], cums):
-        while k < len(cuts) and cuts[k] <= x1:
-            if cuts[k] < x1:
-                segs.append((x0, cuts[k], cval))
-                x0 = cuts[k]
-            k += 1
+    for x0, x1, cval in zip(bps, bps[1:], f.cum_masses):
+        if x0 < 0.0 < x1:
+            segs.append((x0, 0.0, cval))
+            x0 = 0.0
         segs.append((x0, x1, cval))
     return segs
 
 
-def _g_sum(
-    f: GeneratorFunction,
-    p: DiscreteDistribution,
-    q: DiscreteDistribution,
-    c: float = 0.0,
-) -> float:
+def _g_sum(b: Breg, spec: SpectrumFunction, c: float = 0.0) -> float:
     """The sum over the spectrum segments [x0, x1] (cut at 0), on which F
     equals cdf, of G |g(x1) - g(x0)| -- G = 1 - cdf above 0, cdf below --
     plus, where c is not 0, the c kernel's exact part
     +-c G (e^-x0 - e^-x1), + above 0 and - below.
 
-    g comes from f's shifted term through ``generators._g_edge``.  Below 0
+    g is the shifted term ``b`` through ``generators._g_edge``.  Below 0
     each piece is formed from cdf e^-x = exp(ln cdf - x), at most the Q-mass
     below the ratio, times the term at (e^x - 1, 1, e^x), so that e^-x never
-    leaves the float range.
+    leaves the float range.  The sum telescopes, so a kink in f costs
+    nothing: h(beta) = g(ln beta) + c is continuous and monotone on each
+    side of 1 for every convex f.
+
+    A singular mass is refused only where the term charges it: Q-mass where
+    p = 0 unless ``at_zero`` is 0, P-mass where q = 0 unless ``at_inf`` is 0.
+    Where it is 0 the mass adds nothing, since g rises on [0, inf) to
+    ``at_inf``; the c kernel's part then no longer sums to 0, so a caller
+    with c != 0 requires mutual continuity.
     """
-    if not f.is_smooth:
-        raise KinkError(
-            f"generator {f.family} has a kink; use represent_named instead"
-        )
-    spec = spectrum(p, q)
-    _require_mutual(spec)
+    if b.at_zero != 0.0:
+        _require_qp_dominated(spec.singular_mass_q)
+    if b.at_inf != 0.0:
+        _require_pq_dominated(spec.singular_mass_p)
     if not spec.breakpoints:
         return 0.0
     segs = _log_segments(spec)
@@ -126,7 +128,6 @@ def _g_sum(
         segs.append((x_max, 0.0, spec.cum_masses[-1]))
     if not segs:
         return 0.0
-    b = f._breg
     edges = [_g_edge(b, x) for x in [x0 for x0, _, _ in segs] + [segs[-1][1]]]
     pieces = []
     for (x0, x1, cdf), v0, v1 in zip(segs, edges, edges[1:]):
@@ -145,6 +146,20 @@ def _g_sum(
             if c != 0.0:
                 pieces.append(-c * (a0 - a1))
     return math.fsum(pieces)
+
+
+def _smooth_spectrum(
+    f: GeneratorFunction, p: DiscreteDistribution, q: DiscreteDistribution
+) -> SpectrumFunction:
+    """The spectrum of a mutually absolutely continuous pair, for an engine
+    of a differentiable generator."""
+    if not f.is_smooth:
+        raise KinkError(
+            f"generator {f.family} has a kink; use represent_named instead"
+        )
+    spec = spectrum(p, q)
+    _require_mutual(spec)
+    return spec
 
 
 def represent_general(
@@ -166,7 +181,7 @@ def represent_general(
     generator differentiable on (0, inf); requires mutual absolute
     continuity.  Kinked generators are routed to the named catalog.
     """
-    return _g_sum(f, p, q, c)
+    return _g_sum(f._breg, _smooth_spectrum(f, p, q), c)
 
 
 def represent_inverse_g(
@@ -180,231 +195,49 @@ def represent_inverse_g(
     (g(x1) - g(x0)) (1 - F) for x0 >= 0 and (g(x0) - g(x1)) F below 0 --
     the general engine's sum at c = 0.  No quadrature and no inversion of
     g, so it agrees with the direct sum to rounding error.  Requires a
-    differentiable f.
+    differentiable f and mutual absolute continuity.
     """
-    return _g_sum(f, p, q)
+    return _g_sum(f._breg, _smooth_spectrum(f, p, q))
 
 
-# -- named catalog -----------------------------------------------------------
+def _hellinger_sum(spec: SpectrumFunction, alpha: float) -> float:
+    """The Hellinger divergence of order alpha as the g-increment sum."""
+    return _g_sum(_BREGS["hellinger"](alpha), spec)
 
 
-def _exact_piecewise(
-    f: SpectrumFunction,
-    anti: Callable[[float], float],
-    use_tail: bool,
-    lo: float = 0.0,
-    hi: float = math.inf,
-    extra_cuts: tuple[float, ...] = (),
-    anti_at_inf: Optional[float] = None,
-) -> float:
-    """Integrate kernel * step over [lo, hi] with an exact antiderivative.
-
-    ``use_tail`` False integrates kernel * F (zero below the lowest ratio),
-    True integrates kernel * (1 - F) (zero above the highest ratio, and
-    equal to the kernel below the lowest one).
-    """
-
-    def anti_at(b: float) -> float:
-        if math.isinf(b):
-            if anti_at_inf is None:
-                raise ValueError("infinite limit without a tail antiderivative")
-            return anti_at_inf
-        return anti(b)
-
-    log_cuts = tuple(math.log(c) for c in extra_cuts if c > 0.0)
-    pieces = []
-    if not f.breakpoints:
-        return 0.0
-    beta_first = math.exp(f.breakpoints[0])
-    beta_last = math.exp(f.breakpoints[-1])
-    # head: below the first breakpoint F = 0
-    if use_tail and lo < beta_first:
-        head_hi = min(beta_first, hi)
-        if head_hi > lo:
-            pieces.append(anti_at(head_hi) - anti_at(lo))
-    # interior segments: only those with exp(x_hi) > lo and exp(x_lo) < hi
-    segs = _log_segments(f, extra_cuts=log_cuts)
-    first = bisect_right(segs, lo, key=lambda s: math.exp(s[1]))
-    last = bisect_left(segs, hi, lo=first, key=lambda s: math.exp(s[0]))
-    window = segs[first:last]
-    betas = [math.exp(x0) for x0, _, _ in window]
-    if window:
-        betas.append(math.exp(window[-1][1]))
-    for (_, _, cval), e0, e1 in zip(window, betas, betas[1:]):
-        b0, b1 = max(e0, lo), min(e1, hi)
-        if b1 <= b0:
-            continue
-        val = (1.0 - cval) if use_tail else cval
-        if val != 0.0:
-            pieces.append(val * (anti_at(b1) - anti_at(b0)))
-    # tail: above the last breakpoint F = sup F (1 when P << Q)
-    if not use_tail and hi > beta_last:
-        sup_f = f.cum_masses[-1]
-        if sup_f != 0.0:
-            pieces.append(sup_f * (anti_at(hi) - anti_at(max(beta_last, lo))))
-    return math.fsum(pieces)
-
-
-def _named_kl(f: SpectrumFunction) -> float:
-    _require_mutual(f)
-    up = _exact_piecewise(f, math.log, use_tail=True, lo=1.0)
-    down = _exact_piecewise(f, math.log, use_tail=False, hi=1.0)
-    return up - down
-
-
-def _named_hellinger(f: SpectrumFunction, alpha: float) -> float:
-    if alpha == 1.0:
-        return _named_kl(f)  # analytic extension at order 1
-    _require_mutual(f)
-    am1 = alpha - 1.0
-    anti = lambda b: b**am1 / am1
-    if alpha > 1.0:
-        # head integral of the bare kernel converges at 0 for alpha > 1
-        return _exact_piecewise(f, anti, use_tail=True, anti_at_inf=None) - 1.0 / am1
-    tail = 0.0  # anti tends to 0 at infinity for alpha < 1
-    return 1.0 / (1.0 - alpha) - _exact_piecewise(f, anti, use_tail=False, anti_at_inf=tail)
-
-
-def _named_chi2(f: SpectrumFunction) -> float:
-    _require_mutual(f)
-    return _exact_piecewise(f, lambda b: b, use_tail=True) - 1.0
-
-
-def _named_sq_hellinger(f: SpectrumFunction) -> float:
-    _require_mutual(f)
-    integral = _exact_piecewise(
-        f, lambda b: -2.0 / math.sqrt(b), use_tail=False, anti_at_inf=0.0
+def _log_power_sum(spec: SpectrumFunction, alpha: float) -> float:
+    """ln of sum q (p/q)^alpha over the spectrum's atoms: the CDF's jump at
+    each breakpoint x_j times e^((alpha - 1) x_j), by log-sum-exp."""
+    jumps = map(sub, spec.cum_masses, (0.0,) + spec.cum_masses[:-1])
+    return _log_sum_exp(
+        [
+            math.log(m) + (alpha - 1.0) * x
+            for m, x in zip(jumps, spec.breakpoints)
+            if m > 0.0
+        ]
     )
-    return 1.0 - 0.5 * integral
-
-
-def _named_bhattacharyya(f: SpectrumFunction) -> float:
-    _require_mutual(f)
-    integral = _exact_piecewise(
-        f, lambda b: -2.0 / math.sqrt(b), use_tail=False, anti_at_inf=0.0
-    )
-    return math.log(2.0) - math.log(integral)
-
-
-def _named_renyi(f: SpectrumFunction, alpha: float) -> float:
-    if alpha == 1.0:
-        return _named_kl(f)  # analytic extension at order 1
-    _require_mutual(f)
-    am1 = alpha - 1.0
-    anti = lambda b: b**am1 / am1
-    if alpha > 1.0:
-        integral = _exact_piecewise(f, anti, use_tail=True)
-        return math.log(am1 * integral) / am1
-    integral = _exact_piecewise(f, anti, use_tail=False, anti_at_inf=0.0)
-    return math.log((1.0 - alpha) * integral) / am1
-
-
-def _named_chi_s(f: SpectrumFunction, s: float) -> float:
-    _require_mutual(f)
-    # d/db [ (b-1)^s / b ] and d/db [ -(1-b)^s / b ] reproduce the kernel
-    # (1/b)(s - 1 + 1/b)|b-1|^(s-1) on the two sides of 1.
-    up = _exact_piecewise(f, lambda b: (b - 1.0) ** s / b, use_tail=True, lo=1.0)
-    down = _exact_piecewise(f, lambda b: -((1.0 - b) ** s) / b, use_tail=False, hi=1.0)
-    return up + down
-
-
-def _named_tv(f: SpectrumFunction, form: str = "tail") -> float:
-    _require_mutual(f)
-    anti = lambda b: -1.0 / b
-    if form == "tail":
-        return 2.0 * _exact_piecewise(f, anti, use_tail=True, lo=1.0)
-    if form == "head":
-        return 2.0 * _exact_piecewise(f, anti, use_tail=False, hi=1.0)
-    raise UnknownKindError(f"unknown TV form {form!r}")
-
-
-def _named_degroot(f: SpectrumFunction, omega: float) -> float:
-    anti = lambda b: -1.0 / b
-    thr = (1.0 - omega) / omega
-    if omega <= 0.5:
-        _require_pq_dominated(f.singular_mass_p)
-        return (1.0 - omega) * _exact_piecewise(
-            f, anti, use_tail=True, lo=thr, anti_at_inf=0.0, extra_cuts=(thr,)
-        )
-    _require_qp_dominated(f.singular_mass_q)
-    return (1.0 - omega) * _exact_piecewise(
-        f, anti, use_tail=False, hi=thr, extra_cuts=(thr,)
-    )
-
-
-def _named_e_gamma(f: SpectrumFunction, gamma: float) -> float:
-    _require_pq_dominated(f.singular_mass_p)
-    anti = lambda b: -1.0 / b
-    return gamma * _exact_piecewise(
-        f, anti, use_tail=True, lo=gamma, anti_at_inf=0.0, extra_cuts=(gamma,)
-    )
-
-
-def _named_triangular(f: SpectrumFunction) -> float:
-    _require_mutual(f)
-    anti = lambda b: -1.0 / (b + 1.0)
-    return 4.0 * _exact_piecewise(f, anti, use_tail=True, anti_at_inf=0.0) - 2.0
-
-
-def _named_lin(f: SpectrumFunction, theta: float) -> float:
-    _require_mutual(f)
-    a = theta / (1.0 - theta)
-    # antiderivative of the kernel log1p(a b) / b^2 that vanishes at infinity:
-    # -log1p(a b) / b + a ln(a b / (1 + a b)), two terms of one sign
-    def anti(b: float) -> float:
-        u = a * b
-        log_ratio = -math.log1p(1.0 / u) if u > 1.0 else math.log(u) - math.log1p(u)
-        return -math.log1p(u) / b + a * log_ratio
-
-    entropy = -theta * math.log(theta) - (1.0 - theta) * math.log(1.0 - theta)
-    integral = _exact_piecewise(f, anti, use_tail=False, anti_at_inf=0.0)
-    return entropy - (1.0 - theta) * integral
-
-
-def _named_jeffreys(f: SpectrumFunction) -> float:
-    _require_mutual(f)
-    # antiderivative of the kernel 1/b + ln(b) / b^2, zero at b = 1
-    anti = lambda b: (1.0 - 1.0 / b) * (1.0 + math.log(b))
-    up = _exact_piecewise(f, anti, use_tail=True, lo=1.0)
-    down = _exact_piecewise(f, anti, use_tail=False, hi=1.0)
-    return up - down
-
-
-_NAMED: dict[str, Callable[..., float]] = {
-    "kl": _named_kl,
-    "hellinger": _named_hellinger,
-    "chi2": _named_chi2,
-    "sq_hellinger": _named_sq_hellinger,
-    "bhattacharyya": _named_bhattacharyya,
-    "renyi": _named_renyi,
-    "chi_s": _named_chi_s,
-    "tv": _named_tv,
-    "degroot": _named_degroot,
-    "e_gamma": _named_e_gamma,
-    "triangular": _named_triangular,
-    "lin": _named_lin,
-    "js": lambda f: _named_lin(f, 0.5),
-    "jeffreys": _named_jeffreys,
-}
 
 
 def represent_named(
     kind: str, p: DiscreteDistribution, q: DiscreteDistribution, **params: float
 ) -> float:
-    """Evaluate the catalog integral representation of a named divergence.
+    """The paper's general representation of a named divergence, taken
+    exactly: ``_g_sum`` over the term of the kind's family in
+    ``generators._BREGS``, the term ``divergence()`` sums.  Squared
+    Hellinger, Bhattacharyya, alpha and Renyi are the maps of
+    ``divergences._HELLINGER_MAPS`` applied to that sum for the Hellinger
+    family, with Renyi's log-sum-exp taken over the spectrum's atoms.
 
-    Mutual absolute continuity is required except where one-sided
-    domination suffices (E_gamma and DeGroot with omega <= 1/2 need only
-    P << Q; DeGroot with omega > 1/2 only Q << P).  For tv, ``form="head"``
-    integrates the head of the spectrum instead of its tail.
+    A singular mass is refused where the kind's term charges it, so E_gamma
+    and DeGroot with omega <= 1/2 need only P << Q, DeGroot with
+    omega > 1/2 only Q << P, and every other kind both.
     """
     args = kind_args(kind, params)
-    named = _NAMED.get(kind)
-    if named is None:
-        raise UnknownKindError(f"no integral representation for kind {kind!r}")
-    if named is _named_tv and "form" in params:
-        args = (params["form"],)
-    return named(spectrum(p, q), *args)
+    spec = spectrum(p, q)
+    mapped = _HELLINGER_MAPS.get(kind)
+    if mapped is None:
+        return _g_sum(_BREGS[KINDS[kind][0]](*args), spec)
+    return mapped(_hellinger_sum, _log_power_sum, spec, *args)
 
 
 def spectrum_identity(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
@@ -412,11 +245,16 @@ def spectrum_identity(p: DiscreteDistribution, q: DiscreteDistribution) -> float
 
     The integral equals the expectation of the inverse likelihood ratio
     under P, i.e. the Q-mass of P's support, so it is 1 exactly when
-    Q << P (P may still put mass where Q vanishes).
+    Q << P (P may still put mass where Q vanishes).  F e^-x is taken as
+    exp(ln F - x), at most the Q-mass below the ratio.
     """
     f = spectrum(p, q)
     _require_qp_dominated(f.singular_mass_q)
-    return _exact_piecewise(f, lambda b: -1.0 / b, use_tail=False, anti_at_inf=0.0)
+    # Q << P leaves an atom charged by both measures, so a breakpoint
+    scaled = lambda cdf, x: math.exp(math.log(cdf) - x)
+    pieces = [scaled(cdf, x0) - scaled(cdf, x1) for x0, x1, cdf in _log_segments(f) if cdf]
+    pieces.append(scaled(f.cum_masses[-1], f.breakpoints[-1]))
+    return math.fsum(pieces)
 
 
 def spectrum_from_egamma(

@@ -260,6 +260,53 @@ def weight_kernel(f, beta, c: float | None = None):
         return w
 
 
+def named_kernel(kind: str, **params: float):
+    """The paper's representation of a named divergence, in 40-digit
+    arithmetic: (const, pieces), the divergence being const plus, for each
+    piece (lo, hi, kernel, side), the integral over (lo, hi) of
+    kernel(beta) G(beta), where G is 1 - F(ln beta) for side "tail" and
+    F(ln beta) for side "head".
+
+    KL: 1/beta, + above 1 and - below; Jeffreys: 1/beta + ln(beta)/beta^2,
+    signed the same way; chi^2: 1 - 1 on the tail; TV: 2/beta^2 above 1;
+    E_gamma: gamma/beta^2 on (gamma, inf); DeGroot: (1 - omega)/beta^2 on
+    the tail above (1 - omega)/omega for omega <= 1/2, on the head below it
+    otherwise; triangular: 4/(beta + 1)^2 - 2 on the tail; Lin (JS at
+    theta = 1/2): h(theta) - (1 - theta) ln(1 + theta beta/(1 - theta))/beta^2
+    on the head; Hellinger: beta^(alpha - 2) on the tail less 1/(alpha - 1)
+    above order 1, 1/(1 - alpha) less it on the head below.
+    """
+    mpf = mpmath.mpf
+    with mp.workdps(40):
+        if kind in ("kl", "jeffreys"):
+            k = (lambda b: 1 / b) if kind == "kl" else (lambda b: 1 / b + mpmath.log(b) / b**2)
+            return 0, [(1, INF, k, "tail"), (0, 1, lambda b: -k(b), "head")]
+        if kind == "chi2":
+            return -1, [(0, INF, lambda b: 1, "tail")]
+        if kind == "tv":
+            return 0, [(1, INF, lambda b: 2 / b**2, "tail")]
+        if kind == "e_gamma":
+            g = mpf(params["gamma"])
+            return 0, [(g, INF, lambda b: g / b**2, "tail")]
+        if kind == "degroot":
+            w = mpf(params["omega"])
+            thr, k = (1 - w) / w, (lambda b: (1 - w) / b**2)
+            return 0, [(thr, INF, k, "tail") if w <= 0.5 else (0, thr, k, "head")]
+        if kind == "triangular":
+            return -2, [(0, INF, lambda b: 4 / (b + 1) ** 2, "tail")]
+        if kind in ("lin", "js"):
+            th = mpf(params.get("theta", 0.5))
+            h = -th * mpmath.log(th) - (1 - th) * mpmath.log(1 - th)
+            k = lambda b: -(1 - th) * mpmath.log1p(th * b / (1 - th)) / b**2
+            return h, [(0, INF, k, "head")]
+        if kind == "hellinger":
+            al = mpf(params["alpha"])
+            if al > 1:
+                return -1 / (al - 1), [(0, INF, lambda b: b ** (al - 2), "tail")]
+            return 1 / (1 - al), [(0, INF, lambda b: -(b ** (al - 2)), "head")]
+    raise AssertionError(kind)
+
+
 def outcome(fn, *args):
     """A call's result in a form that compares bit for bit: the value's hex
     (and the family and parameters of a DivergenceValue), or the exception's

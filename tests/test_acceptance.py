@@ -118,13 +118,13 @@ def test_criterion_02_representation_oracle_equivalence():
             rep = represent_named(kind, p, q, **params)
             err = abs(rep - direct) / max(1.0, direct)
             worst_named = max(worst_named, err)
-            assert err <= 1e-8
+            assert err <= 1e-11
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     _report(
         2,
         f"200 pairs: worst general {worst_general:.1e}, "
-        f"worst named {worst_named:.1e} <= 1e-8 ({elapsed:.1f}s)",
+        f"worst named {worst_named:.1e} <= 1e-11 ({elapsed:.1f}s)",
     )
 
 

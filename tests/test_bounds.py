@@ -130,17 +130,24 @@ class TestCGamma:
             c_gamma(math.nan)
 
     @pytest.mark.parametrize(
-        "gamma", [1.5, 3.0, 10.0, 1e100, 1e300, 1e304, 1e306, 1e308, 1.79e308]
+        "gamma",
+        [1.0 + 1e-8, 1.0001, 1.01, 1.5, 2.0, 3.0, 10.0, 1e6, 1e100, 1e300, 1e304,
+         1e306, 1e308, 1.79e308],
     )
     def test_against_mpmath(self, gamma):
-        # t ln t overflows from ~1e304 and t itself from ~3e305; the
-        # argument of W_{-1} is subnormal from ~4.5e307
+        # next to gamma = 1 the secondary Lambert root nears the branch
+        # point; t ln t overflows from ~1e304 and t itself from ~3e305, and
+        # the argument of W_{-1} is subnormal from ~4.5e307
         with mpmath.workdps(40):
             g = mpmath.mpf(gamma)
             w = mpmath.lambertw(-mpmath.exp(-1 / g) / g, -1).real
             t = -g * w
             ref = (t - g) / (t * mpmath.log(t) + 1 - t)
             assert abs((c_gamma(gamma) - ref) / ref) <= 1e-13
+
+    def test_values(self):
+        assert c_gamma(2.0) == pytest.approx(0.795905094631833, rel=1e-14)
+        assert c_gamma(1e6) == pytest.approx(0.0601449168964478, rel=1e-14)
 
     def test_limit_at_infinity(self):
         assert c_gamma(math.inf) == 0.0

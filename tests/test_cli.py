@@ -4,6 +4,7 @@ import math
 import pytest
 
 from divkit.cli import main
+from divkit.generators import KINDS
 
 
 @pytest.fixture
@@ -134,6 +135,21 @@ class TestRepresent:
         assert code == 0
         payload = json.loads(out)
         assert payload["abs_diff"] <= 1e-6
+
+    # one in-domain value per parameter name that KINDS uses
+    PARAM_VALUES = {"alpha": 0.5, "s": 2.0, "theta": 0.3, "gamma": 1.2, "omega": 0.3}
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_named_engine_covers_every_kind(self, capsys, dist_files, kind):
+        p, q = dist_files
+        pname = KINDS[kind][1]
+        spec = kind if pname is None else f"{kind}:{self.PARAM_VALUES[pname]}"
+        code, out, _ = run_cli(
+            capsys, "represent", "--kind", spec, "--p", p, "--q", q, "--engine", "named"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["abs_diff"] <= 1e-11 * max(1.0, payload["direct_value"])
 
     def test_named_degroot(self, capsys, dist_files):
         p, q = dist_files

@@ -21,7 +21,6 @@ from divkit import (
     renyi,
 )
 from divkit.generators import KINDS
-from divkit.spectrum_repr import _NAMED
 from helpers import (
     brute_force_e_gamma,
     catalog_generators,
@@ -310,9 +309,6 @@ class TestKindTable:
             result = divergence(kind, *bern_pair, **params)
             assert result.kind == kind
             assert result.value >= 0.0
-
-    def test_named_catalog_keys_are_kinds(self):
-        assert set(_NAMED) <= set(KINDS)
 
 
 class TestRenyi:

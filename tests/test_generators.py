@@ -83,21 +83,33 @@ class TestCatalog:
 
     @pytest.mark.parametrize("family,params", ALL_FAMILIES)
     def test_log_form_matches_eval(self, family, params):
-        # every family whose term grows without bound takes it past the
-        # float range from x = ln(p/q); per unit of p that is
-        # f(u)/u - f'(1) (1 - 1/u) at u = e^x, the same for f and its affine
-        # shift
+        # past x = ln(p/q) = 700 the spectral engines read a family's term
+        # from x: ``at_log``, or where the family has none its limit
+        # ``at_inf``.  Every family whose term grows without bound has the
+        # form; one without it must reach its limit by x = 700.  Per unit of
+        # p the term is f(u)/u - c (1 - 1/u) at u = e^x, c the subgradient at
+        # 1 that the term uses, the same for f and its affine shift
         f = generator(family, **params)
-        at_log = f._breg.at_log
-        assert (at_log is not None) == math.isinf(f.fstar_at_zero)
-        shifted = affine_shift(f, 0.7)
-        assert shifted._breg is f._breg
-        for x in (0.1, 2.0, 30.0):
-            u = math.exp(x)
-            for g in (f, shifted):
-                if at_log is not None:
-                    expected = g.eval(u) / u - g.right_deriv_at_one * (1.0 - 1.0 / u)
-                    assert at_log(x, 1.0) == pytest.approx(expected, rel=1e-13)
+        b = f._breg
+        assert affine_shift(f, 0.7)._breg is b
+        fm, _, _, c = mp_family(f.family, f.params[0][1] if f.params else None)
+
+        def per_unit_p(x):
+            with mpmath.workdps(40):
+                u = mpmath.exp(x)
+                return fm(u) / u - c * (1 - 1 / u)
+
+        if math.isinf(f.fstar_at_zero):
+            assert b.at_log is not None
+        if b.at_log is None:
+            assert abs(per_unit_p(700) - b.at_inf) <= 1e-15 * max(1.0, b.at_inf)
+            return
+        for x in (0.1, 2.0, 30.0, 700.0):
+            expected = per_unit_p(x)
+            if mpmath.isinf(expected) or expected > 1e308:
+                assert b.at_log(x, 1.0) == math.inf
+            else:
+                assert b.at_log(x, 1.0) == pytest.approx(float(expected), rel=1e-13)
 
     def test_fstar_limit_hellinger_rate(self):
         # sub-linear convergence u^(alpha-1)/(1-alpha); check at that scale

@@ -26,7 +26,7 @@ from divkit import (
 )
 from divkit import quadrature
 from divkit.spectrum_repr import _log_segments
-from helpers import random_pair, weight_kernel
+from helpers import named_kernel, random_pair, weight_kernel
 from test_oracle import oracle
 
 SMOOTH = [
@@ -238,6 +238,41 @@ class TestLogRatioPastTheFloatRange:
                 represent_general(gen, p, q), rel=1e-12
             )
 
+    @pytest.mark.parametrize("kind", ["kl", "chi2", "jeffreys"])
+    def test_named_matches_direct(self, kind):
+        for p, q in self.PAIRS:
+            direct = float(divergence(kind, p, q))
+            got = represent_named(kind, p, q)
+            if direct == math.inf:
+                assert got == math.inf
+            else:
+                assert abs(got - direct) <= 1e-12 * direct, (got, direct)
+
+    def test_named_values(self):
+        fwd, swapped = self.PAIRS
+        assert represent_named("kl", *fwd) == pytest.approx(356.2075422335172, rel=1e-12)
+        assert represent_named("jeffreys", *swapped) == pytest.approx(356.9006894140771, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            ("hellinger", {"alpha": 0.999}),
+            ("renyi", {"alpha": 0.999}),
+            ("e_gamma", {"gamma": 1e300}),
+            ("degroot", {"omega": 1e-300}),
+        ],
+    )
+    def test_slow_limits(self, kind, params):
+        # one log-ratio near 702 or 713, where g still differs from its
+        # limit f*(0) - c by about e^(-0.001 x) or gamma e^-x; past x = 700
+        # the engines read the term from x, and past 709.78 so does the
+        # direct sum
+        for q_tail in (1e-305, 1e-310):
+            p, q = make_distribution([0.5, 0.5]), make_distribution([1.0 - q_tail, q_tail])
+            ref = oracle(kind, params, p.masses, q.masses)
+            for got in (represent_named(kind, p, q, **params), float(divergence(kind, p, q, **params))):
+                assert abs(got - ref) <= 1e-12 * ref, (q_tail, got, float(ref))
+
 
 class TestRepresentInverseG:
     def test_chi_squared(self, bern_pair):
@@ -302,14 +337,6 @@ class TestRepresentNamed:
             expected, abs=1e-12
         )
 
-    def test_tv_two_forms_agree(self):
-        rng = np.random.default_rng(71)
-        for _ in range(50):
-            p, q = random_pair(rng, int(rng.integers(2, 7)))
-            tail = represent_named("tv", p, q, form="tail")
-            head = represent_named("tv", p, q, form="head")
-            assert abs(tail - head) <= 1e-12
-
     @pytest.mark.parametrize("kind,params", NAMED_ENTRIES)
     def test_matches_direct(self, kind, params):
         rng = np.random.default_rng(73)
@@ -317,7 +344,13 @@ class TestRepresentNamed:
             p, q = random_pair(rng, int(rng.integers(2, 8)))
             direct = float(divergence(kind, p, q, **params))
             rep = represent_named(kind, p, q, **params)
-            assert abs(rep - direct) <= 1e-8 * max(1.0, direct)
+            assert abs(rep - direct) <= 1e-11 * max(1.0, direct)
+
+    def test_renyi_large_order(self, bern_pair):
+        # S = sum q (p/q)^3000 passes the float range; ln S is then a
+        # log-sum-exp over the spectrum's atoms
+        got = represent_named("renyi", *bern_pair, alpha=3000.0)
+        assert abs(got - 0.3363533053294694) <= 1e-12
 
     def test_degroot_continuous_at_half(self):
         rng = np.random.default_rng(79)
@@ -348,10 +381,54 @@ class TestRepresentNamed:
             represent_named("chi2", p, q)
 
 
+class TestNamedKernels:
+    # represent_named and divergence() read one table of shifted terms, so
+    # comparing them cannot catch a wrong term; the paper's per-kind kernels
+    # (helpers.named_kernel), integrated by mpmath.quad against the
+    # spectrum's step function segment by segment, can
+    ENTRIES = [
+        ("kl", {}),
+        ("jeffreys", {}),
+        ("chi2", {}),
+        ("tv", {}),
+        ("e_gamma", {"gamma": 1.5}),
+        ("e_gamma", {"gamma": 3.0}),
+        ("degroot", {"omega": 0.3}),
+        ("degroot", {"omega": 0.7}),
+        ("triangular", {}),
+        ("lin", {"theta": 0.3}),
+        ("js", {}),
+        ("hellinger", {"alpha": 0.5}),
+        ("hellinger", {"alpha": 2.0}),
+    ]
+
+    @pytest.mark.parametrize("kind,params", ENTRIES)
+    def test_matches_kernel_quadrature(self, kind, params):
+        rng = np.random.default_rng(107)
+        const, pieces = named_kernel(kind, **params)
+        for _ in range(4):
+            p, q = random_pair(rng, int(rng.integers(2, 7)))
+            with mpmath.mp.workdps(40):
+                atoms = [(mpmath.mpf(pm) / qm, pm) for pm, qm in zip(p.masses, q.masses)]
+                ref = mpmath.mpf(const)
+                for lo, hi, kernel, side in pieces:
+                    cuts = sorted({lo, hi} | {r for r, _ in atoms if lo < r < hi})
+                    for a, b in zip(cuts, cuts[1:]):
+                        # G between two cuts: P-mass above or up to the ratios
+                        inside = a + 1 if b == mpmath.inf else (a + b) / 2
+                        big_g = mpmath.fsum(
+                            pm for r, pm in atoms if (r > inside) == (side == "tail")
+                        )
+                        if big_g:
+                            ref += big_g * mpmath.quad(kernel, [a, b])
+            rep = represent_named(kind, p, q, **params)
+            assert abs(rep - ref) <= 1e-13 * ref, (kind, rep, float(ref))
+
+
 class TestSkewedMasses:
     def test_engines_survive_large_ratios(self):
-        # likelihood ratios up to ~1e6; exact antiderivatives and the
-        # adaptive panels must both hold the oracle tolerance
+        # likelihood ratios up to ~1e6; the named and general engines'
+        # exact g-increment sums must both hold the oracle tolerance
         rng = np.random.default_rng(999)
         for _ in range(20):
             n = int(rng.integers(2, 6))
