@@ -203,7 +203,7 @@ def c_gamma(gamma: float) -> float:
 
 def straight_line_egamma_ub(gamma: float, d: float) -> float:
     """Straight-line bound E_gamma <= c_gamma * KL (nats), gamma > 1."""
-    if d < 0.0:
+    if not d >= 0.0:
         raise DomainError("relative entropy must be non-negative")
     return c_gamma(gamma) * d
 
@@ -222,7 +222,7 @@ def fdiv_lower_via_egamma(f: GeneratorFunction, e_val: float, gamma: float) -> f
     """
     if not 0.0 <= e_val < 1.0:
         raise DomainError("E_gamma value must lie in [0, 1)")
-    if gamma < 1.0:
+    if not gamma >= 1.0:
         raise DomainError("gamma must be >= 1")
     return (
         _fstar(f, 1.0 + e_val / gamma)
@@ -284,9 +284,9 @@ def egamma_upper(kind: str, gamma: float, value: float) -> float:
     are (1/2)(sqrt(b^2 + a) - b) with b = g - 1, taken by ``_root_gap``
     without cancellation, so they hold for gamma up to the float range.
     """
-    if gamma < 1.0:
+    if not gamma >= 1.0:
         raise DomainError("gamma must be >= 1")
-    if value < 0.0:
+    if not value >= 0.0:
         raise DomainError("divergence input must be non-negative")
     if kind == "chi2":
         share = _share(value, 1.0 + gamma)
@@ -355,7 +355,7 @@ def tv_kl_frontier(kind: str, value: float) -> float:
         return math.log((2.0 + tv) / (2.0 - tv)) - 2.0 * tv / (2.0 + tv)
     if kind in ("bh_ub_tv", "vajda_ub_tv"):
         d = value
-        if d < 0.0:
+        if not d >= 0.0:
             raise DomainError("relative entropy must be non-negative")
         if kind == "bh_ub_tv":
             return 2.0 * math.sqrt(-math.expm1(-d))
@@ -395,7 +395,7 @@ def degroot_upper(
     def _need(val: Optional[float], name: str) -> float:
         if val is None:
             raise ValidationError(f"{kind} with omega={omega} needs {name}")
-        if val < 0.0:
+        if not val >= 0.0:
             raise DomainError(f"{name} must be non-negative")
         return val
 
@@ -447,7 +447,7 @@ def chi2_lower_from_tv(kind: str, tv: float) -> float:
 
 def kl_upper_log_chi2(chi2: float) -> float:
     """KL <= ln(1 + chi^2), in nats."""
-    if chi2 < 0.0:
+    if not chi2 >= 0.0:
         raise DomainError("chi^2 must be non-negative")
     return math.log1p(chi2)
 

@@ -15,13 +15,22 @@ Infinities are first-class values here, never exceptions.
 from __future__ import annotations
 
 import math
+from functools import partial
 from operator import sub
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .distributions import DiscreteDistribution
 from .errors import DomainError, ValidationError
-from .generators import _BREGS, KINDS, Breg, GeneratorFunction, _edge_term, kind_args
+from .generators import (
+    _BREGS,
+    KINDS,
+    Breg,
+    GeneratorFunction,
+    _edge_term,
+    _shared,
+    kind_args,
+)
 
 __all__ = [
     "DivergenceValue",
@@ -32,14 +41,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DivergenceValue:
+class DivergenceValue(NamedTuple):
     """A named divergence result: non-negative, possibly +inf, in nats
-    where the quantity is information-like."""
+    where the quantity is information-like.  An immutable record."""
 
     value: float
     kind: str
-    params: Mapping[str, float] = field(default_factory=dict)
+    params: Mapping[str, float] = MappingProxyType({})
 
     def __float__(self) -> float:
         return self.value
@@ -126,31 +134,35 @@ def _hellinger(masses: tuple[Sequence[float], Sequence[float]], alpha: float) ->
     return _shifted_sum(_BREGS["hellinger"](alpha), *masses)
 
 
-def _log_sum_exp(logs: list[float]) -> float:
-    """ln sum e^v over ``logs``, -inf for none."""
-    if not logs:
-        return -math.inf
-    top = max(logs)
-    return top + math.log(math.fsum(math.exp(v - top) for v in logs))
+def _log_sum_exp(ws: list[float], s: float) -> float:
+    """ln(sum e^(s w)) / s over ``ws``, -inf / s for none, taken around the
+    largest s w, so that s w may pass the float range where the result
+    does not."""
+    if not ws:
+        return -math.inf / s
+    top = max(ws) if s > 0.0 else min(ws)
+    return top + math.log(math.fsum(math.exp(s * (w - top)) for w in ws)) / s
 
 
-def _log_hellinger_sum(masses: tuple[Sequence[float], Sequence[float]], alpha: float) -> float:
-    """ln of sum q (p/q)^alpha by log-sum-exp from the masses: +inf when
-    alpha > 1 and P has mass where Q vanishes, -inf when alpha < 1 and the
-    supports are disjoint."""
-    logs = []
+def _renyi_terms(masses: tuple[Sequence[float], Sequence[float]], alpha: float) -> float:
+    """ln(sum q (p/q)^alpha) / (alpha - 1) by log-sum-exp from the masses,
+    each term's logarithm over alpha - 1 taken as c ln p - ln q,
+    c = alpha / (alpha - 1): +inf when alpha > 1 and P has mass where Q
+    vanishes, and when alpha < 1 and the supports are disjoint."""
+    c = alpha / (alpha - 1.0)
+    ws = []
     for pm, qm in zip(*masses):
         if qm == 0.0:
             if pm > 0.0 and alpha > 1.0:
                 return math.inf
         elif pm > 0.0:
-            logs.append(math.log(qm) + alpha * (math.log(pm) - math.log(qm)))
-    return _log_sum_exp(logs)
+            ws.append(c * math.log(pm) - math.log(qm))
+    return _log_sum_exp(ws, alpha - 1.0)
 
 
 def _renyi_map(
     hellinger: Callable[[Any, float], float],
-    log_sum: Callable[[Any, float], float],
+    renyi_terms: Callable[[Any, float], float],
     pair: Any,
     alpha: float,
 ) -> float:
@@ -168,21 +180,22 @@ def _renyi_map(
     # S = 1 + (alpha - 1) H is below 1/2 (alpha < 1), where ln S is better
     # taken from its terms than from the shift, and 0 exactly on disjoint
     # supports; or S passed the float range (alpha > 1)
-    return log_sum(pair, alpha) / (alpha - 1.0)
+    return renyi_terms(pair, alpha)
 
 
 # The kinds that are maps of the Hellinger divergence; every other kind is
 # the sum of its family's shifted term.  A map is called as
-# map(h, log_sum, pair, *param), where h(pair, alpha) is the Hellinger
-# divergence and log_sum(pair, alpha) is ln sum q (p/q)^alpha: divergence()
+# map(h, renyi_terms, pair, *param), where h(pair, alpha) is the Hellinger
+# divergence and renyi_terms(pair, alpha) is ln(sum q (p/q)^alpha) / (alpha - 1)
+# by log-sum-exp over the terms: divergence()
 # passes the direct sums over the masses, spectrum_repr.represent_named()
 # the spectral sums over the spectrum.
 _HELLINGER_MAPS: dict[str, Callable[..., float]] = {
-    "hellinger": lambda h, log_sum, pair, alpha: h(pair, alpha),
-    "sq_hellinger": lambda h, log_sum, pair: 0.5 * h(pair, 0.5),
+    "hellinger": lambda h, renyi_terms, pair, alpha: h(pair, alpha),
+    "sq_hellinger": lambda h, renyi_terms, pair: 0.5 * h(pair, 0.5),
     # -ln sum sqrt(p q), half the Renyi divergence of order 1/2
-    "bhattacharyya": lambda h, log_sum, pair: 0.5 * _renyi_map(h, log_sum, pair, 0.5),
-    "alpha": lambda h, log_sum, pair, alpha: h(pair, alpha) / alpha,
+    "bhattacharyya": lambda h, renyi_terms, pair: 0.5 * _renyi_map(h, renyi_terms, pair, 0.5),
+    "alpha": lambda h, renyi_terms, pair, alpha: h(pair, alpha) / alpha,
     "renyi": _renyi_map,
 }
 
@@ -200,13 +213,20 @@ def divergence(
     differs from sum q f(p/q) by f'(1) (sum P - sum Q), which the 1e-12
     normalization tolerance bounds.
     """
-    args = kind_args(kind, params)  # refuses kinds outside KINDS
+    return DivergenceValue(_kind_sum(kind, **params)(*_masses(p, q)), kind, params)
+
+
+@_shared
+def _kind_sum(kind: str, **params: float) -> Callable[[Sequence[float], Sequence[float]], float]:
+    """The sum ``divergence()`` takes over P's and Q's masses for ``kind``
+    at ``params``, resolved once per (kind, parameters): its family's
+    shifted term, or its map of the Hellinger sum.  An unknown kind or a
+    missing parameter raises here, and an exception is never kept."""
+    args = kind_args(kind, params)
     mapped = _HELLINGER_MAPS.get(kind)
-    if mapped is not None:
-        value = mapped(_hellinger, _log_hellinger_sum, _masses(p, q), *args)
-    else:
-        value = _shifted_sum(_BREGS[KINDS[kind][0]](*args), *_masses(p, q))
-    return DivergenceValue(value, kind, dict(params))
+    if mapped is None:
+        return partial(_shifted_sum, _BREGS[KINDS[kind][0]](*args))
+    return lambda ps, qs: mapped(_hellinger, _renyi_terms, (ps, qs), *args)
 
 
 def renyi(alpha: float, p: DiscreteDistribution, q: DiscreteDistribution) -> DivergenceValue:

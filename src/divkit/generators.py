@@ -8,7 +8,9 @@ chi^s at s = 1) expose their derivative as undefined exactly at the kink
 abscissa.  Each family also ships its shifted term f(1+d) - f'(1) d
 (``Breg``), from the one table ``_BREGS`` that the generators and the
 direct sums in ``divkit.divergences`` both read; the g transform of the
-spectral engines (``g_eval``) is read from it too.
+spectral engines (``g_eval``) is read from it too.  Catalog generators and
+shifted terms are immutable, so each is built once per (family, parameter)
+and shared; the families with a parameter keep theirs in bounded caches.
 
 Everything here is in nats: the catalog's logarithms are natural.
 """
@@ -17,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Optional
+from functools import lru_cache
+from typing import Any, Callable, Mapping, NamedTuple, Optional
 
 from .errors import (
     CapabilityError,
@@ -39,6 +42,13 @@ __all__ = [
     "affine_shift",
     "g_eval",
 ]
+
+# Distinct parameters whose shifted term, generator or resolved divergence
+# sum is kept per family (or kind).  An exception is never kept, so a
+# refused parameter is refused again; ``typed`` keeps alpha=2 and alpha=2.0
+# apart, since their params print differently.
+_CACHE_SIZE = 256
+_shared = lru_cache(maxsize=_CACHE_SIZE, typed=True)
 
 
 @dataclass(frozen=True)
@@ -211,6 +221,7 @@ def _hellinger_half_term(d: float, q: float, p: float) -> float:
 _HELLINGER_HALF = Breg(_hellinger_half_term, 1.0, 1.0)
 
 
+@_shared
 def _hellinger_breg(alpha: float) -> Breg:
     if not 0.0 < alpha < math.inf or alpha == 1.0:
         raise DomainError("Hellinger order must lie in (0,1) or (1,inf)")
@@ -225,18 +236,30 @@ def _hellinger_breg(alpha: float) -> Breg:
     for k in range(2, 11):
         coefs.append(coefs[-1] * (alpha - k) / (k + 1))
     c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = coefs
+    if not math.isfinite(c9):
+        # past order ~1e31 the coefficients overflow, and x is below 2^-5
+        # over the order only where it is ~0: the closed form takes it
+        near = 0.0
+    small = alpha < 0.5
 
     def term(d: float, q: float, p: float) -> float:
         x = d / q
         if -near < x < near:
             s = c5 + x * (c6 + x * (c7 + x * (c8 + x * c9)))
             return d * x * (c0 + x * (c1 + x * (c2 + x * (c3 + x * (c4 + x * s)))))
-        # at x = inf (p/q past the float range) this form is not finite,
-        # which sends the atom to at_log
-        if x < _LOW_EDGE or x == math.inf:
-            return (q * (p / q) ** alpha - p) / am1 - d
-        # p ((p/q)^(a-1) - 1)/(a-1) - d, which tends to the KL term at a = 1
-        return p * math.expm1(am1 * math.log1p(x)) / am1 - d
+        # L = ln(p/q), from the masses where d no longer carries it or p/q
+        # passes the float range
+        log_ratio = math.log1p(x) if _LOW_EDGE < x < math.inf else math.log(p) - math.log(q)
+        if small:
+            # q (a (x - L) - (e^(aL) - 1 - aL)) over 1 - a: both parts >= 0,
+            # the second below ~a times the first, where the form below
+            # cancels d to ~1/a of its bits
+            y = alpha * log_ratio
+            return (alpha * (d - q * log_ratio) - q * (math.expm1(y) - y)) / -am1
+        # p ((p/q)^(a-1) - 1)/(a-1) - d, which tends to the KL term at a = 1;
+        # not finite where (p/q)^(a-1) passes the float range, which sends
+        # the atom to at_log
+        return p * (math.expm1(am1 * log_ratio) / am1) - d
 
     def at_log(x: float, p: float) -> float:
         # p (e^((a-1) x) - 1)/(a-1) - p (1 - e^-x); past e^700 the first
@@ -252,8 +275,9 @@ def _hellinger_breg(alpha: float) -> Breg:
 _TV = Breg(abs, 1.0, 1.0, reads=1)
 
 
+@_shared
 def _chi_s_breg(s: float) -> Breg:
-    if s < 1.0:
+    if not s >= 1.0:
         raise DomainError("chi^s order must satisfy s >= 1")
     if s == 1.0:
         return _TV
@@ -272,6 +296,7 @@ def _chi_s_breg(s: float) -> Breg:
 _TRIANGULAR = Breg(lambda d, q: d * (d / (2.0 * q + d)), 1.0, 1.0, reads=2)
 
 
+@_shared
 def _lin_breg(theta: float) -> Breg:
     if not 0.0 < theta < 1.0:
         raise DomainError("Lin parameter must lie in (0, 1)")
@@ -289,8 +314,9 @@ def _lin_breg(theta: float) -> Breg:
 _JS = _lin_breg(0.5)
 
 
+@_shared
 def _e_gamma_breg(gamma: float) -> Breg:
-    if gamma < 1.0:
+    if not gamma >= 1.0:
         raise DomainError("E_gamma order must satisfy gamma >= 1")
 
     def term(d: float, q: float, p: float) -> float:
@@ -304,6 +330,7 @@ def _e_gamma_breg(gamma: float) -> Breg:
     return Breg(term, 0.0, 1.0, at_log)
 
 
+@_shared
 def _degroot_breg(omega: float) -> Breg:
     if not 0.0 < omega < 1.0:
         raise DomainError("DeGroot prior must lie in (0, 1)")
@@ -430,6 +457,7 @@ def _jeffreys() -> GeneratorFunction:
     )
 
 
+@_shared
 def _hellinger(alpha: float) -> GeneratorFunction:
     breg = _hellinger_breg(alpha)
     am1 = alpha - 1.0
@@ -463,6 +491,7 @@ def _total_variation(family: str = "total_variation") -> GeneratorFunction:
     )
 
 
+@_shared
 def _chi_s(s: float) -> GeneratorFunction:
     breg = _chi_s_breg(s)
     if s == 1.0:
@@ -499,6 +528,7 @@ def _triangular() -> GeneratorFunction:
     )
 
 
+@_shared
 def _lin(theta: float, family: str = "lin") -> GeneratorFunction:
     breg = _lin_breg(theta)
     comp = 1.0 - theta
@@ -517,6 +547,7 @@ def _lin(theta: float, family: str = "lin") -> GeneratorFunction:
     )
 
 
+@_shared
 def _e_gamma(gamma: float) -> GeneratorFunction:
     breg = _e_gamma_breg(gamma)
     return _make(
@@ -527,6 +558,7 @@ def _e_gamma(gamma: float) -> GeneratorFunction:
     )
 
 
+@_shared
 def _degroot(omega: float) -> GeneratorFunction:
     breg = _degroot_breg(omega)
     m = min(omega, 1.0 - omega)
@@ -545,35 +577,45 @@ def _degroot(omega: float) -> GeneratorFunction:
     )
 
 
-_FAMILIES: dict[str, Callable[..., GeneratorFunction]] = {
-    "kl": _kl,
-    "jeffreys": _jeffreys,
-    "hellinger": _hellinger,
-    "chi_squared": _chi_squared,
-    "chi_s": _chi_s,
-    "total_variation": _total_variation,
-    "triangular": _triangular,
-    "lin": _lin,
-    "jensen_shannon": lambda: _lin(0.5, family="jensen_shannon"),
-    "e_gamma": _e_gamma,
-    "degroot": _degroot,
+# family -> (name of its one parameter, its memoized builder), or (None,
+# the family's one generator, built here once)
+_FAMILIES: dict[str, tuple[Optional[str], Any]] = {
+    "kl": (None, _kl()),
+    "jeffreys": (None, _jeffreys()),
+    "hellinger": ("alpha", _hellinger),
+    "chi_squared": (None, _chi_squared()),
+    "chi_s": ("s", _chi_s),
+    "total_variation": (None, _total_variation()),
+    "triangular": (None, _triangular()),
+    "lin": ("theta", _lin),
+    "jensen_shannon": (None, _lin(0.5, family="jensen_shannon")),
+    "e_gamma": ("gamma", _e_gamma),
+    "degroot": ("omega", _degroot),
 }
 
 
 def generator(family: str, **params: float) -> GeneratorFunction:
-    """Build a catalog generator, e.g. generator("hellinger", alpha=2).
+    """A catalog generator, e.g. generator("hellinger", alpha=2).
 
     Families: kl, jeffreys, hellinger(alpha), chi_squared, chi_s(s),
     total_variation, triangular, lin(theta), jensen_shannon,
-    e_gamma(gamma), degroot(omega), custom.
+    e_gamma(gamma), degroot(omega), custom.  Catalog generators are shared
+    immutable instances, built once per (family, parameters); a ``custom``
+    generator is built on every call.
     """
     if family == "custom":
         return _make("custom", **params)  # type: ignore[arg-type]
     try:
-        builder = _FAMILIES[family]
+        pname, made = _FAMILIES[family]
     except KeyError:
         raise DomainError(f"unknown generator family {family!r}") from None
-    return builder(**params)
+    if pname is None:
+        if params:
+            raise DomainError(f"generator {family!r} takes no parameter")
+        return made
+    if len(params) != 1 or pname not in params:
+        raise DomainError(f"generator {family!r} takes the one parameter {pname!r}")
+    return made(params[pname])
 
 
 # Every divergence kind: name -> (catalog generator family or None, name of

@@ -205,16 +205,14 @@ def _hellinger_sum(spec: SpectrumFunction, alpha: float) -> float:
     return _g_sum(_BREGS["hellinger"](alpha), spec)
 
 
-def _log_power_sum(spec: SpectrumFunction, alpha: float) -> float:
-    """ln of sum q (p/q)^alpha over the spectrum's atoms: the CDF's jump at
-    each breakpoint x_j times e^((alpha - 1) x_j), by log-sum-exp."""
+def _renyi_terms(spec: SpectrumFunction, alpha: float) -> float:
+    """ln(sum q (p/q)^alpha) / (alpha - 1) over the spectrum's atoms: the
+    CDF's jump m_j at each breakpoint x_j times e^((alpha - 1) x_j), by
+    log-sum-exp of x_j + ln(m_j) / (alpha - 1)."""
     jumps = map(sub, spec.cum_masses, (0.0,) + spec.cum_masses[:-1])
+    s = alpha - 1.0
     return _log_sum_exp(
-        [
-            math.log(m) + (alpha - 1.0) * x
-            for m, x in zip(jumps, spec.breakpoints)
-            if m > 0.0
-        ]
+        [x + math.log(m) / s for m, x in zip(jumps, spec.breakpoints) if m > 0.0], s
     )
 
 
@@ -237,7 +235,7 @@ def represent_named(
     mapped = _HELLINGER_MAPS.get(kind)
     if mapped is None:
         return _g_sum(_BREGS[KINDS[kind][0]](*args), spec)
-    return mapped(_hellinger_sum, _log_power_sum, spec, *args)
+    return mapped(_hellinger_sum, _renyi_terms, spec, *args)
 
 
 def spectrum_identity(p: DiscreteDistribution, q: DiscreteDistribution) -> float:

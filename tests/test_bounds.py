@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from divkit import (
     DomainError,
     ValidationError,
+    affine_shift,
     c_gamma,
     chi2_lower_from_tv,
     crossover_d,
@@ -196,7 +197,7 @@ class TestConjugateInPlace:
             post_init(self)
 
         monkeypatch.setattr(GeneratorFunction, "__post_init__", counting_post_init)
-        generator("kl")
+        affine_shift(generator("kl"), 1.0)
         assert built[0] == 1  # the counter sees every construction
         built[0] = 0
         for f in gens:
@@ -670,3 +671,25 @@ def test_vajda_tv_bound_next_to_the_branch_point():
             expected = 2 * (1 + w) / (1 - w)
             got = tv_kl_frontier("vajda_ub_tv", d)
             assert abs(got - expected) <= 1e-12 * expected, (d, got, expected)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: egamma_upper("kl", math.nan, 1.0),
+        lambda: egamma_upper("chi2", math.nan, 1.0),
+        lambda: egamma_upper("kl", 2.0, math.nan),
+        lambda: egamma_upper("chi2", 2.0, math.nan),
+        lambda: fdiv_lower_via_egamma(generator("kl"), 0.1, math.nan),
+        lambda: kl_upper_log_chi2(math.nan),
+        lambda: straight_line_egamma_ub(2.0, math.nan),
+        lambda: tv_kl_frontier("bh_ub_tv", math.nan),
+        lambda: tv_kl_frontier("vajda_ub_tv", math.nan),
+        lambda: degroot_upper("chi2", 0.3, chi_pq=math.nan),
+        lambda: degroot_upper("kl_line", 0.3, d_pq=math.nan, d_qp=1.0),
+    ],
+)
+def test_nan_input_refused(call):
+    # each range check is written so that NaN fails it
+    with pytest.raises(DomainError):
+        call()

@@ -1,0 +1,198 @@
+"""Kind and family parameters at the input boundary, and the shared catalog.
+
+Every kind with a parameter, and every generator family with one, is driven
+with NaN, the infinities, 0, -1, the floats next to 1, 1e300 and random
+floats.  A call ends in a finite value >= 0, inf or a ``DivkitError``,
+never NaN or a raw exception; a refused value is refused again, since the
+caches never keep an exception; a valid one gives the same generator object
+and the same value bit for bit when asked again.
+"""
+
+from __future__ import annotations
+
+import math
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from divkit import (
+    DivergenceValue,
+    DivkitError,
+    DomainError,
+    divergence,
+    f_divergence,
+    generator,
+    make_distribution,
+    represent_named,
+)
+from divkit.generators import KINDS
+
+_KIND_PARAMS = sorted((kind, pname) for kind, (_, pname) in KINDS.items() if pname)
+_FAMILY_PARAMS = sorted({(fam, pname) for fam, pname in KINDS.values() if fam and pname})
+
+_EDGES = [
+    math.nan,
+    math.inf,
+    -math.inf,
+    0.0,
+    -1.0,
+    math.nextafter(1.0, 0.0),
+    math.nextafter(1.0, 2.0),
+    1e300,
+]
+_VALUES = st.one_of(st.sampled_from(_EDGES), st.floats(allow_nan=False))
+
+# plain; one atom charged equally by both; zero masses on either side; a
+# log-ratio of ~690, which an order past ~3e305 takes past the float range
+_PAIRS = [
+    (make_distribution([0.7, 0.3]), make_distribution([0.5, 0.5])),
+    (make_distribution([0.5, 0.25, 0.25]), make_distribution([0.5, 0.3, 0.2])),
+    (make_distribution([0.6, 0.4, 0.0]), make_distribution([0.2, 0.0, 0.8])),
+    (make_distribution([0.5, 0.5]), make_distribution([1e-300, 1.0])),
+]
+
+
+def _outcome(call):
+    """The call's value, or the DivkitError it raised."""
+    try:
+        return call()
+    except DivkitError as exc:
+        return exc
+
+
+def _check_twice(call) -> None:
+    """A non-negative value or inf, the same bits again; or the same
+    refusal again."""
+    first = _outcome(call)
+    second = _outcome(call)
+    if isinstance(first, DivkitError):
+        assert type(second) is type(first) and str(second) == str(first)
+        return
+    assert first == math.inf or (math.isfinite(first) and first >= 0.0), first
+    assert second.hex() == first.hex()
+
+
+class TestParameterBoundary:
+    @given(kind_param=st.sampled_from(_KIND_PARAMS), value=_VALUES)
+    @settings(max_examples=400, deadline=None)
+    def test_kind_value_or_divkit_error(self, kind_param, value):
+        kind, pname = kind_param
+        for p, q in _PAIRS:
+            _check_twice(lambda: divergence(kind, p, q, **{pname: value}).value)
+        p = _PAIRS[1][0]
+        same = _outcome(lambda: divergence(kind, p, p, **{pname: value}).value)
+        assert isinstance(same, DivkitError) or same == 0.0, same
+
+    @given(family_param=st.sampled_from(_FAMILY_PARAMS), value=_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_family_shared_or_refused(self, family_param, value):
+        family, pname = family_param
+        f = _outcome(lambda: generator(family, **{pname: value}))
+        if isinstance(f, DivkitError):
+            with pytest.raises(type(f), match="^" + re.escape(str(f))):
+                generator(family, **{pname: value})
+            return
+        assert generator(family, **{pname: value}) is f
+        assert f.params == ((pname, value),)
+        for p, q in _PAIRS:
+            _check_twice(lambda: f_divergence(f, p, q).value)
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("chi_s", {"s": math.nan}), ("e_gamma", {"gamma": math.nan})],
+    )
+    def test_nan_parameter_refused(self, kind, params):
+        p, q = _PAIRS[0]
+        with pytest.raises(DomainError):
+            divergence(kind, p, q, **params)
+        with pytest.raises(DomainError):
+            generator(KINDS[kind][0], **params)
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("hellinger", {}),
+            ("kl", {"foo": 1.0}),
+            ("hellinger", {"alpha": 0.5, "beta": 1.0}),
+            ("e_gamma", {"omega": 0.3}),
+        ],
+    )
+    def test_missing_or_unknown_parameter(self, family, params):
+        with pytest.raises(DomainError):
+            generator(family, **params)
+
+
+class TestHellingerOrders:
+    def test_small_order_tends_to_reverse_kl(self):
+        # H_a / a -> KL(Q||P) as a -> 0; the closed form cancelled d to
+        # ~1/a of its bits and read -2.8e-17 for H here
+        p, q = _PAIRS[0]
+        reverse_kl = divergence("kl", q, p).value
+        for alpha in (1e-300, 1e-20, 1e-10):
+            assert divergence("hellinger", p, q, alpha=alpha).value > 0.0
+            got = divergence("alpha", p, q, alpha=alpha).value
+            assert got == pytest.approx(reverse_kl, rel=1e-9)
+
+    def test_order_next_to_one_is_kl(self):
+        # an atom with p/q below 1 + 2^-8 reads ln(p/q) from the masses;
+        # (q (p/q)^a - p)/(a - 1) there lost every bit next to a = 1
+        p = make_distribution([1.0, 1.0, 0.001953125])
+        q = make_distribution([1.0, 1.0, 1.0])
+        kl = divergence("kl", p, q).value
+        for alpha in (math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)):
+            assert divergence("hellinger", p, q, alpha=alpha).value == pytest.approx(kl, rel=1e-14)
+            assert divergence("renyi", p, q, alpha=alpha).value == pytest.approx(kl, rel=1e-14)
+
+    def test_subnormal_masses(self):
+        # p (e^((a-1) L) - 1) underflowed before its division by a - 1
+        p = make_distribution([0.0, 1.0, 1e-310])
+        q = make_distribution([0.0, 1.0, 5e-324])
+        for kind in ("hellinger", "alpha"):
+            assert divergence(kind, p, q, alpha=math.nextafter(1.0, 0.0)).value > 0.0
+
+    def test_renyi_order_past_the_float_range(self):
+        # a ln(p/q) passes the float range; the Renyi divergence is ~ln
+        # max p/q, taken around the largest term on its own scale
+        p, q = _PAIRS[3]
+        for alpha in (1e306, 1.6e308):
+            expected = math.log(0.5 / 1e-300)
+            assert divergence("renyi", p, q, alpha=alpha).value == pytest.approx(expected, rel=1e-14)
+            assert represent_named("renyi", p, q, alpha=alpha) == pytest.approx(expected, rel=1e-14)
+
+    def test_order_past_the_series_coefficients(self):
+        # the Hellinger series' coefficients overflow past order ~1e31; an
+        # atom charged equally by both measures still adds nothing
+        p, q = _PAIRS[1]
+        for alpha in (1e35, 1e300):
+            assert divergence("hellinger", p, p, alpha=alpha).value == 0.0
+            assert divergence("hellinger", p, q, alpha=alpha).value == math.inf
+
+
+class TestSharedCatalog:
+    def test_families_without_a_parameter_are_shared(self):
+        for family, pname in {(fam, pname) for fam, pname in KINDS.values() if fam}:
+            if pname is None:
+                assert generator(family) is generator(family)
+
+    def test_typed_keeps_int_and_float_apart(self):
+        as_int, as_float = generator("hellinger", alpha=2), generator("hellinger", alpha=2.0)
+        assert as_int is not as_float
+        assert repr(as_int.params) == "(('alpha', 2),)"
+        assert repr(as_float.params) == "(('alpha', 2.0),)"
+        assert generator("hellinger", alpha=2) is as_int
+        p, q = _PAIRS[0]
+        assert repr(divergence("hellinger", p, q, alpha=2).params) == "{'alpha': 2}"
+        assert repr(divergence("hellinger", p, q, alpha=2.0).params) == "{'alpha': 2.0}"
+        assert repr(f_divergence(as_int, p, q).params) == "{'alpha': 2}"
+
+    def test_divergence_value_record(self):
+        p, q = _PAIRS[0]
+        val = divergence("e_gamma", p, q, gamma=1.5)
+        assert isinstance(val, DivergenceValue)
+        assert (val.kind, val.params) == ("e_gamma", {"gamma": 1.5})
+        assert float(val) == val.value
+        assert repr(val) == f"DivergenceValue(value={val.value!r}, kind='e_gamma', params={{'gamma': 1.5}})"
+        with pytest.raises(AttributeError):
+            val.value = 1.0  # type: ignore[misc]

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import divkit
 from divkit.cli import main
 from divkit.generators import KINDS
 
@@ -310,6 +314,25 @@ class TestSelftestAndPlumbing:
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
         assert "FAIL" not in out
+
+    def test_runtime_is_standard_library_only(self):
+        # a fresh interpreter without site-packages: import the package and
+        # the CLI, run selftest, and list the test oracles that got loaded
+        code = (
+            "import contextlib, io, sys\n"
+            "import divkit, divkit.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = divkit.cli.main(['selftest'])\n"
+            "print(rc, sorted({'numpy', 'scipy', 'mpmath', 'hypothesis'} & set(sys.modules)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(divkit.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "[]"]
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -19,6 +19,7 @@ import pytest
 
 from divkit import (
     GeneratorFunction,
+    affine_shift,
     divergence,
     f_divergence,
     generator,
@@ -225,7 +226,7 @@ def test_sweep_builds_no_generator(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(GeneratorFunction, "__post_init__", counting_post_init)
-    generator("kl")
+    affine_shift(generator("kl"), 1.0)
     assert built[0] == 1  # the counter sees every construction
     built[0] = 0
     p, q = PAIRS[0]
