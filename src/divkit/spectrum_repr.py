@@ -28,8 +28,8 @@ from .divergences import (
     _HELLINGER_MAPS,
     _log_sum_exp,
     _masses,
+    _shifted_sum,
     _singular_masses,
-    divergence,
 )
 from .errors import (
     AbsoluteContinuityError,
@@ -37,7 +37,15 @@ from .errors import (
     DomainError,
     KinkError,
 )
-from .generators import _BREGS, KINDS, Breg, GeneratorFunction, _g_edge, kind_args
+from .generators import (
+    _BREGS,
+    KINDS,
+    Breg,
+    GeneratorFunction,
+    _degroot_breg,
+    _g_edge,
+    kind_args,
+)
 from .quadrature import integrate
 
 __all__ = [
@@ -290,6 +298,13 @@ def _degroot_right_derivative(
     return prior_part - posterior_part
 
 
+def _degroot_sum(p: DiscreteDistribution, q: DiscreteDistribution, omega: float) -> float:
+    """I_omega(P||Q), the sum ``divergence("degroot")`` takes, with its term
+    built afresh: the priors here are queries and quadrature nodes, each
+    asked for once, which the term cache would only churn."""
+    return _shifted_sum(_degroot_breg.__wrapped__(omega), *_masses(p, q))
+
+
 def spectrum_from_degroot(
     p: DiscreteDistribution, q: DiscreteDistribution, x: float
 ) -> float:
@@ -307,7 +322,7 @@ def spectrum_from_degroot(
         omega = emx / (1.0 + emx)
     else:
         omega = 1.0 / (1.0 + math.exp(x))
-    i_val = float(divergence("degroot", p, q, omega=omega))
+    i_val = _degroot_sum(p, q, omega)
     i_slope = _degroot_right_derivative(p, q, omega)
     if x > 0.0:
         return 1.0 - i_val - (1.0 - omega) * i_slope
@@ -344,7 +359,7 @@ def represent_degroot_weight(
     cuts = [c for c in cuts if lo <= c <= hi]
 
     def integrand(omega: float) -> float:
-        i_val = float(divergence("degroot", p, q, omega=omega))
+        i_val = _degroot_sum(p, q, omega)
         t = (1.0 - omega) / omega
         return i_val * f.second(t) / omega**3
 
