@@ -186,10 +186,10 @@ def _renyi_map(
 # The kinds that are maps of the Hellinger divergence; every other kind is
 # the sum of its family's shifted term.  A map is called as
 # map(h, renyi_terms, pair, *param), where h(pair, alpha) is the Hellinger
-# divergence and renyi_terms(pair, alpha) is ln(sum q (p/q)^alpha) / (alpha - 1)
-# by log-sum-exp over the terms: divergence()
-# passes the direct sums over the masses, spectrum_repr.represent_named()
-# the spectral sums over the spectrum.
+# divergence and renyi_terms(pair, alpha) is ln(sum q (p/q)^alpha) /
+# (alpha - 1) by log-sum-exp over the terms: divergence() passes the direct
+# sums over the masses, spectrum_repr.represent_named() the spectral sums
+# over the spectrum.
 _HELLINGER_MAPS: dict[str, Callable[..., float]] = {
     "hellinger": lambda h, renyi_terms, pair, alpha: h(pair, alpha),
     "sq_hellinger": lambda h, renyi_terms, pair: 0.5 * h(pair, 0.5),
@@ -209,9 +209,9 @@ def divergence(
     bhattacharyya, alpha(alpha), chi_s(s), tv, triangular, lin(theta), js,
     e_gamma(gamma), degroot(omega), renyi(alpha).  A kind with a generator
     family is the sum of that family's shifted term, the same sum
-    ``f_divergence`` takes, looked up without building the generator; it
-    differs from sum q f(p/q) by f'(1) (sum P - sum Q), which the 1e-12
-    normalization tolerance bounds.
+    ``f_divergence`` takes, resolved once per (kind, parameters) without
+    building the generator; it differs from sum q f(p/q) by
+    f'(1) (sum P - sum Q), which the 1e-12 normalization tolerance bounds.
     """
     return DivergenceValue(_kind_sum(kind, **params)(*_masses(p, q)), kind, params)
 
