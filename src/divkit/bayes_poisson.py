@@ -7,8 +7,7 @@ decision threshold where the weighted likelihoods cross, the exact DeGroot
 statistical information as one sum of positive terms, and the report
 comparing it against its closed-form upper bounds.
 
-Every function here accepts rates in (0, MAX_RATE]; the min-sum
-cross-check, which costs O(rate), stops at MINSUM_MAX_RATE.
+Every function here accepts rates in (0, MAX_RATE].
 """
 
 from __future__ import annotations
@@ -23,20 +22,16 @@ from .generators import _kl_term
 
 __all__ = [
     "MAX_RATE",
-    "MINSUM_MAX_RATE",
     "PoissonModel",
     "poisson_pmf",
     "poisson_divergences",
     "poisson_k0",
     "poisson_degroot_exact",
-    "poisson_degroot_minsum",
     "poisson_bound_report",
 ]
 
-# the exact DeGroot sum takes ~0.25 s at MAX_RATE, the min-sum ~0.6 s at
-# MINSUM_MAX_RATE
+# the exact DeGroot sum takes ~0.25 s at MAX_RATE
 MAX_RATE = 1e9
-MINSUM_MAX_RATE = 1e5
 
 # Loader (2000): ln n! - ln(sqrt(2 pi n) (n/e)^n) for n = 0..15
 _STIRLERR = (
@@ -63,10 +58,10 @@ _LN_2PI = math.log(2.0 * math.pi)
 _TAIL_RTOL = 1e-17
 
 
-def _check_rates(*rates: float, cap: float = MAX_RATE) -> None:
+def _check_rates(*rates: float) -> None:
     for rate in rates:
-        if not 0.0 < rate <= cap:
-            raise DomainError(f"Poisson rate must lie in (0, {cap:g}], got {rate!r}")
+        if not 0.0 < rate <= MAX_RATE:
+            raise DomainError(f"Poisson rate must lie in (0, {MAX_RATE:g}], got {rate!r}")
 
 
 def _check_prior(omega: float) -> None:
@@ -93,9 +88,6 @@ class PoissonModel:
     -stirlerr(k) - bd0(k, rate) - ln(2 pi k) / 2, bd0 being the KL family's
     shifted term (``generators._kl_term``), accurate to ~2e-15 times its
     size, where k ln(rate) - rate - lgamma(k + 1) would lose ~1e-16 k.
-    The truncation index rate + 20 sqrt(rate) + 30, used by the min-sum
-    cross-check, keeps the dropped tail mass below ~1e-12 for rates up to
-    1e4.
     """
 
     rate: float
@@ -113,9 +105,6 @@ class PoissonModel:
 
     def pmf(self, k: int) -> float:
         return math.exp(self.log_pmf(k))
-
-    def truncation_index(self) -> int:
-        return math.ceil(self.rate + 20.0 * math.sqrt(self.rate) + 30.0)
 
 
 def poisson_pmf(lam: float, k: int) -> float:
@@ -250,22 +239,6 @@ def poisson_degroot_exact(mu: float, lam: float, omega: float) -> float:
     # when the side holds all of the law's mass, the rounded masses can sum
     # a few ulps past 1, and the information never exceeds w
     return min(math.fsum([first, *upper, *lower]), w)
-
-
-def poisson_degroot_minsum(mu: float, lam: float, omega: float) -> float:
-    """DeGroot information by the generic min-sum over a truncated support;
-    independent cross-check of poisson_degroot_exact.  It costs O(rate), so
-    it takes rates up to MINSUM_MAX_RATE only."""
-    _check_rates(mu, lam, cap=MINSUM_MAX_RATE)
-    _check_prior(omega)
-    model_mu = PoissonModel(mu)
-    model_lam = PoissonModel(lam)
-    top = max(model_mu.truncation_index(), model_lam.truncation_index())
-    posterior = math.fsum(
-        min(omega * model_mu.pmf(k), (1.0 - omega) * model_lam.pmf(k))
-        for k in range(top + 1)
-    )
-    return min(omega, 1.0 - omega) - posterior
 
 
 def poisson_bound_report(mu: float, lam: float, omega: float) -> list[BoundReport]:

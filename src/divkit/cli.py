@@ -15,56 +15,34 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
-from functools import partial
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from .bayes_poisson import (
-    _threshold,
-    poisson_bound_report,
-    poisson_divergences,
-    poisson_k0,
-)
-from .bounds import (
-    c_gamma,
-    chi2_lower_from_tv,
-    crossover_d,
-    egamma_upper,
-    kl_upper_log_chi2,
-    make_report,
-    pinsker_bh_switch,
-    straight_line_egamma_ub,
-    tv_kl_frontier,
-)
-from .distributions import DiscreteDistribution, make_distribution, spectrum
-from .divergences import divergence, f_divergence
 from .errors import DivkitError, DomainError, UnknownKindError, ValidationError
-from .generators import conjugate, parse_generator, parse_kind, parse_number
-from .local import local_limit_estimate
-from .spectrum_repr import (
-    represent_degroot_weight,
-    represent_general,
-    represent_inverse_g,
-    represent_named,
-    spectrum_identity,
-)
 
-# bound name -> (direction, --args keys in call order, bound function)
-_BOUNDS: dict[str, tuple[str, tuple[str, ...], Callable[..., float]]] = {
-    "pinsker_lb_kl": ("lower", ("tv",), partial(tv_kl_frontier, "pinsker_lb_kl")),
-    "bh_lb_kl": ("lower", ("tv",), partial(tv_kl_frontier, "bh_lb_kl")),
-    "vajda_lb_kl": ("lower", ("tv",), partial(tv_kl_frontier, "vajda_lb_kl")),
-    "bh_ub_tv": ("upper", ("kl",), partial(tv_kl_frontier, "bh_ub_tv")),
-    "vajda_ub_tv": ("upper", ("kl",), partial(tv_kl_frontier, "vajda_ub_tv")),
-    "egamma_ub_chi2": ("upper", ("gamma", "chi2"), partial(egamma_upper, "chi2")),
-    "egamma_ub_kl": ("upper", ("gamma", "kl"), partial(egamma_upper, "kl")),
-    "straight_line_egamma_ub": ("upper", ("gamma", "kl"), straight_line_egamma_ub),
-    "chi2_lb_tv_tight": ("lower", ("tv",), partial(chi2_lower_from_tv, "tight")),
-    "chi2_lb_tv_jensen": ("lower", ("tv",), partial(chi2_lower_from_tv, "jensen")),
-    "kl_ub_log_chi2": ("upper", ("chi2",), kl_upper_log_chi2),
-    "c_gamma": ("upper", ("gamma",), c_gamma),
-    "crossover_d": ("upper", ("gamma",), crossover_d),
-    "pinsker_bh_switch": ("upper", (), pinsker_bh_switch),
+if TYPE_CHECKING:
+    from .distributions import DiscreteDistribution
+
+# Each subcommand imports the divkit modules it needs in its handler, so a
+# call loads only those: poisson never loads the spectrum engines, spectrum
+# never loads the generator catalog.
+
+# bound name -> (direction, --args keys in call order, name of its function
+# in divkit.bounds, the arguments that function takes before the keys')
+_BOUNDS: dict[str, tuple[str, tuple[str, ...], str, tuple[str, ...]]] = {
+    "pinsker_lb_kl": ("lower", ("tv",), "tv_kl_frontier", ("pinsker_lb_kl",)),
+    "bh_lb_kl": ("lower", ("tv",), "tv_kl_frontier", ("bh_lb_kl",)),
+    "vajda_lb_kl": ("lower", ("tv",), "tv_kl_frontier", ("vajda_lb_kl",)),
+    "bh_ub_tv": ("upper", ("kl",), "tv_kl_frontier", ("bh_ub_tv",)),
+    "vajda_ub_tv": ("upper", ("kl",), "tv_kl_frontier", ("vajda_ub_tv",)),
+    "egamma_ub_chi2": ("upper", ("gamma", "chi2"), "egamma_upper", ("chi2",)),
+    "egamma_ub_kl": ("upper", ("gamma", "kl"), "egamma_upper", ("kl",)),
+    "straight_line_egamma_ub": ("upper", ("gamma", "kl"), "straight_line_egamma_ub", ()),
+    "chi2_lb_tv_tight": ("lower", ("tv",), "chi2_lower_from_tv", ("tight",)),
+    "chi2_lb_tv_jensen": ("lower", ("tv",), "chi2_lower_from_tv", ("jensen",)),
+    "kl_ub_log_chi2": ("upper", ("chi2",), "kl_upper_log_chi2", ()),
+    "c_gamma": ("upper", ("gamma",), "c_gamma", ()),
+    "crossover_d": ("upper", ("gamma",), "crossover_d", ()),
+    "pinsker_bh_switch": ("upper", (), "pinsker_bh_switch", ()),
 }
 
 
@@ -125,6 +103,8 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def _read_distribution(path: str) -> DiscreteDistribution:
+    from .distributions import make_distribution
+
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if path.endswith(".csv"):
@@ -162,6 +142,9 @@ def _read_distribution(path: str) -> DiscreteDistribution:
 
 
 def _cmd_div(args: argparse.Namespace, fmt: str) -> int:
+    from .divergences import divergence
+    from .generators import parse_kind
+
     kind, params = parse_kind(args.kind)
     p = _read_distribution(args.p)
     q = _read_distribution(args.q)
@@ -174,6 +157,15 @@ def _cmd_div(args: argparse.Namespace, fmt: str) -> int:
 
 
 def _cmd_represent(args: argparse.Namespace, fmt: str) -> int:
+    from .divergences import divergence
+    from .generators import parse_generator, parse_kind
+    from .spectrum_repr import (
+        represent_degroot_weight,
+        represent_general,
+        represent_inverse_g,
+        represent_named,
+    )
+
     p = _read_distribution(args.p)
     q = _read_distribution(args.q)
     kind, params = parse_kind(args.kind)
@@ -203,6 +195,8 @@ def _cmd_represent(args: argparse.Namespace, fmt: str) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace, fmt: str) -> int:
+    from .distributions import spectrum
+
     p = _read_distribution(args.p)
     q = _read_distribution(args.q)
     s = spectrum(p, q)
@@ -220,6 +214,8 @@ def _cmd_spectrum(args: argparse.Namespace, fmt: str) -> int:
 
 def _parse_args_kv(raw: str, keys: tuple[str, ...]) -> dict[str, float]:
     """The --args k=v items: exactly ``keys``, plus an optional certified."""
+    from .generators import parse_number
+
     out: dict[str, float] = {}
     for item in raw.split(",") if raw else ():
         key, _, val = item.partition("=")
@@ -245,15 +241,21 @@ def _cmd_bounds(args: argparse.Namespace, fmt: str) -> int:
         raise ValidationError("bounds needs --name or --list")
     if args.name not in _BOUNDS:
         raise UnknownKindError(f"unknown bound {args.name!r}")
-    direction, keys, bound = _BOUNDS[args.name]
+    from dataclasses import asdict
+
+    from . import bounds
+
+    direction, keys, func, lead = _BOUNDS[args.name]
     kv = _parse_args_kv(args.args or "", keys)
-    value = bound(*(kv[k] for k in keys))
-    report = make_report(args.name, value, kv.get("certified"), direction)
+    value = getattr(bounds, func)(*lead, *(kv[k] for k in keys))
+    report = bounds.make_report(args.name, value, kv.get("certified"), direction)
     _emit(asdict(report), fmt)
     return 0
 
 
 def _cmd_figure1(args: argparse.Namespace, fmt: str) -> int:
+    from .bounds import c_gamma, egamma_upper
+
     gammas = [float(g) for g in args.gammas.split(",") if g]
     if args.steps < 1:
         raise ValidationError("--steps must be >= 1")
@@ -276,6 +278,15 @@ def _cmd_figure1(args: argparse.Namespace, fmt: str) -> int:
 
 
 def _cmd_poisson(args: argparse.Namespace, fmt: str) -> int:
+    from dataclasses import asdict
+
+    from .bayes_poisson import (
+        _threshold,
+        poisson_bound_report,
+        poisson_divergences,
+        poisson_k0,
+    )
+
     mu, lam, omega = args.mu, args.lam, args.omega
     kl, chi2 = poisson_divergences(mu, lam)
     reports = poisson_bound_report(mu, lam, omega)
@@ -309,6 +320,9 @@ def _cmd_poisson(args: argparse.Namespace, fmt: str) -> int:
 
 
 def _cmd_local(args: argparse.Namespace, fmt: str) -> int:
+    from .generators import parse_generator
+    from .local import local_limit_estimate
+
     f = parse_generator(args.f)
     p = _read_distribution(args.p)
     q = _read_distribution(args.q)
@@ -329,6 +343,11 @@ def _cmd_local(args: argparse.Namespace, fmt: str) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace, fmt: str) -> int:
+    from .distributions import make_distribution
+    from .divergences import f_divergence
+    from .generators import conjugate, parse_generator
+    from .spectrum_repr import represent_general, spectrum_identity
+
     bern_p = make_distribution([0.7, 0.3])
     bern_q = make_distribution([0.5, 0.5])
     tri_p = make_distribution([0.2, 0.3, 0.5])

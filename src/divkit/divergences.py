@@ -27,6 +27,7 @@ from .generators import (
     KINDS,
     Breg,
     GeneratorFunction,
+    _alpha_breg,
     _edge_term,
     _shared,
     kind_args,
@@ -130,8 +131,8 @@ def f_divergence(
     return DivergenceValue(_shifted_sum(f._breg, *_masses(p, q)), f.family, dict(f.params))
 
 
-def _hellinger(masses: tuple[Sequence[float], Sequence[float]], alpha: float) -> float:
-    return _shifted_sum(_BREGS["hellinger"](alpha), *masses)
+def _pair_sum(b: Breg, masses: tuple[Sequence[float], Sequence[float]]) -> float:
+    return _shifted_sum(b, *masses)
 
 
 def _log_sum_exp(ws: list[float], s: float) -> float:
@@ -160,18 +161,21 @@ def _renyi_terms(masses: tuple[Sequence[float], Sequence[float]], alpha: float) 
     return _log_sum_exp(ws, alpha - 1.0)
 
 
+_hellinger_term = _BREGS["hellinger"]
+
+
 def _renyi_map(
-    hellinger: Callable[[Any, float], float],
+    hellinger: Callable[[Breg, Any], float],
     renyi_terms: Callable[[Any, float], float],
     pair: Any,
     alpha: float,
 ) -> float:
     """Renyi of order alpha from the Hellinger divergence
-    H = ``hellinger(pair, alpha)``: ln(1 + (alpha - 1) H) / (alpha - 1), KL
-    at order 1."""
+    H = ``hellinger(<Hellinger term of order alpha>, pair)``:
+    ln(1 + (alpha - 1) H) / (alpha - 1), KL at order 1."""
     if alpha <= 0.0:
         raise DomainError("Renyi order must be positive")
-    h = hellinger(pair, alpha)
+    h = hellinger(_hellinger_term(alpha), pair)
     if alpha == 1.0:
         return h
     arg = (alpha - 1.0) * h
@@ -183,19 +187,34 @@ def _renyi_map(
     return renyi_terms(pair, alpha)
 
 
-# The kinds that are maps of the Hellinger divergence; every other kind is
-# the sum of its family's shifted term.  A map is called as
-# map(h, renyi_terms, pair, *param), where h(pair, alpha) is the Hellinger
-# divergence and renyi_terms(pair, alpha) is ln(sum q (p/q)^alpha) /
-# (alpha - 1) by log-sum-exp over the terms: divergence() passes the direct
-# sums over the masses, spectrum_repr.represent_named() the spectral sums
-# over the spectrum.
+def _alpha_map(
+    h: Callable[[Breg, Any], float],
+    renyi_terms: Callable[[Any, float], float],
+    pair: Any,
+    alpha: float,
+) -> float:
+    """H_alpha / alpha; below order 1/2 the division sits inside the term
+    (``generators._alpha_breg``), since H_alpha underflows at a subnormal
+    order, where H_alpha / alpha tends to KL(Q||P)."""
+    if alpha < 0.5:
+        return h(_alpha_breg(alpha), pair)
+    return h(_hellinger_term(alpha), pair) / alpha
+
+
+# The kinds that are maps of a Hellinger sum; every other kind is the sum
+# of its family's shifted term.  A map is called as
+# map(h, renyi_terms, pair, *param), where h(b, pair) sums the shifted term
+# b over the pair (the Hellinger divergence, for a Hellinger term) and
+# renyi_terms(pair, alpha) is ln(sum q (p/q)^alpha) / (alpha - 1) by
+# log-sum-exp over the terms: divergence() passes the direct sums over the
+# masses, spectrum_repr.represent_named() the spectral sums over the
+# spectrum.
 _HELLINGER_MAPS: dict[str, Callable[..., float]] = {
-    "hellinger": lambda h, renyi_terms, pair, alpha: h(pair, alpha),
-    "sq_hellinger": lambda h, renyi_terms, pair: 0.5 * h(pair, 0.5),
+    "hellinger": lambda h, renyi_terms, pair, alpha: h(_hellinger_term(alpha), pair),
+    "sq_hellinger": lambda h, renyi_terms, pair: 0.5 * h(_hellinger_term(0.5), pair),
     # -ln sum sqrt(p q), half the Renyi divergence of order 1/2
     "bhattacharyya": lambda h, renyi_terms, pair: 0.5 * _renyi_map(h, renyi_terms, pair, 0.5),
-    "alpha": lambda h, renyi_terms, pair, alpha: h(pair, alpha) / alpha,
+    "alpha": _alpha_map,
     "renyi": _renyi_map,
 }
 
@@ -226,7 +245,7 @@ def _kind_sum(kind: str, **params: float) -> Callable[[Sequence[float], Sequence
     mapped = _HELLINGER_MAPS.get(kind)
     if mapped is None:
         return partial(_shifted_sum, _BREGS[KINDS[kind][0]](*args))
-    return lambda ps, qs: mapped(_hellinger, _renyi_terms, (ps, qs), *args)
+    return lambda ps, qs: mapped(_pair_sum, _renyi_terms, (ps, qs), *args)
 
 
 def renyi(alpha: float, p: DiscreteDistribution, q: DiscreteDistribution) -> DivergenceValue:

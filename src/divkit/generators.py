@@ -223,16 +223,30 @@ _HELLINGER_HALF = Breg(_hellinger_half_term, 1.0, 1.0)
 
 @_shared
 def _hellinger_breg(alpha: float) -> Breg:
-    if not 0.0 < alpha < math.inf or alpha == 1.0:
-        raise DomainError("Hellinger order must lie in (0,1) or (1,inf)")
     if alpha == 0.5:
         return _HELLINGER_HALF
     if alpha == 2.0:
         return _CHI2  # q x^2
+    return _power_breg(alpha, 1.0)
+
+
+@_shared
+def _alpha_breg(alpha: float) -> Breg:
+    """The Hellinger term over alpha, divided inside its forms: a (x - L)
+    and the series' coefficients, all multiples of a, keep no bits at a
+    subnormal order.  The alpha kind takes it below order 1/2."""
+    return _power_breg(alpha, alpha)
+
+
+def _power_breg(alpha: float, over: float) -> Breg:
+    """The Hellinger term of order alpha over ``over``."""
+    if not 0.0 < alpha < math.inf or alpha == 1.0:
+        raise DomainError("Hellinger order must lie in (0,1) or (1,inf)")
     am1 = alpha - 1.0
     near = _SERIES_AT / alpha if alpha > 1.0 else _SERIES_AT
+    scale = alpha / over
     # ((1+x)^a - 1 - a x)/(a - 1) over x^2, to x^9
-    coefs = [alpha / 2.0]
+    coefs = [scale / 2.0]
     for k in range(2, 11):
         coefs.append(coefs[-1] * (alpha - k) / (k + 1))
     c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = coefs
@@ -255,21 +269,21 @@ def _hellinger_breg(alpha: float) -> Breg:
             # the second below ~a times the first, where the form below
             # cancels d to ~1/a of its bits
             y = alpha * log_ratio
-            return (alpha * (d - q * log_ratio) - q * (math.expm1(y) - y)) / -am1
+            return (scale * (d - q * log_ratio) - q * (math.expm1(y) - y) / over) / -am1
         # p ((p/q)^(a-1) - 1)/(a-1) - d, which tends to the KL term at a = 1;
         # not finite where (p/q)^(a-1) passes the float range, which sends
         # the atom to at_log
-        return p * (math.expm1(am1 * log_ratio) / am1) - d
+        return (p * (math.expm1(am1 * log_ratio) / am1) - d) / over
 
     def at_log(x: float, p: float) -> float:
         # p (e^((a-1) x) - 1)/(a-1) - p (1 - e^-x); past e^700 the first
         # part alone holds every bit
         y = am1 * x
         if y < 700.0:
-            return p * (math.expm1(y) / am1 + math.expm1(-x))
-        return _exp_times(p, y - math.log(am1))
+            return p * (math.expm1(y) / am1 + math.expm1(-x)) / over
+        return _exp_times(p, y - math.log(am1)) / over
 
-    return Breg(term, 1.0, alpha / -am1 if alpha < 1.0 else math.inf, at_log)
+    return Breg(term, 1.0 / over, (alpha / -am1 if alpha < 1.0 else math.inf) / over, at_log)
 
 
 _TV = Breg(abs, 1.0, 1.0, reads=1)
@@ -320,7 +334,9 @@ def _e_gamma_breg(gamma: float) -> Breg:
         raise DomainError("E_gamma order must satisfy gamma >= 1")
 
     def term(d: float, q: float, p: float) -> float:
-        x = p - gamma * q  # from the masses, keeping every bit of them
+        # from the masses, keeping every bit of them; where q = 0 the term is
+        # p, also at gamma = inf, where gamma q is NaN: E_inf = P(q = 0)
+        x = p - gamma * q if q > 0.0 else p
         return x if x > 0.0 else 0.0
 
     def at_log(x: float, p: float) -> float:

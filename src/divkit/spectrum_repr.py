@@ -208,11 +208,6 @@ def represent_inverse_g(
     return _g_sum(f._breg, _smooth_spectrum(f, p, q))
 
 
-def _hellinger_sum(spec: SpectrumFunction, alpha: float) -> float:
-    """The Hellinger divergence of order alpha as the g-increment sum."""
-    return _g_sum(_BREGS["hellinger"](alpha), spec)
-
-
 def _renyi_terms(spec: SpectrumFunction, alpha: float) -> float:
     """ln(sum q (p/q)^alpha) / (alpha - 1) over the spectrum's atoms: the
     CDF's jump m_j at each breakpoint x_j times e^((alpha - 1) x_j), by
@@ -243,7 +238,7 @@ def represent_named(
     mapped = _HELLINGER_MAPS.get(kind)
     if mapped is None:
         return _g_sum(_BREGS[KINDS[kind][0]](*args), spec)
-    return mapped(_hellinger_sum, _renyi_terms, spec, *args)
+    return mapped(_g_sum, _renyi_terms, spec, *args)
 
 
 def spectrum_identity(p: DiscreteDistribution, q: DiscreteDistribution) -> float:

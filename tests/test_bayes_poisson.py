@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,10 +12,15 @@ from divkit import (
     PoissonModel,
     poisson_bound_report,
     poisson_degroot_exact,
-    poisson_degroot_minsum,
     poisson_divergences,
     poisson_k0,
     poisson_pmf,
+)
+from helpers import (
+    MINSUM_MAX_RATE,
+    degroot_oracle,
+    poisson_degroot_minsum,
+    truncation_index,
 )
 
 
@@ -34,7 +38,7 @@ class TestPmf:
     @pytest.mark.parametrize("lam", [0.5, 10.0, 200.0])
     def test_normalization(self, lam):
         model = PoissonModel(lam)
-        total = math.fsum(model.pmf(k) for k in range(model.truncation_index() + 1))
+        total = math.fsum(model.pmf(k) for k in range(truncation_index(model) + 1))
         assert total >= 1.0 - 1e-12
 
     def test_domains(self):
@@ -65,7 +69,7 @@ class TestDivergences:
     def test_closed_form_matches_truncated_sums(self, mu, lam):
         pm = PoissonModel(mu)
         pl = PoissonModel(lam)
-        top = max(pm.truncation_index(), pl.truncation_index())
+        top = max(truncation_index(pm), truncation_index(pl))
         log_ratio = math.log(mu / lam)
         kl_sum = math.fsum(
             pm.pmf(k) * (k * log_ratio + lam - mu) for k in range(top + 1)
@@ -135,7 +139,7 @@ class TestDegrootExact:
         mu, lam = 4.0, 1.0
         pm = PoissonModel(mu)
         pl = PoissonModel(lam)
-        top = max(pm.truncation_index(), pl.truncation_index())
+        top = max(truncation_index(pm), truncation_index(pl))
         tv = math.fsum(abs(pm.pmf(k) - pl.pmf(k)) for k in range(top + 1))
         assert poisson_degroot_exact(mu, lam, 0.5) == pytest.approx(
             0.25 * tv, abs=1e-10
@@ -199,29 +203,6 @@ class TestBoundReport:
             for report in poisson_bound_report(mu, lam, omega):
                 assert math.isfinite(report.bound_value), report
                 assert report.slack >= 0.0, report
-
-
-def degroot_oracle(mu, lam, omega, sigmas=40):
-    """I_omega(P_mu || P_lam) at 40 digits: the sum of the positive parts of
-    omega P_mu[k] - (1-omega) P_lam[k] (omega <= 1/2) or of the reverse
-    difference, over every count within `sigmas` standard deviations of
-    either law (the rest is below e^(-sigmas^2 / 2) of the masses)."""
-    with mpmath.workdps(40):
-        m, l = mpmath.mpf(mu), mpmath.mpf(lam)
-        a = mpmath.mpf(omega)
-        b = 1 - a
-        lo = max(0, math.floor(min(mu, lam) - sigmas * math.sqrt(min(mu, lam)) - 50))
-        hi = math.ceil(max(mu, lam) + sigmas * math.sqrt(max(mu, lam)) + 250)
-        pm = mpmath.exp(lo * mpmath.log(m) - m - mpmath.loggamma(lo + 1))
-        pl = mpmath.exp(lo * mpmath.log(l) - l - mpmath.loggamma(lo + 1))
-        total = mpmath.mpf(0)
-        for k in range(lo, hi + 1):
-            d = a * pm - b * pl if a <= b else b * pl - a * pm
-            if d > 0:
-                total += d
-            pm *= m / (k + 1)
-            pl *= l / (k + 1)
-        return float(total)
 
 
 def _oracle_cases():
@@ -322,7 +303,7 @@ class TestInputBoundary:
 
     def test_minsum_has_its_own_cap(self):
         with pytest.raises(DomainError):
-            poisson_degroot_minsum(bp.MINSUM_MAX_RATE * 2.0, 1.0, 0.5)
+            poisson_degroot_minsum(MINSUM_MAX_RATE * 2.0, 1.0, 0.5)
 
     def test_rate_ratio_past_the_float_range(self):
         # mu / lam underflows to 0; ln mu - ln lam keeps the KL finite

@@ -135,6 +135,21 @@ class TestHellingerOrders:
             got = divergence("alpha", p, q, alpha=alpha).value
             assert got == pytest.approx(reverse_kl, rel=1e-9)
 
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-310, 1e-300])
+    def test_subnormal_order_alpha_kind(self, alpha):
+        # H_a underflows at these orders; H_a / a was taken after it had and
+        # read 0.0 at 5e-324 and 1.4e-13 off at 1e-310
+        p, q = _PAIRS[0]
+        reverse_kl = pytest.approx(divergence("kl", q, p).value, rel=1e-15, abs=0.0)
+        assert divergence("alpha", p, q, alpha=alpha).value == reverse_kl
+        assert represent_named("alpha", p, q, alpha=alpha) == reverse_kl
+
+    def test_alpha_kind_keeps_its_bits_at_special_orders(self):
+        for p, q in _PAIRS[:2]:
+            for alpha in (0.5, 1.0, 2.0):
+                h = divergence("hellinger", p, q, alpha=alpha).value
+                assert divergence("alpha", p, q, alpha=alpha).value == h / alpha
+
     def test_order_next_to_one_is_kl(self):
         # an atom with p/q below 1 + 2^-8 reads ln(p/q) from the masses;
         # (q (p/q)^a - p)/(a - 1) there lost every bit next to a = 1
@@ -168,6 +183,20 @@ class TestHellingerOrders:
         for alpha in (1e35, 1e300):
             assert divergence("hellinger", p, p, alpha=alpha).value == 0.0
             assert divergence("hellinger", p, q, alpha=alpha).value == math.inf
+
+
+class TestEGammaAtInfinity:
+    def test_limit_is_the_p_mass_where_q_vanishes(self):
+        # p - gamma q is NaN at gamma = inf and q = 0, whose positive part
+        # read 0 and dropped the singular P-mass
+        p, q = make_distribution([0.5, 0.5]), make_distribution([1.0, 0.0])
+        f = generator("e_gamma", gamma=math.inf)
+        for gamma in (math.inf, 1e300):
+            assert divergence("e_gamma", p, q, gamma=gamma).value == 0.5
+        assert f_divergence(f, p, q).value == 0.5
+        p2, q2 = _PAIRS[2]
+        assert divergence("e_gamma", p2, q2, gamma=math.inf).value == 0.4
+        assert f_divergence(f, *_PAIRS[0]).value == 0.0
 
 
 class TestSharedCatalog:

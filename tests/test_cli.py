@@ -26,6 +26,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _fresh_interpreter(code: str, *options: str) -> str:
+    """stdout of ``code`` run by a fresh interpreter, with ``options``, on
+    this checkout's divkit."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(divkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, *options, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestDiv:
     def test_tv(self, capsys, dist_files):
         p, q = dist_files
@@ -325,14 +338,7 @@ class TestSelftestAndPlumbing:
             "    rc = divkit.cli.main(['selftest'])\n"
             "print(rc, sorted({'numpy', 'scipy', 'mpmath', 'hypothesis'} & set(sys.modules)))\n"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(divkit.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", code],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "[]"]
+        assert _fresh_interpreter(code, "-S").split() == ["0", "[]"]
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -357,3 +363,65 @@ class TestSelftestAndPlumbing:
         code, out, _ = run_cli(capsys, "div", "--kind", "kl", "--p", str(p), "--q", str(q))
         assert code == 0
         assert json.loads(out)["value_nats"] == "inf"
+
+
+_LOADED = "sorted(m for m in sys.modules if m == 'divkit' or m.startswith('divkit.'))"
+_DIV_MODULES = {"cli", "errors", "distributions", "divergences", "generators"}
+
+
+class TestLazyLoading:
+    # the divkit modules each subcommand loads, besides the package itself
+    EXPECTED = {
+        "spectrum": {"cli", "errors", "distributions"},
+        "poisson": {"cli", "errors", "bayes_poisson", "bounds", "generators"},
+        "bounds": {"cli", "errors", "bounds", "generators"},
+        "figure1": {"cli", "errors", "bounds", "generators"},
+        "div": _DIV_MODULES,
+        "represent": _DIV_MODULES | {"spectrum_repr", "quadrature"},
+        "selftest": _DIV_MODULES | {"spectrum_repr", "quadrature"},
+        "local": _DIV_MODULES | {"local"},
+    }
+
+    @staticmethod
+    def _argv(command, p, q):
+        return {
+            "spectrum": ["--p", p, "--q", q],
+            "poisson": ["--mu", "101", "--lambda", "99", "--omega", "0.1"],
+            "bounds": ["--name", "pinsker_lb_kl", "--args", "tv=0.4"],
+            "figure1": ["--steps", "2"],
+            "div": ["--kind", "kl", "--p", p, "--q", q],
+            "represent": ["--kind", "kl", "--p", p, "--q", q],
+            "selftest": [],
+            "local": ["--f", "kl", "--p", p, "--q", q],
+        }[command]
+
+    @pytest.mark.parametrize("command", sorted(EXPECTED))
+    def test_subcommand_loads_only_its_modules(self, dist_files, command):
+        argv = [command, *self._argv(command, *dist_files)]
+        out = _fresh_interpreter(
+            "import contextlib, io, sys\n"
+            "import divkit.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = divkit.cli.main({argv!r})\n"
+            f"print(rc, *{_LOADED})\n"
+        )
+        rc, *loaded = out.split()
+        assert rc == "0"
+        assert loaded == sorted({"divkit"} | {f"divkit.{m}" for m in self.EXPECTED[command]})
+
+    def test_import_divkit_loads_no_submodule(self):
+        out = _fresh_interpreter(f"import sys\nimport divkit\nprint(*{_LOADED})\n")
+        assert out.split() == ["divkit"]
+
+    def test_every_export_resolves(self):
+        for name in divkit.__all__:
+            assert getattr(divkit, name) is not None
+        assert set(divkit.__all__) <= set(dir(divkit))
+        namespace: dict = {}
+        exec("from divkit import *", namespace)
+        assert set(divkit.__all__) <= set(namespace)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            divkit.no_such_name  # noqa: B018
+        assert not hasattr(divkit, "poisson_degroot_minsum")
