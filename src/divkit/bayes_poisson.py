@@ -13,12 +13,11 @@ Every function here accepts rates in (0, MAX_RATE].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import bounds
-from .errors import DomainError
 from .bounds import BoundReport, make_report
-from .generators import _kl_term
+from .errors import DomainError, refuse_change
+from .terms import _kl_term
 
 __all__ = [
     "MAX_RATE",
@@ -80,20 +79,26 @@ def _stirlerr(n: int) -> float:
     return (1.0 / 12 - s / nn) / n
 
 
-@dataclass(frozen=True)
 class PoissonModel:
     """Poisson law with rate in (0, MAX_RATE].
 
     The log-mass is Loader's saddle-point form
     -stirlerr(k) - bd0(k, rate) - ln(2 pi k) / 2, bd0 being the KL family's
-    shifted term (``generators._kl_term``), accurate to ~2e-15 times its
-    size, where k ln(rate) - rate - lgamma(k + 1) would lose ~1e-16 k.
+    shifted term (``terms._kl_term``), accurate to ~2e-15 times its size,
+    where k ln(rate) - rate - lgamma(k + 1) would lose ~1e-16 k.  An
+    immutable record: assigning or deleting ``rate`` raises AttributeError,
+    and a model equals only itself.
     """
 
-    rate: float
+    __slots__ = ("rate",)
+    __setattr__ = __delattr__ = refuse_change
 
-    def __post_init__(self) -> None:
-        _check_rates(self.rate)
+    def __init__(self, rate: float) -> None:
+        _check_rates(rate)
+        object.__setattr__(self, "rate", rate)
+
+    def __reduce__(self):
+        return type(self), (self.rate,)
 
     def log_pmf(self, k: int) -> float:
         if k < 0:
@@ -249,22 +254,10 @@ def poisson_bound_report(mu: float, lam: float, omega: float) -> list[BoundRepor
     exact = poisson_degroot_exact(mu, lam, omega)
     kwargs = dict(d_pq=kl_pq, d_qp=kl_qp, chi_pq=chi_pq, chi_qp=chi_qp)
     return [
-        make_report(
-            "degroot_ub_from_chi2",
-            bounds.degroot_upper("chi2", omega, **kwargs),
-            exact,
-            "upper",
-        ),
-        make_report(
-            "degroot_ub_kl_line",
-            bounds.degroot_upper("kl_line", omega, **kwargs),
-            exact,
-            "upper",
-        ),
-        make_report(
-            "degroot_ub_kl_bh",
-            bounds.degroot_upper("kl_bh", omega, **kwargs),
-            exact,
-            "upper",
-        ),
+        make_report(name, bounds.degroot_upper(kind, omega, **kwargs), exact, "upper")
+        for name, kind in (
+            ("degroot_ub_from_chi2", "chi2"),
+            ("degroot_ub_kl_line", "kl_line"),
+            ("degroot_ub_kl_bh", "kl_bh"),
+        )
     ]

@@ -11,11 +11,13 @@ quantities are in nats throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import DomainError, RootError, ValidationError
-from .generators import GeneratorFunction, _exp_times
+from .terms import _edge_term, _exp_times
+
+if TYPE_CHECKING:
+    from .generators import GeneratorFunction
 
 __all__ = [
     "BoundReport",
@@ -38,9 +40,8 @@ __all__ = [
 _BRANCH_POINT = -math.exp(-1.0)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Outcome of one certified inequality.
+class BoundReport(NamedTuple):
+    """Outcome of one certified inequality, a tuple of its five fields.
 
     ``slack`` is certified - bound for lower bounds and bound - certified
     for upper bounds, so a satisfied inequality has non-negative slack.
@@ -205,13 +206,40 @@ def straight_line_egamma_ub(gamma: float, d: float) -> float:
     """Straight-line bound E_gamma <= c_gamma * KL (nats), gamma > 1."""
     if not d >= 0.0:
         raise DomainError("relative entropy must be non-negative")
-    return c_gamma(gamma) * d
+    c = c_gamma(gamma)
+    return math.inf if d == math.inf else c * d  # also at gamma = inf, where c is 0
 
 
 def _fstar(f: GeneratorFunction, t: float) -> float:
     """The conjugate f*(t) = t f(1/t), with its limit f*(0) at t = 0,
     evaluated in place instead of through a conjugate generator."""
     return f.fstar_at_zero if t == 0.0 else t * f._eval(1.0 / t)
+
+
+def _jensen(f: GeneratorFunction, up: float, down: float, base: float) -> float:
+    """f*(up) + f*(down) - f*(base) for up + down - base = 1 and
+    down <= base <= 1, in place; where f* passes the float range, the same
+    sum of f's shifted term T(t) = f*(t) - c (1 - t), whose c parts cancel.
+    For down = base the last two cancel, also where both are 0 (gamma =
+    inf); a lower bound must not overstate, so past the float range their
+    difference is refused."""
+    try:
+        value = _fstar(f, up) + _fstar(f, down) - _fstar(f, base)
+        if value == value:  # not NaN
+            return value
+    except (OverflowError, ZeroDivisionError):
+        pass
+    b = f._breg
+
+    def term(t: float) -> float:
+        return _edge_term(b, 1.0 - t, t, 1.0) if t > 0.0 else b.at_inf
+
+    value = term(up)
+    if down != base:
+        value += term(down) - term(base)
+        if not value < math.inf:
+            raise DomainError(f"generator {f.family}: f* passes the float range at {base!r}")
+    return value
 
 
 def fdiv_lower_via_egamma(f: GeneratorFunction, e_val: float, gamma: float) -> float:
@@ -224,11 +252,7 @@ def fdiv_lower_via_egamma(f: GeneratorFunction, e_val: float, gamma: float) -> f
         raise DomainError("E_gamma value must lie in [0, 1)")
     if not gamma >= 1.0:
         raise DomainError("gamma must be >= 1")
-    return (
-        _fstar(f, 1.0 + e_val / gamma)
-        + _fstar(f, (1.0 - e_val) / gamma)
-        - _fstar(f, 1.0 / gamma)
-    )
+    return _jensen(f, 1.0 + e_val / gamma, (1.0 - e_val) / gamma, 1.0 / gamma)
 
 
 def fdiv_lower_via_degroot(f: GeneratorFunction, omega: float, i_val: float) -> float:
@@ -245,15 +269,9 @@ def fdiv_lower_via_degroot(f: GeneratorFunction, omega: float, i_val: float) -> 
         )
     if omega <= 0.5:
         comp = 1.0 - omega
-        return (
-            _fstar(f, 1.0 + i_val / comp)
-            + _fstar(f, (omega - i_val) / comp)
-            - _fstar(f, omega / comp)
-        )
-    return (
-        _fstar(f, 1.0 + i_val / omega)
-        + _fstar(f, (1.0 - omega - i_val) / omega)
-        - _fstar(f, (1.0 - omega) / omega)
+        return _jensen(f, 1.0 + i_val / comp, (omega - i_val) / comp, omega / comp)
+    return _jensen(
+        f, 1.0 + i_val / omega, (1.0 - omega - i_val) / omega, (1.0 - omega) / omega
     )
 
 
@@ -269,6 +287,8 @@ def _root_gap(b: float, r: float) -> float:
 def _share(x: float, scale: float) -> float:
     """x / (scale + x) for x >= 0 and scale > 0, 1 at x = inf, divided
     through by the larger of the two so that no intermediate overflows."""
+    if x == math.inf:
+        return 1.0
     if x > scale:
         return 1.0 / (1.0 + scale / x)
     r = x / scale
@@ -283,6 +303,8 @@ def egamma_upper(kind: str, gamma: float, value: float) -> float:
     At gamma = 1 the KL form is the Bretagnolle-Huber bound on E_1.  Both
     are (1/2)(sqrt(b^2 + a) - b) with b = g - 1, taken by ``_root_gap``
     without cancellation, so they hold for gamma up to the float range.
+    With a = 4 g s, s the share under the root, they tend to the limit of
+    s as gamma grows, which is their value at gamma = inf.
     """
     if not gamma >= 1.0:
         raise DomainError("gamma must be >= 1")
@@ -294,6 +316,8 @@ def egamma_upper(kind: str, gamma: float, value: float) -> float:
         share = -math.expm1(-value)
     else:
         raise DomainError(f"unknown egamma_upper kind {kind!r}")
+    if gamma == math.inf:
+        return share
     return 0.5 * _root_gap(gamma - 1.0, 2.0 * math.sqrt(gamma) * math.sqrt(share))
 
 

@@ -17,7 +17,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Any, Sequence
 
-from .errors import DivkitError, DomainError, UnknownKindError, ValidationError
+from .errors import DivkitError, DomainError, UnknownKindError, ValidationError, parse_number
 
 if TYPE_CHECKING:
     from .distributions import DiscreteDistribution
@@ -131,14 +131,18 @@ def _read_distribution(path: str) -> DiscreteDistribution:
             raise ValidationError(f"{path}: JSON object needs a 'masses' array")
         masses = data["masses"]
         n = data.get("alphabet_size")
-        if n is not None and n != len(masses):
+        if n is not None and isinstance(masses, list) and n != len(masses):
             raise ValidationError(
                 f"{path}: alphabet_size {n} does not match {len(masses)} masses"
             )
         data = masses
     if not isinstance(data, list):
         raise ValidationError(f"{path}: expected a JSON array of masses")
-    return make_distribution([float(x) for x in data])
+    for i, x in enumerate(data):
+        # JSON numbers only: not true or false, a string, null, an array or an object
+        if type(x) not in (int, float):
+            raise ValidationError(f"{path}: mass {i} is not a number: {x!r}")
+    return make_distribution(data)
 
 
 def _cmd_div(args: argparse.Namespace, fmt: str) -> int:
@@ -199,23 +203,12 @@ def _cmd_spectrum(args: argparse.Namespace, fmt: str) -> int:
 
     p = _read_distribution(args.p)
     q = _read_distribution(args.q)
-    s = spectrum(p, q)
-    _emit(
-        {
-            "breakpoints": list(s.breakpoints),
-            "cum_masses": list(s.cum_masses),
-            "singular_mass_p": s.singular_mass_p,
-            "singular_mass_q": s.singular_mass_q,
-        },
-        fmt,
-    )
+    _emit(spectrum(p, q)._asdict(), fmt)
     return 0
 
 
 def _parse_args_kv(raw: str, keys: tuple[str, ...]) -> dict[str, float]:
     """The --args k=v items: exactly ``keys``, plus an optional certified."""
-    from .generators import parse_number
-
     out: dict[str, float] = {}
     for item in raw.split(",") if raw else ():
         key, _, val = item.partition("=")
@@ -241,25 +234,23 @@ def _cmd_bounds(args: argparse.Namespace, fmt: str) -> int:
         raise ValidationError("bounds needs --name or --list")
     if args.name not in _BOUNDS:
         raise UnknownKindError(f"unknown bound {args.name!r}")
-    from dataclasses import asdict
-
     from . import bounds
 
     direction, keys, func, lead = _BOUNDS[args.name]
     kv = _parse_args_kv(args.args or "", keys)
     value = getattr(bounds, func)(*lead, *(kv[k] for k in keys))
     report = bounds.make_report(args.name, value, kv.get("certified"), direction)
-    _emit(asdict(report), fmt)
+    _emit(report._asdict(), fmt)
     return 0
 
 
 def _cmd_figure1(args: argparse.Namespace, fmt: str) -> int:
     from .bounds import c_gamma, egamma_upper
 
-    gammas = [float(g) for g in args.gammas.split(",") if g]
+    gammas = [parse_number(g, "--gammas") for g in args.gammas.split(",") if g]
     if args.steps < 1:
         raise ValidationError("--steps must be >= 1")
-    if args.d_max <= 0.0:
+    if not args.d_max > 0.0:
         raise ValidationError("--d-max must be positive")
     for g in gammas:
         if g <= 1.0:
@@ -278,8 +269,6 @@ def _cmd_figure1(args: argparse.Namespace, fmt: str) -> int:
 
 
 def _cmd_poisson(args: argparse.Namespace, fmt: str) -> int:
-    from dataclasses import asdict
-
     from .bayes_poisson import (
         _threshold,
         poisson_bound_report,
@@ -292,7 +281,7 @@ def _cmd_poisson(args: argparse.Namespace, fmt: str) -> int:
     reports = poisson_bound_report(mu, lam, omega)
     bound_dicts = []
     for r in reports:
-        d = asdict(r)
+        d = r._asdict()
         # bounds are quoted to two significant figures in the write-ups;
         # echo that rounding next to the full-precision value
         d["bound_value_2sig"] = f"{r.bound_value:.1e}"
@@ -327,18 +316,7 @@ def _cmd_local(args: argparse.Namespace, fmt: str) -> int:
     p = _read_distribution(args.p)
     q = _read_distribution(args.q)
     est = local_limit_estimate(f, p, q, direction=args.direction)
-    _emit(
-        {
-            "family": args.f,
-            "direction": args.direction,
-            "lambdas": list(est.lambdas),
-            "ratios": list(est.ratios),
-            "extrapolated": est.extrapolated,
-            "target": est.target,
-            "residual": est.residual,
-        },
-        fmt,
-    )
+    _emit({"family": args.f, "direction": args.direction, **vars(est)}, fmt)
     return 0
 
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .errors import DomainError, UndefinedAtomError, ValidationError
+from .errors import DomainError, UndefinedAtomError, ValidationError, refuse_change
 
 __all__ = [
     "DiscreteDistribution",
@@ -35,30 +34,32 @@ _NORMALIZATION_TOL = 1e-12
 _EXPANSION_AT = 32
 
 
-@dataclass(frozen=True)
 class DiscreteDistribution:
     """Probability mass function over an indexed finite alphabet.
 
     Masses are non-negative, sum to one (within normalization tolerance)
-    and at least one is strictly positive.  Instances are immutable; all
-    operations on them are pure functions.
+    and at least one is strictly positive.  Instances are immutable
+    (assigning or deleting an attribute raises AttributeError) and compare
+    and hash by their masses; all operations on them are pure functions.
     """
 
-    masses: tuple[float, ...]
+    __slots__ = ("masses",)
+    __setattr__ = __delattr__ = refuse_change
 
-    def __post_init__(self) -> None:
-        if not self.masses:
+    def __init__(self, masses: tuple[float, ...]) -> None:
+        if not masses:
             raise ValidationError("distribution needs at least one atom")
-        for m in self.masses:
+        for m in masses:
             if not math.isfinite(m) or m < 0.0:
                 raise ValidationError(f"invalid mass {m!r}")
-        total = math.fsum(self.masses)
+        total = math.fsum(masses)
         if total <= 0.0:
             raise ValidationError("at least one mass must be strictly positive")
         if abs(total - 1.0) > _NORMALIZATION_TOL:
             raise ValidationError(
                 f"masses sum to {total!r}, outside normalization tolerance"
             )
+        object.__setattr__(self, "masses", masses)
 
     def __len__(self) -> int:
         return len(self.masses)
@@ -66,9 +67,20 @@ class DiscreteDistribution:
     def __getitem__(self, i: int) -> float:
         return self.masses[i]
 
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.masses == other.masses
 
-@dataclass(frozen=True)
-class SpectrumFunction:
+    def __hash__(self) -> int:
+        return hash(self.masses)
+
+    def __repr__(self) -> str:
+        return f"DiscreteDistribution(masses={self.masses!r})"
+
+    def __reduce__(self):
+        return type(self), (self.masses,)
+
+
+class SpectrumFunction(NamedTuple):
     """The relative information spectrum as an exact right-continuous step
     function.
 
@@ -76,17 +88,14 @@ class SpectrumFunction:
     carrying mass under both measures, sorted increasingly; ``cum_masses[j]``
     is the value of the CDF on ``[breakpoints[j], breakpoints[j+1])``.
     ``singular_mass_p`` is the P-mass where q vanishes (pushed to +inf in
-    log-ratio), ``singular_mass_q`` the Q-mass where p vanishes.
+    log-ratio), ``singular_mass_q`` the Q-mass where p vanishes.  A tuple of
+    these four fields: it iterates, compares and hashes as one.
     """
 
     breakpoints: tuple[float, ...]
     cum_masses: tuple[float, ...]
     singular_mass_p: float
     singular_mass_q: float
-
-    @property
-    def mutually_absolutely_continuous(self) -> bool:
-        return self.singular_mass_p == 0.0 and self.singular_mass_q == 0.0
 
 
 def make_distribution(weights: Sequence[float]) -> DiscreteDistribution:
@@ -96,7 +105,10 @@ def make_distribution(weights: Sequence[float]) -> DiscreteDistribution:
     non-finite, or all-zero weights.  Weights whose sum overflows are
     divided by the largest one before normalizing.
     """
-    ws = [float(w) for w in weights]
+    try:
+        ws = [float(w) for w in weights]
+    except OverflowError:  # an integer past the float range
+        raise ValidationError("a weight passes the float range") from None
     if not ws:
         raise ValidationError("empty weight sequence")
     for w in ws:
@@ -117,9 +129,10 @@ def make_distribution(weights: Sequence[float]) -> DiscreteDistribution:
 
 
 def _require_shared_alphabet(p: DiscreteDistribution, q: DiscreteDistribution) -> None:
-    if len(p) != len(q):
+    if len(p.masses) != len(q.masses):
         raise ValidationError(
-            f"distributions live on different alphabets ({len(p)} vs {len(q)} atoms)"
+            "distributions live on different alphabets "
+            f"({len(p.masses)} vs {len(q.masses)} atoms)"
         )
 
 

@@ -1,7 +1,7 @@
 """Direct computation of f-divergences on finite alphabets.
 
 Every catalog divergence is one sum of its family's shifted term
-q (f(p/q) - c (p/q - 1)) (``generators.Breg``), each term non-negative and
+q (f(p/q) - c (p/q - 1)) (``terms.Breg``), each term non-negative and
 written without cancellation, plus the two singular parts Q(p=0) (f(0) + c)
 and P(q=0) (f*(0) - c) with the 0 * inf = 0 convention.  The paper's
 invariance D_f = D_{f + c(t-1)} makes this the divergence; on stored masses
@@ -20,18 +20,10 @@ from operator import sub
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .distributions import DiscreteDistribution
-from .errors import DomainError, ValidationError
-from .generators import (
-    _BREGS,
-    KINDS,
-    Breg,
-    GeneratorFunction,
-    _alpha_breg,
-    _edge_term,
-    _shared,
-    kind_args,
-)
+from .distributions import DiscreteDistribution, _require_shared_alphabet
+from .errors import DomainError
+from .generators import KINDS, GeneratorFunction, kind_args
+from .terms import _BREGS, Breg, _alpha_breg, _edge_term, _shared
 
 __all__ = [
     "DivergenceValue",
@@ -55,11 +47,7 @@ class DivergenceValue(NamedTuple):
 
 
 def _masses(p: DiscreteDistribution, q: DiscreteDistribution):
-    if len(p.masses) != len(q.masses):
-        raise ValidationError(
-            "distributions live on different alphabets "
-            f"({len(p.masses)} vs {len(q.masses)} atoms)"
-        )
+    _require_shared_alphabet(p, q)
     return p.masses, q.masses
 
 
@@ -194,7 +182,7 @@ def _alpha_map(
     alpha: float,
 ) -> float:
     """H_alpha / alpha; below order 1/2 the division sits inside the term
-    (``generators._alpha_breg``), since H_alpha underflows at a subnormal
+    (``terms._alpha_breg``), since H_alpha underflows at a subnormal
     order, where H_alpha / alpha tends to KL(Q||P)."""
     if alpha < 0.5:
         return h(_alpha_breg(alpha), pair)

@@ -1,8 +1,11 @@
-"""Exception hierarchy for divkit.
+"""Exception hierarchy for divkit, the one parser of numbers from text, and
+the attribute guard of the immutable records.
 
 All library errors derive from DivkitError so callers (and the CLI) can
 distinguish bad inputs from genuine bugs with a single except clause.
 """
+
+import math
 
 
 class DivkitError(ValueError):
@@ -45,3 +48,19 @@ class UnknownKindError(DivkitError):
 
 class RootError(DivkitError):
     """A bracketing root search found no sign change."""
+
+
+def parse_number(raw: str, what: str) -> float:
+    """A finite float from text; anything else is a ValidationError."""
+    try:
+        x = float(raw)
+    except ValueError:
+        raise ValidationError(f"{what}: not a number: {raw!r}") from None
+    if not math.isfinite(x):
+        raise ValidationError(f"{what}: must be finite, got {raw!r}")
+    return x
+
+
+def refuse_change(record: object, name: str, *_: object) -> None:
+    """``__setattr__`` and ``__delattr__`` of the immutable records."""
+    raise AttributeError(f"{type(record).__name__} is immutable: cannot change {name!r}")

@@ -5,12 +5,12 @@ ships analytic first (and where available second) derivatives; numerical
 differentiation is never used because the derivatives feed integrands where
 noise compounds.  Kinked families (total variation, E_gamma, DeGroot,
 chi^s at s = 1) expose their derivative as undefined exactly at the kink
-abscissa.  Each family also ships its shifted term f(1+d) - f'(1) d
-(``Breg``), from the one table ``_BREGS`` that the generators and the
-direct sums in ``divkit.divergences`` both read; the g transform of the
-spectral engines (``g_eval``) is read from it too.  Catalog generators and
-shifted terms are immutable, so each is built once per (family, parameter)
-and shared; the families with a parameter keep theirs in bounded caches.
+abscissa.  Each family also carries its shifted term f(1+d) - f'(1) d
+(``terms.Breg``), from the module ``divkit.terms`` that the direct sums in
+``divkit.divergences`` read too; the g transform of the spectral engines
+(``g_eval``) is read from it.  Catalog generators are immutable, so each is
+built once per (family, parameter) and shared; the families with a
+parameter keep theirs in bounded caches.
 
 Everything here is in nats: the catalog's logarithms are natural.
 """
@@ -18,9 +18,7 @@ Everything here is in nats: the catalog's logarithms are natural.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Any, Callable, Mapping, NamedTuple, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from .errors import (
     CapabilityError,
@@ -28,7 +26,10 @@ from .errors import (
     KinkError,
     UnknownKindError,
     ValidationError,
+    parse_number,
+    refuse_change,
 )
+from .terms import _BREGS, Breg, _exp_times, _g_edge, _hellinger_breg, _shared
 
 __all__ = [
     "GeneratorFunction",
@@ -36,53 +37,80 @@ __all__ = [
     "generator",
     "kind_args",
     "parse_kind",
-    "parse_number",
     "parse_generator",
     "conjugate",
     "affine_shift",
     "g_eval",
 ]
 
-# Distinct parameters whose shifted term, generator or resolved divergence
-# sum is kept per family (or kind).  An exception is never kept, so a
-# refused parameter is refused again; ``typed`` keeps alpha=2 and alpha=2.0
-# apart, since their params print differently.
-_CACHE_SIZE = 256
-_shared = lru_cache(maxsize=_CACHE_SIZE, typed=True)
 
-
-@dataclass(frozen=True)
 class GeneratorFunction:
     """A member of the convex class with f(1) = 0, plus family metadata.
 
     ``f_at_zero`` is lim_{t->0} f(t) and ``fstar_at_zero`` is
     lim_{u->inf} f(u)/u; both live in (-inf, +inf].  ``right_deriv_at_one``
     always exists and is finite; ``left_deriv_at_one`` differs from it only
-    at a kink sitting exactly at 1.  ``second_at_one`` is f''(1) when
-    defined. ``kink`` is the abscissa where the derivative fails, or None.
-    ``_breg`` is the family's shifted term (see ``Breg``), which the direct
-    sums and the mixture-path sums read; a generator built without one, such
-    as a custom or a conjugate generator, gets ``_generic_breg``'s.
+    at a kink sitting exactly at 1, and is taken equal to it unless given.
+    ``second_at_one`` is f''(1) when defined. ``kink`` is the abscissa where
+    the derivative fails, or None.  The keywords ``eval``, ``deriv`` and
+    ``second`` give f, f' and f'' (kept as ``_eval``, ``_deriv`` and
+    ``_second``), and ``breg`` the family's shifted term (``_breg``, see
+    ``terms.Breg``), which the direct sums and the mixture-path sums read; a
+    generator built without one, such as a custom or a conjugate generator,
+    gets q f(p/q) - f'(1) d, from p/q in the masses so that it is never
+    rounded through d.  The catalog's families, ``custom``, ``conjugate``
+    and ``affine_shift`` are all built by this one constructor.
+
+    An immutable record: assigning or deleting an attribute raises
+    AttributeError, and a generator equals only itself.
     """
 
-    family: str
-    params: tuple[tuple[str, float], ...]
-    f_at_zero: float
-    fstar_at_zero: float
-    right_deriv_at_one: float
-    left_deriv_at_one: float
-    second_at_one: Optional[float]
-    kink: Optional[float]
-    _eval: Callable[[float], float]
-    _deriv: Optional[Callable[[float], float]]
-    _second: Optional[Callable[[float], float]]
-    _breg: Optional["Breg"] = None
+    __slots__ = (
+        "family", "params", "f_at_zero", "fstar_at_zero", "right_deriv_at_one",
+        "left_deriv_at_one", "second_at_one", "kink", "_eval", "_deriv", "_second", "_breg",
+    )
+    __setattr__ = __delattr__ = refuse_change
 
-    def __post_init__(self) -> None:
-        if abs(self._eval(1.0)) > 1e-12:
-            raise ValidationError(f"generator {self.family} violates f(1)=0")
-        if self._breg is None:
-            object.__setattr__(self, "_breg", _generic_breg(self))
+    def __init__(
+        self,
+        family: str,
+        *,
+        params: tuple[tuple[str, float], ...] = (),
+        breg: Optional[Breg] = None,
+        eval: Callable[[float], float],
+        deriv: Optional[Callable[[float], float]] = None,
+        second: Optional[Callable[[float], float]] = None,
+        f_at_zero: float,
+        fstar_at_zero: float,
+        right_deriv_at_one: float,
+        left_deriv_at_one: Optional[float] = None,
+        second_at_one: Optional[float] = None,
+        kink: Optional[float] = None,
+    ) -> None:
+        if abs(eval(1.0)) > 1e-12:
+            raise ValidationError(f"generator {family} violates f(1)=0")
+        if left_deriv_at_one is None:
+            left_deriv_at_one = right_deriv_at_one
+        if breg is None:
+            c = right_deriv_at_one
+            breg = Breg(
+                lambda d, q, p: q * eval(p / q) - c * d, f_at_zero + c, fstar_at_zero - c
+            )
+        values = (
+            family, params, f_at_zero, fstar_at_zero, right_deriv_at_one, left_deriv_at_one,
+            second_at_one, kink, eval, deriv, second, breg,
+        )
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __repr__(self) -> str:
+        return f"GeneratorFunction({self.family!r}, params={self.params!r})"
+
+    def __copy__(self) -> GeneratorFunction:
+        return self  # immutable, as a tuple is
+
+    def __deepcopy__(self, memo: dict) -> GeneratorFunction:
+        return self
 
     def __call__(self, t: float) -> float:
         return self._eval(t)
@@ -133,329 +161,12 @@ def _named(**kv: float) -> tuple[tuple[str, float], ...]:
     return tuple(kv.items())
 
 
-# shifted terms ---------------------------------------------------------------
-
-
-class Breg(NamedTuple):
-    """A family's shifted term f(1 + x) - c x, c a subgradient of f at 1: the
-    same for f and every f + k (t - 1), >= 0, and written without
-    cancellation.  ``term`` is q times it at x = d/q, called with the first
-    ``reads`` of (d, q, p), p = q + d the first measure's mass: a direct sum
-    passes d = p - q, a mixture path d = +-lam (p - q), which its rounded
-    masses no longer carry.  A term takes p/q from d except near d/q = -1,
-    where d no longer carries it and the term reads p; elsewhere p is at
-    most a factor, whose rounding costs an ulp.  ``at_zero`` = f(0) + c and
-    ``at_inf`` = f*(0) - c are the terms per unit of mass where p = 0 and
-    where q = 0.  ``at_log``, where given, is the term at x = ln(p/q) > 0
-    from x and p, for an atom whose p/q, or a power of it, passes the float
-    range, and for the spectral engines past x = 700 (``_g_edge``).
-    """
-
-    term: Callable[..., float]
-    at_zero: float
-    at_inf: float
-    at_log: Optional[Callable[[float, float], float]] = None
-    reads: int = 3
-
-
-# below this x = d/q, d = p - q no longer carries p/q to full precision
-_LOW_EDGE = -1.0 + 2.0**-8
-# for |x| below this (over the order, for Hellinger orders above 1) the
-# Hellinger term is ten terms of its power series, at full precision; above
-# it the closed form loses a few ulps at most
-_SERIES_AT = 2.0**-5
-
-
-def _exp_times(m: float, y: float) -> float:
-    """m e^y, where e^y alone may pass the float range and m e^y not; inf
-    where m e^y does."""
-    if y < 700.0:
-        return m * math.exp(y)
-    y += math.log(m)
-    return math.exp(y) if y < 709.78 else math.inf
-
-
-def _kl_term(d: float, q: float, p: float) -> float:
-    """q ((1+x) ln(1+x) - x) at x = d/q, i.e. p ln(p/q) - (p - q): Loader's
-    (2000) bd0(p, q).  For |x| < 1/4 it is his series in v = x/(2+x),
-    d v + 2 p (v^3/3 + v^5/5 + ...), whose first omitted term is below
-    1e-17 of the sum; beyond, the logarithm's form holds ~2e-15 relative.
-    Finite at every p, q > 0; p = 0 raises, for the singular pass."""
-    x = d / q
-    if -0.25 < x < 0.25:
-        v = x / (2.0 + x)
-        w = v * v
-        s = 2 / 11 + w * (2 / 13 + w * (2 / 15 + w * (2 / 17 + w * (2 / 19))))
-        s = 2 / 3 + w * (2 / 5 + w * (2 / 7 + w * (2 / 9 + w * s)))
-        return v * (d + p * w * s)
-    if _LOW_EDGE < x < math.inf:
-        return p * math.log1p(x) - d
-    # ln p - ln q, where d no longer carries p/q or p/q passes the float range
-    return p * (math.log(p) - math.log(q)) - d
-
-
-# past the float range of p/q, p (x - (1 - e^-x)) at x = ln(p/q)
-_KL = Breg(_kl_term, 1.0, math.inf, lambda x, p: p * (x + math.expm1(-x)))
-# (p - q) ln(p/q), the KL terms of P against Q and of Q against P; past the
-# float range, p (1 - e^-x) x
-_JEFFREYS = Breg(
-    lambda d, q, p: _kl_term(d, q, p) + _kl_term(-d, p, q), math.inf, math.inf,
-    lambda x, p: -p * x * math.expm1(-x),
-)
-
-
-# q x^2; past the float range of p/q, p e^x (1 - e^-x)^2 at x = ln(p/q)
-_CHI2 = Breg(
-    lambda d, q: d * (d / q), 1.0, math.inf,
-    lambda x, p: _exp_times(p, x) * math.expm1(-x) ** 2, reads=2,
-)
-
-
-def _hellinger_half_term(d: float, q: float, p: float) -> float:
-    # order 1/2: q (sqrt(p/q) - 1)^2 = (sqrt p - sqrt q)^2, where
-    # sqrt p - sqrt q = d / (sqrt p + sqrt q)
-    r = d / (math.sqrt(p) + math.sqrt(q))
-    return r * r
-
-
-_HELLINGER_HALF = Breg(_hellinger_half_term, 1.0, 1.0)
-
-
-@_shared
-def _hellinger_breg(alpha: float) -> Breg:
-    if alpha == 0.5:
-        return _HELLINGER_HALF
-    if alpha == 2.0:
-        return _CHI2  # q x^2
-    return _power_breg(alpha, 1.0)
-
-
-@_shared
-def _alpha_breg(alpha: float) -> Breg:
-    """The Hellinger term over alpha, divided inside its forms: a (x - L)
-    and the series' coefficients, all multiples of a, keep no bits at a
-    subnormal order.  The alpha kind takes it below order 1/2."""
-    return _power_breg(alpha, alpha)
-
-
-def _power_breg(alpha: float, over: float) -> Breg:
-    """The Hellinger term of order alpha over ``over``."""
-    if not 0.0 < alpha < math.inf or alpha == 1.0:
-        raise DomainError("Hellinger order must lie in (0,1) or (1,inf)")
-    am1 = alpha - 1.0
-    near = _SERIES_AT / alpha if alpha > 1.0 else _SERIES_AT
-    scale = alpha / over
-    # ((1+x)^a - 1 - a x)/(a - 1) over x^2, to x^9
-    coefs = [scale / 2.0]
-    for k in range(2, 11):
-        coefs.append(coefs[-1] * (alpha - k) / (k + 1))
-    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = coefs
-    if not math.isfinite(c9):
-        # past order ~1e31 the coefficients overflow, and x is below 2^-5
-        # over the order only where it is ~0: the closed form takes it
-        near = 0.0
-    small = alpha < 0.5
-
-    def term(d: float, q: float, p: float) -> float:
-        x = d / q
-        if -near < x < near:
-            s = c5 + x * (c6 + x * (c7 + x * (c8 + x * c9)))
-            return d * x * (c0 + x * (c1 + x * (c2 + x * (c3 + x * (c4 + x * s)))))
-        # L = ln(p/q), from the masses where d no longer carries it or p/q
-        # passes the float range
-        log_ratio = math.log1p(x) if _LOW_EDGE < x < math.inf else math.log(p) - math.log(q)
-        if small:
-            # q (a (x - L) - (e^(aL) - 1 - aL)) over 1 - a: both parts >= 0,
-            # the second below ~a times the first, where the form below
-            # cancels d to ~1/a of its bits
-            y = alpha * log_ratio
-            return (scale * (d - q * log_ratio) - q * (math.expm1(y) - y) / over) / -am1
-        # p ((p/q)^(a-1) - 1)/(a-1) - d, which tends to the KL term at a = 1;
-        # not finite where (p/q)^(a-1) passes the float range, which sends
-        # the atom to at_log
-        return (p * (math.expm1(am1 * log_ratio) / am1) - d) / over
-
-    def at_log(x: float, p: float) -> float:
-        # p (e^((a-1) x) - 1)/(a-1) - p (1 - e^-x); past e^700 the first
-        # part alone holds every bit
-        y = am1 * x
-        if y < 700.0:
-            return p * (math.expm1(y) / am1 + math.expm1(-x)) / over
-        return _exp_times(p, y - math.log(am1)) / over
-
-    return Breg(term, 1.0 / over, (alpha / -am1 if alpha < 1.0 else math.inf) / over, at_log)
-
-
-_TV = Breg(abs, 1.0, 1.0, reads=1)
-
-
-@_shared
-def _chi_s_breg(s: float) -> Breg:
-    if not s >= 1.0:
-        raise DomainError("chi^s order must satisfy s >= 1")
-    if s == 1.0:
-        return _TV
-
-    def term(d: float, q: float) -> float:
-        return q * abs(d / q) ** s
-
-    def at_log(x: float, p: float) -> float:
-        # p e^-x (e^x - 1)^s, from its logarithm
-        return _exp_times(p, s * (x + math.log1p(-math.exp(-x))) - x)
-
-    return Breg(term, 1.0, math.inf, at_log, reads=2)
-
-
-# q x^2/(2 + x) at x = d/q
-_TRIANGULAR = Breg(lambda d, q: d * (d / (2.0 * q + d)), 1.0, 1.0, reads=2)
-
-
-@_shared
-def _lin_breg(theta: float) -> Breg:
-    if not 0.0 < theta < 1.0:
-        raise DomainError("Lin parameter must lie in (0, 1)")
-    comp = 1.0 - theta
-
-    def term(d: float, q: float, p: float) -> float:
-        # theta KL(P||M) + (1-theta) KL(Q||M) at one atom, M = theta P +
-        # (1-theta) Q: two KL terms, at p - m = comp d and q - m = -theta d
-        m = q + theta * d
-        return theta * _kl_term(comp * d, m, p) + comp * _kl_term(-theta * d, m, q)
-
-    return Breg(term, -comp * math.log(comp), -theta * math.log(theta))
-
-
-_JS = _lin_breg(0.5)
-
-
-@_shared
-def _e_gamma_breg(gamma: float) -> Breg:
-    if not gamma >= 1.0:
-        raise DomainError("E_gamma order must satisfy gamma >= 1")
-
-    def term(d: float, q: float, p: float) -> float:
-        # from the masses, keeping every bit of them; where q = 0 the term is
-        # p, also at gamma = inf, where gamma q is NaN: E_inf = P(q = 0)
-        x = p - gamma * q if q > 0.0 else p
-        return x if x > 0.0 else 0.0
-
-    def at_log(x: float, p: float) -> float:
-        # p (1 - gamma e^-x), which e^-x as a subnormal would round
-        return p * max(-math.expm1(math.log(gamma) - x), 0.0)
-
-    return Breg(term, 0.0, 1.0, at_log)
-
-
-@_shared
-def _degroot_breg(omega: float) -> Breg:
-    if not 0.0 < omega < 1.0:
-        raise DomainError("DeGroot prior must lie in (0, 1)")
-    comp = 1.0 - omega
-    # min(omega, 1-omega) - min(omega t, 1-omega) less the subgradient's
-    # line: the positive part of omega p - (1-omega) q, from the masses,
-    # with its sign turned for omega > 1/2
-    side = 1.0 if omega <= 0.5 else -1.0
-
-    def term(d: float, q: float, p: float) -> float:
-        x = side * (omega * p - comp * q)
-        return x if x > 0.0 else 0.0
-
-    def at_log(x: float, p: float) -> float:
-        # omega p (1 - e^(l - x)), l = ln((1-omega)/omega) the log-odds,
-        # which e^-x as a subnormal would round
-        log_odds = math.log1p(-omega) - math.log(omega)
-        return omega * p * max(-math.expm1(log_odds - x), 0.0)
-
-    return Breg(term, 0.0, omega, at_log) if omega <= 0.5 else Breg(term, comp, 0.0)
-
-
-# family -> its shifted term, made from the family's parameter; the
-# generators below and divergences.divergence() both read it.  The kinds
-# take Hellinger order 1 as KL, by analytic extension, where a generator
-# refuses it.
-_BREGS: dict[str, Callable[..., Breg]] = {
-    "kl": lambda: _KL,
-    "jeffreys": lambda: _JEFFREYS,
-    "hellinger": lambda alpha: _KL if alpha == 1.0 else _hellinger_breg(alpha),
-    "chi_squared": lambda: _CHI2,
-    "chi_s": _chi_s_breg,
-    "total_variation": lambda: _TV,
-    "triangular": lambda: _TRIANGULAR,
-    "lin": _lin_breg,
-    "jensen_shannon": lambda: _JS,
-    "e_gamma": _e_gamma_breg,
-    "degroot": _degroot_breg,
-}
-
-
-def _edge_term(b: Breg, d: float, qm: float, pm: float) -> float:
-    """One atom's term, p and q > 0, where the pass over all atoms failed:
-    the term if finite, else its form in x = ln(p/q), ``at_log``, or where
-    the family has none its limit at x = +-inf."""
-    try:
-        term = b.term(*(d, qm, pm)[: b.reads])
-    except (OverflowError, ValueError):
-        term = math.nan
-    if math.isfinite(term):
-        return term
-    x = math.log(pm) - math.log(qm)
-    if x > 0.0 and b.at_log is not None:
-        return b.at_log(x, pm)
-    return pm * b.at_inf if x > 0.0 else qm * b.at_zero
-
-
-def _generic_breg(f: GeneratorFunction) -> Breg:
-    """q f(p/q) - f'(1) d for a generator outside the catalog, from p/q in
-    the masses, so that it is never rounded through d."""
-    ev, c = f._eval, f.right_deriv_at_one
-
-    def term(d: float, q: float, p: float) -> float:
-        return q * ev(p / q) - c * d
-
-    return Breg(term, f.f_at_zero + c, f.fstar_at_zero - c)
-
-
 # generators ------------------------------------------------------------------
 
 
-def _make(
-    family: str,
-    *,
-    params: tuple[tuple[str, float], ...] = (),
-    breg: Optional[Breg] = None,
-    eval: Callable[[float], float],
-    deriv: Optional[Callable[[float], float]] = None,
-    second: Optional[Callable[[float], float]] = None,
-    f_at_zero: float,
-    fstar_at_zero: float,
-    right_deriv_at_one: float,
-    left_deriv_at_one: Optional[float] = None,
-    second_at_one: Optional[float] = None,
-    kink: Optional[float] = None,
-) -> GeneratorFunction:
-    """A GeneratorFunction whose left derivative at 1 is its right one
-    unless given; the catalog's families and ``custom`` are built here."""
-    return GeneratorFunction(
-        family=family,
-        params=params,
-        f_at_zero=f_at_zero,
-        fstar_at_zero=fstar_at_zero,
-        right_deriv_at_one=right_deriv_at_one,
-        left_deriv_at_one=(
-            right_deriv_at_one if left_deriv_at_one is None else left_deriv_at_one
-        ),
-        second_at_one=second_at_one,
-        kink=kink,
-        _eval=eval,
-        _deriv=deriv,
-        _second=second,
-        _breg=breg,
-    )
-
-
 def _kl() -> GeneratorFunction:
-    return _make(
-        "kl", breg=_KL, f_at_zero=0.0, fstar_at_zero=math.inf,
+    return GeneratorFunction(
+        "kl", breg=_BREGS["kl"](), f_at_zero=0.0, fstar_at_zero=math.inf,
         right_deriv_at_one=1.0, second_at_one=1.0,
         eval=lambda t: t * math.log(t),
         deriv=lambda t: math.log(t) + 1.0,
@@ -464,8 +175,8 @@ def _kl() -> GeneratorFunction:
 
 
 def _jeffreys() -> GeneratorFunction:
-    return _make(
-        "jeffreys", breg=_JEFFREYS, f_at_zero=math.inf, fstar_at_zero=math.inf,
+    return GeneratorFunction(
+        "jeffreys", breg=_BREGS["jeffreys"](), f_at_zero=math.inf, fstar_at_zero=math.inf,
         right_deriv_at_one=0.0, second_at_one=2.0,
         eval=lambda t: (t - 1.0) * math.log(t),
         deriv=lambda t: math.log(t) + 1.0 - 1.0 / t,
@@ -477,7 +188,7 @@ def _jeffreys() -> GeneratorFunction:
 def _hellinger(alpha: float) -> GeneratorFunction:
     breg = _hellinger_breg(alpha)
     am1 = alpha - 1.0
-    return _make(
+    return GeneratorFunction(
         "hellinger", params=_named(alpha=alpha), breg=breg,
         f_at_zero=1.0 / (1.0 - alpha), fstar_at_zero=math.inf if alpha > 1.0 else 0.0,
         right_deriv_at_one=alpha / am1, second_at_one=alpha,
@@ -488,8 +199,8 @@ def _hellinger(alpha: float) -> GeneratorFunction:
 
 
 def _chi_squared() -> GeneratorFunction:
-    return _make(
-        "chi_squared", breg=_CHI2, f_at_zero=1.0, fstar_at_zero=math.inf,
+    return GeneratorFunction(
+        "chi_squared", breg=_BREGS["chi_squared"](), f_at_zero=1.0, fstar_at_zero=math.inf,
         right_deriv_at_one=0.0, second_at_one=2.0,
         eval=lambda t: (t - 1.0) ** 2,
         deriv=lambda t: 2.0 * (t - 1.0),
@@ -498,9 +209,9 @@ def _chi_squared() -> GeneratorFunction:
 
 
 def _total_variation(family: str = "total_variation") -> GeneratorFunction:
-    return _make(
-        family, params=_named(s=1.0) if family == "chi_s" else (), breg=_TV,
-        f_at_zero=1.0, fstar_at_zero=1.0,
+    return GeneratorFunction(
+        family, params=_named(s=1.0) if family == "chi_s" else (),
+        breg=_BREGS["total_variation"](), f_at_zero=1.0, fstar_at_zero=1.0,
         right_deriv_at_one=1.0, left_deriv_at_one=-1.0, kink=1.0,
         eval=lambda t: abs(t - 1.0),
         deriv=lambda t: 1.0 if t > 1.0 else -1.0,
@@ -509,7 +220,7 @@ def _total_variation(family: str = "total_variation") -> GeneratorFunction:
 
 @_shared
 def _chi_s(s: float) -> GeneratorFunction:
-    breg = _chi_s_breg(s)
+    breg = _BREGS["chi_s"](s)
     if s == 1.0:
         return _total_variation(family="chi_s")
     if s == 2.0:
@@ -525,7 +236,7 @@ def _chi_s(s: float) -> GeneratorFunction:
             return 0.0
         return s * abs(d) ** (s - 1.0) * math.copysign(1.0, d)
 
-    return _make(
+    return GeneratorFunction(
         "chi_s", params=_named(s=s), breg=breg, f_at_zero=1.0, fstar_at_zero=math.inf,
         right_deriv_at_one=0.0, second_at_one=second_at_one,
         eval=lambda t: abs(t - 1.0) ** s,
@@ -535,8 +246,8 @@ def _chi_s(s: float) -> GeneratorFunction:
 
 
 def _triangular() -> GeneratorFunction:
-    return _make(
-        "triangular", breg=_TRIANGULAR, f_at_zero=1.0, fstar_at_zero=1.0,
+    return GeneratorFunction(
+        "triangular", breg=_BREGS["triangular"](), f_at_zero=1.0, fstar_at_zero=1.0,
         right_deriv_at_one=0.0, second_at_one=1.0,
         eval=lambda t: (t - 1.0) ** 2 / (t + 1.0),
         deriv=lambda t: (t - 1.0) * (t + 3.0) / (t + 1.0) ** 2,
@@ -546,14 +257,14 @@ def _triangular() -> GeneratorFunction:
 
 @_shared
 def _lin(theta: float, family: str = "lin") -> GeneratorFunction:
-    breg = _lin_breg(theta)
+    breg = _BREGS["lin"](theta)
     comp = 1.0 - theta
 
     def ev(t: float) -> float:
         m = theta * t + comp
         return theta * t * math.log(t) - m * math.log(m)
 
-    return _make(
+    return GeneratorFunction(
         family, params=_named(theta=theta) if family == "lin" else (), breg=breg,
         f_at_zero=breg.at_zero, fstar_at_zero=breg.at_inf,
         right_deriv_at_one=0.0, second_at_one=theta * comp,
@@ -565,8 +276,8 @@ def _lin(theta: float, family: str = "lin") -> GeneratorFunction:
 
 @_shared
 def _e_gamma(gamma: float) -> GeneratorFunction:
-    breg = _e_gamma_breg(gamma)
-    return _make(
+    breg = _BREGS["e_gamma"](gamma)
+    return GeneratorFunction(
         "e_gamma", params=_named(gamma=gamma), breg=breg, f_at_zero=0.0, fstar_at_zero=1.0,
         right_deriv_at_one=1.0 if gamma == 1.0 else 0.0, left_deriv_at_one=0.0, kink=gamma,
         eval=lambda t: max(t - gamma, 0.0),
@@ -576,7 +287,7 @@ def _e_gamma(gamma: float) -> GeneratorFunction:
 
 @_shared
 def _degroot(omega: float) -> GeneratorFunction:
-    breg = _degroot_breg(omega)
+    breg = _BREGS["degroot"](omega)
     m = min(omega, 1.0 - omega)
     kink = (1.0 - omega) / omega
     if omega < 0.5:
@@ -585,7 +296,7 @@ def _degroot(omega: float) -> GeneratorFunction:
         d_right = d_left = 0.0
     else:
         d_right, d_left = 0.0, -0.5
-    return _make(
+    return GeneratorFunction(
         "degroot", params=_named(omega=omega), breg=breg, f_at_zero=m, fstar_at_zero=0.0,
         right_deriv_at_one=d_right, left_deriv_at_one=d_left, kink=kink,
         eval=lambda t: m - min(omega * t, 1.0 - omega),
@@ -620,7 +331,7 @@ def generator(family: str, **params: float) -> GeneratorFunction:
     generator is built on every call.
     """
     if family == "custom":
-        return _make("custom", **params)  # type: ignore[arg-type]
+        return GeneratorFunction("custom", **params)  # type: ignore[arg-type]
     try:
         pname, made = _FAMILIES[family]
     except KeyError:
@@ -669,17 +380,6 @@ def kind_args(kind: str, params: Mapping[str, float]) -> tuple[float, ...]:
     return (params[pname],)
 
 
-def parse_number(raw: str, what: str) -> float:
-    """A finite float from text; anything else is a ValidationError."""
-    try:
-        x = float(raw)
-    except ValueError:
-        raise ValidationError(f"{what}: not a number: {raw!r}") from None
-    if not math.isfinite(x):
-        raise ValidationError(f"{what}: must be finite, got {raw!r}")
-    return x
-
-
 def parse_kind(spec: str) -> tuple[str, dict[str, float]]:
     """Split a CLI kind like "kl", "hellinger:0.5" or "degroot:0.25" into
     the kind and its parameter mapping."""
@@ -710,9 +410,9 @@ def conjugate(f: GeneratorFunction) -> GeneratorFunction:
     """The conjugate generator f*(t) = t f(1/t); swaps divergence arguments.
 
     Conjugation is an involution; f* inherits limits and the second
-    derivative at 1 from f.  Its shifted term is ``_generic_breg``'s.  The
-    bounds in ``divkit.bounds`` do not build it: they evaluate t f(1/t), and
-    f*(0) = ``f.fstar_at_zero``, in place.
+    derivative at 1 from f.  Its shifted term is the constructor's generic
+    one.  The bounds in ``divkit.bounds`` do not build it: they evaluate
+    t f(1/t), and f*(0) = ``f.fstar_at_zero``, in place.
     """
     base_eval, base_deriv, base_second = f._eval, f._deriv, f._second
 
@@ -734,7 +434,7 @@ def conjugate(f: GeneratorFunction) -> GeneratorFunction:
             return base_second(u) * u**3
 
     return GeneratorFunction(
-        family=f.family + "*",
+        f.family + "*",
         params=f.params,
         f_at_zero=f.fstar_at_zero,
         fstar_at_zero=f.f_at_zero,
@@ -742,9 +442,9 @@ def conjugate(f: GeneratorFunction) -> GeneratorFunction:
         left_deriv_at_one=-f.right_deriv_at_one,
         second_at_one=f.second_at_one,
         kink=None if f.kink is None else 1.0 / f.kink,
-        _eval=ev,
-        _deriv=dv,
-        _second=sd,
+        eval=ev,
+        deriv=dv,
+        second=sd,
     )
 
 
@@ -763,7 +463,7 @@ def affine_shift(f: GeneratorFunction, c: float) -> GeneratorFunction:
             return base_deriv(t) + c
 
     return GeneratorFunction(
-        family=f.family,
+        f.family,
         params=f.params,
         f_at_zero=f.f_at_zero - c,
         fstar_at_zero=f.fstar_at_zero + c,
@@ -771,10 +471,10 @@ def affine_shift(f: GeneratorFunction, c: float) -> GeneratorFunction:
         left_deriv_at_one=f.left_deriv_at_one + c,
         second_at_one=f.second_at_one,
         kink=f.kink,
-        _eval=ev,
-        _deriv=dv,
-        _second=f._second,
-        _breg=f._breg,  # the shifted term is the same for f + c (t - 1)
+        eval=ev,
+        deriv=dv,
+        second=f._second,
+        breg=f._breg,  # the shifted term is the same for f + c (t - 1)
     )
 
 
@@ -795,18 +495,3 @@ def g_eval(f: GeneratorFunction, x: float) -> float:
     if x >= 0.0 or v == 0.0:
         return v
     return _exp_times(v, -x)  # e^-x passes the float range below x ~ -709.78
-
-
-def _g_edge(b: Breg, x: float) -> float:
-    """The shifted term at the pair (p, q) = (e^x, 1) scaled so that the
-    larger mass is 1: g(x) at (1 - e^-x, e^-x, 1) for x >= 0 and e^x g(x)
-    at (e^x - 1, 1, e^x) for x <= 0, so that no argument leaves [-1, 1].
-    Past x = 700, where e^-x would lose bits as a subnormal, the term is
-    ``at_log`` at p = 1, or where the family has none its limit ``at_inf``,
-    which every such family reaches by then.
-    """
-    if x > 700.0:
-        return b.at_inf if b.at_log is None else b.at_log(x, 1.0)
-    if x >= 0.0:
-        return _edge_term(b, -math.expm1(-x), math.exp(-x), 1.0)
-    return _edge_term(b, math.expm1(x), 1.0, math.exp(x))

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from .distributions import DiscreteDistribution, mixture
 from .divergences import _shifted_sum, divergence
 from .errors import CapabilityError, DomainError
-from .generators import _BREGS, Breg, GeneratorFunction
+from .generators import GeneratorFunction
+from .terms import _BREGS, Breg
 
 __all__ = [
     "LocalLimitEstimate",

@@ -5,8 +5,8 @@ Every engine here reduces the spectrum to segments on which it is constant.
 The named, general and inverse-g engines are one exact sum over those
 segments (``_g_sum``): the paper's general representation, whose kernel
 |h'| integrates on a segment to |g(x1) - g(x0)|, with g read from a shifted
-term (``generators.Breg``).  A named kind reads its family's term from
-``generators._BREGS``, the table ``divergence()`` sums, and the
+term (``terms.Breg``).  A named kind reads its family's term from
+``terms._BREGS``, the table ``divergence()`` sums, and the
 Hellinger-based kinds are the maps of ``divergences._HELLINGER_MAPS``; so a
 named representation is checked against the paper's per-kind kernels (the
 tests' 40-digit quadrature), not against ``divergence()`` alone.  Only the
@@ -37,15 +37,8 @@ from .errors import (
     DomainError,
     KinkError,
 )
-from .generators import (
-    _BREGS,
-    KINDS,
-    Breg,
-    GeneratorFunction,
-    _degroot_breg,
-    _g_edge,
-    kind_args,
-)
+from .generators import KINDS, GeneratorFunction, kind_args
+from .terms import _BREGS, Breg, _degroot_breg, _g_edge
 from .quadrature import integrate
 
 __all__ = [
@@ -106,7 +99,7 @@ def _g_sum(b: Breg, spec: SpectrumFunction, c: float = 0.0) -> float:
     plus, where c is not 0, the c kernel's exact part
     +-c G (e^-x0 - e^-x1), + above 0 and - below.
 
-    g is the shifted term ``b`` through ``generators._g_edge``.  Below 0
+    g is the shifted term ``b`` through ``terms._g_edge``.  Below 0
     each piece is formed from cdf e^-x = exp(ln cdf - x), at most the Q-mass
     below the ratio, times the term at (e^x - 1, 1, e^x), so that e^-x never
     leaves the float range.  The sum telescopes, so a kink in f costs
@@ -224,7 +217,7 @@ def represent_named(
 ) -> float:
     """The paper's general representation of a named divergence, taken
     exactly: ``_g_sum`` over the term of the kind's family in
-    ``generators._BREGS``, the term ``divergence()`` sums.  Squared
+    ``terms._BREGS``, the term ``divergence()`` sums.  Squared
     Hellinger, Bhattacharyya, alpha and Renyi are the maps of
     ``divergences._HELLINGER_MAPS`` applied to that sum for the Hellinger
     family, with Renyi's log-sum-exp taken over the spectrum's atoms.

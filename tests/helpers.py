@@ -9,6 +9,7 @@ import numpy as np
 
 from divkit import (
     DiscreteDistribution,
+    DivkitError,
     DomainError,
     KinkError,
     PoissonModel,
@@ -17,7 +18,8 @@ from divkit import (
     generator,
     make_distribution,
 )
-from divkit.divergences import DivergenceValue, _edge_term
+from divkit.divergences import DivergenceValue
+from divkit.terms import _edge_term
 
 mp = mpmath.mp
 INF = mpmath.inf
@@ -372,6 +374,15 @@ def outcome(fn, *args):
     if isinstance(val, DivergenceValue):
         return (val.value.hex(), val.kind, val.params)
     return val.hex()
+
+
+def settles(fn, *args) -> bool:
+    """Whether a call ends in a number other than NaN (inf included) or in
+    a DivkitError; any other exception propagates."""
+    try:
+        return not math.isnan(fn(*args))
+    except DivkitError:
+        return True
 
 
 def assert_close(actual: float, expected: float, tol: float, label: str = "") -> None:

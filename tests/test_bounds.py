@@ -40,6 +40,7 @@ from helpers import (
     conjugate_fdiv_lower_via_egamma,
     outcome,
     random_pair,
+    settles,
 )
 
 
@@ -155,9 +156,23 @@ class TestCGamma:
         assert 0.0 < c_gamma(1.7976931348623157e308) < c_gamma(1e300)
 
 
+def assert_agrees_in_place(bound, reference, *args):
+    """The bound and the reference, which builds a conjugate generator,
+    agree bit for bit wherever the reference's f* is a number.  Where f*
+    passes the float range the reference raises OverflowError or gives NaN;
+    the bound then sums f's shifted terms, and must end in a number or a
+    DivkitError."""
+    ref = outcome(reference, *args)
+    if ref == "nan" or ref[:2] == ("raised", "OverflowError"):
+        assert settles(bound, *args), args
+    else:
+        assert outcome(bound, *args) == ref, args
+
+
 class TestConjugateInPlace:
     """The bounds evaluate f*(t) = t f(1/t) in place; the reference builds
-    a conjugate generator per call, and the two agree bit for bit."""
+    a conjugate generator per call, and the two agree bit for bit wherever
+    the reference evaluates."""
 
     def test_egamma_bit_equal_to_conjugate(self):
         rng = np.random.default_rng(601)
@@ -167,9 +182,9 @@ class TestConjugateInPlace:
             points.append((e_val, float(10.0 ** rng.uniform(0.0, 6.0))))
         for f in catalog_generators():
             for e_val, gamma in points:
-                assert outcome(fdiv_lower_via_egamma, f, e_val, gamma) == outcome(
-                    conjugate_fdiv_lower_via_egamma, f, e_val, gamma
-                ), (f.family, f.params, e_val, gamma)
+                assert_agrees_in_place(
+                    fdiv_lower_via_egamma, conjugate_fdiv_lower_via_egamma, f, e_val, gamma
+                )
 
     def test_degroot_bit_equal_to_conjugate(self):
         rng = np.random.default_rng(602)
@@ -183,20 +198,20 @@ class TestConjugateInPlace:
             points += [(omega, 0.0), (omega, top), (omega, float(rng.uniform(0.0, top)))]
         for f in catalog_generators():
             for omega, i_val in points:
-                assert outcome(fdiv_lower_via_degroot, f, omega, i_val) == outcome(
-                    conjugate_fdiv_lower_via_degroot, f, omega, i_val
-                ), (f.family, f.params, omega, i_val)
+                assert_agrees_in_place(
+                    fdiv_lower_via_degroot, conjugate_fdiv_lower_via_degroot, f, omega, i_val
+                )
 
     def test_sweep_builds_no_generator(self, monkeypatch):
         gens = catalog_generators()
         built = [0]
-        post_init = GeneratorFunction.__post_init__
+        init = GeneratorFunction.__init__
 
-        def counting_post_init(self):
+        def counting_init(self, *args, **kwargs):
             built[0] += 1
-            post_init(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(GeneratorFunction, "__post_init__", counting_post_init)
+        monkeypatch.setattr(GeneratorFunction, "__init__", counting_init)
         affine_shift(generator("kl"), 1.0)
         assert built[0] == 1  # the counter sees every construction
         built[0] = 0
@@ -206,6 +221,55 @@ class TestConjugateInPlace:
             for omega in (0.25, 0.5, 0.75):
                 fdiv_lower_via_degroot(f, omega, 0.1)
         assert built[0] == 0
+
+
+class TestNoSilentNan:
+    """Every gamma-taking bound ends in a value, inf or a DivkitError, up to
+    gamma = inf and for every catalog generator; so does the DeGroot bound
+    at priors next to 0 and 1, where f* passes the float range the same
+    way."""
+
+    GAMMAS = (1.0, 2.0, 1e300, 1e308, math.inf)
+
+    def test_fdiv_lower_bounds(self):
+        for f in catalog_generators():
+            for gamma in self.GAMMAS:
+                for e_val in (0.0, 0.3, 0.999):
+                    assert settles(fdiv_lower_via_egamma, f, e_val, gamma), (f, e_val, gamma)
+            for omega in (1e-300, 0.5, 1.0 - 2.0**-53):
+                top = min(omega, 1.0 - omega)
+                for i_val in (0.0, 0.5 * top, top):
+                    assert settles(fdiv_lower_via_degroot, f, omega, i_val), (f, omega, i_val)
+
+    def test_scalar_bounds(self):
+        for gamma in self.GAMMAS:
+            assert settles(c_gamma, gamma) and settles(crossover_d, gamma), gamma
+            for value in (0.0, 0.5, 1e300, math.inf):
+                assert settles(straight_line_egamma_ub, gamma, value), (gamma, value)
+                for kind in ("kl", "chi2"):
+                    assert settles(egamma_upper, kind, gamma, value), (kind, gamma, value)
+            for alpha in (0.5, 1.0, 2.0, 1e3):
+                for e_val in (0.0, 0.3, 0.999):
+                    for kind in ("hellinger", "renyi"):
+                        assert settles(hellinger_renyi_lower, kind, alpha, gamma, e_val)
+
+    def test_values_at_infinite_gamma(self):
+        # the E_gamma upper bounds tend to the limit of the share under the root
+        assert egamma_upper("kl", math.inf, 1.0) == -math.expm1(-1.0)
+        assert egamma_upper("kl", 1e300, 1.0) == pytest.approx(-math.expm1(-1.0), rel=1e-15)
+        assert egamma_upper("chi2", math.inf, 1.0) == 0.0
+        assert egamma_upper("chi2", math.inf, math.inf) == 1.0
+        assert straight_line_egamma_ub(math.inf, math.inf) == math.inf
+        # at gamma = inf the last two arguments of f* coincide at 0 and cancel
+        for f in catalog_generators():
+            assert fdiv_lower_via_egamma(f, 0.3, math.inf) == 0.0, f
+
+    def test_kl_bound_where_f_star_passes_the_float_range(self):
+        # f*(t) = -ln t for KL: the bound is -ln(1 - E) - ln(1 + E/gamma)
+        kl = generator("kl")
+        for gamma in (1e300, 1e308, 1.7976931348623157e308):
+            got = fdiv_lower_via_egamma(kl, 0.3, gamma)
+            assert got == pytest.approx(-math.log1p(-0.3), rel=1e-12), gamma
 
 
 class TestFdivLowerViaEgamma:

@@ -116,6 +116,37 @@ class TestDiv:
         assert out == ""
         assert err.startswith("divkit:") and "internal error" not in err
 
+    @pytest.mark.parametrize(
+        "text, index",
+        [
+            ('{"masses": ["a", 1]}', 0),
+            ("[null, 1]", 0),
+            ("[[1], 1]", 0),
+            ('[1, {"a": 1}]', 1),
+            ("[true, 1]", 0),
+            ('{"alphabet_size": 1, "masses": 5}', None),
+        ],
+        ids=["string", "null", "array", "object", "true", "not_an_array"],
+    )
+    def test_mass_that_is_not_a_number(self, capsys, tmp_path, dist_files, text, index):
+        _, q = dist_files
+        p = tmp_path / "bad_mass.json"
+        p.write_text(text)
+        code, out, err = run_cli(capsys, "div", "--kind", "tv", "--p", str(p), "--q", q)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("divkit:") and "internal error" not in err
+        if index is not None:
+            assert f"mass {index} is not a number" in err
+
+    def test_integer_weight_past_the_float_range(self, capsys, tmp_path, dist_files):
+        _, q = dist_files
+        p = tmp_path / "huge_int.json"
+        p.write_text(f"[{10**400}, 1]")
+        code, _, err = run_cli(capsys, "div", "--kind", "tv", "--p", str(p), "--q", q)
+        assert code == 2
+        assert "float range" in err
+
     def test_weights_whose_sum_overflows(self, capsys, tmp_path, dist_files):
         _, q = dist_files
         p = tmp_path / "huge.json"
@@ -250,6 +281,26 @@ class TestFigure1:
         code, _, _ = run_cli(capsys, "figure1", "--gammas", "0.9", "--steps", "5")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--gammas", "abc"],
+            ["--gammas", "2,abc"],
+            ["--gammas", "1e400"],
+            ["--gammas", "inf"],
+            ["--gammas", "nan"],
+            ["--d-max", "nan"],
+            ["--d-max", "0"],
+            ["--d-max", "-1"],
+        ],
+        ids=["abc", "second_abc", "1e400", "inf", "nan", "d_max_nan", "d_max_0", "d_max_neg"],
+    )
+    def test_bad_option_writes_nothing(self, capsys, argv):
+        code, out, err = run_cli(capsys, "figure1", "--steps", "2", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("divkit:") and "internal error" not in err
+
 
 class TestPoisson:
     def test_example(self, capsys):
@@ -366,16 +417,16 @@ class TestSelftestAndPlumbing:
 
 
 _LOADED = "sorted(m for m in sys.modules if m == 'divkit' or m.startswith('divkit.'))"
-_DIV_MODULES = {"cli", "errors", "distributions", "divergences", "generators"}
+_DIV_MODULES = {"cli", "errors", "distributions", "divergences", "generators", "terms"}
 
 
 class TestLazyLoading:
     # the divkit modules each subcommand loads, besides the package itself
     EXPECTED = {
         "spectrum": {"cli", "errors", "distributions"},
-        "poisson": {"cli", "errors", "bayes_poisson", "bounds", "generators"},
-        "bounds": {"cli", "errors", "bounds", "generators"},
-        "figure1": {"cli", "errors", "bounds", "generators"},
+        "poisson": {"cli", "errors", "bayes_poisson", "bounds", "terms"},
+        "bounds": {"cli", "errors", "bounds", "terms"},
+        "figure1": {"cli", "errors", "bounds", "terms"},
         "div": _DIV_MODULES,
         "represent": _DIV_MODULES | {"spectrum_repr", "quadrature"},
         "selftest": _DIV_MODULES | {"spectrum_repr", "quadrature"},
@@ -403,11 +454,14 @@ class TestLazyLoading:
             "import divkit.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    rc = divkit.cli.main({argv!r})\n"
-            f"print(rc, *{_LOADED})\n"
+            f"print(rc, 'dataclasses' in sys.modules, *{_LOADED})\n"
         )
-        rc, *loaded = out.split()
+        rc, dataclasses_loaded, *loaded = out.split()
         assert rc == "0"
         assert loaded == sorted({"divkit"} | {f"divkit.{m}" for m in self.EXPECTED[command]})
+        # the records are NamedTuples and __slots__ classes; only the local
+        # estimate is still a dataclass
+        assert dataclasses_loaded == str(command == "local")
 
     def test_import_divkit_loads_no_submodule(self):
         out = _fresh_interpreter(f"import sys\nimport divkit\nprint(*{_LOADED})\n")

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,10 +9,14 @@ from hypothesis import strategies as st
 
 from divkit import (
     DomainError,
+    GeneratorFunction,
+    PoissonModel,
     UndefinedAtomError,
     ValidationError,
     g_big,
+    generator,
     make_distribution,
+    make_report,
     mixture,
     relative_information,
     spectrum,
@@ -252,3 +258,62 @@ def test_spectrum_is_a_cdf(w1, w2):
     assert all(a < b for a, b in zip(s.breakpoints, s.breakpoints[1:]))
     assert all(a <= b + 1e-15 for a, b in zip(s.cum_masses, s.cum_masses[1:]))
     assert abs(s.cum_masses[-1] - (1.0 - s.singular_mass_p)) <= 1e-13
+
+
+class TestRecords:
+    """The records are plain immutable values: no attribute can be
+    assigned or deleted, and the tuple ones behave as tuples."""
+
+    def _records(self):
+        p, q = make_distribution([0.7, 0.3]), make_distribution([0.5, 0.5])
+        return [
+            (p, "masses"),
+            (spectrum(p, q), "breakpoints"),
+            (generator("kl"), "family"),
+            (make_report("pinsker_lb_kl", 0.08, 0.1, "lower"), "slack"),
+            (PoissonModel(2.0), "rate"),
+        ]
+
+    def test_immutable(self):
+        for record, name in self._records():
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            with pytest.raises(AttributeError):
+                record.new_attribute = 1
+
+    def test_distribution_is_a_sequence_value(self):
+        p = make_distribution([1, 3])
+        assert len(p) == 2 and p[1] == 0.75 and list(p) == [0.25, 0.75]
+        assert p == make_distribution([2, 6]) and hash(p) == hash(make_distribution([2, 6]))
+        assert p != make_distribution([3, 1]) and p != p.masses
+        assert repr(p) == "DiscreteDistribution(masses=(0.25, 0.75))"
+        assert copy.copy(p) == p and pickle.loads(pickle.dumps(p)) == p
+        assert pickle.loads(pickle.dumps(PoissonModel(2.0))).rate == 2.0
+
+    def test_tuple_records(self):
+        p, q = make_distribution([0.7, 0.3]), make_distribution([0.5, 0.5])
+        spec = spectrum(p, q)
+        assert tuple(spec) == (spec.breakpoints, spec.cum_masses, 0.0, 0.0)
+        assert spec == spectrum(p, q) and hash(spec) == hash(spectrum(p, q))
+        report = make_report("pinsker_lb_kl", 0.08, 0.1, "lower")
+        assert tuple(report) == ("pinsker_lb_kl", 0.08, 0.1, "lower", report.slack)
+        assert list(report._asdict()) == [
+            "name", "bound_value", "certified_quantity", "direction", "slack"
+        ]
+
+    def test_generator_constructor_checks_and_defaults(self):
+        f = GeneratorFunction(
+            "custom", eval=lambda t: (t - 1.0) ** 2, f_at_zero=1.0, fstar_at_zero=math.inf,
+            right_deriv_at_one=0.0,
+        )
+        assert f.left_deriv_at_one == 0.0 and f.kink is None and not f.is_smooth
+        assert f._breg.term(0.5, 0.5, 1.0) == pytest.approx(0.5)  # q (p/q - 1)^2
+        assert f == f and f != generator("chi_squared")
+        assert copy.copy(f) is f and copy.deepcopy([f])[0] is f
+        with pytest.raises(ValidationError, match="f\\(1\\)=0"):
+            GeneratorFunction(
+                "custom", eval=lambda t: t, f_at_zero=0.0, fstar_at_zero=1.0,
+                right_deriv_at_one=1.0,
+            )

@@ -219,13 +219,13 @@ def test_kl_local_limit_on_near_equal_pairs():
 
 def test_sweep_builds_no_generator(monkeypatch):
     built = [0]
-    post_init = GeneratorFunction.__post_init__
+    init = GeneratorFunction.__init__
 
-    def counting_post_init(self):
+    def counting_init(self, *args, **kwargs):
         built[0] += 1
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(GeneratorFunction, "__post_init__", counting_post_init)
+    monkeypatch.setattr(GeneratorFunction, "__init__", counting_init)
     affine_shift(generator("kl"), 1.0)
     assert built[0] == 1  # the counter sees every construction
     built[0] = 0
