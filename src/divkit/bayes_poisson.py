@@ -17,7 +17,7 @@ import math
 from . import bounds
 from .bounds import BoundReport, make_report
 from .errors import DomainError, refuse_change
-from .terms import _kl_term
+from .terms import _kl_term, prior_scale
 
 __all__ = [
     "MAX_RATE",
@@ -61,11 +61,6 @@ def _check_rates(*rates: float) -> None:
     for rate in rates:
         if not 0.0 < rate <= MAX_RATE:
             raise DomainError(f"Poisson rate must lie in (0, {MAX_RATE:g}], got {rate!r}")
-
-
-def _check_prior(omega: float) -> None:
-    if not 0.0 < omega < 1.0:
-        raise DomainError("prior must lie in (0, 1)")
 
 
 def _stirlerr(n: int) -> float:
@@ -166,7 +161,7 @@ def poisson_k0(lam: float, mu: float, omega: float) -> int:
     _check_rates(mu, lam)
     if not mu > lam:
         raise DomainError("threshold formula needs mu > lam > 0")
-    _check_prior(omega)
+    prior_scale(omega)  # refuses a prior outside (0, 1)
     return _threshold(lam, mu, omega)[0]
 
 
@@ -210,17 +205,16 @@ def poisson_degroot_exact(mu: float, lam: float, omega: float) -> float:
     exponent of a tail mass.  Values below the float range underflow to 0.
     """
     _check_rates(mu, lam)
-    _check_prior(omega)
+    w, _, swap = prior_scale(omega)  # w = min(omega, 1 - omega)
     if mu == lam:
         return 0.0
     # I_omega(P||Q) = I_{1-omega}(Q||P): put the larger rate first
     flip = mu < lam
     hi, lo = (lam, mu) if flip else (mu, lam)
     k0, l_at_k0, l_past_k0, ell = _threshold(lo, hi, omega, flip)
-    w = min(omega, 1.0 - omega)
     # x_a = -|L(a)| at the side's edge a; x falls by ell per count away
     # from a, so every term's factor -expm1(x) lies in [0, 1]
-    if (omega <= 0.5) != flip:
+    if swap == flip:
         # the prior of hi is <= 1/2: sum over counts above the threshold
         rate = hi
         a = max(k0 + 1, 0)

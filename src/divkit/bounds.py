@@ -14,7 +14,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import DomainError, RootError, ValidationError
-from .terms import _edge_term, _exp_times
+from .terms import _edge_term, _exp_times, prior_scale
 
 if TYPE_CHECKING:
     from .generators import GeneratorFunction
@@ -258,21 +258,16 @@ def fdiv_lower_via_egamma(f: GeneratorFunction, e_val: float, gamma: float) -> f
 def fdiv_lower_via_degroot(f: GeneratorFunction, omega: float, i_val: float) -> float:
     """Lower bound on D_f(P||Q) from one DeGroot information value.
 
-    For omega <= 1/2 pass I_omega(P||Q); for omega > 1/2 pass I_omega(Q||P)
-    (the bound then flows through the swapped E_gamma scaling).
+    For omega <= 1/2 pass I_omega(P||Q); for omega > 1/2 pass I_omega(Q||P).
+    It is the E_gamma bound at E = i_val / m and gamma = big / m, with
+    (m, big) from ``terms.prior_scale``.
     """
-    if not 0.0 < omega < 1.0:
-        raise DomainError("omega must lie in (0, 1)")
-    if not 0.0 <= i_val <= min(omega, 1.0 - omega):
+    m, big, _ = prior_scale(omega)
+    if not 0.0 <= i_val <= m:
         raise DomainError(
             f"DeGroot value {i_val!r} outside [0, min(omega, 1-omega)]"
         )
-    if omega <= 0.5:
-        comp = 1.0 - omega
-        return _jensen(f, 1.0 + i_val / comp, (omega - i_val) / comp, omega / comp)
-    return _jensen(
-        f, 1.0 + i_val / omega, (1.0 - omega - i_val) / omega, (1.0 - omega) / omega
-    )
+    return _jensen(f, 1.0 + i_val / big, (m - i_val) / big, m / big)
 
 
 def _root_gap(b: float, r: float) -> float:
@@ -407,14 +402,14 @@ def degroot_upper(
 ) -> float:
     """Closed-form upper bounds on the DeGroot information I_omega(P||Q).
 
-    kind="chi2" uses chi^2 (P||Q for omega <= 1/2, Q||P above);
-    kind="kl_line" is the straight-line bound omega c_{(1-omega)/omega} D
-    with the Pinsker form sqrt(min(D_pq, D_qp)/8) at omega = 1/2;
-    kind="kl_bh" is the Bretagnolle-Huber-style form.  All bounds approach
-    min(omega, 1-omega) as the divergences grow.
+    Each reads the divergence of the side ``terms.prior_scale`` picks, P||Q
+    for omega <= 1/2 and Q||P above: kind="chi2" chi^2; kind="kl_line" the
+    straight-line bound m c_{big/m} D, with the Pinsker form
+    sqrt(min(D_pq, D_qp)/8) at omega = 1/2; kind="kl_bh" the
+    Bretagnolle-Huber-style form.  All bounds approach m = min(omega,
+    1-omega) as the divergences grow.
     """
-    if not 0.0 < omega < 1.0:
-        raise DomainError("omega must lie in (0, 1)")
+    m, big, swap = prior_scale(omega)
 
     def _need(val: Optional[float], name: str) -> float:
         if val is None:
@@ -423,32 +418,22 @@ def degroot_upper(
             raise DomainError(f"{name} must be non-negative")
         return val
 
-    # "chi2" and "kl_bh" are sqrt(b^2 + a) - b with b = |1/2 - omega|, taken
-    # by _root_gap, so that they do not cancel to 0 as omega nears 0 or 1
-    gap = abs(0.5 - omega)
-    if kind == "chi2":
-        # derived from the E_gamma chi^2 bound through the prior scaling;
-        # symmetric under (omega, P, Q) -> (1-omega, Q, P):
-        # a = omega (1-omega) m chi / (1 + m chi), m = min(omega, 1-omega)
-        if omega <= 0.5:
-            m, chi = omega, _need(chi_pq, "chi_pq")
-        else:
-            m, chi = 1.0 - omega, _need(chi_qp, "chi_qp")
-        share = _share(m * chi, 1.0)
-        return _root_gap(gap, math.sqrt(omega * (1.0 - omega)) * math.sqrt(share))
-    if kind == "kl_line":
-        if omega < 0.5:
-            return omega * c_gamma((1.0 - omega) / omega) * _need(d_pq, "d_pq")
-        if omega > 0.5:
-            return (1.0 - omega) * c_gamma(omega / (1.0 - omega)) * _need(d_qp, "d_qp")
+    if kind == "kl_line" and omega == 0.5:
         return math.sqrt(min(_need(d_pq, "d_pq"), _need(d_qp, "d_qp")) / 8.0)
-    if kind == "kl_bh":
-        # a = omega (1-omega) (1 - e^-D)
-        d = _need(d_pq, "d_pq") if omega <= 0.5 else _need(d_qp, "d_qp")
-        return _root_gap(
-            gap, math.sqrt(omega * (1.0 - omega)) * math.sqrt(-math.expm1(-d))
-        )
-    raise DomainError(f"unknown degroot_upper kind {kind!r}")
+    if kind not in ("chi2", "kl_line", "kl_bh"):
+        raise DomainError(f"unknown degroot_upper kind {kind!r}")
+    if kind == "chi2":
+        value = _need(chi_qp, "chi_qp") if swap else _need(chi_pq, "chi_pq")
+    else:
+        value = _need(d_qp, "d_qp") if swap else _need(d_pq, "d_pq")
+    if kind == "kl_line":
+        return m * c_gamma(big / m) * value
+    # "chi2" and "kl_bh" are sqrt(b^2 + a) - b with b = |1/2 - omega|, taken
+    # by _root_gap, so that they do not cancel to 0 as omega nears 0 or 1:
+    # a = omega (1-omega) s, s = m chi / (1 + m chi) from the E_gamma chi^2
+    # bound through the prior scaling, or s = 1 - e^-D
+    share = _share(m * value, 1.0) if kind == "chi2" else -math.expm1(-value)
+    return _root_gap(abs(0.5 - omega), math.sqrt(m * big) * math.sqrt(share))
 
 
 def chi2_lower_from_tv(kind: str, tv: float) -> float:
@@ -476,7 +461,7 @@ def kl_upper_log_chi2(chi2: float) -> float:
     return math.log1p(chi2)
 
 
-def _bisect(h, lo: float, hi: float, tol: float, iters: int = 200) -> float:
+def _bisect(h, lo: float, hi: float, rtol: float, iters: int = 200) -> float:
     h_lo = h(lo)
     h_hi = h(hi)
     if h_lo == 0.0:
@@ -486,7 +471,7 @@ def _bisect(h, lo: float, hi: float, tol: float, iters: int = 200) -> float:
     if (h_lo > 0.0) == (h_hi > 0.0):
         raise RootError(f"no sign change on [{lo}, {hi}]")
     for _ in range(iters):
-        if hi - lo <= tol:
+        if hi - lo <= rtol * hi:
             break
         mid = 0.5 * (lo + hi)
         if (h(mid) > 0.0) == (h_lo > 0.0):
@@ -506,7 +491,11 @@ def crossover_d(gamma: float) -> float:
     def h(d: float) -> float:
         return c * d - egamma_upper("kl", gamma, d)
 
-    return _bisect(h, 1e-6, 50.0, tol=1e-9)
+    # the crossover is ~2 (gamma - 1)^2 near gamma = 1 and grows like
+    # ln gamma; h < 0 at the lower end and > 0 at the upper one for every
+    # finite gamma > 1 (697.3 at gamma = 1e300)
+    lo = min(1e-6, 0.5 * (gamma - 1.0) * (gamma - 1.0))
+    return _bisect(h, lo, 50.0 + 2.0 * math.log(gamma), rtol=1e-12)
 
 
 def pinsker_bh_switch() -> float:
@@ -516,4 +505,4 @@ def pinsker_bh_switch() -> float:
     def h(d: float) -> float:
         return 2.0 * (-math.expm1(-d)) - d
 
-    return _bisect(h, 0.5, 3.0, tol=1e-12)
+    return _bisect(h, 0.5, 3.0, rtol=1e-12)

@@ -125,7 +125,12 @@ def make_distribution(weights: Sequence[float]) -> DiscreteDistribution:
         total = math.fsum(ws)
     if total <= 0.0:
         raise ValidationError("weights sum to zero")
-    return DiscreteDistribution(tuple(w / total for w in ws))
+    # each w / total lies in [0, 1], the largest is >= 1/n and their fsum is
+    # within ~1e-16 of 1, so the record's own checks would pass: build it
+    # without a second pass over the masses
+    dist = object.__new__(DiscreteDistribution)
+    object.__setattr__(dist, "masses", tuple(w / total for w in ws))
+    return dist
 
 
 def _require_shared_alphabet(p: DiscreteDistribution, q: DiscreteDistribution) -> None:

@@ -23,7 +23,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 from .distributions import DiscreteDistribution, _require_shared_alphabet
 from .errors import DomainError
 from .generators import KINDS, GeneratorFunction, kind_args
-from .terms import _BREGS, Breg, _alpha_breg, _edge_term, _shared
+from .terms import _BREGS, Breg, _alpha_breg, _edge_term, _shared, prior_scale
 
 __all__ = [
     "DivergenceValue",
@@ -249,16 +249,11 @@ def renyi(alpha: float, p: DiscreteDistribution, q: DiscreteDistribution) -> Div
 def degroot_from_egamma(
     omega: float, p: DiscreteDistribution, q: DiscreteDistribution
 ) -> DivergenceValue:
-    """DeGroot statistical information through its E_gamma scaling.
-
-    For omega <= 1/2 this is omega * E_{(1-omega)/omega}(P||Q); above 1/2
-    the roles swap.  Matches the direct DeGroot computation.
+    """DeGroot statistical information through its E_gamma scaling:
+    m E_{big/m}(P||Q), (P, Q) swapped for omega > 1/2, with (m, big, swap)
+    from ``terms.prior_scale``.  Matches the direct DeGroot computation.
     """
-    if not 0.0 < omega < 1.0:
-        raise DomainError("DeGroot prior must lie in (0, 1)")
-    ps, qs = _masses(p, q)
-    if omega <= 0.5:
-        val = omega * _shifted_sum(_BREGS["e_gamma"]((1.0 - omega) / omega), ps, qs)
-    else:
-        val = (1.0 - omega) * _shifted_sum(_BREGS["e_gamma"](omega / (1.0 - omega)), qs, ps)
+    m, big, swap = prior_scale(omega)
+    pair = _masses(q, p) if swap else _masses(p, q)
+    val = m * _shifted_sum(_BREGS["e_gamma"](big / m), *pair)
     return DivergenceValue(val, "degroot_from_egamma", {"omega": omega})

@@ -262,8 +262,11 @@ def spectrum_from_egamma(
     1 - E_gamma + gamma E'_gamma the gamma-terms cancel analytically, which
     leaves the P-mass on one side of x; comparing log-ratios with x keeps
     that finite for every x, where exp(|x|) would overflow past 709.78.
+    NaN x is refused, as ``spectrum_eval`` refuses it.
     """
     _require_mutual_pair(p, q)
+    if math.isnan(x):
+        raise DomainError("x must not be NaN")
     ratios = [
         (pm, math.log(pm) - math.log(qm))
         for pm, qm in zip(p.masses, q.masses)
@@ -275,21 +278,10 @@ def spectrum_from_egamma(
     return math.fsum(pm for pm, r in ratios if r < x)
 
 
-def _degroot_right_derivative(
-    p: DiscreteDistribution, q: DiscreteDistribution, omega: float
-) -> float:
-    prior_part = 1.0 if omega < 0.5 else -1.0
-    posterior_part = math.fsum(
-        pm if omega * pm < (1.0 - omega) * qm else -qm
-        for pm, qm in zip(p.masses, q.masses)
-    )
-    return prior_part - posterior_part
-
-
 def _degroot_sum(p: DiscreteDistribution, q: DiscreteDistribution, omega: float) -> float:
     """I_omega(P||Q), the sum ``divergence("degroot")`` takes, with its term
-    built afresh: the priors here are queries and quadrature nodes, each
-    asked for once, which the term cache would only churn."""
+    built afresh: the priors here are quadrature nodes, each asked for
+    once, which the term cache would only churn."""
     return _shifted_sum(_degroot_breg.__wrapped__(omega), *_masses(p, q))
 
 
@@ -297,24 +289,15 @@ def spectrum_from_degroot(
     p: DiscreteDistribution, q: DiscreteDistribution, x: float
 ) -> float:
     """Reconstruct the spectrum CDF at x from the DeGroot information
-    curve, solving omega from x = ln((1-omega)/omega).
+    curve, read at the prior whose log-odds ln((1-omega)/omega) is x.
 
-    Same one-sided-derivative convention as spectrum_from_egamma.
+    There I_omega = m E_gamma at gamma = e^|x| (``terms.prior_scale``), on
+    (P, Q) for x >= 0 and on (Q, P) below, and the scale m cancels from the
+    one-sided derivative that gives the CDF; what is left is the E_gamma
+    reconstruction, with its convention at atoms.  So it answers every x,
+    and refuses NaN.
     """
-    _require_mutual_pair(p, q)
-    if abs(x) > 700.0:
-        raise DomainError("prior solved from x underflows past |x| ~ 700")
-    # overflow-safe solve of x = ln((1-omega)/omega)
-    if x >= 0.0:
-        emx = math.exp(-x)
-        omega = emx / (1.0 + emx)
-    else:
-        omega = 1.0 / (1.0 + math.exp(x))
-    i_val = _degroot_sum(p, q, omega)
-    i_slope = _degroot_right_derivative(p, q, omega)
-    if x > 0.0:
-        return 1.0 - i_val - (1.0 - omega) * i_slope
-    return -i_val - (1.0 - omega) * i_slope
+    return spectrum_from_egamma(p, q, x)
 
 
 def represent_degroot_weight(

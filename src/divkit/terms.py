@@ -3,6 +3,13 @@ table of them (``_BREGS``) that the catalog generators, the direct sums,
 the mixture paths and the spectral engines read, and the passes that take
 a term where a ratio leaves the float range.  Terms are immutable, so each
 is built once per (family, parameter) and shared.  In nats throughout.
+
+It also holds the one map from a DeGroot prior omega to E_gamma
+(``prior_scale``): with m = min(omega, 1 - omega) and gamma =
+max(omega, 1 - omega) / m = e^|l|, l = ln((1 - omega)/omega) the log-odds,
+I_omega(P||Q) = m E_gamma, on (P, Q) for omega <= 1/2 and on (Q, P) above.
+The DeGroot term, the E_gamma route to DeGroot information and the DeGroot
+bounds take their sides from it.
 """
 
 from __future__ import annotations
@@ -231,27 +238,34 @@ def _e_gamma_breg(gamma: float) -> Breg:
     return Breg(term, 0.0, 1.0, at_log)
 
 
-@_shared
-def _degroot_breg(omega: float) -> Breg:
+def prior_scale(omega: float) -> tuple[float, float, bool]:
+    """(m, big, swap) for a DeGroot prior omega: m = min(omega, 1 - omega),
+    big = max(omega, 1 - omega) and swap = omega > 1/2, so that
+    I_omega(P||Q) = m E_{big/m}, taken on (Q, P) where swap is set."""
     if not 0.0 < omega < 1.0:
         raise DomainError("DeGroot prior must lie in (0, 1)")
     comp = 1.0 - omega
+    return (comp, omega, True) if omega > 0.5 else (omega, comp, False)
+
+
+@_shared
+def _degroot_breg(omega: float) -> Breg:
     # min(omega, 1-omega) - min(omega t, 1-omega) less the subgradient's
-    # line: the positive part of omega p - (1-omega) q, from the masses,
-    # with its sign turned for omega > 1/2
-    side = 1.0 if omega <= 0.5 else -1.0
+    # line: the positive part of m p - big q, from the masses; with P and Q
+    # swapped above 1/2 that is (-big) p - (-m) q, the same floats
+    m, big, swap = prior_scale(omega)
+    a, b = (-big, -m) if swap else (m, big)
 
     def term(d: float, q: float, p: float) -> float:
-        x = side * (omega * p - comp * q)
+        x = a * p - b * q
         return x if x > 0.0 else 0.0
 
-    def at_log(x: float, p: float) -> float:
-        # omega p (1 - e^(l - x)), l = ln((1-omega)/omega) the log-odds,
-        # which e^-x as a subnormal would round
-        log_odds = math.log1p(-omega) - math.log(omega)
-        return omega * p * max(-math.expm1(log_odds - x), 0.0)
-
-    return Breg(term, 0.0, omega, at_log) if omega <= 0.5 else Breg(term, comp, 0.0)
+    if swap:
+        return Breg(term, m, 0.0)
+    # m p (1 - e^(l - x)), l = ln(big/m) the log-odds, which e^-x as a
+    # subnormal would round
+    log_odds = math.log(big) - math.log(m)
+    return Breg(term, 0.0, m, lambda x, p: m * p * max(-math.expm1(log_odds - x), 0.0))
 
 
 # family -> its shifted term, made from the family's parameter; the

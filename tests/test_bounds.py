@@ -568,6 +568,18 @@ class TestCrossover:
         with pytest.raises(DomainError):
             crossover_d(1.0)
 
+    @pytest.mark.parametrize("gamma", [1.0001, 1e20, 1e300])
+    def test_sign_change_outside_the_old_bracket(self, gamma):
+        # the crossover is ~2 (gamma - 1)^2 = 2e-8 near gamma = 1 and grows
+        # like ln gamma, to 697.3 at 1e300: h changes sign at the returned D
+        d = crossover_d(gamma)
+        c = c_gamma(gamma)
+
+        def h(x):
+            return c * x - egamma_upper("kl", gamma, x)
+
+        assert h(d * (1.0 - 1e-9)) < 0.0 < h(d * (1.0 + 1e-9)), d
+
 
 class TestBoundReport:
     def test_directions(self):

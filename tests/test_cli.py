@@ -251,6 +251,12 @@ class TestBounds:
         payload = json.loads(out)
         assert payload["slack"] == pytest.approx(0.0022828785, abs=1e-9)
 
+    @pytest.mark.parametrize("gamma", ["1.0001", "1e300"])
+    def test_crossover_past_the_old_bracket(self, capsys, gamma):
+        code, out, _ = run_cli(capsys, "bounds", "--name", "crossover_d", "--args", f"gamma={gamma}")
+        assert code == 0
+        assert json.loads(out)["bound_value"] > 0.0
+
     def test_unknown_bound(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--name", "nope", "--args", "tv=0.1")
         assert code == 2

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divkit import (
+    DiscreteDistribution,
     DomainError,
     GeneratorFunction,
     PoissonModel,
@@ -51,6 +52,20 @@ class TestMakeDistribution:
     )
     def test_overflowing_sum_normalizes(self, weights, masses):
         assert make_distribution(weights).masses == pytest.approx(masses, rel=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=5e-324, max_value=1.7e308)),
+            min_size=1,
+            max_size=40,
+        ).filter(any)
+    )
+    def test_skipped_checks_would_pass(self, weights):
+        # the record is built without the constructor's second pass over the
+        # masses; that pass accepts the masses unchanged
+        d = make_distribution(weights)
+        assert DiscreteDistribution(d.masses) == d
 
 
 class TestRelativeInformation:

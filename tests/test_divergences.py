@@ -21,6 +21,7 @@ from divkit import (
     renyi,
 )
 from divkit.generators import KINDS
+from divkit.terms import prior_scale
 from helpers import (
     brute_force_e_gamma,
     catalog_generators,
@@ -378,6 +379,18 @@ class TestRenyi:
             2.0 * (1.0 - s), rel=1e-14
         )
         assert float(renyi(0.5, p, q)) == pytest.approx(-2.0 * math.log(s), rel=1e-14)
+
+
+class TestPriorScale:
+    def test_sides(self):
+        assert prior_scale(0.25) == (0.25, 0.75, False)
+        assert prior_scale(0.5) == (0.5, 0.5, False)
+        assert prior_scale(0.75) == (0.25, 0.75, True)
+
+    @pytest.mark.parametrize("omega", [0.0, 1.0, -0.1, math.nan, math.inf])
+    def test_refuses_outside_unit_interval(self, omega):
+        with pytest.raises(DomainError):
+            prior_scale(omega)
 
 
 class TestDegrootFromEgamma:

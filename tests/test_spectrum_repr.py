@@ -8,6 +8,7 @@ from divkit import (
     AbsoluteContinuityError,
     CapabilityError,
     DiscreteDistribution,
+    DomainError,
     KinkError,
     divergence,
     f_divergence,
@@ -501,6 +502,24 @@ class TestSpectrumReconstruction:
         )
         d = make_distribution([0.5, 0.5])
         assert spectrum_from_degroot(d, d, 0.1) == pytest.approx(1.0, abs=1e-14)
+
+    def test_degroot_answers_past_700(self):
+        # x is the prior's log-odds, so no prior is solved from it; the
+        # second pair has an atom at ln(0.5/1e-310) ~ 713.1, where the CDF
+        # steps from 0.5 to 1
+        for pm, qm in [((0.7, 0.3), (0.5, 0.5)), ((0.5, 0.5), (1.0, 1e-310))]:
+            p, q = make_distribution(pm), make_distribution(qm)
+            s = spectrum(p, q)
+            for x in (701.0, -701.0, 712.0, 714.0, 800.0, -800.0):
+                assert spectrum_from_degroot(p, q, x) == spectrum_eval(s, x), (pm, x)
+        assert [spectrum_from_degroot(p, q, x) for x in (712.0, 714.0)] == [0.5, 1.0]
+
+    @pytest.mark.parametrize("reconstruct", [spectrum_from_egamma, spectrum_from_degroot])
+    def test_nan_refused_and_infinities_saturate(self, bern_pair, reconstruct):
+        with pytest.raises(DomainError):
+            reconstruct(*bern_pair, math.nan)
+        assert reconstruct(*bern_pair, math.inf) == 1.0
+        assert reconstruct(*bern_pair, -math.inf) == 0.0
 
     def test_matches_cdf_at_continuity_points(self):
         rng = np.random.default_rng(83)
