@@ -6,7 +6,11 @@ Conventions used throughout the package:
 * the relative information at an atom is ``ln p - ln q`` so that swapping
   the pair negates it exactly in floating point;
 * atoms whose log-ratios compare bit-equal are merged into one spectrum
-  breakpoint; no epsilon merging is applied beyond that.
+  breakpoint; no epsilon merging is applied beyond that;
+* ``spectrum(p, q)`` keeps the last pair it built: asked again for the same
+  P and Q objects (by identity), it returns the spectrum it built for them,
+  so the queries on one pair build its spectrum once.  That one slot keeps
+  the last pair and its spectrum (2n floats) alive until the next build.
 """
 
 from __future__ import annotations
@@ -102,13 +106,16 @@ def make_distribution(weights: Sequence[float]) -> DiscreteDistribution:
     """Normalize non-negative weights into a DiscreteDistribution.
 
     Atom order is preserved.  Raises ValidationError on negative,
-    non-finite, or all-zero weights.  Weights whose sum overflows are
-    divided by the largest one before normalizing.
+    non-finite, non-numeric or all-zero weights, and on a non-sequence.
+    Weights whose sum overflows are divided by the largest one before
+    normalizing.
     """
     try:
         ws = [float(w) for w in weights]
     except OverflowError:  # an integer past the float range
         raise ValidationError("a weight passes the float range") from None
+    except (TypeError, ValueError):  # not a sequence, or an entry not a number
+        raise ValidationError("weights must be a sequence of real numbers") from None
     if not ws:
         raise ValidationError("empty weight sequence")
     for w in ws:
@@ -149,9 +156,12 @@ def relative_information(
     Returns +inf when q vanishes under positive p, -inf in the mirrored
     case.  Computed as ``ln p - ln q`` so the swap antisymmetry holds
     exactly.  An atom with p == q == 0 carries no information and raises
-    UndefinedAtomError.
+    UndefinedAtomError; an atom that is not an int in ``range(n)`` raises
+    ValidationError.
     """
     _require_shared_alphabet(p, q)
+    if not isinstance(atom, int) or not 0 <= atom < len(p.masses):
+        raise ValidationError(f"atom {atom!r} is not an index in range({len(p.masses)})")
     pm, qm = p[atom], q[atom]
     if pm == 0.0 and qm == 0.0:
         raise UndefinedAtomError(f"atom {atom} has zero mass under both measures")
@@ -175,7 +185,32 @@ def _exact_expansion(xs: list[float], total: float) -> list[float]:
     return out
 
 
+# spectrum()'s one slot: the last pair it built and that pair's spectrum.
+# The strong references keep both ids from being reused while they are held.
+_last: tuple = (object(), object(), None)
+
+
 def spectrum(p: DiscreteDistribution, q: DiscreteDistribution) -> SpectrumFunction:
+    """The relative information spectrum of (P, Q), built once per pair.
+
+    When P and Q are the very objects of the last call (compared by
+    identity, which the immutable records make sound), the spectrum built
+    then is returned; otherwise it is built by ``_build_spectrum`` and
+    replaces the one kept.  A refused pair raises on every call and is
+    never kept.  ``spectrum_from_egamma`` and ``spectrum_from_degroot``
+    compute from the masses and never read the kept spectrum.
+    """
+    global _last
+    last_p, last_q, spec = _last
+    if p is last_p and q is last_q:
+        return spec
+    spec = _build_spectrum(p, q)
+    if type(p) is DiscreteDistribution and type(q) is DiscreteDistribution:
+        _last = (p, q, spec)
+    return spec
+
+
+def _build_spectrum(p: DiscreteDistribution, q: DiscreteDistribution) -> SpectrumFunction:
     """Build the relative information spectrum of (P, Q).
 
     Atoms with mass under both measures contribute a breakpoint at their

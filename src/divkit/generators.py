@@ -368,11 +368,17 @@ KINDS: dict[str, tuple[Optional[str], Optional[str]]] = {
 
 
 def kind_args(kind: str, params: Mapping[str, float]) -> tuple[float, ...]:
-    """The parameter of ``kind`` taken from ``params``, as a 0- or 1-tuple."""
+    """The parameter of ``kind`` taken from ``params``, as a 0- or 1-tuple.
+    A key the kind does not take raises DomainError naming it."""
     try:
         _, pname = KINDS[kind]
     except KeyError:
         raise UnknownKindError(f"unknown divergence kind {kind!r}") from None
+    unexpected = [key for key in params if key != pname]
+    if unexpected:
+        raise DomainError(
+            f"{kind!r} takes no parameter {', '.join(map(repr, unexpected))}"
+        )
     if pname is None:
         return ()
     if pname not in params:

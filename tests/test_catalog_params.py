@@ -123,6 +123,23 @@ class TestParameterBoundary:
         with pytest.raises(DomainError):
             generator(family, **params)
 
+    @pytest.mark.parametrize(
+        "kind, params, unexpected",
+        [
+            ("kl", {"alpha": 2}, "'alpha'"),
+            ("tv", {"gamma": 1.5, "omega": 0.3}, "'gamma', 'omega'"),
+            ("hellinger", {"alpha": 0.5, "beta": 1.0}, "'beta'"),
+            ("e_gamma", {"omega": 0.3}, "'omega'"),
+        ],
+    )
+    def test_kind_refuses_unexpected_parameter(self, kind, params, unexpected):
+        # a named kind used to drop a key it does not take and label the
+        # value with it
+        p, q = _PAIRS[0]
+        for call in (divergence, represent_named):
+            with pytest.raises(DomainError, match=re.escape(unexpected)):
+                call(kind, p, q, **params)
+
 
 class TestHellingerOrders:
     def test_small_order_tends_to_reverse_kl(self):

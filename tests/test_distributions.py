@@ -20,9 +20,17 @@ from divkit import (
     make_report,
     mixture,
     relative_information,
+    represent_degroot_weight,
+    represent_general,
+    represent_inverse_g,
+    represent_named,
     spectrum,
     spectrum_eval,
+    spectrum_from_degroot,
+    spectrum_from_egamma,
+    spectrum_identity,
 )
+from divkit import distributions, spectrum_repr
 from helpers import prefix_fsum_cum_masses, random_pair
 
 
@@ -37,7 +45,10 @@ class TestMakeDistribution:
         # oracle: divide by the total 10
         assert make_distribution([2, 3, 5]).masses == (0.2, 0.3, 0.5)
 
-    @pytest.mark.parametrize("bad", [[0, 0], [-1, 2], [math.nan, 1], [math.inf, 1], []])
+    @pytest.mark.parametrize(
+        "bad",
+        [[0, 0], [-1, 2], [math.nan, 1], [math.inf, 1], [], ["abc"], [None], 1.0],
+    )
     def test_invalid_weights(self, bad):
         with pytest.raises(ValidationError):
             make_distribution(bad)
@@ -88,6 +99,12 @@ class TestRelativeInformation:
         p = make_distribution([1, 0])
         with pytest.raises(UndefinedAtomError):
             relative_information(p, p, 1)
+
+    @pytest.mark.parametrize("atom", [5, 1.0, -1])
+    def test_atom_outside_alphabet(self, bern_pair, atom):
+        # 5 raised IndexError, 1.0 TypeError, and -1 read the last atom
+        with pytest.raises(ValidationError, match="range\\(2\\)"):
+            relative_information(*bern_pair, atom)
 
     def test_antisymmetry_exact(self):
         rng = np.random.default_rng(7)
@@ -205,6 +222,106 @@ class TestSpectrumCore:
         monkeypatch.undo()
         assert len(s.breakpoints) == n
         assert addends[0] <= 100 * n
+
+
+class TestSpectrumMemo:
+    """spectrum() keeps the last pair it built, keyed on object identity."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The pairs ``_build_spectrum`` is asked for, in order."""
+        calls = []
+        build = distributions._build_spectrum
+
+        def counting(p, q):
+            calls.append((p, q))
+            return build(p, q)
+
+        monkeypatch.setattr(distributions, "_build_spectrum", counting)
+        return calls
+
+    def test_same_objects_built_once(self, builds):
+        p, q = make_distribution([0.7, 0.2, 0.1]), make_distribution([0.2, 0.3, 0.5])
+        s = spectrum(p, q)
+        assert spectrum(p, q) is s
+        g_big(p, q, 2.0)
+        spectrum_identity(p, q)
+        represent_named("kl", p, q)
+        represent_general(generator("kl"), p, q)
+        assert builds == [(p, q)]
+
+    def test_equal_masses_distinct_objects(self, builds):
+        p, q = make_distribution([0.7, 0.3]), make_distribution([0.5, 0.5])
+        p2, q2 = make_distribution([0.7, 0.3]), make_distribution([0.5, 0.5])
+        s = spectrum(p, q)
+        s2 = spectrum(p2, q2)
+        assert s2 == s and s2 is not s
+        assert builds == [(p, q), (p2, q2)]
+
+    def test_refused_pair_never_kept(self, builds):
+        p, short = make_distribution([1, 1]), make_distribution([1])
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                spectrum(p, short)
+            with pytest.raises(AttributeError):
+                spectrum(p, [0.5, 0.5])
+        q = make_distribution([1, 3])
+        s = spectrum(p, q)
+        assert spectrum(p, q) is s
+        assert len(builds) == 5 and builds[-1] == (p, q)
+
+    def test_alternating_pairs(self, builds):
+        # pairs that share one side, or swap the sides, are distinct pairs
+        p1, q1 = make_distribution([0.7, 0.3]), make_distribution([0.5, 0.5])
+        p2, q2 = make_distribution([0.1, 0.9]), make_distribution([0.6, 0.4])
+        pairs = [(p1, q1), (p2, q2), (p2, q1), (p1, q2), (q1, p1)]
+        want = [distributions._build_spectrum(*pair) for pair in pairs]
+        assert len(set(want)) == len(pairs)
+        for k in (0, 1, 0, 2, 0, 3, 2, 4, 0):
+            assert spectrum(*pairs[k]) == want[k]
+            assert spectrum(*pairs[k]) == want[k]
+        assert len(builds) == len(pairs) + 9
+
+    def test_reconstructions_read_the_masses(self, monkeypatch):
+        p, q = make_distribution([0.7, 0.2, 0.1]), make_distribution([0.2, 0.3, 0.5])
+        xs = (-1.0, 0.0, 0.5, 2.0)
+        want = [(spectrum_from_egamma(p, q, x), spectrum_from_degroot(p, q, x)) for x in xs]
+
+        def refuse(*_):
+            raise AssertionError("spectrum() called")
+
+        # a wrong spectrum kept for this very pair must not reach them either
+        monkeypatch.setattr(distributions, "_last", (p, q, spectrum(q, p)))
+        got = [(spectrum_from_egamma(p, q, x), spectrum_from_degroot(p, q, x)) for x in xs]
+        assert got == want
+        for module in (distributions, spectrum_repr):
+            monkeypatch.setattr(module, "spectrum", refuse)
+        monkeypatch.setattr(distributions, "_build_spectrum", refuse)
+        got = [(spectrum_from_egamma(p, q, x), spectrum_from_degroot(p, q, x)) for x in xs]
+        assert got == want
+
+    def test_outputs_bit_identical(self):
+        # a fresh copy of each distribution misses the slot, so it is built anew
+        rng = np.random.default_rng(18)
+        kl = generator("kl")
+        for _ in range(20):
+            p, q = random_pair(rng, int(rng.integers(2, 9)))
+            beta = float(rng.uniform(0.2, 5.0))
+
+            def queries(p, q):
+                return (
+                    spectrum(p, q),
+                    g_big(p, q, beta),
+                    spectrum_identity(p, q),
+                    represent_named("kl", p, q),
+                    represent_general(kl, p, q),
+                    represent_inverse_g(kl, p, q),
+                    represent_degroot_weight(kl, p, q),
+                )
+
+            fresh = lambda: queries(DiscreteDistribution(p.masses), DiscreteDistribution(q.masses))
+            first, second = queries(p, q), queries(p, q)
+            assert first == second == fresh()
 
 
 class TestSpectrumEval:
