@@ -400,14 +400,18 @@ def degroot_upper(
     chi_pq: Optional[float] = None,
     chi_qp: Optional[float] = None,
 ) -> float:
-    """Closed-form upper bounds on the DeGroot information I_omega(P||Q).
+    """Closed-form upper bounds on the DeGroot information I_omega(P||Q):
+    m times an E_gamma bound at gamma = big/m, as I_omega = m E_{big/m},
+    with (m, big, swap) from ``terms.prior_scale``.
 
-    Each reads the divergence of the side ``terms.prior_scale`` picks, P||Q
-    for omega <= 1/2 and Q||P above: kind="chi2" chi^2; kind="kl_line" the
-    straight-line bound m c_{big/m} D, with the Pinsker form
-    sqrt(min(D_pq, D_qp)/8) at omega = 1/2; kind="kl_bh" the
-    Bretagnolle-Huber-style form.  All bounds approach m = min(omega,
-    1-omega) as the divergences grow.
+    Each reads the divergence of the side that map picks, P||Q for
+    omega <= 1/2 and Q||P above: kind="chi2" chi^2 (``egamma_upper``);
+    kind="kl_line" D (``straight_line_egamma_ub``), with the Pinsker form
+    sqrt(min(D_pq, D_qp)/8) at omega = 1/2; kind="kl_bh" D (the
+    Bretagnolle-Huber-style ``egamma_upper``).  All bounds approach
+    m = min(omega, 1-omega) as the divergences grow.  Near omega = 1/2,
+    gamma - 1 carries the rounding of big/m: where the divergence is below
+    ~(1 - 2 omega)^2, chi2 and kl_bh hold ~1e-16/(gamma - 1) relative.
     """
     m, big, swap = prior_scale(omega)
 
@@ -420,20 +424,15 @@ def degroot_upper(
 
     if kind == "kl_line" and omega == 0.5:
         return math.sqrt(min(_need(d_pq, "d_pq"), _need(d_qp, "d_qp")) / 8.0)
-    if kind not in ("chi2", "kl_line", "kl_bh"):
-        raise DomainError(f"unknown degroot_upper kind {kind!r}")
     if kind == "chi2":
         value = _need(chi_qp, "chi_qp") if swap else _need(chi_pq, "chi_pq")
-    else:
-        value = _need(d_qp, "d_qp") if swap else _need(d_pq, "d_pq")
+        return m * egamma_upper("chi2", big / m, value)
+    if kind not in ("kl_line", "kl_bh"):
+        raise DomainError(f"unknown degroot_upper kind {kind!r}")
+    value = _need(d_qp, "d_qp") if swap else _need(d_pq, "d_pq")
     if kind == "kl_line":
-        return m * c_gamma(big / m) * value
-    # "chi2" and "kl_bh" are sqrt(b^2 + a) - b with b = |1/2 - omega|, taken
-    # by _root_gap, so that they do not cancel to 0 as omega nears 0 or 1:
-    # a = omega (1-omega) s, s = m chi / (1 + m chi) from the E_gamma chi^2
-    # bound through the prior scaling, or s = 1 - e^-D
-    share = _share(m * value, 1.0) if kind == "chi2" else -math.expm1(-value)
-    return _root_gap(abs(0.5 - omega), math.sqrt(m * big) * math.sqrt(share))
+        return m * straight_line_egamma_ub(big / m, value)
+    return m * egamma_upper("kl", big / m, value)
 
 
 def chi2_lower_from_tv(kind: str, tv: float) -> float:
@@ -500,9 +499,7 @@ def crossover_d(gamma: float) -> float:
 
 def pinsker_bh_switch() -> float:
     """Relative entropy (nats) where the Pinsker and Bretagnolle-Huber
-    upper bounds on total variation cross: the root of 2(1 - e^(-D)) = D."""
-
-    def h(d: float) -> float:
-        return 2.0 * (-math.expm1(-d)) - d
-
-    return _bisect(h, 0.5, 3.0, rtol=1e-12)
+    upper bounds on total variation cross: the positive root of
+    2(1 - e^(-D)) = D, which is 2 + W0(-2 e^-2) (principal Lambert branch;
+    the secondary one gives the root D = 0)."""
+    return 2.0 + lambert_w("principal", -2.0 * math.exp(-2.0))

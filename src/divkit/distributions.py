@@ -7,6 +7,9 @@ Conventions used throughout the package:
   the pair negates it exactly in floating point;
 * atoms whose log-ratios compare bit-equal are merged into one spectrum
   breakpoint; no epsilon merging is applied beyond that;
+* ``_masses(p, q)`` is the one gate of every function of a pair (P, Q):
+  it returns their masses, and refuses with ValidationError anything but
+  two DiscreteDistribution records on one alphabet;
 * ``spectrum(p, q)`` keeps the last pair it built: asked again for the same
   P and Q objects (by identity), it returns the spectrum it built for them,
   so the queries on one pair build its spectrum once.  That one slot keeps
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Mapping
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, UndefinedAtomError, ValidationError, refuse_change
@@ -106,10 +110,12 @@ def make_distribution(weights: Sequence[float]) -> DiscreteDistribution:
     """Normalize non-negative weights into a DiscreteDistribution.
 
     Atom order is preserved.  Raises ValidationError on negative,
-    non-finite, non-numeric or all-zero weights, and on a non-sequence.
-    Weights whose sum overflows are divided by the largest one before
-    normalizing.
+    non-finite, non-numeric or all-zero weights, and on a non-sequence,
+    a string or bytes, or a mapping.  Weights whose sum overflows are
+    divided by the largest one before normalizing.
     """
+    if isinstance(weights, (str, bytes, Mapping)):
+        raise ValidationError("weights must be a sequence of real numbers")
     try:
         ws = [float(w) for w in weights]
     except OverflowError:  # an integer past the float range
@@ -140,12 +146,21 @@ def make_distribution(weights: Sequence[float]) -> DiscreteDistribution:
     return dist
 
 
-def _require_shared_alphabet(p: DiscreteDistribution, q: DiscreteDistribution) -> None:
+def _masses(p: DiscreteDistribution, q: DiscreteDistribution):
+    """(P's masses, Q's masses): the one gate of every pair function,
+    which refuses anything but two DiscreteDistribution records (the exact
+    type) on one alphabet with ValidationError."""
+    if type(p) is not DiscreteDistribution or type(q) is not DiscreteDistribution:
+        raise ValidationError(
+            "P and Q must be DiscreteDistribution records, "
+            f"got {type(p).__name__} and {type(q).__name__}"
+        )
     if len(p.masses) != len(q.masses):
         raise ValidationError(
             "distributions live on different alphabets "
             f"({len(p.masses)} vs {len(q.masses)} atoms)"
         )
+    return p.masses, q.masses
 
 
 def relative_information(
@@ -159,10 +174,10 @@ def relative_information(
     UndefinedAtomError; an atom that is not an int in ``range(n)`` raises
     ValidationError.
     """
-    _require_shared_alphabet(p, q)
-    if not isinstance(atom, int) or not 0 <= atom < len(p.masses):
-        raise ValidationError(f"atom {atom!r} is not an index in range({len(p.masses)})")
-    pm, qm = p[atom], q[atom]
+    ps, qs = _masses(p, q)
+    if not isinstance(atom, int) or not 0 <= atom < len(ps):
+        raise ValidationError(f"atom {atom!r} is not an index in range({len(ps)})")
+    pm, qm = ps[atom], qs[atom]
     if pm == 0.0 and qm == 0.0:
         raise UndefinedAtomError(f"atom {atom} has zero mass under both measures")
     if pm == 0.0:
@@ -205,8 +220,7 @@ def spectrum(p: DiscreteDistribution, q: DiscreteDistribution) -> SpectrumFuncti
     if p is last_p and q is last_q:
         return spec
     spec = _build_spectrum(p, q)
-    if type(p) is DiscreteDistribution and type(q) is DiscreteDistribution:
-        _last = (p, q, spec)
+    _last = (p, q, spec)
     return spec
 
 
@@ -226,11 +240,10 @@ def _build_spectrum(p: DiscreteDistribution, q: DiscreteDistribution) -> Spectru
     whole prefix, while no ``fsum`` call sees more than a few dozen addends
     beyond the current tie group.
     """
-    _require_shared_alphabet(p, q)
     groups: dict[float, list[float]] = {}
     sing_p: list[float] = []
     sing_q: list[float] = []
-    for pm, qm in zip(p.masses, q.masses):
+    for pm, qm in zip(*_masses(p, q)):
         if pm > 0.0 and qm > 0.0:
             x = math.log(pm) - math.log(qm)
             groups.setdefault(x, []).append(pm)
@@ -286,9 +299,7 @@ def mixture(
     p: DiscreteDistribution, q: DiscreteDistribution, lam: float
 ) -> DiscreteDistribution:
     """Atomwise convex combination lam*P + (1-lam)*Q."""
-    _require_shared_alphabet(p, q)
+    ps, qs = _masses(p, q)
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"mixture weight {lam!r} outside [0, 1]")
-    return DiscreteDistribution(
-        tuple(lam * pm + (1.0 - lam) * qm for pm, qm in zip(p.masses, q.masses))
-    )
+    return DiscreteDistribution(tuple(lam * pm + (1.0 - lam) * qm for pm, qm in zip(ps, qs)))

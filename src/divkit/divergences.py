@@ -20,7 +20,7 @@ from operator import sub
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .distributions import DiscreteDistribution, _require_shared_alphabet
+from .distributions import DiscreteDistribution, _masses
 from .errors import DomainError
 from .generators import KINDS, GeneratorFunction, kind_args
 from .terms import _BREGS, Breg, _alpha_breg, _edge_term, _shared, prior_scale
@@ -44,11 +44,6 @@ class DivergenceValue(NamedTuple):
 
     def __float__(self) -> float:
         return self.value
-
-
-def _masses(p: DiscreteDistribution, q: DiscreteDistribution):
-    _require_shared_alphabet(p, q)
-    return p.masses, q.masses
 
 
 def _singular_masses(ps: Sequence[float], qs: Sequence[float]):
@@ -189,8 +184,9 @@ def _alpha_map(
     return h(_hellinger_term(alpha), pair) / alpha
 
 
-# The kinds that are maps of a Hellinger sum; every other kind is the sum
-# of its family's shifted term.  A map is called as
+# The kinds that are maps of a Hellinger sum; every other kind, the
+# Hellinger divergence itself included, is the sum of its family's shifted
+# term.  A map is called as
 # map(h, renyi_terms, pair, *param), where h(b, pair) sums the shifted term
 # b over the pair (the Hellinger divergence, for a Hellinger term) and
 # renyi_terms(pair, alpha) is ln(sum q (p/q)^alpha) / (alpha - 1) by
@@ -198,7 +194,6 @@ def _alpha_map(
 # masses, spectrum_repr.represent_named() the spectral sums over the
 # spectrum.
 _HELLINGER_MAPS: dict[str, Callable[..., float]] = {
-    "hellinger": lambda h, renyi_terms, pair, alpha: h(_hellinger_term(alpha), pair),
     "sq_hellinger": lambda h, renyi_terms, pair: 0.5 * h(_hellinger_term(0.5), pair),
     # -ln sum sqrt(p q), half the Renyi divergence of order 1/2
     "bhattacharyya": lambda h, renyi_terms, pair: 0.5 * _renyi_map(h, renyi_terms, pair, 0.5),

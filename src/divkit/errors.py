@@ -38,10 +38,6 @@ class CapabilityError(DivkitError):
     operation needs."""
 
 
-class RangeError(DivkitError):
-    """Argument outside the range of an inverse function branch."""
-
-
 class UnknownKindError(DivkitError):
     """Dispatch on an unrecognized divergence or bound name."""
 

@@ -2,11 +2,12 @@
 
 As the mixture weight of P in lam*P + (1-lam)*Q goes to zero, every
 divergence with a finite f''(1) scales like (1/2) f''(1) chi^2(P||Q) lam^2.
-This module holds the exact chi^2 / chi^s mixture identities, the
+This module holds the chi^2 / chi^s mixture identities, the
 three-measure chi^2 expansion, and Richardson-extrapolated estimates of
-the lam -> 0 limits used to verify the scaling numerically.  The estimates
-sum each family's shifted term at d = lam (p - q)/q, so rounding the
-mixture's masses never swamps the lam^2 they are divided by.
+the lam -> 0 limits used to verify the scaling numerically.  The
+identities and the estimates sum each family's shifted term at
+d = lam (p - q)/q, so rounding the mixture's masses never swamps the
+lam^s they are divided by.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import DiscreteDistribution, mixture
+from .distributions import DiscreteDistribution, _masses, mixture
 from .divergences import _shifted_sum, divergence
 from .errors import CapabilityError, DomainError
 from .generators import GeneratorFunction
@@ -52,28 +53,29 @@ class LocalLimitEstimate:
     residual: float
 
 
-def _require_supported(p: DiscreteDistribution, q: DiscreteDistribution) -> None:
-    for i, (pm, qm) in enumerate(zip(p.masses, q.masses)):
+def _supported_masses(p: DiscreteDistribution, q: DiscreteDistribution):
+    """The pair's masses, refused unless P << Q."""
+    ps, qs = _masses(p, q)
+    for i, (pm, qm) in enumerate(zip(ps, qs)):
         if pm > 0.0 and qm == 0.0:
             raise DomainError(f"atom {i} has P-mass where Q vanishes")
+    return ps, qs
 
 
 def chi2_mixture_scaling(
     p: DiscreteDistribution, q: DiscreteDistribution, lam: float
 ) -> float:
-    """chi^2(lam P + (1-lam) Q || Q); equals lam^2 chi^2(P||Q) exactly."""
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError("mixture weight must lie in [0, 1]")
-    return float(divergence("chi2", mixture(p, q, lam), q))
+    """chi^2(lam P + (1-lam) Q || Q), the mixture-path sum that equals
+    lam^2 chi^2(P||Q) to rounding."""
+    return _mixture_divergence(_BREGS["chi_squared"](), p, q, lam, True)
 
 
 def chis_mixture_scaling(
     p: DiscreteDistribution, q: DiscreteDistribution, s: float, lam: float
 ) -> float:
-    """chi^s(lam P + (1-lam) Q || Q); equals lam^s chi^s(P||Q) exactly."""
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError("mixture weight must lie in [0, 1]")
-    return float(divergence("chi_s", mixture(p, q, lam), q, s=s))
+    """chi^s(lam P + (1-lam) Q || Q), the mixture-path sum that equals
+    lam^s chi^s(P||Q) to rounding."""
+    return _mixture_divergence(_BREGS["chi_s"](s), p, q, lam, True)
 
 
 def chi2_mixture_three(
@@ -96,7 +98,7 @@ def chi2_mixture_three(
     if not 0.0 <= lam <= 1.0:
         raise DomainError("mixture weight must lie in [0, 1]")
     terms = []
-    for pm, qm, rm in zip(p.masses, q.masses, r.masses):
+    for pm, qm, rm in zip(*_masses(p, q), _masses(q, r)[1]):
         if rm == 0.0:
             if pm > 0.0 or qm > 0.0:
                 raise DomainError("R must dominate both P and Q")
@@ -124,11 +126,14 @@ def _mixture_divergence(
     at d = +-lam (p - q), exact where the mixture's rounded masses would
     swamp the lam^2 of its value; M's masses are read only where a term
     asks for them."""
-    steps = [lam * (pm - qm) for pm, qm in zip(p.masses, q.masses)]
-    ms = [qm + step for qm, step in zip(q.masses, steps)]
+    if not 0.0 <= lam <= 1.0:
+        raise DomainError("mixture weight must lie in [0, 1]")
+    ps, qs = _masses(p, q)
+    steps = [lam * (pm - qm) for pm, qm in zip(ps, qs)]
+    ms = [qm + step for qm, step in zip(qs, steps)]
     if first:
-        return _shifted_sum(b, ms, q.masses, steps)
-    return _shifted_sum(b, q.masses, ms, [-step for step in steps])
+        return _shifted_sum(b, ms, qs, steps)
+    return _shifted_sum(b, qs, ms, [-step for step in steps])
 
 
 def local_limit_estimate(
@@ -147,7 +152,7 @@ def local_limit_estimate(
         raise DomainError(f"unknown direction {direction!r}")
     if f.second_at_one is None or not math.isfinite(f.second_at_one):
         raise CapabilityError(f"generator {f.family} lacks a finite f''(1)")
-    _require_supported(p, q)
+    _supported_masses(p, q)
     first = direction == "mixture_first"
     ratios = [
         _mixture_divergence(f._breg, p, q, lam, first) / (lam * lam)
@@ -178,14 +183,14 @@ def renyi_local_estimate(
     """
     if alpha < 0.0:
         raise DomainError("Renyi order must be non-negative")
-    _require_supported(p, q)
+    ps, qs = _supported_masses(p, q)
     chi2 = float(divergence("chi2", p, q))
     if alpha == 0.0:
         zeros = tuple(0.0 for _ in _LAMBDA_GRID)
         return LocalLimitEstimate(_LAMBDA_GRID, zeros, 0.0, 0.0, 0.0)
     if math.isinf(alpha):
         ratios = [
-            max(math.log1p(lam * (pm - qm) / qm) for pm, qm in zip(p.masses, q.masses) if qm > 0.0)
+            max(math.log1p(lam * (pm - qm) / qm) for pm, qm in zip(ps, qs) if qm > 0.0)
             / (lam * lam)
             for lam in _LAMBDA_GRID
         ]
@@ -222,7 +227,7 @@ def ratio_limit_pair(
         raise DomainError("denominator generator needs g''(1) > 0")
     if f.second_at_one is None or not math.isfinite(f.second_at_one):
         raise CapabilityError(f"generator {f.family} lacks a finite f''(1)")
-    _require_supported(p, q)
+    _supported_masses(p, q)
     ratios = []
     for lam in _LAMBDA_GRID[1:]:
         num = _mixture_divergence(f._breg, p, q, lam, True)

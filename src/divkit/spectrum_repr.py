@@ -19,18 +19,8 @@ from __future__ import annotations
 import math
 from operator import sub
 
-from .distributions import (
-    DiscreteDistribution,
-    SpectrumFunction,
-    spectrum,
-)
-from .divergences import (
-    _HELLINGER_MAPS,
-    _log_sum_exp,
-    _masses,
-    _shifted_sum,
-    _singular_masses,
-)
+from .distributions import DiscreteDistribution, SpectrumFunction, _masses, spectrum
+from .divergences import _HELLINGER_MAPS, _log_sum_exp, _shifted_sum, _singular_masses
 from .errors import (
     AbsoluteContinuityError,
     CapabilityError,
@@ -73,11 +63,14 @@ def _require_mutual(f: SpectrumFunction) -> None:
     _require_qp_dominated(f.singular_mass_q)
 
 
-def _require_mutual_pair(p: DiscreteDistribution, q: DiscreteDistribution) -> None:
-    """_require_mutual in one pass over the masses, without a spectrum."""
-    q_where_p0, p_where_q0 = _singular_masses(*_masses(p, q))
+def _mutual_masses(p: DiscreteDistribution, q: DiscreteDistribution):
+    """The pair's masses, through ``_require_mutual`` in one pass over
+    them, without a spectrum."""
+    ps, qs = _masses(p, q)
+    q_where_p0, p_where_q0 = _singular_masses(ps, qs)
     _require_pq_dominated(p_where_q0)
     _require_qp_dominated(q_where_p0)
+    return ps, qs
 
 
 def _log_segments(f: SpectrumFunction):
@@ -264,14 +257,10 @@ def spectrum_from_egamma(
     that finite for every x, where exp(|x|) would overflow past 709.78.
     NaN x is refused, as ``spectrum_eval`` refuses it.
     """
-    _require_mutual_pair(p, q)
+    ps, qs = _mutual_masses(p, q)
     if math.isnan(x):
         raise DomainError("x must not be NaN")
-    ratios = [
-        (pm, math.log(pm) - math.log(qm))
-        for pm, qm in zip(p.masses, q.masses)
-        if pm > 0.0
-    ]
+    ratios = [(pm, math.log(pm) - math.log(qm)) for pm, qm in zip(ps, qs) if pm > 0.0]
     if x >= 0.0:
         return 1.0 - math.fsum(pm for pm, r in ratios if r > x)
     # -E'_gamma(Q||P) at gamma = exp(-x), with the swapped-pair right-derivative

@@ -436,6 +436,10 @@ class TestTvKlFrontier:
     def test_pinsker_bh_switch(self):
         d = pinsker_bh_switch()
         assert d == pytest.approx(1.594, abs=0.005)
+        # the positive root of 2(1 - e^-D) = D, at 40 digits
+        with mpmath.workdps(40):
+            root = 2 + mpmath.lambertw(-2 * mpmath.exp(-2))
+            assert abs(d - root) <= 1e-15 * root
         # Pinsker wins below the switch, BH above (as TV upper bounds)
         for dd in (0.5, 1.0, 1.5):
             assert math.sqrt(2 * dd) <= tv_kl_frontier("bh_ub_tv", dd) + 1e-12

@@ -14,12 +14,22 @@ from divkit import (
     PoissonModel,
     UndefinedAtomError,
     ValidationError,
+    chi2_mixture_scaling,
+    chi2_mixture_three,
+    chis_mixture_scaling,
+    degroot_from_egamma,
+    divergence,
+    f_divergence,
     g_big,
     generator,
+    local_limit_estimate,
     make_distribution,
     make_report,
     mixture,
+    ratio_limit_pair,
     relative_information,
+    renyi,
+    renyi_local_estimate,
     represent_degroot_weight,
     represent_general,
     represent_inverse_g,
@@ -47,7 +57,11 @@ class TestMakeDistribution:
 
     @pytest.mark.parametrize(
         "bad",
-        [[0, 0], [-1, 2], [math.nan, 1], [math.inf, 1], [], ["abc"], [None], 1.0],
+        [
+            [0, 0], [-1, 2], [math.nan, 1], [math.inf, 1], [], ["abc"], [None], 1.0,
+            # a string, bytes or a mapping is not a sequence of weights
+            "12", b"12", {3: "x", 1: "y"},
+        ],
     )
     def test_invalid_weights(self, bad):
         with pytest.raises(ValidationError):
@@ -263,7 +277,7 @@ class TestSpectrumMemo:
         for _ in range(2):
             with pytest.raises(ValidationError):
                 spectrum(p, short)
-            with pytest.raises(AttributeError):
+            with pytest.raises(ValidationError):
                 spectrum(p, [0.5, 0.5])
         q = make_distribution([1, 3])
         s = spectrum(p, q)
@@ -375,6 +389,65 @@ class TestMixture:
     def test_domain(self, bern_pair, lam):
         with pytest.raises(DomainError):
             mixture(*bern_pair, lam)
+
+
+# every public function of a pair (P, Q), called on (p, q)
+_PAIR_FUNCTIONS = {
+    "spectrum": spectrum,
+    "relative_information": lambda p, q: relative_information(p, q, 0),
+    "mixture": lambda p, q: mixture(p, q, 0.5),
+    "g_big": lambda p, q: g_big(p, q, 2.0),
+    "divergence": lambda p, q: divergence("kl", p, q),
+    "divergence_hellinger": lambda p, q: divergence("hellinger", p, q, alpha=0.5),
+    "f_divergence": lambda p, q: f_divergence(generator("kl"), p, q),
+    "renyi": lambda p, q: renyi(2.0, p, q),
+    "degroot_from_egamma": lambda p, q: degroot_from_egamma(0.3, p, q),
+    "represent_general": lambda p, q: represent_general(generator("kl"), p, q),
+    "represent_inverse_g": lambda p, q: represent_inverse_g(generator("kl"), p, q),
+    "represent_named": lambda p, q: represent_named("kl", p, q),
+    "represent_degroot_weight": lambda p, q: represent_degroot_weight(generator("kl"), p, q),
+    "spectrum_identity": spectrum_identity,
+    "spectrum_from_egamma": lambda p, q: spectrum_from_egamma(p, q, 0.1),
+    "spectrum_from_degroot": lambda p, q: spectrum_from_degroot(p, q, 0.1),
+    "chi2_mixture_scaling": lambda p, q: chi2_mixture_scaling(p, q, 0.5),
+    "chis_mixture_scaling": lambda p, q: chis_mixture_scaling(p, q, 3.0, 0.5),
+    "chi2_mixture_three": lambda p, q: chi2_mixture_three(p, q, q, 0.5),
+    "chi2_mixture_three_r": lambda p, q: chi2_mixture_three(q, q, p, 0.5),
+    "local_limit_estimate": lambda p, q: local_limit_estimate(generator("kl"), p, q),
+    "renyi_local_estimate": lambda p, q: renyi_local_estimate(2.0, p, q),
+    "ratio_limit_pair": lambda p, q: ratio_limit_pair(generator("kl"), generator("chi_squared"), p, q),
+}
+
+
+class TestPairGate:
+    """Every pair function refuses a non-distribution or a mismatched pair
+    with ValidationError: no AttributeError, and no value read from the
+    shorter of two alphabets."""
+
+    P3 = make_distribution([0.5, 0.3, 0.2])
+    Q2 = make_distribution([0.6, 0.4])
+
+    @pytest.mark.parametrize("name", sorted(_PAIR_FUNCTIONS))
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            ([0.6, 0.4], Q2),
+            (Q2, [0.6, 0.4]),
+            ((0.6, 0.4), Q2),
+            (Q2, (0.6, 0.4)),
+            (P3, Q2),
+            (Q2, P3),
+        ],
+        ids=["list_p", "list_q", "tuple_p", "tuple_q", "3_vs_2", "2_vs_3"],
+    )
+    def test_refused(self, name, p, q):
+        with pytest.raises(ValidationError):
+            _PAIR_FUNCTIONS[name](p, q)
+
+    @pytest.mark.parametrize("name", sorted(_PAIR_FUNCTIONS))
+    def test_accepted(self, name):
+        p, q = make_distribution([0.5, 0.3, 0.2]), make_distribution([0.2, 0.3, 0.5])
+        _PAIR_FUNCTIONS[name](p, q)
 
 
 @settings(max_examples=100, derandomize=True)

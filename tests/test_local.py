@@ -72,6 +72,28 @@ class TestChisMixtureScaling:
                     assert abs(lhs - lam**s * chi_s) <= 1e-12 * max(1.0, chi_s)
 
 
+class TestMixtureIdentityExact:
+    """The mixture-path sums hold lam^s chi^s(P||Q) to rounding down to
+    lam = 1e-10, where the mixture's rounded masses would keep only ~7
+    digits of it."""
+
+    @pytest.mark.parametrize("s", [2.0, 3.0])
+    def test_small_weights(self, s):
+        rng = np.random.default_rng(211)
+        for _ in range(30):
+            p, q = random_pair(rng, int(rng.integers(2, 9)))
+            if s == 2.0:
+                chi_s = float(divergence("chi2", p, q))
+                scaled = lambda lam: chi2_mixture_scaling(p, q, lam)
+            else:
+                chi_s = float(divergence("chi_s", p, q, s=s))
+                scaled = lambda lam: chis_mixture_scaling(p, q, s, lam)
+            for k in range(2, 11):
+                lam = 10.0**-k
+                want = lam**s * chi_s
+                assert abs(scaled(lam) - want) <= 1e-14 * want, (s, lam)
+
+
 class TestChi2MixtureThree:
     def test_reference_equals_second(self):
         rng = np.random.default_rng(131)
