@@ -303,6 +303,12 @@ def egamma_upper(kind: str, gamma: float, value: float) -> float:
     """
     if not gamma >= 1.0:
         raise DomainError("gamma must be >= 1")
+    return _egamma_upper(kind, gamma, gamma - 1.0, value)
+
+
+def _egamma_upper(kind: str, gamma: float, gm1: float, value: float) -> float:
+    """``egamma_upper`` with gm1 = gamma - 1 given, so that a caller that has
+    it exactly keeps the relative accuracy of the bound as gamma nears 1."""
     if not value >= 0.0:
         raise DomainError("divergence input must be non-negative")
     if kind == "chi2":
@@ -313,7 +319,7 @@ def egamma_upper(kind: str, gamma: float, value: float) -> float:
         raise DomainError(f"unknown egamma_upper kind {kind!r}")
     if gamma == math.inf:
         return share
-    return 0.5 * _root_gap(gamma - 1.0, 2.0 * math.sqrt(gamma) * math.sqrt(share))
+    return 0.5 * _root_gap(gm1, 2.0 * math.sqrt(gamma) * math.sqrt(share))
 
 
 def hellinger_renyi_lower(kind: str, alpha: float, gamma: float, e_val: float) -> float:
@@ -409,9 +415,9 @@ def degroot_upper(
     kind="kl_line" D (``straight_line_egamma_ub``), with the Pinsker form
     sqrt(min(D_pq, D_qp)/8) at omega = 1/2; kind="kl_bh" D (the
     Bretagnolle-Huber-style ``egamma_upper``).  All bounds approach
-    m = min(omega, 1-omega) as the divergences grow.  Near omega = 1/2,
-    gamma - 1 carries the rounding of big/m: where the divergence is below
-    ~(1 - 2 omega)^2, chi2 and kl_bh hold ~1e-16/(gamma - 1) relative.
+    m = min(omega, 1-omega) as the divergences grow.  chi2 and kl_bh take
+    gamma - 1 as |1 - 2 omega|/m, exact near omega = 1/2 where big/m - 1
+    would lose it to the rounding of big/m.
     """
     m, big, swap = prior_scale(omega)
 
@@ -424,15 +430,16 @@ def degroot_upper(
 
     if kind == "kl_line" and omega == 0.5:
         return math.sqrt(min(_need(d_pq, "d_pq"), _need(d_qp, "d_qp")) / 8.0)
+    gm1 = abs(1.0 - 2.0 * omega) / m
     if kind == "chi2":
         value = _need(chi_qp, "chi_qp") if swap else _need(chi_pq, "chi_pq")
-        return m * egamma_upper("chi2", big / m, value)
+        return m * _egamma_upper("chi2", big / m, gm1, value)
     if kind not in ("kl_line", "kl_bh"):
         raise DomainError(f"unknown degroot_upper kind {kind!r}")
     value = _need(d_qp, "d_qp") if swap else _need(d_pq, "d_pq")
     if kind == "kl_line":
         return m * straight_line_egamma_ub(big / m, value)
-    return m * egamma_upper("kl", big / m, value)
+    return m * _egamma_upper("kl", big / m, gm1, value)
 
 
 def chi2_lower_from_tv(kind: str, tv: float) -> float:

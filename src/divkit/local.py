@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import DiscreteDistribution, _masses, mixture
+from .distributions import DiscreteDistribution, _masses
 from .divergences import _shifted_sum, divergence
 from .errors import CapabilityError, DomainError
 from .generators import GeneratorFunction
@@ -62,12 +62,20 @@ def _supported_masses(p: DiscreteDistribution, q: DiscreteDistribution):
     return ps, qs
 
 
+def _path_masses(p: DiscreteDistribution, q: DiscreteDistribution, lam: float):
+    """The pair's masses, refused unless the mixture weight lies in [0, 1]."""
+    if not 0.0 <= lam <= 1.0:
+        raise DomainError("mixture weight must lie in [0, 1]")
+    return _masses(p, q)
+
+
 def chi2_mixture_scaling(
     p: DiscreteDistribution, q: DiscreteDistribution, lam: float
 ) -> float:
     """chi^2(lam P + (1-lam) Q || Q), the mixture-path sum that equals
     lam^2 chi^2(P||Q) to rounding."""
-    return _mixture_divergence(_BREGS["chi_squared"](), p, q, lam, True)
+    ps, qs = _path_masses(p, q, lam)
+    return _mixture_divergence(_BREGS["chi_squared"](), ps, qs, lam, True)
 
 
 def chis_mixture_scaling(
@@ -75,7 +83,8 @@ def chis_mixture_scaling(
 ) -> float:
     """chi^s(lam P + (1-lam) Q || Q), the mixture-path sum that equals
     lam^s chi^s(P||Q) to rounding."""
-    return _mixture_divergence(_BREGS["chi_s"](s), p, q, lam, True)
+    ps, qs = _path_masses(p, q, lam)
+    return _mixture_divergence(_BREGS["chi_s"](s), ps, qs, lam, True)
 
 
 def chi2_mixture_three(
@@ -93,20 +102,23 @@ def chi2_mixture_three(
     (mix - r)^2 = lam^2 (p-q)^2 + 2 lam (p-q)(q-r) + (q-r)^2 shows the
     cross term integrates to 2 sum (p-q) q / r; without the factor 2 the
     expansion does not close.)  c vanishes when Q = R, recovering the pure
-    quadratic scaling.
+    quadratic scaling.  The value is the shifted sum at
+    d = (q - r) + lam (p - q), which keeps lam^2 chi^2(P||Q) exact at R = Q.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError("mixture weight must lie in [0, 1]")
-    terms = []
-    for pm, qm, rm in zip(*_masses(p, q), _masses(q, r)[1]):
+    ps, qs = _path_masses(p, q, lam)
+    terms, ms, rs, ds = [], [], [], []
+    for pm, qm, rm in zip(ps, qs, _masses(q, r)[1]):
         if rm == 0.0:
             if pm > 0.0 or qm > 0.0:
                 raise DomainError("R must dominate both P and Q")
             continue
         terms.append((pm - qm) * qm / rm)
+        step = lam * (pm - qm)
+        ms.append(qm + step)
+        rs.append(rm)
+        ds.append((qm - rm) + step)
     c = 2.0 * math.fsum(terms)
-    value = float(divergence("chi2", mixture(p, q, lam), r))
-    return value, c
+    return _shifted_sum(_BREGS["chi_squared"](), ms, rs, ds), c
 
 
 def _richardson(ratios) -> tuple[float, float]:
@@ -119,16 +131,12 @@ def _richardson(ratios) -> tuple[float, float]:
     return extraps[-1], residual
 
 
-def _mixture_divergence(
-    b: Breg, p: DiscreteDistribution, q: DiscreteDistribution, lam: float, first: bool
-) -> float:
-    """D(M||Q) (first) or D(Q||M) for M = lam P + (1-lam) Q: the shifted sum
-    at d = +-lam (p - q), exact where the mixture's rounded masses would
-    swamp the lam^2 of its value; M's masses are read only where a term
-    asks for them."""
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError("mixture weight must lie in [0, 1]")
-    ps, qs = _masses(p, q)
+def _mixture_divergence(b: Breg, ps, qs, lam: float, first: bool) -> float:
+    """D(M||Q) (first) or D(Q||M) for M = lam P + (1-lam) Q, from the masses
+    of a pair already read through the gate: the shifted sum at
+    d = +-lam (p - q), exact where the mixture's rounded masses would swamp
+    the lam^2 of its value; M's masses are read only where a term asks for
+    them."""
     steps = [lam * (pm - qm) for pm, qm in zip(ps, qs)]
     ms = [qm + step for qm, step in zip(qs, steps)]
     if first:
@@ -152,10 +160,10 @@ def local_limit_estimate(
         raise DomainError(f"unknown direction {direction!r}")
     if f.second_at_one is None or not math.isfinite(f.second_at_one):
         raise CapabilityError(f"generator {f.family} lacks a finite f''(1)")
-    _supported_masses(p, q)
+    ps, qs = _supported_masses(p, q)
     first = direction == "mixture_first"
     ratios = [
-        _mixture_divergence(f._breg, p, q, lam, first) / (lam * lam)
+        _mixture_divergence(f._breg, ps, qs, lam, first) / (lam * lam)
         for lam in _LAMBDA_GRID
     ]
     target = 0.5 * f.second_at_one * float(divergence("chi2", p, q))
@@ -201,7 +209,7 @@ def renyi_local_estimate(
     b = _BREGS["hellinger"](alpha)
     ratios = []
     for lam in _LAMBDA_GRID:
-        h_sum = _mixture_divergence(b, p, q, lam, first)
+        h_sum = _mixture_divergence(b, ps, qs, lam, first)
         if alpha != 1.0:
             h_sum = math.log1p((alpha - 1.0) * h_sum) / (alpha - 1.0)
         ratios.append(h_sum / (lam * lam))
@@ -227,11 +235,11 @@ def ratio_limit_pair(
         raise DomainError("denominator generator needs g''(1) > 0")
     if f.second_at_one is None or not math.isfinite(f.second_at_one):
         raise CapabilityError(f"generator {f.family} lacks a finite f''(1)")
-    _supported_masses(p, q)
+    ps, qs = _supported_masses(p, q)
     ratios = []
     for lam in _LAMBDA_GRID[1:]:
-        num = _mixture_divergence(f._breg, p, q, lam, True)
-        den = _mixture_divergence(g._breg, p, q, lam, True)
+        num = _mixture_divergence(f._breg, ps, qs, lam, True)
+        den = _mixture_divergence(g._breg, ps, qs, lam, True)
         if den == 0.0:
             raise DomainError("distributions must differ for the ratio limit")
         ratios.append(num / den)

@@ -58,19 +58,9 @@ def _require_qp_dominated(singular_mass_q: float) -> None:
         )
 
 
-def _require_mutual(f: SpectrumFunction) -> None:
-    _require_pq_dominated(f.singular_mass_p)
-    _require_qp_dominated(f.singular_mass_q)
-
-
-def _mutual_masses(p: DiscreteDistribution, q: DiscreteDistribution):
-    """The pair's masses, through ``_require_mutual`` in one pass over
-    them, without a spectrum."""
-    ps, qs = _masses(p, q)
-    q_where_p0, p_where_q0 = _singular_masses(ps, qs)
+def _require_mutual(q_where_p0: float, p_where_q0: float) -> None:
     _require_pq_dominated(p_where_q0)
     _require_qp_dominated(q_where_p0)
-    return ps, qs
 
 
 def _log_segments(f: SpectrumFunction):
@@ -152,7 +142,7 @@ def _smooth_spectrum(
             f"generator {f.family} has a kink; use represent_named instead"
         )
     spec = spectrum(p, q)
-    _require_mutual(spec)
+    _require_mutual(spec.singular_mass_q, spec.singular_mass_p)
     return spec
 
 
@@ -257,7 +247,8 @@ def spectrum_from_egamma(
     that finite for every x, where exp(|x|) would overflow past 709.78.
     NaN x is refused, as ``spectrum_eval`` refuses it.
     """
-    ps, qs = _mutual_masses(p, q)
+    ps, qs = _masses(p, q)
+    _require_mutual(*_singular_masses(ps, qs))
     if math.isnan(x):
         raise DomainError("x must not be NaN")
     ratios = [(pm, math.log(pm) - math.log(qm)) for pm, qm in zip(ps, qs) if pm > 0.0]
@@ -307,7 +298,7 @@ def represent_degroot_weight(
             f"generator {f.family} supplies no second derivative"
         )
     spec = spectrum(p, q)
-    _require_mutual(spec)
+    _require_mutual(spec.singular_mass_q, spec.singular_mass_p)
     if not spec.breakpoints:
         return 0.0
     betas = [math.exp(x) for x in spec.breakpoints]

@@ -691,7 +691,12 @@ class TestRootGapOracle:
     omega from 1e-300 to 1 - 2^-53."""
 
     GAMMAS = (1.0, 1.0 + 1e-12, 1.5, 10.0, 1e8, 1e16, 1e20, 1e100, 1e200, 1e300, 1.79e308)
-    OMEGAS = (1e-300, 1e-100, 1e-16, 1e-3, 0.25, 0.5, 0.75, 1.0 - 1e-3, 1.0 - 1e-12, 1.0 - 2.0**-53)
+    # the points next to 1/2 are where gamma - 1 = |1 - 2 omega|/m must not
+    # carry the rounding of big/m
+    OMEGAS = (
+        1e-300, 1e-100, 1e-16, 1e-3, 0.25, 0.4999, 0.5 - 1e-6, 0.5 - 1e-10, 0.5,
+        0.5 + 1e-10, 0.5 + 1e-6, 0.75, 1.0 - 1e-3, 1.0 - 1e-12, 1.0 - 2.0**-53,
+    )
 
     def test_egamma_upper(self):
         for gamma in self.GAMMAS:

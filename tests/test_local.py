@@ -75,23 +75,27 @@ class TestChisMixtureScaling:
 class TestMixtureIdentityExact:
     """The mixture-path sums hold lam^s chi^s(P||Q) to rounding down to
     lam = 1e-10, where the mixture's rounded masses would keep only ~7
-    digits of it."""
+    digits of it; so does the three-measure value at R = Q."""
 
-    @pytest.mark.parametrize("s", [2.0, 3.0])
-    def test_small_weights(self, s):
+    @pytest.mark.parametrize("case", ["chi2", "chi3", "three_at_r_equal_q"])
+    def test_small_weights(self, case):
         rng = np.random.default_rng(211)
+        s = 3.0 if case == "chi3" else 2.0
         for _ in range(30):
             p, q = random_pair(rng, int(rng.integers(2, 9)))
-            if s == 2.0:
-                chi_s = float(divergence("chi2", p, q))
-                scaled = lambda lam: chi2_mixture_scaling(p, q, lam)
-            else:
+            if case == "chi3":
                 chi_s = float(divergence("chi_s", p, q, s=s))
-                scaled = lambda lam: chis_mixture_scaling(p, q, s, lam)
+            else:
+                chi_s = float(divergence("chi2", p, q))
+            scaled = {
+                "chi2": lambda lam: chi2_mixture_scaling(p, q, lam),
+                "chi3": lambda lam: chis_mixture_scaling(p, q, s, lam),
+                "three_at_r_equal_q": lambda lam: chi2_mixture_three(p, q, q, lam)[0],
+            }[case]
             for k in range(2, 11):
                 lam = 10.0**-k
                 want = lam**s * chi_s
-                assert abs(scaled(lam) - want) <= 1e-14 * want, (s, lam)
+                assert abs(scaled(lam) - want) <= 1e-14 * want, (case, lam)
 
 
 class TestChi2MixtureThree:
