@@ -93,12 +93,25 @@ def _halley(x: float, w0: float) -> float:
     return w
 
 
+def _log_newton(lx: float, w: float) -> float:
+    """Newton from w on ln|w| + w = lx, the logarithm of w e^w = x."""
+    for _ in range(100):
+        dw = w * (math.log(abs(w)) + w - lx) / (w + 1.0)
+        w -= dw
+        if abs(dw) <= 1e-15 * abs(w):
+            break
+    return w
+
+
 def lambert_w(branch: str, x: float) -> float:
     """Real Lambert W: solve w e^w = x on the requested branch.
 
-    principal: x >= -1/e, w >= -1;  secondary: -1/e <= x < 0, w <= -1.
-    Halley iteration from a branch-appropriate seed; round-trip accurate
-    to ~1e-15 relative away from the branch point.
+    principal: x >= -1/e, w >= -1 (inf at x = inf);  secondary:
+    -1/e <= x < 0, w <= -1.  Halley iteration from a branch-appropriate
+    seed; round-trip accurate to ~1e-15 relative away from the branch
+    point.  Past 1e300 (principal) and within 1e-300 of 0 (secondary),
+    where w e^w or e^w leaves the float range, it solves
+    ln|w| + w = ln|x| instead.
     """
     if math.isnan(x):
         raise DomainError("NaN argument")
@@ -107,8 +120,8 @@ def lambert_w(branch: str, x: float) -> float:
             raise DomainError(f"x={x!r} below the branch point -1/e")
         if x == _BRANCH_POINT:
             return -1.0
-        if x == 0.0:
-            return 0.0
+        if x == 0.0 or x == math.inf:
+            return x
         delta = 1.0 + math.e * x
         if delta < 5e-13:
             # series around the branch point; Halley stalls at w = -1
@@ -120,6 +133,8 @@ def lambert_w(branch: str, x: float) -> float:
         else:
             lx = math.log(x)
             w0 = lx - math.log(lx)
+            if x > 1e300:
+                return _log_newton(lx, w0)
         return _halley(x, w0)
     if branch == "secondary":
         if x < _BRANCH_POINT or x >= 0.0:
@@ -132,6 +147,8 @@ def lambert_w(branch: str, x: float) -> float:
         if x >= -0.27:
             lx = math.log(-x)
             w0 = lx - math.log(-lx)
+            if x > -1e-300:
+                return _log_newton(lx, w0)
         else:
             w0 = -1.0 - math.sqrt(2.0 * delta)
         return _halley(x, w0)
@@ -181,11 +198,16 @@ def c_gamma(gamma: float) -> float:
     """
     if not gamma > 1.0:
         raise DomainError("c_gamma defined for gamma > 1")
+    return _c_gamma(gamma, gamma - 1.0)
+
+
+def _c_gamma(gamma: float, gm1: float) -> float:
+    """``c_gamma`` with gm1 = gamma - 1 given, as ``_egamma_upper`` takes it."""
     if gamma == math.inf:
         return 0.0
     if gamma <= 2.0:
         # the root of u/2 + u^2/6 = gamma - 1, the series' first two terms
-        target, solve = gamma - 1.0, _excess_ratio
+        target, solve = gm1, _excess_ratio
         u = 2.0 * target / (math.sqrt(0.25 + target / 1.5) + 0.5)
     else:
         # u = ln gamma + ln u, less ln(1 - e^-u), from u ~ 1 + ln gamma
@@ -317,7 +339,8 @@ def _egamma_upper(kind: str, gamma: float, gm1: float, value: float) -> float:
         share = -math.expm1(-value)
     else:
         raise DomainError(f"unknown egamma_upper kind {kind!r}")
-    if gamma == math.inf:
+    # at share 1 the root is exactly gamma + 1 and the bound exactly 1
+    if gamma == math.inf or share == 1.0:
         return share
     return 0.5 * _root_gap(gm1, 2.0 * math.sqrt(gamma) * math.sqrt(share))
 
@@ -398,6 +421,12 @@ def tv_kl_frontier(kind: str, value: float) -> float:
     raise DomainError(f"unknown frontier kind {kind!r}")
 
 
+# the DeGroot upper bounds are rounded up by 6 units of 2^-52: against the
+# 700-digit oracle each form is within 3.4 such units of its exact value,
+# and the product with this factor rounds by half a unit more
+_OUTWARD = 1.0 + 6.0 * 2.0**-52
+
+
 def degroot_upper(
     kind: str,
     omega: float,
@@ -415,9 +444,10 @@ def degroot_upper(
     kind="kl_line" D (``straight_line_egamma_ub``), with the Pinsker form
     sqrt(min(D_pq, D_qp)/8) at omega = 1/2; kind="kl_bh" D (the
     Bretagnolle-Huber-style ``egamma_upper``).  All bounds approach
-    m = min(omega, 1-omega) as the divergences grow.  chi2 and kl_bh take
-    gamma - 1 as |1 - 2 omega|/m, exact near omega = 1/2 where big/m - 1
-    would lose it to the rounding of big/m.
+    m = min(omega, 1-omega) as the divergences grow, and equal m where
+    the share under the root is 1 in floats.  Each takes gamma - 1 as
+    |1 - 2 omega|/m, exact near omega = 1/2 where big/m - 1 would lose it
+    to the rounding of big/m, and is rounded up by the factor _OUTWARD.
     """
     m, big, swap = prior_scale(omega)
 
@@ -428,18 +458,21 @@ def degroot_upper(
             raise DomainError(f"{name} must be non-negative")
         return val
 
-    if kind == "kl_line" and omega == 0.5:
-        return math.sqrt(min(_need(d_pq, "d_pq"), _need(d_qp, "d_qp")) / 8.0)
     gm1 = abs(1.0 - 2.0 * omega) / m
-    if kind == "chi2":
+    if kind == "kl_line" and omega == 0.5:
+        bound = math.sqrt(min(_need(d_pq, "d_pq"), _need(d_qp, "d_qp")) / 8.0)
+    elif kind == "chi2":
         value = _need(chi_qp, "chi_qp") if swap else _need(chi_pq, "chi_pq")
-        return m * _egamma_upper("chi2", big / m, gm1, value)
-    if kind not in ("kl_line", "kl_bh"):
+        bound = m * _egamma_upper("chi2", big / m, gm1, value)
+    elif kind == "kl_bh":
+        value = _need(d_qp, "d_qp") if swap else _need(d_pq, "d_pq")
+        bound = m * _egamma_upper("kl", big / m, gm1, value)
+    elif kind == "kl_line":
+        value = _need(d_qp, "d_qp") if swap else _need(d_pq, "d_pq")
+        bound = math.inf if value == math.inf else m * (_c_gamma(big / m, gm1) * value)
+    else:
         raise DomainError(f"unknown degroot_upper kind {kind!r}")
-    value = _need(d_qp, "d_qp") if swap else _need(d_pq, "d_pq")
-    if kind == "kl_line":
-        return m * straight_line_egamma_ub(big / m, value)
-    return m * _egamma_upper("kl", big / m, gm1, value)
+    return bound * _OUTWARD
 
 
 def chi2_lower_from_tv(kind: str, tv: float) -> float:

@@ -188,7 +188,21 @@ class TestBoundReport:
             omega = float(rng.uniform(0.05, 0.95))
             for report in poisson_bound_report(mu, lam, omega):
                 assert report.direction == "upper"
-                assert report.slack is not None and report.slack >= -1e-12
+                assert report.slack is not None and report.slack >= 0.0
+
+    def test_slack_sweep(self):
+        # at mu = 0.1, lam = 99, omega = 1e-6 the information reads m = 1e-6,
+        # and the saturated chi2 and kl_bh bounds read 9.999999999999997e-07
+        # before they were exact at saturation and rounded up
+        rates = (0.1, 0.5, 1.0, 3.0, 10.0, 99.0, 101.0, 1e3, 1e4, 1e5)
+        priors = (1e-12, 1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0 - 1e-6)
+        for mu in rates:
+            for lam in rates:
+                if mu == lam:
+                    continue
+                for omega in priors:
+                    for report in poisson_bound_report(mu, lam, omega):
+                        assert report.slack >= 0.0, (mu, lam, omega, report)
 
     def test_equal_rates_all_zero(self):
         for report in poisson_bound_report(7.0, 7.0, 0.5):
@@ -244,24 +258,86 @@ class TestDegrootOracle:
         assert poisson_degroot_exact(mu, lam, omega) == pytest.approx(expected, rel=1e-13)
 
 
+PAPER = (101.0, 99.0, 0.1)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The number of terms each ``_walk`` call returns (two calls per sum),
+    from an empty slot, so that no earlier test's kept triple is read."""
+    calls = []
+    walk = bp._walk
+
+    def counting_walk(*args):
+        out = walk(*args)
+        calls.append(len(out))
+        return out
+
+    monkeypatch.setattr(bp, "_walk", counting_walk)
+    poisson_degroot_exact.cache_clear()
+    return calls
+
+
 class TestDegrootCost:
     @pytest.mark.parametrize(
         "mu,lam,omega",
         [(1.001e6, 1e6, 0.1), (1.01e6, 1e6, 0.5), (1e6, 1.0001e6, 0.3), (1e6, 0.5e6, 0.999)],
     )
-    def test_terms_grow_like_sqrt_rate(self, monkeypatch, mu, lam, omega):
-        terms = 1  # the first term, at the start count
-        walk = bp._walk
-
-        def counting_walk(*args):
-            nonlocal terms
-            out = walk(*args)
-            terms += len(out)
-            return out
-
-        monkeypatch.setattr(bp, "_walk", counting_walk)
+    def test_terms_grow_like_sqrt_rate(self, walks, mu, lam, omega):
+        # the fixture clears the slot: test_rate_one_million keeps the first triple
         poisson_degroot_exact(mu, lam, omega)
+        terms = 1 + sum(walks)  # the first term, at the start count
         assert 1 < terms <= 30 * math.sqrt(max(mu, lam))
+
+
+class TestDegrootSlot:
+    def test_report_after_exact_sums_nothing(self, walks):
+        exact = poisson_degroot_exact(*PAPER)
+        assert len(walks) == 2
+        reports = poisson_bound_report(*PAPER)
+        assert len(walks) == 2
+        assert [r.certified_quantity.hex() for r in reports] == [exact.hex()] * 3
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_one_ulp_off_sums_again(self, walks, which):
+        poisson_degroot_exact(*PAPER)
+        off = list(PAPER)
+        off[which] = math.nextafter(off[which], math.inf)
+        poisson_degroot_exact(*off)
+        assert len(walks) == 4
+
+    def test_swapped_rates_sum_again(self, walks):
+        # at the even prior both orders sum, to values one ulp apart
+        a = poisson_degroot_exact(101.0, 99.0, 0.5)
+        b = poisson_degroot_exact(99.0, 101.0, 0.5)
+        assert len(walks) == 4
+        assert a == pytest.approx(b, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "triple", [(0.0, 99.0, 0.1), (math.nan, 99.0, 0.1), (101.0, 99.0, 1.5)]
+    )
+    def test_refused_triple_is_never_kept(self, walks, triple):
+        kept = poisson_degroot_exact(*PAPER)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                poisson_degroot_exact(*triple)
+        assert poisson_degroot_exact.cache_info().currsize == 1
+        assert poisson_degroot_exact(*PAPER) == kept
+        assert len(walks) == 2
+
+    @pytest.mark.parametrize(
+        "triple",
+        [PAPER]
+        + [(rate * 1.01, rate, 0.3) for rate in (0.1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6)],
+    )
+    def test_values_bit_identical_without_the_slot(self, triple):
+        poisson_degroot_exact.cache_clear()
+        first = poisson_degroot_exact(*triple)
+        kept = poisson_degroot_exact(*triple)
+        poisson_degroot_exact.cache_clear()
+        again = poisson_degroot_exact(*triple)
+        assert first.hex() == kept.hex() == again.hex()
+        assert again.hex() == poisson_degroot_exact.__wrapped__(*triple).hex()
 
 
 _SPECIAL_RATES = [math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1.5e9, 1e300]

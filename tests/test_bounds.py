@@ -88,6 +88,40 @@ class TestLambertW:
         with pytest.raises(DomainError):
             lambert_w(branch, x)
 
+    def test_principal_at_infinity(self):
+        assert lambert_w("principal", math.inf) == math.inf
+
+    @pytest.mark.parametrize(
+        "branch,x",
+        [
+            ("secondary", -5e-324),
+            ("secondary", -1e-310),
+            ("principal", 3e307),
+            ("principal", 1e308),
+            ("principal", sys.float_info.max),
+        ],
+    )
+    def test_past_the_float_range_against_mpmath(self, branch, x):
+        # there e^w (secondary) or w e^w (principal) leaves the float range
+        with mpmath.workdps(40):
+            ref = mpmath.lambertw(mpmath.mpf(x), 0 if branch == "principal" else -1).real
+        got = lambert_w(branch, x)
+        assert abs((got - ref) / ref) <= 1e-15, (branch, x, got, ref)
+
+    def test_tail_sweeps_against_mpmath(self):
+        # across the switch to ln|w| + w = ln|x| at 1e300 and -1e-300
+        for branch, exponents in (
+            ("principal", np.linspace(290.0, 308.25, 150)),
+            ("secondary", np.linspace(-323.3, -290.0, 150)),
+        ):
+            for e in exponents:
+                x = float(10.0 ** mpmath.mpf(e))
+                x = x if branch == "principal" else -x
+                with mpmath.workdps(40):
+                    ref = mpmath.lambertw(mpmath.mpf(x), 0 if branch == "principal" else -1).real
+                got = lambert_w(branch, x)
+                assert abs((got - ref) / ref) <= 1e-15, (branch, x, got, ref)
+
     def test_round_trip_sweeps(self):
         bp = -math.exp(-1.0)
         xs = list(np.linspace(bp + 1e-12, 10.0, 2000)) + list(
@@ -679,6 +713,20 @@ def _degroot_upper_oracle(kind, omega, value):
         return mpmath.sqrt(mpmath.mpf(0.25) - ratio) - b
 
 
+def _kl_line_oracle(omega, value):
+    """The kl_line DeGroot bound m c_gamma D, gamma = big/m, with c_gamma
+    from the secondary Lambert root, in mpmath with 700 digits; the Pinsker
+    form sqrt(D/8) at omega = 1/2."""
+    with mpmath.workdps(700):
+        w, x = mpmath.mpf(omega), mpmath.mpf(value)
+        m = min(w, 1 - w)
+        if omega == 0.5:
+            return mpmath.sqrt(x / 8)
+        g = (1 - m) / m
+        t = -g * mpmath.lambertw(-mpmath.exp(-1 / g) / g, -1).real
+        return m * x * (t - g) / (t * mpmath.log(t) + 1 - t)
+
+
 def _close(got, expected):
     # 1e-13 relative; the floor admits the lost digits of a result in the
     # subnormal range, below 2.2e-308
@@ -719,6 +767,41 @@ class TestRootGapOracle:
                     got = degroot_upper("kl_bh", omega, d_pq=value, d_qp=value)
                     expected = _degroot_upper_oracle("kl_bh", omega, value)
                     assert _close(got, expected), ("kl_bh", omega, value, got, expected)
+
+    def test_saturated_bound_is_exact(self):
+        # at share 1 the root is gamma + 1 and the E_gamma bound exactly 1,
+        # so a saturated DeGroot bound reads m rounded up, never below it
+        for gamma in self.GAMMAS:
+            assert egamma_upper("chi2", gamma, math.inf) == 1.0
+            assert egamma_upper("kl", gamma, 800.0) == 1.0
+        for omega in self.OMEGAS:
+            m = min(omega, 1.0 - omega)
+            assert degroot_upper("chi2", omega, chi_pq=math.inf, chi_qp=math.inf) >= m
+            assert degroot_upper("kl_bh", omega, d_pq=800.0, d_qp=800.0) >= m
+
+    def test_degroot_upper_rounds_outward(self):
+        # the budget bounds._OUTWARD = 1 + 6 2^-52 covers each form's own
+        # rounding (measured within 3.4 units of 2^-52): in the normal range
+        # every bound is at or above its exact value and within 10 units
+        # of it.  A subnormal bound carries an absolute error instead.
+        rng = np.random.default_rng(127)
+        grid = [(w, v) for w in self.OMEGAS for v in (1e-300, 1e-10, 0.5, 3.0, 1e10)]
+        for _ in range(60):
+            w = float(10.0 ** rng.uniform(-300.0, math.log10(0.5)))
+            grid.append((1.0 - w if rng.uniform() < 0.5 and w > 1e-16 else w,
+                         float(10.0 ** rng.uniform(-300.0, 3.0))))
+        for omega, value in grid:
+            for kind in ("chi2", "kl_bh", "kl_line"):
+                got = degroot_upper(kind, omega, d_pq=value, d_qp=value,
+                                    chi_pq=value, chi_qp=value)
+                if kind == "kl_line":
+                    expected = _kl_line_oracle(omega, value)
+                else:
+                    expected = _degroot_upper_oracle(kind, omega, value)
+                if expected < sys.float_info.min:
+                    continue
+                assert expected <= got <= expected * (1 + 10 * mpmath.mpf(2) ** -52), (
+                    kind, omega, value, got, expected)
 
     def test_large_gamma_keeps_the_bound(self):
         # E_gamma <= the bound on a valid pair: P = (a, 1-a),
