@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Mapping
+from itertools import repeat
+from operator import truediv
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, UndefinedAtomError, ValidationError, refuse_change
@@ -109,32 +111,39 @@ class SpectrumFunction(NamedTuple):
 def make_distribution(weights: Sequence[float]) -> DiscreteDistribution:
     """Normalize non-negative weights into a DiscreteDistribution.
 
-    Atom order is preserved.  Raises ValidationError on negative,
-    non-finite, non-numeric or all-zero weights, and on a non-sequence,
-    a string or bytes, or a mapping.  Weights whose sum overflows are
-    divided by the largest one before normalizing.
+    Any iterable of real numbers is read in order, and atom order is
+    preserved.  Raises ValidationError on negative, non-finite, non-numeric
+    or all-zero weights, and on a non-iterable, a string or bytes, a
+    mapping, or a set or frozenset (which has no atom order).  Weights whose
+    sum overflows are divided by the largest one before normalizing.
+
+    One check gates the weights: the smallest is >= 0 and their ``fsum``
+    is finite (a NaN or an inf makes it NaN, inf or raise).  Only where it
+    fails are the weights walked in order, so the first bad weight names
+    the error, or, when none is bad, the sum overflowed.
     """
-    if isinstance(weights, (str, bytes, Mapping)):
+    if isinstance(weights, (str, bytes, Mapping, set, frozenset)):
         raise ValidationError("weights must be a sequence of real numbers")
     try:
-        ws = [float(w) for w in weights]
+        ws = list(map(float, weights))
     except OverflowError:  # an integer past the float range
         raise ValidationError("a weight passes the float range") from None
-    except (TypeError, ValueError):  # not a sequence, or an entry not a number
+    except (TypeError, ValueError):  # not iterable, or an entry not a number
         raise ValidationError("weights must be a sequence of real numbers") from None
     if not ws:
         raise ValidationError("empty weight sequence")
-    for w in ws:
-        if not math.isfinite(w):
-            raise ValidationError(f"non-finite weight {w!r}")
-        if w < 0.0:
-            raise ValidationError(f"negative weight {w!r}")
     try:
         total = math.fsum(ws)
-    except OverflowError:
-        # the sum passes the float range: scale by the largest weight first
-        top = max(ws)
-        ws = [w / top for w in ws]
+    except (OverflowError, ValueError):  # the sum overflows, or inf - inf
+        total = math.nan
+    if not (min(ws) >= 0.0 and math.isfinite(total)):
+        for w in ws:
+            if not math.isfinite(w):
+                raise ValidationError(f"non-finite weight {w!r}")
+            if w < 0.0:
+                raise ValidationError(f"negative weight {w!r}")
+        # no weight is bad, so the sum overflowed: scale by the largest first
+        ws = list(map(truediv, ws, repeat(max(ws))))
         total = math.fsum(ws)
     if total <= 0.0:
         raise ValidationError("weights sum to zero")
@@ -142,7 +151,7 @@ def make_distribution(weights: Sequence[float]) -> DiscreteDistribution:
     # within ~1e-16 of 1, so the record's own checks would pass: build it
     # without a second pass over the masses
     dist = object.__new__(DiscreteDistribution)
-    object.__setattr__(dist, "masses", tuple(w / total for w in ws))
+    object.__setattr__(dist, "masses", tuple(map(truediv, ws, repeat(total))))
     return dist
 
 

@@ -17,7 +17,9 @@ quadrature.
 from __future__ import annotations
 
 import math
-from operator import sub
+from bisect import bisect_left
+from itertools import chain
+from operator import neg, sub
 
 from .distributions import DiscreteDistribution, SpectrumFunction, _masses, spectrum
 from .divergences import _HELLINGER_MAPS, _log_sum_exp, _shifted_sum, _singular_masses
@@ -63,24 +65,17 @@ def _require_mutual(q_where_p0: float, p_where_q0: float) -> None:
     _require_qp_dominated(q_where_p0)
 
 
-def _log_segments(f: SpectrumFunction):
-    """Segments (x_lo, x_hi, cdf value) between spectrum breakpoints, cut
-    at 0."""
-    bps = f.breakpoints
-    segs = []
-    for x0, x1, cval in zip(bps, bps[1:], f.cum_masses):
-        if x0 < 0.0 < x1:
-            segs.append((x0, 0.0, cval))
-            x0 = 0.0
-        segs.append((x0, x1, cval))
-    return segs
-
-
 def _g_sum(b: Breg, spec: SpectrumFunction, c: float = 0.0) -> float:
     """The sum over the spectrum segments [x0, x1] (cut at 0), on which F
     equals cdf, of G |g(x1) - g(x0)| -- G = 1 - cdf above 0, cdf below --
     plus, where c is not 0, the c kernel's exact part
     +-c G (e^-x0 - e^-x1), + above 0 and - below.
+
+    The segments are read in one walk over the breakpoints with 0 inserted
+    where no breakpoint sits at 0, F at 0 being the value of the last
+    breakpoint below it (0 if none).  So the stretch between 0 and the
+    nearest breakpoint is a segment when every ratio sits on one side of 1,
+    which rounding in the masses can cause, and an empty spectrum sums to 0.
 
     g is the shifted term ``b`` through ``terms._g_edge``.  Below 0
     each piece is formed from cdf e^-x = exp(ln cdf - x), at most the Q-mass
@@ -99,22 +94,14 @@ def _g_sum(b: Breg, spec: SpectrumFunction, c: float = 0.0) -> float:
         _require_qp_dominated(spec.singular_mass_q)
     if b.at_inf != 0.0:
         _require_pq_dominated(spec.singular_mass_p)
-    if not spec.breakpoints:
-        return 0.0
-    segs = _log_segments(spec)
-    # F is 0 below the first breakpoint and its top value above the last;
-    # those stretches reach x = 0 only when every ratio sits on one side of
-    # 1, which rounding in the masses can cause
-    x_min, x_max = spec.breakpoints[0], spec.breakpoints[-1]
-    if x_min > 0.0:
-        segs.insert(0, (0.0, x_min, 0.0))
-    if x_max < 0.0:
-        segs.append((x_max, 0.0, spec.cum_masses[-1]))
-    if not segs:
-        return 0.0
-    edges = [_g_edge(b, x) for x in [x0 for x0, _, _ in segs] + [segs[-1][1]]]
+    xs, cdfs = spec.breakpoints, spec.cum_masses
+    k = bisect_left(xs, 0.0)
+    if k == len(xs) or xs[k] != 0.0:
+        xs = xs[:k] + (0.0,) + xs[k:]
+        cdfs = cdfs[:k] + (cdfs[k - 1] if k else 0.0,) + cdfs[k:]
+    edges = [_g_edge(b, x) for x in xs]
     pieces = []
-    for (x0, x1, cdf), v0, v1 in zip(segs, edges, edges[1:]):
+    for x0, x1, cdf, v0, v1 in zip(xs, xs[1:], cdfs, edges, edges[1:]):
         if x0 >= 0.0:
             tail = 1.0 - cdf
             if tail == 0.0:
@@ -222,16 +209,18 @@ def spectrum_identity(p: DiscreteDistribution, q: DiscreteDistribution) -> float
 
     The integral equals the expectation of the inverse likelihood ratio
     under P, i.e. the Q-mass of P's support, so it is 1 exactly when
-    Q << P (P may still put mass where Q vanishes).  F e^-x is taken as
-    exp(ln F - x), at most the Q-mass below the ratio.
+    Q << P (P may still put mass where Q vanishes).  It is the sum of
+    cdf_j (e^-x_j - e^-x_(j+1)) over the breakpoints, with e^-x_(j+1) = 0
+    past the last, each F e^-x mapped as exp(ln F - x), at most the Q-mass
+    below the ratio, and all of them summed by one ``fsum``.
     """
     f = spectrum(p, q)
     _require_qp_dominated(f.singular_mass_q)
-    # Q << P leaves an atom charged by both measures, so a breakpoint
-    scaled = lambda cdf, x: math.exp(math.log(cdf) - x)
-    pieces = [scaled(cdf, x0) - scaled(cdf, x1) for x0, x1, cdf in _log_segments(f) if cdf]
-    pieces.append(scaled(f.cum_masses[-1], f.breakpoints[-1]))
-    return math.fsum(pieces)
+    bps = f.breakpoints
+    logs = list(map(math.log, f.cum_masses))
+    heads = map(math.exp, map(sub, logs, bps))
+    tails = map(math.exp, map(sub, logs, bps[1:]))
+    return math.fsum(chain(heads, map(neg, tails)))
 
 
 def spectrum_from_egamma(

@@ -19,7 +19,8 @@ from divkit import (
     make_distribution,
 )
 from divkit.divergences import DivergenceValue
-from divkit.terms import _edge_term
+from divkit.spectrum_repr import _require_pq_dominated, _require_qp_dominated
+from divkit.terms import _edge_term, _g_edge
 
 mp = mpmath.mp
 INF = mpmath.inf
@@ -71,6 +72,85 @@ def prefix_fsum_cum_masses(
         seen.extend(groups[x])
         cums.append(math.fsum(seen))
     return tuple(cums)
+
+
+def reference_make_distribution(weights) -> DiscreteDistribution:
+    """Reference normalization: every weight converted and checked in its
+    own step, in order, before the sum; bit for bit the masses and messages
+    ``make_distribution`` must give on any list of weights."""
+    try:
+        ws = [float(w) for w in weights]
+    except OverflowError:
+        raise ValidationError("a weight passes the float range") from None
+    except (TypeError, ValueError):
+        raise ValidationError("weights must be a sequence of real numbers") from None
+    if not ws:
+        raise ValidationError("empty weight sequence")
+    for w in ws:
+        if not math.isfinite(w):
+            raise ValidationError(f"non-finite weight {w!r}")
+        if w < 0.0:
+            raise ValidationError(f"negative weight {w!r}")
+    try:
+        total = math.fsum(ws)
+    except OverflowError:
+        top = max(ws)
+        ws = [w / top for w in ws]
+        total = math.fsum(ws)
+    if total <= 0.0:
+        raise ValidationError("weights sum to zero")
+    return DiscreteDistribution(tuple(w / total for w in ws))
+
+
+def log_segments(spec) -> list:
+    """Reference segments (x_lo, x_hi, cdf value) between consecutive
+    spectrum breakpoints, cut at 0."""
+    bps = spec.breakpoints
+    segs = []
+    for x0, x1, cval in zip(bps, bps[1:], spec.cum_masses):
+        if x0 < 0.0 < x1:
+            segs.append((x0, 0.0, cval))
+            x0 = 0.0
+        segs.append((x0, x1, cval))
+    return segs
+
+
+def reference_g_sum(b, spec, c: float = 0.0) -> float:
+    """Reference for ``spectrum_repr._g_sum``: the same pieces, formed over
+    ``log_segments`` with the stretch from 0 to the nearest breakpoint
+    prepended or appended where every ratio sits on one side of 0."""
+    if b.at_zero != 0.0:
+        _require_qp_dominated(spec.singular_mass_q)
+    if b.at_inf != 0.0:
+        _require_pq_dominated(spec.singular_mass_p)
+    if not spec.breakpoints:
+        return 0.0
+    segs = log_segments(spec)
+    x_min, x_max = spec.breakpoints[0], spec.breakpoints[-1]
+    if x_min > 0.0:
+        segs.insert(0, (0.0, x_min, 0.0))
+    if x_max < 0.0:
+        segs.append((x_max, 0.0, spec.cum_masses[-1]))
+    if not segs:
+        return 0.0
+    edges = [_g_edge(b, x) for x in [x0 for x0, _, _ in segs] + [segs[-1][1]]]
+    pieces = []
+    for (x0, x1, cdf), v0, v1 in zip(segs, edges, edges[1:]):
+        if x0 >= 0.0:
+            tail = 1.0 - cdf
+            if tail == 0.0:
+                continue
+            if v1 != v0:
+                pieces.append(tail * (v1 - v0))
+            if c != 0.0:
+                pieces.append(c * tail * (math.exp(-x0) - math.exp(-x1)))
+        elif cdf != 0.0:
+            log_cdf = math.log(cdf)
+            a0, a1 = math.exp(log_cdf - x0), math.exp(log_cdf - x1)
+            pieces.append(a0 * v0 - a1 * v1)
+            if c != 0.0:
+                pieces.append(-c * (a0 - a1))
+    return math.fsum(pieces)
 
 
 def catalog_generators():

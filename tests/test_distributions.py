@@ -41,7 +41,7 @@ from divkit import (
     spectrum_identity,
 )
 from divkit import distributions, spectrum_repr
-from helpers import prefix_fsum_cum_masses, random_pair
+from helpers import prefix_fsum_cum_masses, random_pair, reference_make_distribution
 
 
 class TestMakeDistribution:
@@ -61,6 +61,8 @@ class TestMakeDistribution:
             [0, 0], [-1, 2], [math.nan, 1], [math.inf, 1], [], ["abc"], [None], 1.0,
             # a string, bytes or a mapping is not a sequence of weights
             "12", b"12", {3: "x", 1: "y"},
+            # a set has no atom order
+            {0.8, 0.2}, frozenset({0.8, 0.2}),
         ],
     )
     def test_invalid_weights(self, bad):
@@ -91,6 +93,63 @@ class TestMakeDistribution:
         # masses; that pass accepts the masses unchanged
         d = make_distribution(weights)
         assert DiscreteDistribution(d.masses) == d
+
+
+def _masses_or_message(make, weights):
+    try:
+        return [m.hex() for m in make(weights).masses]
+    except ValidationError as exc:
+        return str(exc)
+
+
+# weights the sweep draws besides uniform ones: zeros of both signs, the
+# least subnormal, a tiny normal, and weights whose sum overflows (in about
+# one list in eight)
+_SPECIAL_WEIGHTS = (0.0, -0.0, 5e-324, 1e-300, 1.0, 3, 1e308, 1.7e308)
+_GOOD = [0.2, 0.3, 0.5]
+
+
+class TestMakeDistributionReference:
+    # make_distribution checks all weights at once and walks them only when
+    # that check fails; the reference checks each weight in turn, and the
+    # two agree bit for bit, messages included
+
+    def test_masses_bit_equal(self):
+        rng = np.random.default_rng(22)
+        for _ in range(2000):
+            n = int(rng.integers(1, 12))
+            ws = [
+                _SPECIAL_WEIGHTS[int(rng.integers(len(_SPECIAL_WEIGHTS)))]
+                if rng.random() < 0.4 else float(rng.uniform(0.0, 1.0))
+                for _ in range(n)
+            ]
+            assert _masses_or_message(make_distribution, ws) == _masses_or_message(
+                reference_make_distribution, ws
+            ), ws
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+    @pytest.mark.parametrize("at", [0, 1, 3])
+    def test_bad_weight_message(self, bad, at):
+        ws = _GOOD[:at] + [bad] + _GOOD[at:]
+        with pytest.raises(ValidationError) as exc:
+            make_distribution(ws)
+        assert str(exc.value) == _masses_or_message(reference_make_distribution, ws)
+
+    @pytest.mark.parametrize(
+        "ws, message",
+        [
+            ([0.5, -1.0, math.nan], "negative weight -1.0"),
+            ([-1.0, math.nan, 0.5], "negative weight -1.0"),
+            ([0.5, math.nan, -1.0], "non-finite weight nan"),
+            ([math.inf, -math.inf], "non-finite weight inf"),
+            ([1e308, 1e308, -1.0], "negative weight -1.0"),
+            ([1.7e308, math.nan, 1.7e308], "non-finite weight nan"),
+            ([0.0, -0.0], "weights sum to zero"),
+        ],
+    )
+    def test_first_bad_weight_names_the_error(self, ws, message):
+        assert _masses_or_message(reference_make_distribution, ws) == message
+        assert _masses_or_message(make_distribution, ws) == message
 
 
 class TestRelativeInformation:

@@ -26,8 +26,16 @@ from divkit import (
     spectrum_identity,
 )
 from divkit import quadrature
-from divkit.spectrum_repr import _log_segments
-from helpers import named_kernel, random_pair, weight_kernel
+from divkit.spectrum_repr import _g_sum
+from helpers import (
+    catalog_generators,
+    log_segments,
+    named_kernel,
+    outcome,
+    random_pair,
+    reference_g_sum,
+    weight_kernel,
+)
 from test_oracle import oracle
 
 SMOOTH = [
@@ -70,10 +78,11 @@ NAMED_ENTRIES = [
 
 
 class TestSegments:
-    # the segments between spectrum breakpoints, cut at 0, on which every
-    # engine's kernel meets a constant F
+    # the reference segments between spectrum breakpoints, cut at 0, on
+    # which every engine's kernel meets a constant F; ``_g_sum`` is held
+    # bit-equal to the sum over them in TestGSumReference
     def test_bernoulli_segments(self, bern_pair):
-        segs = _log_segments(spectrum(*bern_pair))
+        segs = log_segments(spectrum(*bern_pair))
         assert len(segs) == 2
         (x0, x1, c0), (x2, x3, c1) = segs
         assert math.exp(x0) == pytest.approx(0.6, rel=1e-15)
@@ -83,14 +92,96 @@ class TestSegments:
 
     def test_identical_distributions(self):
         d = make_distribution([0.5, 0.5])
-        assert _log_segments(spectrum(d, d)) == []
+        assert log_segments(spectrum(d, d)) == []
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(59)
         for _ in range(50):
             p, q = random_pair(rng, int(rng.integers(2, 8)))
-            for _, _, cval in _log_segments(spectrum(p, q)):
+            for _, _, cval in log_segments(spectrum(p, q)):
                 assert 0.0 <= cval <= 1.0
+
+
+# masses a sweep draws besides uniform ones: zero (a singular atom where
+# the other measure has mass), the least subnormal, a tiny normal, and one
+# whose ratio to 1 passes e^709
+_SPECIAL_MASSES = (0.0, 5e-324, 1e-300, 1e-310)
+
+
+def _g_sum_pairs(rng, family):
+    """Weights (wp, wq) of one sweep family."""
+    n = int(rng.integers(1, 10))
+    u = rng.uniform(0.01, 1.0, size=n).tolist()
+    if family == "uniform":
+        return u, rng.uniform(0.01, 1.0, size=n).tolist()
+    if family == "special":
+        draw = lambda: [
+            _SPECIAL_MASSES[int(rng.integers(4))] if rng.random() < 0.4 else w
+            for w in rng.uniform(0.01, 1.0, size=n)
+        ] + [1.0]
+        return draw(), draw()
+    if family == "equal":
+        return u, list(u)
+    if family == "zero_breakpoint":
+        # one multiset of weights, so equal sums: the last atom sits at x = 0
+        m = rng.uniform(0.01, 1.0)
+        return u + [m], u[::-1] + [m]
+    if family in ("above", "below"):
+        # Q-mass off P's support puts every shared ratio above 0
+        wp, wq = u + [0.0], [w * rng.uniform(0.1, 0.9) for w in u] + [sum(u)]
+        return (wp, wq) if family == "above" else (wq, wp)
+    if family == "far":
+        pool = (1.0, 0.5, 1e-310, 1e-300, 5e-324)
+        draw = lambda: [pool[int(rng.integers(5))] for _ in range(n)] + [1.0]
+        return draw(), draw()
+    if family == "single_shared":
+        return [1.0] + [0.0] * n, [rng.uniform(0.01, 1.0)] + u
+    if family == "disjoint":
+        return u + [0.0] * n, [0.0] * n + u
+    raise AssertionError(family)
+
+
+_G_SUM_FAMILIES = (
+    "uniform", "special", "equal", "zero_breakpoint", "above", "below",
+    "far", "single_shared", "disjoint",
+)
+
+
+def _g_sum_sweep(family):
+    """40 seeded spectra of one family."""
+    rng = np.random.default_rng([22, _G_SUM_FAMILIES.index(family)])
+    return [
+        spectrum(*map(make_distribution, _g_sum_pairs(rng, family))) for _ in range(40)
+    ]
+
+
+class TestGSumReference:
+    # _g_sum walks the breakpoints once with 0 inserted; the reference sums
+    # the same pieces over the cut segments with the stretch to 0 prepended
+    # or appended, and the two agree bit for bit, refusals included
+
+    @pytest.mark.parametrize("family", _G_SUM_FAMILIES)
+    def test_bit_equal(self, family):
+        bregs = [g._breg for g in catalog_generators()]
+        for spec in _g_sum_sweep(family):
+            for b in bregs:
+                for c in (0.0, 1.0):
+                    assert outcome(_g_sum, b, spec, c) == outcome(
+                        reference_g_sum, b, spec, c
+                    ), (family, spec, c)
+
+    def test_sweep_reaches_every_case(self):
+        cases = {
+            "empty": lambda s: not s.breakpoints,
+            "at_zero": lambda s: 0.0 in s.breakpoints and len(s.breakpoints) > 1,
+            "all_above": lambda s: s.breakpoints and s.breakpoints[0] > 0.0,
+            "all_below": lambda s: s.breakpoints and s.breakpoints[-1] < 0.0,
+            "past_709": lambda s: any(abs(x) > 709.0 for x in s.breakpoints),
+            "tiny_mass": lambda s: s.cum_masses and s.cum_masses[0] < 1e-299,
+            "singular": lambda s: s.singular_mass_p or s.singular_mass_q,
+        }
+        specs = [s for family in _G_SUM_FAMILIES for s in _g_sum_sweep(family)]
+        assert {name for name, hit in cases.items() if any(map(hit, specs))} == set(cases)
 
 
 class TestRepresentGeneral:
@@ -467,6 +558,20 @@ class TestSpectrumIdentity:
 
     def test_trinomial(self, trinomial_pair):
         assert spectrum_identity(*trinomial_pair) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "pm, qm",
+        [
+            # a ratio near +-713, past where e^-x leaves the float range
+            ((0.5, 0.5), (1.0, 1e-310)),
+            ((1.0, 1e-310), (0.5, 0.5)),
+            # masses down to the least subnormals on both sides
+            ((1e-300, 1.0, 5e-324), (1.0, 1e-300, 1e-320)),
+        ],
+    )
+    def test_ratios_past_the_float_range(self, pm, qm):
+        got = spectrum_identity(make_distribution(pm), make_distribution(qm))
+        assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_holds_with_p_singular(self):
         # Q << P is what the expectation argument needs; P-singular mass
