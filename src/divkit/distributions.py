@@ -10,10 +10,9 @@ Conventions used throughout the package:
 * ``_masses(p, q)`` is the one gate of every function of a pair (P, Q):
   it returns their masses, and refuses with ValidationError anything but
   two DiscreteDistribution records on one alphabet;
-* ``spectrum(p, q)`` keeps the last pair it built: asked again for the same
-  P and Q objects (by identity), it returns the spectrum it built for them,
-  so the queries on one pair build its spectrum once.  That one slot keeps
-  the last pair and its spectrum (2n floats) alive until the next build.
+* one pair slot (``_pair_slot``) keeps the spectrum and the direct sums of
+  the last pair, by its orientation; it knows the pair by the identity of
+  its two records, held weakly, and is emptied when either record dies.
 """
 
 from __future__ import annotations
@@ -23,9 +22,10 @@ from bisect import bisect_right
 from collections.abc import Mapping
 from itertools import repeat
 from operator import truediv
-from typing import NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
+from weakref import ref
 
-from .errors import DomainError, UndefinedAtomError, ValidationError, refuse_change
+from .errors import _CACHE_SIZE, DomainError, UndefinedAtomError, ValidationError, refuse_change
 
 __all__ = [
     "DiscreteDistribution",
@@ -53,7 +53,7 @@ class DiscreteDistribution:
     and hash by their masses; all operations on them are pure functions.
     """
 
-    __slots__ = ("masses",)
+    __slots__ = ("masses", "__weakref__")
     __setattr__ = __delattr__ = refuse_change
 
     def __init__(self, masses: tuple[float, ...]) -> None:
@@ -209,28 +209,49 @@ def _exact_expansion(xs: list[float], total: float) -> list[float]:
     return out
 
 
-# spectrum()'s one slot: the last pair it built and that pair's spectrum.
-# The strong references keep both ids from being reused while they are held.
-_last: tuple = (object(), object(), None)
+# The pair slot: weak references to the last pair's two records, then what
+# _pair_slot returns in each order; emptied when either record dies.
+_slot: tuple = ()
+
+
+def _drop(_dead: Any) -> None:
+    global _slot
+    _slot = ()
+
+
+def _pair_slot(p: DiscreteDistribution, q: DiscreteDistribution, spectral: bool = False):
+    """(P's masses, Q's masses, entries, swapped if (P, Q) is the slot's pair
+    reversed).  Another pair is gated and takes the slot, but a direct sum
+    (not ``spectral``) leaves a kept spectrum there and keeps nothing."""
+    global _slot
+    held = _slot
+    if held:
+        first, second = held[0](), held[1]()
+        if (first is p and second is q) or (first is q and second is p):
+            return held[2] if first is p else held[3]
+    ps, qs = _masses(p, q)
+    fwd = ps, qs, {}, False
+    if spectral or not (held and any(("spectrum", o) in held[2][2] for o in (False, True))):
+        _slot = ref(p, _drop), ref(q, _drop), fwd, (qs, ps, fwd[2], True)
+    return fwd
+
+
+def _kept(entries: dict, key: tuple, value: Any) -> Any:
+    """value, kept under key in a pair's entries (``_pair_slot``), which are
+    cleared at _CACHE_SIZE; a value, so an exception is never kept."""
+    if len(entries) >= _CACHE_SIZE:
+        entries.clear()
+    entries[key] = value
+    return value
 
 
 def spectrum(p: DiscreteDistribution, q: DiscreteDistribution) -> SpectrumFunction:
-    """The relative information spectrum of (P, Q), built once per pair.
-
-    When P and Q are the very objects of the last call (compared by
-    identity, which the immutable records make sound), the spectrum built
-    then is returned; otherwise it is built by ``_build_spectrum`` and
-    replaces the one kept.  A refused pair raises on every call and is
-    never kept.  ``spectrum_from_egamma`` and ``spectrum_from_degroot``
-    compute from the masses and never read the kept spectrum.
-    """
-    global _last
-    last_p, last_q, spec = _last
-    if p is last_p and q is last_q:
-        return spec
-    spec = _build_spectrum(p, q)
-    _last = (p, q, spec)
-    return spec
+    """The relative information spectrum of (P, Q), built once per pair by
+    ``_build_spectrum`` and kept in the pair slot.  ``spectrum_from_egamma``
+    and ``spectrum_from_degroot`` compute from the masses and never read it."""
+    _, _, entries, swapped = _pair_slot(p, q, True)
+    spec = entries.get(("spectrum", swapped))
+    return _kept(entries, ("spectrum", swapped), _build_spectrum(p, q)) if spec is None else spec
 
 
 def _build_spectrum(p: DiscreteDistribution, q: DiscreteDistribution) -> SpectrumFunction:

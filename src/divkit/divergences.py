@@ -8,6 +8,9 @@ invariance D_f = D_{f + c(t-1)} makes this the divergence; on stored masses
 it differs from sum q f(p/q) by c (sum P - sum Q), which the normalization
 tolerance holds to 1e-12 |c|.  The Hellinger-based kinds (squared
 Hellinger, Bhattacharyya, alpha, Renyi) are maps of the Hellinger sum.
+The pair slot of ``divkit.distributions`` keeps each sum over a pair's
+masses by its shifted term, so each is taken once per pair and
+orientation; quadrature nodes and mixture paths sum past it.
 
 Infinities are first-class values here, never exceptions.
 """
@@ -20,7 +23,7 @@ from operator import sub
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .distributions import DiscreteDistribution, _masses
+from .distributions import DiscreteDistribution, _kept, _pair_slot
 from .errors import DomainError
 from .generators import KINDS, GeneratorFunction, kind_args
 from .terms import _BREGS, Breg, _alpha_breg, _edge_term, _shared, prior_scale
@@ -111,11 +114,14 @@ def f_divergence(
     non-negative.  A ratio p/q past the float range takes its term from
     ln p - ln q; see ``_shifted_sum``.
     """
-    return DivergenceValue(_shifted_sum(f._breg, *_masses(p, q)), f.family, dict(f.params))
+    return DivergenceValue(_pair_sum(f._breg, _pair_slot(p, q)), f.family, dict(f.params))
 
 
-def _pair_sum(b: Breg, masses: tuple[Sequence[float], Sequence[float]]) -> float:
-    return _shifted_sum(b, *masses)
+def _pair_sum(b: Breg, pair: tuple) -> float:
+    """b's shifted sum over ``pair`` (``_pair_slot``), kept in the slot with b,
+    which keeps b's id, the key, from being reused."""
+    key = (id(b), pair[3])
+    return (pair[2].get(key) or _kept(pair[2], key, (_shifted_sum(b, pair[0], pair[1]), b)))[0]
 
 
 def _log_sum_exp(ws: list[float], s: float) -> float:
@@ -128,14 +134,14 @@ def _log_sum_exp(ws: list[float], s: float) -> float:
     return top + math.log(math.fsum(math.exp(s * (w - top)) for w in ws)) / s
 
 
-def _renyi_terms(masses: tuple[Sequence[float], Sequence[float]], alpha: float) -> float:
-    """ln(sum q (p/q)^alpha) / (alpha - 1) by log-sum-exp from the masses,
-    each term's logarithm over alpha - 1 taken as c ln p - ln q,
-    c = alpha / (alpha - 1): +inf when alpha > 1 and P has mass where Q
-    vanishes, and when alpha < 1 and the supports are disjoint."""
+def _renyi_terms(pair: tuple, alpha: float) -> float:
+    """ln(sum q (p/q)^alpha) / (alpha - 1) by log-sum-exp from the masses of
+    ``pair`` (``_pair_slot``), each term's logarithm over alpha - 1 taken as
+    c ln p - ln q, c = alpha / (alpha - 1): +inf when alpha > 1 and P has
+    mass where Q vanishes, and when alpha < 1 and the supports are disjoint."""
     c = alpha / (alpha - 1.0)
     ws = []
-    for pm, qm in zip(*masses):
+    for pm, qm in zip(pair[0], pair[1]):
         if qm == 0.0:
             if pm > 0.0 and alpha > 1.0:
                 return math.inf
@@ -191,8 +197,8 @@ def _alpha_map(
 # b over the pair (the Hellinger divergence, for a Hellinger term) and
 # renyi_terms(pair, alpha) is ln(sum q (p/q)^alpha) / (alpha - 1) by
 # log-sum-exp over the terms: divergence() passes the direct sums over the
-# masses, spectrum_repr.represent_named() the spectral sums over the
-# spectrum.
+# pair slot's masses, spectrum_repr.represent_named() the spectral sums
+# over the spectrum.
 _HELLINGER_MAPS: dict[str, Callable[..., float]] = {
     "sq_hellinger": lambda h, renyi_terms, pair: 0.5 * h(_hellinger_term(0.5), pair),
     # -ln sum sqrt(p q), half the Renyi divergence of order 1/2
@@ -215,20 +221,25 @@ def divergence(
     building the generator; it differs from sum q f(p/q) by
     f'(1) (sum P - sum Q), which the 1e-12 normalization tolerance bounds.
     """
-    return DivergenceValue(_kind_sum(kind, **params)(*_masses(p, q)), kind, params)
+    try:
+        total = _kind_sum(kind, **params)
+    except TypeError:  # an unhashable kind or parameter, which kind_args refuses
+        kind_args(kind, params)
+        raise
+    return DivergenceValue(total(_pair_slot(p, q)), kind, params)
 
 
 @_shared
-def _kind_sum(kind: str, **params: float) -> Callable[[Sequence[float], Sequence[float]], float]:
-    """The sum ``divergence()`` takes over P's and Q's masses for ``kind``
-    at ``params``, resolved once per (kind, parameters): its family's
-    shifted term, or its map of the Hellinger sum.  An unknown kind or a
-    missing parameter raises here, and an exception is never kept."""
+def _kind_sum(kind: str, **params: float) -> Callable[[tuple], float]:
+    """The sum ``divergence()`` takes over a ``_pair_slot`` for ``kind`` at
+    ``params``, resolved once per (kind, parameters): its family's shifted
+    term, or its map of the Hellinger sum.  An unknown kind or a missing
+    parameter raises here, and an exception is never kept."""
     args = kind_args(kind, params)
     mapped = _HELLINGER_MAPS.get(kind)
     if mapped is None:
-        return partial(_shifted_sum, _BREGS[KINDS[kind][0]](*args))
-    return lambda ps, qs: mapped(_pair_sum, _renyi_terms, (ps, qs), *args)
+        return partial(_pair_sum, _BREGS[KINDS[kind][0]](*args))
+    return lambda pair: mapped(_pair_sum, _renyi_terms, pair, *args)
 
 
 def renyi(alpha: float, p: DiscreteDistribution, q: DiscreteDistribution) -> DivergenceValue:
@@ -249,6 +260,6 @@ def degroot_from_egamma(
     from ``terms.prior_scale``.  Matches the direct DeGroot computation.
     """
     m, big, swap = prior_scale(omega)
-    pair = _masses(q, p) if swap else _masses(p, q)
-    val = m * _shifted_sum(_BREGS["e_gamma"](big / m), *pair)
+    pair = _pair_slot(q, p) if swap else _pair_slot(p, q)
+    val = m * _pair_sum(_BREGS["e_gamma"](big / m), pair)
     return DivergenceValue(val, "degroot_from_egamma", {"omega": omega})

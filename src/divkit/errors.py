@@ -1,11 +1,14 @@
-"""Exception hierarchy for divkit, the one parser of numbers from text, and
-the attribute guard of the immutable records.
+"""Exception hierarchy for divkit, the one parser of numbers from text, the
+attribute guard of the immutable records, and the one bound of the caches.
 
 All library errors derive from DivkitError so callers (and the CLI) can
 distinguish bad inputs from genuine bugs with a single except clause.
 """
 
 import math
+
+# Entries kept per family or kind (``terms._shared``) and per pair (the pair slot)
+_CACHE_SIZE = 256
 
 
 class DivkitError(ValueError):

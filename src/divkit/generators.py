@@ -328,13 +328,13 @@ def generator(family: str, **params: float) -> GeneratorFunction:
     total_variation, triangular, lin(theta), jensen_shannon,
     e_gamma(gamma), degroot(omega), custom.  Catalog generators are shared
     immutable instances, built once per (family, parameters); a ``custom``
-    generator is built on every call.
+    generator is built on every call; a non-number parameter is a DomainError.
     """
     if family == "custom":
         return GeneratorFunction("custom", **params)  # type: ignore[arg-type]
     try:
         pname, made = _FAMILIES[family]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable family
         raise DomainError(f"unknown generator family {family!r}") from None
     if pname is None:
         if params:
@@ -342,7 +342,7 @@ def generator(family: str, **params: float) -> GeneratorFunction:
         return made
     if len(params) != 1 or pname not in params:
         raise DomainError(f"generator {family!r} takes the one parameter {pname!r}")
-    return made(params[pname])
+    return made(_real(params[pname], pname))
 
 
 # Every divergence kind: name -> (catalog generator family or None, name of
@@ -367,12 +367,19 @@ KINDS: dict[str, tuple[Optional[str], Optional[str]]] = {
 }
 
 
+def _real(value: Any, name: str) -> float:
+    """``value`` if an int or a float other than a bool, else DomainError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return value
+    raise DomainError(f"parameter {name!r} must be a real number, got {value!r}")
+
+
 def kind_args(kind: str, params: Mapping[str, float]) -> tuple[float, ...]:
     """The parameter of ``kind`` taken from ``params``, as a 0- or 1-tuple.
-    A key the kind does not take raises DomainError naming it."""
+    A key the kind does not take, or a non-number, raises DomainError."""
     try:
         _, pname = KINDS[kind]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise UnknownKindError(f"unknown divergence kind {kind!r}") from None
     unexpected = [key for key in params if key != pname]
     if unexpected:
@@ -383,7 +390,7 @@ def kind_args(kind: str, params: Mapping[str, float]) -> tuple[float, ...]:
         return ()
     if pname not in params:
         raise DomainError(f"{kind!r} needs the parameter {pname!r}")
-    return (params[pname],)
+    return (_real(params[pname], pname),)
 
 
 def parse_kind(spec: str) -> tuple[str, dict[str, float]]:

@@ -249,8 +249,8 @@ def spectrum_from_egamma(
 
 def _degroot_sum(p: DiscreteDistribution, q: DiscreteDistribution, omega: float) -> float:
     """I_omega(P||Q), the sum ``divergence("degroot")`` takes, with its term
-    built afresh: the priors here are quadrature nodes, each asked for
-    once, which the term cache would only churn."""
+    built afresh, past the pair slot: the priors here are quadrature nodes,
+    each asked for once, which the term cache and the slot would churn."""
     return _shifted_sum(_degroot_breg.__wrapped__(omega), *_masses(p, q))
 
 

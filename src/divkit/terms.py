@@ -18,13 +18,11 @@ import math
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
-from .errors import DomainError
+from .errors import _CACHE_SIZE, DomainError
 
-# Distinct parameters whose shifted term, generator or resolved divergence
-# sum is kept per family (or kind).  An exception is never kept, so a
-# refused parameter is refused again; ``typed`` keeps alpha=2 and alpha=2.0
-# apart, since their params print differently.
-_CACHE_SIZE = 256
+# A family's (or kind's) shifted terms, generators or resolved sums; an
+# exception is never kept, so a refused parameter is refused again, and
+# ``typed`` keeps alpha=2 and alpha=2.0 apart, as their params print.
 _shared = lru_cache(maxsize=_CACHE_SIZE, typed=True)
 
 

@@ -25,6 +25,38 @@ from divkit.terms import _edge_term, _g_edge
 mp = mpmath.mp
 INF = mpmath.inf
 
+# (kind, parameters): every KINDS entry, the parametric ones at orders on
+# both sides of their special values
+ORACLE_KINDS = [
+    ("kl", {}),
+    ("jeffreys", {}),
+    ("hellinger", {"alpha": 0.3}),
+    ("hellinger", {"alpha": 0.5}),
+    ("hellinger", {"alpha": 1.0}),
+    ("hellinger", {"alpha": 2.0}),
+    ("hellinger", {"alpha": 5.0}),
+    ("chi2", {}),
+    ("sq_hellinger", {}),
+    ("bhattacharyya", {}),
+    ("alpha", {"alpha": 0.5}),
+    ("alpha", {"alpha": 2.0}),
+    ("chi_s", {"s": 1.0}),
+    ("chi_s", {"s": 1.5}),
+    ("chi_s", {"s": 3.0}),
+    ("tv", {}),
+    ("triangular", {}),
+    ("lin", {"theta": 0.3}),
+    ("js", {}),
+    ("e_gamma", {"gamma": 1.0}),
+    ("e_gamma", {"gamma": 1.5}),
+    ("e_gamma", {"gamma": 4.0}),
+    ("degroot", {"omega": 0.2}),
+    ("degroot", {"omega": 0.5}),
+    ("degroot", {"omega": 0.8}),
+    ("renyi", {"alpha": 0.5}),
+    ("renyi", {"alpha": 2.0}),
+]
+
 
 def random_pair(
     rng: np.random.Generator, n: int, low: float = 0.01

@@ -21,10 +21,12 @@ from divkit import (
     DivergenceValue,
     DivkitError,
     DomainError,
+    UnknownKindError,
     divergence,
     f_divergence,
     generator,
     make_distribution,
+    renyi,
     represent_named,
 )
 from divkit.generators import KINDS
@@ -139,6 +141,62 @@ class TestParameterBoundary:
         for call in (divergence, represent_named):
             with pytest.raises(DomainError, match=re.escape(unexpected)):
                 call(kind, p, q, **params)
+
+
+class TestNonNumberParameter:
+    """A kind or family parameter is an int or a float; anything else,
+    bool and complex included, is refused with DomainError."""
+
+    _NON_NUMBERS = ["2", None, [2], 2 + 0j, True, False]
+
+    @pytest.mark.parametrize("value", _NON_NUMBERS, ids=repr)
+    def test_refused_everywhere(self, value):
+        p, q = _PAIRS[0]
+        calls = [
+            lambda: divergence("hellinger", p, q, alpha=value),
+            lambda: divergence("e_gamma", p, q, gamma=value),
+            lambda: divergence("renyi", p, q, alpha=value),
+            lambda: renyi(value, p, q),
+            lambda: represent_named("renyi", p, q, alpha=value),
+            lambda: represent_named("hellinger", p, q, alpha=value),
+            lambda: generator("hellinger", alpha=value),
+            lambda: generator("chi_s", s=value),
+        ]
+        for call in calls:
+            for _ in range(2):  # the caches keep no refusal
+                with pytest.raises(DomainError, match="must be a real number"):
+                    call()
+
+    def test_complex_order_no_longer_reads_chi2(self):
+        # 2 + 0j == 2.0 picked the chi^2 term and returned its value
+        p, q = _PAIRS[0]
+        with pytest.raises(DomainError):
+            divergence("hellinger", p, q, alpha=2 + 0j)
+
+    def test_bool_order_no_longer_reads_kl(self):
+        # True == 1.0 took order 1 as KL, where generator() refused it
+        p, q = _PAIRS[0]
+        with pytest.raises(DomainError):
+            divergence("hellinger", p, q, alpha=True)
+        with pytest.raises(DomainError):
+            generator("hellinger", alpha=True)
+
+    def test_unhashable_kind_or_family(self):
+        p, q = _PAIRS[0]
+        with pytest.raises(UnknownKindError):
+            divergence(["kl"], p, q)
+        with pytest.raises(DomainError):
+            generator(["kl"])
+
+    def test_int_and_float_subclasses_pass(self):
+        class Order(float):
+            pass
+
+        p, q = _PAIRS[0]
+        want = divergence("hellinger", p, q, alpha=2.0).value
+        assert divergence("hellinger", p, q, alpha=2).value == want
+        assert divergence("hellinger", p, q, alpha=Order(2.0)).value == want
+        assert generator("hellinger", alpha=Order(0.5)).params == (("alpha", 0.5),)
 
 
 class TestHellingerOrders:

@@ -1,6 +1,8 @@
 import copy
 import math
 import pickle
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -40,7 +42,8 @@ from divkit import (
     spectrum_from_egamma,
     spectrum_identity,
 )
-from divkit import distributions, spectrum_repr
+from divkit import distributions, divergences, spectrum_repr
+from divkit.terms import _BREGS
 from helpers import prefix_fsum_cum_masses, random_pair, reference_make_distribution
 
 
@@ -341,7 +344,8 @@ class TestSpectrumMemo:
         q = make_distribution([1, 3])
         s = spectrum(p, q)
         assert spectrum(p, q) is s
-        assert len(builds) == 5 and builds[-1] == (p, q)
+        # the gate refuses before the slot and the build: only (P, Q) is built
+        assert builds == [(p, q)]
 
     def test_alternating_pairs(self, builds):
         # pairs that share one side, or swap the sides, are distinct pairs
@@ -364,7 +368,10 @@ class TestSpectrumMemo:
             raise AssertionError("spectrum() called")
 
         # a wrong spectrum kept for this very pair must not reach them either
-        monkeypatch.setattr(distributions, "_last", (p, q, spectrum(q, p)))
+        wrong = spectrum(q, p)
+        pair = distributions._pair_slot(p, q)
+        monkeypatch.setitem(pair[2], ("spectrum", pair[3]), wrong)
+        assert spectrum(p, q) is wrong
         got = [(spectrum_from_egamma(p, q, x), spectrum_from_degroot(p, q, x)) for x in xs]
         assert got == want
         for module in (distributions, spectrum_repr):
@@ -395,6 +402,82 @@ class TestSpectrumMemo:
             fresh = lambda: queries(DiscreteDistribution(p.masses), DiscreteDistribution(q.masses))
             first, second = queries(p, q), queries(p, q)
             assert first == second == fresh()
+
+
+class TestPairSlot:
+    """The pair slot holds its records weakly: the spectrum and the sums
+    of a pair go when either record does."""
+
+    @pytest.fixture(autouse=True)
+    def empty_slot(self):
+        distributions._drop(None)
+
+    def test_dead_records_empty_the_slot(self):
+        p, q = make_distribution([0.7, 0.2, 0.1]), make_distribution([0.2, 0.3, 0.5])
+        spectrum(p, q)
+        spectrum(q, p)
+        divergence("kl", p, q)
+        f_divergence(generator("chi_squared"), q, p)
+        entries = distributions._pair_slot(p, q)[2]
+        assert len(entries) == 4
+        records = weakref.ref(p), weakref.ref(q)
+        del p, q
+        assert distributions._slot == ()
+        assert [r() for r in records] == [None, None]
+        assert sys.getrefcount(entries) == 2  # this name and the call's argument
+
+    def test_either_record_empties_it(self):
+        p, q = make_distribution([0.7, 0.3]), make_distribution([0.4, 0.6])
+        spectrum(p, q)
+        del q
+        assert distributions._slot == ()
+        q = make_distribution([0.4, 0.6])
+        divergence("kl", p, q)
+        assert distributions._slot != ()
+        del p
+        assert distributions._slot == ()
+
+    def test_reversed_pair_keeps_the_slot(self):
+        p, q = make_distribution([0.7, 0.3]), make_distribution([0.4, 0.6])
+        s = spectrum(p, q)
+        r = spectrum(q, p)
+        assert spectrum(p, q) is s and spectrum(q, p) is r
+        assert s != r
+
+    def test_direct_sums_leave_a_kept_spectrum(self, monkeypatch):
+        # a spectrum costs more than a direct sum: another pair's sums are
+        # taken without evicting it, and without being kept
+        builds, sums = [], []
+        build, take = distributions._build_spectrum, divergences._shifted_sum
+        monkeypatch.setattr(distributions, "_build_spectrum", lambda *a: builds.append(a) or build(*a))
+        monkeypatch.setattr(divergences, "_shifted_sum", lambda *a: sums.append(a) or take(*a))
+        p, q = make_distribution([0.7, 0.2, 0.1]), make_distribution([0.2, 0.3, 0.5])
+        r, s = make_distribution([0.1, 0.9]), make_distribution([0.5, 0.5])
+        copies = DiscreteDistribution(r.masses), DiscreteDistribution(s.masses)
+        for _ in range(2):
+            spectrum(p, q)
+            assert divergence("kl", r, s) == divergence("kl", *copies)
+            divergence("kl", p, q)
+        assert builds == [(p, q)]
+        assert len(sums) == 4 + 1  # r and s each time, their copies twice, (p, q) once
+        del p, q, builds[:]
+        divergence("kl", r, s)
+        divergence("kl", r, s)
+        assert len(sums) == 6  # with the spectrum gone, (r, s) takes the slot
+
+    def test_quadrature_and_mixture_sums_stay_out(self):
+        p, q = make_distribution([0.5, 0.3, 0.2]), make_distribution([0.2, 0.3, 0.5])
+        kl, chi2 = generator("kl"), generator("chi_squared")
+        represent_degroot_weight(kl, p, q)
+        chi2_mixture_scaling(p, q, 0.01)
+        chis_mixture_scaling(p, q, 3.0, 0.01)
+        chi2_mixture_three(p, q, q, 0.01)
+        local_limit_estimate(kl, p, q, direction="mixture_second")
+        renyi_local_estimate(0.5, p, q)
+        ratio_limit_pair(kl, chi2, p, q)
+        # the spectrum, and the chi^2 target of the local estimates
+        entries = distributions._pair_slot(p, q)[2]
+        assert set(entries) == {("spectrum", False), (id(_BREGS["chi_squared"]()), False)}
 
 
 class TestSpectrumEval:

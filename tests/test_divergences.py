@@ -20,9 +20,11 @@ from divkit import (
     mixture,
     renyi,
 )
+from divkit import distributions, divergences, local_limit_estimate, parse_generator
 from divkit.generators import KINDS
-from divkit.terms import prior_scale
+from divkit.terms import _BREGS, _CACHE_SIZE, prior_scale
 from helpers import (
+    ORACLE_KINDS,
     brute_force_e_gamma,
     catalog_generators,
     multipass_f_divergence,
@@ -421,6 +423,158 @@ class TestDegrootFromEgamma:
                 direct = float(divergence("degroot", p, q, omega=omega))
                 assert abs(via - direct) <= 1e-12
                 assert direct >= 0.0
+
+
+def _copies(p, q):
+    """Fresh records with the masses of P and Q, which miss the pair slot."""
+    return DiscreteDistribution(p.masses), DiscreteDistribution(q.masses)
+
+
+@pytest.fixture
+def pair_sums(monkeypatch):
+    """The (P's masses, Q's masses) of every sum ``divergences`` takes, from
+    an empty pair slot, which a spectrum kept for live records of an earlier
+    test would otherwise hold."""
+    distributions._drop(None)
+    calls = []
+    take = divergences._shifted_sum
+
+    def counting(b, ps, qs, ds=None):
+        calls.append((ps, qs))
+        return take(b, ps, qs, ds)
+
+    monkeypatch.setattr(divergences, "_shifted_sum", counting)
+    return calls
+
+
+class TestPairSlot:
+    """The pair slot keeps each direct sum of the last pair under its
+    shifted term and orientation; a hit is the very float a fresh sum
+    gives."""
+
+    def test_kinds_hit_as_fresh_sums(self, pair_sums):
+        rng = np.random.default_rng(59)
+        for i in range(12):
+            p, q = random_pair(rng, int(rng.integers(2, 9)))
+            if i % 3 == 0:
+                p = mixture(p, q, 10.0 ** rng.uniform(-8.0, -2.0))
+            orders = ((p, q), (q, p))
+            # each kind on records of its own, so no sum it reads is kept
+            fresh = {
+                (a, kind, str(params)): divergence(kind, *_copies(a, b), **params).value.hex()
+                for a, b in orders
+                for kind, params in ORACLE_KINDS
+            }
+            for a, b in orders:
+                for kind, params in ORACLE_KINDS:
+                    family = KINDS[kind][0]
+                    if family is not None:
+                        term = _BREGS[family](*params.values())
+                        direct = divergences._shifted_sum(term, a.masses, b.masses)
+                        assert divergence(kind, a, b, **params).value.hex() == direct.hex()
+            del pair_sums[:]
+            for _ in range(2):  # the orders alternate; every sum is kept
+                for a, b in orders:
+                    for kind, params in ORACLE_KINDS:
+                        got = divergence(kind, a, b, **params).value.hex()
+                        assert got == fresh[a, kind, str(params)], (kind, params)
+            assert pair_sums == []
+
+    def test_generators_hit_as_fresh_sums(self, pair_sums):
+        rng = np.random.default_rng(61)
+        gens = catalog_generators()
+        for _ in range(10):
+            p, q = random_pair(rng, int(rng.integers(2, 9)))
+            for a, b in ((p, q), (q, p)):
+                for f in gens:
+                    want = divergences._shifted_sum(f._breg, a.masses, b.masses).hex()
+                    assert f_divergence(f, a, b).value.hex() == want
+                    del pair_sums[:]
+                    assert f_divergence(f, a, b).value.hex() == want
+                    assert f_divergence(f, *_copies(a, b)).value.hex() == want
+                    assert len(pair_sums) == 1  # the copies' sum only
+
+    def test_swap_aware_degroot(self, pair_sums):
+        p, q = make_distribution([0.7, 0.2, 0.1]), make_distribution([0.2, 0.3, 0.5])
+        for omega in (0.2, 0.5, 0.8):
+            want = degroot_from_egamma(omega, *_copies(p, q)).value
+            del pair_sums[:]
+            for _ in range(2):
+                assert degroot_from_egamma(omega, p, q).value == want
+            assert pair_sums == [(q.masses, p.masses) if omega > 0.5 else (p.masses, q.masses)]
+        # the reversed pair's sums leave the pair in the slot
+        divergence("kl", q, p)
+        del pair_sums[:]
+        degroot_from_egamma(0.8, p, q)
+        assert pair_sums == []
+
+    def test_refusals_raise_on_every_call(self, pair_sums):
+        p, q, short = make_distribution([1, 3]), make_distribution([2, 1]), make_distribution([1])
+        f = generator("kl")
+        for _ in range(3):
+            with pytest.raises(ValidationError):
+                divergence("kl", p, short)
+            with pytest.raises(ValidationError):
+                f_divergence(f, p, list(q.masses))
+            with pytest.raises(DomainError):
+                renyi(-1.0, p, q)
+            with pytest.raises(DomainError):
+                divergence("hellinger", p, q, alpha=0.0)
+            with pytest.raises(DomainError):
+                degroot_from_egamma(1.5, p, q)
+        divergence("kl", p, q)
+        entries = distributions._pair_slot(p, q)[2]
+        assert entries and all(type(total) is float for total, _ in entries.values())
+
+    def test_order_sweep_stays_bounded(self, pair_sums):
+        p, q = make_distribution([0.6, 0.3, 0.1]), make_distribution([0.2, 0.5, 0.3])
+        sizes = []
+        for k in range(1000):
+            alpha = 0.05 + 0.01 * k
+            got = divergence("hellinger", p, q, alpha=alpha).value
+            sizes.append(len(distributions._pair_slot(p, q)[2]))
+            assert divergence("hellinger", p, q, alpha=alpha).value == got
+            fresh = divergences._shifted_sum(_BREGS["hellinger"](alpha), p.masses, q.masses)
+            assert got.hex() == fresh.hex()
+        assert max(sizes) == _CACHE_SIZE and min(sizes[_CACHE_SIZE:]) == 1
+
+
+# certify-small's catalog in perfbench/workloads.py, on one pair: its
+# kinds, the reversed sums of its bounds, Renyi at 1/2 and 2, the bound
+# catalog's generators and a local limit's chi^2 target
+_CERTIFY_KINDS = (
+    [("kl", {}), ("jeffreys", {}), ("hellinger", {"alpha": 0.5}), ("hellinger", {"alpha": 2.0})]
+    + [("chi2", {}), ("sq_hellinger", {}), ("bhattacharyya", {}), ("alpha", {"alpha": 0.5})]
+    + [("chi_s", {"s": 1.5}), ("chi_s", {"s": 3.0}), ("tv", {}), ("triangular", {})]
+    + [("lin", {"theta": 0.3}), ("js", {}), ("renyi", {"alpha": 0.5}), ("renyi", {"alpha": 2.0})]
+    + [("e_gamma", {"gamma": g}) for g in (1.0, 1.2, 1.5, 2.0, 5.0)]
+    + [("degroot", {"omega": w}) for w in (0.25, 0.3, 0.5, 0.75)]
+)
+_CERTIFY_FAMILIES = [
+    ("kl", {}), ("jeffreys", {}), ("hellinger", {"alpha": 0.5}), ("hellinger", {"alpha": 2.0}),
+    ("chi_squared", {}), ("chi_s", {"s": 3.0}), ("triangular", {}), ("lin", {"theta": 0.3}),
+    ("jensen_shannon", {}), ("total_variation", {}), ("e_gamma", {"gamma": 2.0}),
+    ("degroot", {"omega": 0.3}),
+]
+
+
+def test_certify_catalog_takes_each_pair_sum_once(pair_sums):
+    # 43 sums, 22 of them distinct: the Hellinger maps read the Hellinger
+    # 1/2 and chi^2 sums, renyi() and f_divergence repeat a kind's sum and
+    # the local target takes chi^2 again
+    p, q = make_distribution([0.5, 0.2, 0.3]), make_distribution([0.1, 0.6, 0.3])
+    assert len(_CERTIFY_KINDS) == 25 and len(_CERTIFY_FAMILIES) == 12
+    for kind, params in _CERTIFY_KINDS:
+        divergence(kind, p, q, **params)
+    for kind, params in (("kl", {}), ("chi2", {}), ("degroot", {"omega": 0.75})):
+        divergence(kind, q, p, **params)
+    for alpha in (0.5, 2.0):
+        renyi(alpha, p, q)
+    for family, params in _CERTIFY_FAMILIES:
+        f_divergence(generator(family, **params), p, q)
+    local_limit_estimate(parse_generator("kl"), p, q)
+    direct = [pair for pair in pair_sums if pair in ((p.masses, q.masses), (q.masses, p.masses))]
+    assert len(direct) == 22
 
 
 class TestInvariances:
