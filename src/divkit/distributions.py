@@ -10,9 +10,10 @@ Conventions used throughout the package:
 * ``_masses(p, q)`` is the one gate of every function of a pair (P, Q):
   it returns their masses, and refuses with ValidationError anything but
   two DiscreteDistribution records on one alphabet;
-* one pair slot (``_pair_slot``) keeps the spectrum and the direct sums of
-  the last pair, by its orientation; it knows the pair by the identity of
-  its two records, held weakly, and is emptied when either record dies.
+* one pair slot (``_pair_slot``) keeps the spectrum, the direct sums and
+  the list of differences p - q of the last pair, each by its orientation;
+  every new pair takes it.  It knows the pair by the identity of its two
+  records, held weakly, and is emptied when either record dies.
 """
 
 from __future__ import annotations
@@ -219,10 +220,9 @@ def _drop(_dead: Any) -> None:
     _slot = ()
 
 
-def _pair_slot(p: DiscreteDistribution, q: DiscreteDistribution, spectral: bool = False):
+def _pair_slot(p: DiscreteDistribution, q: DiscreteDistribution):
     """(P's masses, Q's masses, entries, swapped if (P, Q) is the slot's pair
-    reversed).  Another pair is gated and takes the slot, but a direct sum
-    (not ``spectral``) leaves a kept spectrum there and keeps nothing."""
+    reversed).  Another pair is gated and takes the slot."""
     global _slot
     held = _slot
     if held:
@@ -231,8 +231,7 @@ def _pair_slot(p: DiscreteDistribution, q: DiscreteDistribution, spectral: bool 
             return held[2] if first is p else held[3]
     ps, qs = _masses(p, q)
     fwd = ps, qs, {}, False
-    if spectral or not (held and any(("spectrum", o) in held[2][2] for o in (False, True))):
-        _slot = ref(p, _drop), ref(q, _drop), fwd, (qs, ps, fwd[2], True)
+    _slot = ref(p, _drop), ref(q, _drop), fwd, (qs, ps, fwd[2], True)
     return fwd
 
 
@@ -249,7 +248,7 @@ def spectrum(p: DiscreteDistribution, q: DiscreteDistribution) -> SpectrumFuncti
     """The relative information spectrum of (P, Q), built once per pair by
     ``_build_spectrum`` and kept in the pair slot.  ``spectrum_from_egamma``
     and ``spectrum_from_degroot`` compute from the masses and never read it."""
-    _, _, entries, swapped = _pair_slot(p, q, True)
+    _, _, entries, swapped = _pair_slot(p, q)
     spec = entries.get(("spectrum", swapped))
     return _kept(entries, ("spectrum", swapped), _build_spectrum(p, q)) if spec is None else spec
 

@@ -9,8 +9,9 @@ it differs from sum q f(p/q) by c (sum P - sum Q), which the normalization
 tolerance holds to 1e-12 |c|.  The Hellinger-based kinds (squared
 Hellinger, Bhattacharyya, alpha, Renyi) are maps of the Hellinger sum.
 The pair slot of ``divkit.distributions`` keeps each sum over a pair's
-masses by its shifted term, so each is taken once per pair and
-orientation; quadrature nodes and mixture paths sum past it.
+masses by its shifted term and, once a term reads them, the differences
+p - q, so each is taken once per pair and orientation; quadrature nodes
+and mixture paths sum past it.
 
 Infinities are first-class values here, never exceptions.
 """
@@ -67,10 +68,11 @@ def _shifted_sum(
     qs: Sequence[float],
     ds: Optional[Sequence[float]] = None,
 ) -> float:
-    """sum term(d, q, p) over the atoms charged by both measures, plus the
-    singular parts Q(p=0) at_zero and P(q=0) at_inf; P's masses ``ps``, Q's
-    ``qs``, and ``ds`` their differences where p - q would round them away
-    (a mixture path's).
+    """sum term(d, q, p), or the slice ``b.reads`` of it, over the atoms
+    charged by both measures, plus the singular parts Q(p=0) at_zero and
+    P(q=0) at_inf; P's masses ``ps``, Q's ``qs``, and ``ds`` their
+    differences where a caller keeps them (``_pair_sum``) or where p - q
+    would round them away (a mixture path's).
 
     One pass maps every atom through the term, which gives q at_zero and
     p at_inf at p = 0 and q = 0, or raises.  Only where it raises or the
@@ -80,7 +82,7 @@ def _shifted_sum(
     """
     diffs = map(sub, ps, qs) if ds is None else ds
     try:
-        total = math.fsum(map(b.term, *(diffs, qs, ps)[: b.reads]))
+        total = math.fsum(map(b.term, *(diffs, qs, ps)[b.reads]))
     except (ZeroDivisionError, OverflowError, ValueError):
         total = math.nan
     if math.isfinite(total):
@@ -119,9 +121,16 @@ def f_divergence(
 
 def _pair_sum(b: Breg, pair: tuple) -> float:
     """b's shifted sum over ``pair`` (``_pair_slot``), kept in the slot with b,
-    which keeps b's id, the key, from being reused."""
-    key = (id(b), pair[3])
-    return (pair[2].get(key) or _kept(pair[2], key, (_shifted_sum(b, pair[0], pair[1]), b)))[0]
+    which keeps b's id, the key, from being reused.  A term that reads
+    d = p - q takes the pair's one kept list of them, made by the first."""
+    ps, qs, entries, swapped = pair
+    hit = entries.get((id(b), swapped))
+    if hit is None:
+        ds = entries.get(("diffs", swapped))
+        if ds is None and b.reads.start is None:
+            ds = _kept(entries, ("diffs", swapped), list(map(sub, ps, qs)))
+        hit = _kept(entries, (id(b), swapped), (_shifted_sum(b, ps, qs, ds), b))
+    return hit[0]
 
 
 def _log_sum_exp(ws: list[float], s: float) -> float:

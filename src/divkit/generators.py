@@ -368,8 +368,12 @@ KINDS: dict[str, tuple[Optional[str], Optional[str]]] = {
 
 
 def _real(value: Any, name: str) -> float:
-    """``value`` if an int or a float other than a bool, else DomainError."""
+    """``value`` if a float, or an int in the float range, not a bool; else DomainError."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            float(value)
+        except OverflowError:
+            raise DomainError(f"parameter {name!r} passes the float range") from None
         return value
     raise DomainError(f"parameter {name!r} must be a real number, got {value!r}")
 

@@ -29,23 +29,25 @@ _shared = lru_cache(maxsize=_CACHE_SIZE, typed=True)
 class Breg(NamedTuple):
     """A family's shifted term f(1 + x) - c x, c a subgradient of f at 1: the
     same for f and every f + k (t - 1), >= 0, and written without
-    cancellation.  ``term`` is q times it at x = d/q, called with the first
+    cancellation.  ``term`` is q times it at x = d/q, called with the slice
     ``reads`` of (d, q, p), p = q + d the first measure's mass: a direct sum
     passes d = p - q, a mixture path d = +-lam (p - q), which its rounded
     masses no longer carry.  A term takes p/q from d except near d/q = -1,
     where d no longer carries it and the term reads p; elsewhere p is at
-    most a factor, whose rounding costs an ulp.  ``at_zero`` = f(0) + c and
-    ``at_inf`` = f*(0) - c are the terms per unit of mass where p = 0 and
-    where q = 0.  ``at_log``, where given, is the term at x = ln(p/q) > 0
-    from x and p, for an atom whose p/q, or a power of it, passes the float
-    range, and for the spectral engines past x = 700 (``_g_edge``).
+    most a factor, whose rounding costs an ulp.  The E_gamma and DeGroot
+    terms read the masses only, (q, p), so no sum forms d for them.
+    ``at_zero`` = f(0) + c and ``at_inf`` = f*(0) - c are the terms per unit
+    of mass where p = 0 and where q = 0.  ``at_log``, where given, is the
+    term at x = ln(p/q) > 0 from x and p, for an atom whose p/q, or a power
+    of it, passes the float range, and for the spectral engines past
+    x = 700 (``_g_edge``).
     """
 
     term: Callable[..., float]
     at_zero: float
     at_inf: float
     at_log: Optional[Callable[[float, float], float]] = None
-    reads: int = 3
+    reads: slice = slice(3)
 
 
 # below this x = d/q, d = p - q no longer carries p/q to full precision
@@ -97,7 +99,7 @@ _JEFFREYS = Breg(
 # q x^2; past the float range of p/q, p e^x (1 - e^-x)^2 at x = ln(p/q)
 _CHI2 = Breg(
     lambda d, q: d * (d / q), 1.0, math.inf,
-    lambda x, p: _exp_times(p, x) * math.expm1(-x) ** 2, reads=2,
+    lambda x, p: _exp_times(p, x) * math.expm1(-x) ** 2, reads=slice(2),
 )
 
 
@@ -176,7 +178,7 @@ def _power_breg(alpha: float, over: float) -> Breg:
     return Breg(term, 1.0 / over, (alpha / -am1 if alpha < 1.0 else math.inf) / over, at_log)
 
 
-_TV = Breg(abs, 1.0, 1.0, reads=1)
+_TV = Breg(abs, 1.0, 1.0, reads=slice(1))
 
 
 @_shared
@@ -193,11 +195,11 @@ def _chi_s_breg(s: float) -> Breg:
         # p e^-x (e^x - 1)^s, from its logarithm
         return _exp_times(p, s * (x + math.log1p(-math.exp(-x))) - x)
 
-    return Breg(term, 1.0, math.inf, at_log, reads=2)
+    return Breg(term, 1.0, math.inf, at_log, reads=slice(2))
 
 
 # q x^2/(2 + x) at x = d/q
-_TRIANGULAR = Breg(lambda d, q: d * (d / (2.0 * q + d)), 1.0, 1.0, reads=2)
+_TRIANGULAR = Breg(lambda d, q: d * (d / (2.0 * q + d)), 1.0, 1.0, reads=slice(2))
 
 
 @_shared
@@ -216,6 +218,7 @@ def _lin_breg(theta: float) -> Breg:
 
 
 _JS = _lin_breg(0.5)
+_MASSES = slice(1, 3)  # the (q, p) of (d, q, p), for a term of the masses alone
 
 
 @_shared
@@ -223,7 +226,7 @@ def _e_gamma_breg(gamma: float) -> Breg:
     if not gamma >= 1.0:
         raise DomainError("E_gamma order must satisfy gamma >= 1")
 
-    def term(d: float, q: float, p: float) -> float:
+    def term(q: float, p: float) -> float:
         # from the masses, keeping every bit of them; where q = 0 the term is
         # p, also at gamma = inf, where gamma q is NaN: E_inf = P(q = 0)
         x = p - gamma * q if q > 0.0 else p
@@ -233,7 +236,7 @@ def _e_gamma_breg(gamma: float) -> Breg:
         # p (1 - gamma e^-x), which e^-x as a subnormal would round
         return p * max(-math.expm1(math.log(gamma) - x), 0.0)
 
-    return Breg(term, 0.0, 1.0, at_log)
+    return Breg(term, 0.0, 1.0, at_log, _MASSES)
 
 
 def prior_scale(omega: float) -> tuple[float, float, bool]:
@@ -254,16 +257,16 @@ def _degroot_breg(omega: float) -> Breg:
     m, big, swap = prior_scale(omega)
     a, b = (-big, -m) if swap else (m, big)
 
-    def term(d: float, q: float, p: float) -> float:
+    def term(q: float, p: float) -> float:
         x = a * p - b * q
         return x if x > 0.0 else 0.0
 
     if swap:
-        return Breg(term, m, 0.0)
+        return Breg(term, m, 0.0, None, _MASSES)
     # m p (1 - e^(l - x)), l = ln(big/m) the log-odds, which e^-x as a
     # subnormal would round
     log_odds = math.log(big) - math.log(m)
-    return Breg(term, 0.0, m, lambda x, p: m * p * max(-math.expm1(log_odds - x), 0.0))
+    return Breg(term, 0.0, m, lambda x, p: m * p * max(-math.expm1(log_odds - x), 0.0), _MASSES)
 
 
 # family -> its shifted term, made from the family's parameter; the
@@ -290,7 +293,7 @@ def _edge_term(b: Breg, d: float, qm: float, pm: float) -> float:
     the term if finite, else its form in x = ln(p/q), ``at_log``, or where
     the family has none its limit at x = +-inf."""
     try:
-        term = b.term(*(d, qm, pm)[: b.reads])
+        term = b.term(*(d, qm, pm)[b.reads])
     except (OverflowError, ValueError):
         term = math.nan
     if math.isfinite(term):

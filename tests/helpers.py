@@ -185,6 +185,20 @@ def reference_g_sum(b, spec, c: float = 0.0) -> float:
     return math.fsum(pieces)
 
 
+# masses a sweep draws besides uniform ones: zero (a singular atom where
+# the other measure has mass), the least subnormal, a tiny normal, and one
+# whose ratio to 1 passes e^709
+SPECIAL_MASSES = (0.0, 5e-324, 1e-300, 1e-310)
+
+
+def special_weights(rng, n: int) -> list[float]:
+    """n uniform weights in [0.01, 1), each replaced with chance 0.4 by one
+    of ``SPECIAL_MASSES``, and a last weight 1, so that the sum is positive."""
+    return [
+        SPECIAL_MASSES[int(rng.integers(4))] if rng.random() < 0.4 else w
+        for w in rng.uniform(0.01, 1.0, size=n)
+    ] + [1.0]
+
 def catalog_generators():
     """Every catalog family (the parametric ones at orders on both sides of
     their special values) and a kinked custom generator with finite limits."""
@@ -270,7 +284,7 @@ def multipass_f_divergence(
         return zip(p.masses, q.masses)
 
     def term(pm, qm):
-        return b.term(*(pm - qm, qm, pm)[: b.reads])
+        return b.term(*(pm - qm, qm, pm)[b.reads])
 
     try:
         total = math.fsum([term(pm, qm) for pm, qm in pairs()])

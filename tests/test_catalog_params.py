@@ -198,6 +198,27 @@ class TestNonNumberParameter:
         assert divergence("hellinger", p, q, alpha=Order(2.0)).value == want
         assert generator("hellinger", alpha=Order(0.5)).params == (("alpha", 0.5),)
 
+    def test_int_past_the_float_range_refused(self):
+        # float() of these ints overflows: four calls raised a raw
+        # OverflowError and chi_s returned inf
+        p, q = make_distribution([0.7, 0.3]), make_distribution([0.4, 0.6])
+        big = 10**400
+        calls = [
+            lambda: divergence("hellinger", p, q, alpha=big),
+            lambda: renyi(big, p, q),
+            lambda: generator("e_gamma", gamma=big),
+            lambda: represent_named("renyi", p, q, alpha=big),
+            lambda: divergence("chi_s", p, q, s=big),
+            lambda: divergence("chi_s", p, q, s=-big),
+        ]
+        for call in calls:
+            for _ in range(2):  # the caches keep no refusal
+                with pytest.raises(DomainError, match="passes the float range"):
+                    call()
+        # an int in range stays as given, so params print unchanged
+        assert divergence("chi_s", p, q, s=10**300).params == {"s": 10**300}
+        assert generator("hellinger", alpha=3).params == (("alpha", 3),)
+
 
 class TestHellingerOrders:
     def test_small_order_tends_to_reverse_kl(self):

@@ -419,7 +419,11 @@ class TestPairSlot:
         divergence("kl", p, q)
         f_divergence(generator("chi_squared"), q, p)
         entries = distributions._pair_slot(p, q)[2]
-        assert len(entries) == 4
+        # both spectra, both sums and the differences p - q of each order
+        assert len(entries) == 6
+        assert {key for key in entries if key[0] in ("spectrum", "diffs")} == {
+            (name, o) for name in ("spectrum", "diffs") for o in (False, True)
+        }
         records = weakref.ref(p), weakref.ref(q)
         del p, q
         assert distributions._slot == ()
@@ -444,26 +448,24 @@ class TestPairSlot:
         assert spectrum(p, q) is s and spectrum(q, p) is r
         assert s != r
 
-    def test_direct_sums_leave_a_kept_spectrum(self, monkeypatch):
-        # a spectrum costs more than a direct sum: another pair's sums are
-        # taken without evicting it, and without being kept
+    def test_every_new_pair_takes_the_slot(self, monkeypatch):
+        # a direct sum on another pair evicts a kept spectrum, and its own
+        # sums are kept; the first pair's spectrum is built again
         builds, sums = [], []
         build, take = distributions._build_spectrum, divergences._shifted_sum
         monkeypatch.setattr(distributions, "_build_spectrum", lambda *a: builds.append(a) or build(*a))
         monkeypatch.setattr(divergences, "_shifted_sum", lambda *a: sums.append(a) or take(*a))
         p, q = make_distribution([0.7, 0.2, 0.1]), make_distribution([0.2, 0.3, 0.5])
         r, s = make_distribution([0.1, 0.9]), make_distribution([0.5, 0.5])
-        copies = DiscreteDistribution(r.masses), DiscreteDistribution(s.masses)
         for _ in range(2):
             spectrum(p, q)
-            assert divergence("kl", r, s) == divergence("kl", *copies)
-            divergence("kl", p, q)
-        assert builds == [(p, q)]
-        assert len(sums) == 4 + 1  # r and s each time, their copies twice, (p, q) once
-        del p, q, builds[:]
-        divergence("kl", r, s)
-        divergence("kl", r, s)
-        assert len(sums) == 6  # with the spectrum gone, (r, s) takes the slot
+            spectrum(p, q)
+            assert divergence("kl", r, s) == divergence("kl", r, s)
+            assert distributions._pair_slot(r, s)[2].keys() == {
+                ("diffs", False), (id(_BREGS["kl"]()), False)
+            }
+        assert builds == [(p, q), (p, q)]
+        assert len(sums) == 2  # (r, s) once per visit, kept for its second call
 
     def test_quadrature_and_mixture_sums_stay_out(self):
         p, q = make_distribution([0.5, 0.3, 0.2]), make_distribution([0.2, 0.3, 0.5])
@@ -475,9 +477,12 @@ class TestPairSlot:
         local_limit_estimate(kl, p, q, direction="mixture_second")
         renyi_local_estimate(0.5, p, q)
         ratio_limit_pair(kl, chi2, p, q)
-        # the spectrum, and the chi^2 target of the local estimates
+        # the spectrum, and the chi^2 target of the local estimates with the
+        # differences it reads
         entries = distributions._pair_slot(p, q)[2]
-        assert set(entries) == {("spectrum", False), (id(_BREGS["chi_squared"]()), False)}
+        assert set(entries) == {
+            ("spectrum", False), ("diffs", False), (id(_BREGS["chi_squared"]()), False)
+        }
 
 
 class TestSpectrumEval:

@@ -22,7 +22,7 @@ from divkit import (
 )
 from divkit import distributions, divergences, local_limit_estimate, parse_generator
 from divkit.generators import KINDS
-from divkit.terms import _BREGS, _CACHE_SIZE, prior_scale
+from divkit.terms import _BREGS, _CACHE_SIZE, _edge_term, prior_scale
 from helpers import (
     ORACLE_KINDS,
     brute_force_e_gamma,
@@ -30,6 +30,7 @@ from helpers import (
     multipass_f_divergence,
     outcome,
     random_pair,
+    special_weights,
 )
 
 CATALOG = [
@@ -184,12 +185,15 @@ class TestOnePass:
     the reference takes three, and the two agree bit for bit."""
 
     def test_bit_equal_to_multipass(self):
-        pairs = _one_pass_pairs(np.random.default_rng(611))
-        for f in catalog_generators():
-            for p, q in pairs:
-                assert outcome(f_divergence, f, p, q) == outcome(
-                    multipass_f_divergence, f, p, q
-                ), (f.family, f.params, p.masses, q.masses)
+        # every generator on a pair, in both orders: the first sum of each
+        # order that reads p - q keeps the differences, and the rest read them
+        gens = catalog_generators()
+        for p, q in _one_pass_pairs(np.random.default_rng(611)):
+            for a, b in ((p, q), (q, p)):
+                for f in gens:
+                    assert outcome(f_divergence, f, a, b) == outcome(
+                        multipass_f_divergence, f, a, b
+                    ), (f.family, f.params, a.masses, b.masses)
 
     def test_reaches_the_overflow_fallback(self):
         # a 1e-310 mass under Q sends KL's fast sum to inf
@@ -209,6 +213,54 @@ class TestOnePass:
                 with pytest.raises(ValidationError) as ref:
                     multipass_f_divergence(f, a, b)
                 assert str(new.value) == str(ref.value)
+
+
+def _dqp_e_gamma(gamma):
+    """The E_gamma term in its former (d, q, p) form."""
+
+    def term(d, q, p):
+        x = p - gamma * q if q > 0.0 else p
+        return x if x > 0.0 else 0.0
+
+    return term
+
+
+def _dqp_degroot(omega):
+    """The DeGroot term in its former (d, q, p) form."""
+    m, big, swap = prior_scale(omega)
+    a, b = (-big, -m) if swap else (m, big)
+
+    def term(d, q, p):
+        x = a * p - b * q
+        return x if x > 0.0 else 0.0
+
+    return term
+
+
+class TestMassOnlyTerms:
+    """The E_gamma and DeGroot terms read (q, p) only, and agree bit for bit
+    with their former (d, q, p) forms, atom by atom and summed."""
+
+    def test_bit_equal_to_the_dqp_forms(self):
+        terms = [(_BREGS["e_gamma"](g), _dqp_e_gamma(g)) for g in (1.0, 1.5, 4.0, 1e300, math.inf)]
+        # priors on both sides of 1/2: the swapped ones read (-big) p - (-m) q
+        terms += [
+            (_BREGS["degroot"](w), _dqp_degroot(w))
+            for w in (1e-300, 0.2, 0.5, 0.8, 1.0 - 2.0**-53)
+        ]
+        pairs = _special_pairs(np.random.default_rng(73), 60)
+        for b, dqp in terms:
+            assert b.reads == slice(1, 3)
+            former = b._replace(term=dqp, reads=slice(3))
+            for p, q in pairs:
+                for a, c in ((p, q), (q, p)):
+                    for pm, qm in zip(a.masses, c.masses):
+                        assert b.term(*(pm - qm, qm, pm)[b.reads]) == dqp(pm - qm, qm, pm)
+                        if pm > 0.0 < qm:
+                            got = _edge_term(b, pm - qm, qm, pm)
+                            assert got.hex() == _edge_term(former, pm - qm, qm, pm).hex()
+                    got = divergences._shifted_sum(b, a.masses, c.masses)
+                    assert got.hex() == divergences._shifted_sum(former, a.masses, c.masses).hex()
 
 
 class TestNamedDivergences:
@@ -430,6 +482,26 @@ def _copies(p, q):
     return DiscreteDistribution(p.masses), DiscreteDistribution(q.masses)
 
 
+def _special_pairs(rng, count=40):
+    """Seeded pairs on the special-mass grid (``helpers.special_weights``)."""
+    pairs = []
+    for _ in range(count):
+        n = int(rng.integers(1, 10))
+        pairs.append(tuple(make_distribution(special_weights(rng, n)) for _ in range(2)))
+    return pairs
+
+
+def _fresh_kind_sum(kind, params, ps, qs):
+    """divergence(kind)'s value from fresh ``_shifted_sum`` calls on the
+    masses, past the pair slot and its kept differences."""
+    args = tuple(params.values())
+    total = lambda b, pair: divergences._shifted_sum(b, pair[0], pair[1])
+    mapped = divergences._HELLINGER_MAPS.get(kind)
+    if mapped is None:
+        return total(_BREGS[KINDS[kind][0]](*args), (ps, qs))
+    return mapped(total, divergences._renyi_terms, (ps, qs), *args)
+
+
 @pytest.fixture
 def pair_sums(monkeypatch):
     """The (P's masses, Q's masses) of every sum ``divergences`` takes, from
@@ -493,6 +565,62 @@ class TestPairSlot:
                     assert f_divergence(f, a, b).value.hex() == want
                     assert f_divergence(f, *_copies(a, b)).value.hex() == want
                     assert len(pair_sums) == 1  # the copies' sum only
+
+    def test_kept_differences_sum_as_fresh_sums(self, pair_sums):
+        # on the special-mass grid, with both orders and repeated calls
+        # interleaved on one pair: the first sum of each order that reads
+        # p - q keeps the differences, the rest read them or their kept sums
+        gens = catalog_generators()
+        for p, q in _special_pairs(np.random.default_rng(67)):
+            orders = ((p, q), (q, p))
+            want = {
+                (a is p, kind, str(params)): _fresh_kind_sum(kind, params, a.masses, b.masses)
+                for a, b in orders
+                for kind, params in ORACLE_KINDS
+            }
+            for _ in range(2):
+                for a, b in orders:
+                    for kind, params in ORACLE_KINDS:
+                        got = divergence(kind, a, b, **params).value
+                        assert got.hex() == want[a is p, kind, str(params)].hex(), (kind, params)
+                    for f in gens:
+                        fresh = divergences._shifted_sum(f._breg, a.masses, b.masses)
+                        assert f_divergence(f, a, b).value.hex() == fresh.hex(), f.family
+            entries = distributions._pair_slot(p, q)[2]
+            assert [key for key in entries if key[0] == "diffs"] == [
+                ("diffs", False), ("diffs", True)
+            ]
+
+    def test_one_kept_difference_list_per_orientation(self, monkeypatch):
+        # a direct item's sums: kl makes the differences, and tv and chi2
+        # read the same list; degroot, which reads the masses alone, makes none
+        distributions._drop(None)
+        lists = []
+        take = divergences._shifted_sum
+
+        def recording(b, ps, qs, ds=None):
+            lists.append(ds)
+            return take(b, ps, qs, ds)
+
+        monkeypatch.setattr(divergences, "_shifted_sum", recording)
+        p, q = random_pair(np.random.default_rng(71), 1000)
+        for kind, params in (("kl", {}), ("tv", {}), ("chi2", {}), ("degroot", {"omega": 0.3})):
+            divergence(kind, p, q, **params)
+        entries = distributions._pair_slot(p, q)[2]
+        assert [key for key in entries if key[0] == "diffs"] == [("diffs", False)]
+        ds = entries["diffs", False]
+        assert len(lists) == 4 and all(x is ds for x in lists)
+        assert ds == [pm - qm for pm, qm in zip(p.masses, q.masses)]
+        # a pair read only by the mass-only terms keeps no differences
+        r, s = _copies(p, q)
+        divergence("degroot", r, s, omega=0.3)
+        divergence("degroot", s, r, omega=0.8)
+        divergence("e_gamma", r, s, gamma=2.0)
+        degroot_from_egamma(0.7, r, s)
+        f_divergence(generator("e_gamma", gamma=1.5), s, r)
+        entries = distributions._pair_slot(r, s)[2]
+        assert len(entries) == 5 and not [key for key in entries if key[0] == "diffs"]
+        assert lists[4:] == [None] * 5
 
     def test_swap_aware_degroot(self, pair_sums):
         p, q = make_distribution([0.7, 0.2, 0.1]), make_distribution([0.2, 0.3, 0.5])

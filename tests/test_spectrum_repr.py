@@ -34,6 +34,7 @@ from helpers import (
     outcome,
     random_pair,
     reference_g_sum,
+    special_weights,
     weight_kernel,
 )
 from test_oracle import oracle
@@ -102,12 +103,6 @@ class TestSegments:
                 assert 0.0 <= cval <= 1.0
 
 
-# masses a sweep draws besides uniform ones: zero (a singular atom where
-# the other measure has mass), the least subnormal, a tiny normal, and one
-# whose ratio to 1 passes e^709
-_SPECIAL_MASSES = (0.0, 5e-324, 1e-300, 1e-310)
-
-
 def _g_sum_pairs(rng, family):
     """Weights (wp, wq) of one sweep family."""
     n = int(rng.integers(1, 10))
@@ -115,11 +110,7 @@ def _g_sum_pairs(rng, family):
     if family == "uniform":
         return u, rng.uniform(0.01, 1.0, size=n).tolist()
     if family == "special":
-        draw = lambda: [
-            _SPECIAL_MASSES[int(rng.integers(4))] if rng.random() < 0.4 else w
-            for w in rng.uniform(0.01, 1.0, size=n)
-        ] + [1.0]
-        return draw(), draw()
+        return special_weights(rng, n), special_weights(rng, n)
     if family == "equal":
         return u, list(u)
     if family == "zero_breakpoint":
