@@ -11,9 +11,10 @@ quantities are in nats throughout.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .errors import DomainError, RootError, ValidationError
+from .errors import DomainError, RootError, ValidationError, _real
 from .terms import _edge_term, _exp_times, prior_scale
 
 if TYPE_CHECKING:
@@ -196,13 +197,14 @@ def c_gamma(gamma: float) -> float:
     ln((e^u - 1)/u) = ln gamma, so that e^u, past the float range from
     gamma ~ 1e306, is never formed.
     """
-    if not gamma > 1.0:
+    if not _real(gamma, "gamma") > 1.0:
         raise DomainError("c_gamma defined for gamma > 1")
     return _c_gamma(gamma, gamma - 1.0)
 
 
+@lru_cache(maxsize=1, typed=True)
 def _c_gamma(gamma: float, gm1: float) -> float:
-    """``c_gamma`` with gm1 = gamma - 1 given, as ``_egamma_upper`` takes it."""
+    """``c_gamma`` with gm1 = gamma - 1 given, as ``_egamma_upper`` takes it; keeps its last."""
     if gamma == math.inf:
         return 0.0
     if gamma <= 2.0:
@@ -270,9 +272,9 @@ def fdiv_lower_via_egamma(f: GeneratorFunction, e_val: float, gamma: float) -> f
     f*(1 + E/g) + f*((1 - E)/g) - f*(1/g), valid for every pair with
     E_gamma(P||Q) = e_val.  Tight for f = total variation at gamma = 1.
     """
-    if not 0.0 <= e_val < 1.0:
+    if not 0.0 <= _real(e_val, "e_val") < 1.0:
         raise DomainError("E_gamma value must lie in [0, 1)")
-    if not gamma >= 1.0:
+    if not _real(gamma, "gamma") >= 1.0:
         raise DomainError("gamma must be >= 1")
     return _jensen(f, 1.0 + e_val / gamma, (1.0 - e_val) / gamma, 1.0 / gamma)
 
@@ -323,9 +325,9 @@ def egamma_upper(kind: str, gamma: float, value: float) -> float:
     With a = 4 g s, s the share under the root, they tend to the limit of
     s as gamma grows, which is their value at gamma = inf.
     """
-    if not gamma >= 1.0:
+    if not _real(gamma, "gamma") >= 1.0:
         raise DomainError("gamma must be >= 1")
-    return _egamma_upper(kind, gamma, gamma - 1.0, value)
+    return _egamma_upper(kind, gamma, gamma - 1.0, _real(value, "value"))
 
 
 def _egamma_upper(kind: str, gamma: float, gm1: float, value: float) -> float:
@@ -355,11 +357,11 @@ def hellinger_renyi_lower(kind: str, alpha: float, gamma: float, e_val: float) -
     gamma^(a-1) |t| is taken from its logarithm, so a bound is inf only
     where it passes the float range.
     """
-    if not 0.0 < alpha < math.inf:
+    if not 0.0 < _real(alpha, "alpha") < math.inf:
         raise DomainError("order must be positive and finite")
-    if not gamma >= 1.0:
+    if not _real(gamma, "gamma") >= 1.0:
         raise DomainError("gamma must be >= 1")
-    if not 0.0 <= e_val < 1.0:
+    if not 0.0 <= _real(e_val, "e_val") < 1.0:
         raise DomainError("E_gamma value must lie in [0, 1)")
     if kind not in ("hellinger", "renyi"):
         raise DomainError(f"unknown kind {kind!r}")

@@ -245,7 +245,7 @@ def _cmd_bounds(args: argparse.Namespace, fmt: str) -> int:
 
 
 def _cmd_figure1(args: argparse.Namespace, fmt: str) -> int:
-    from .bounds import c_gamma, egamma_upper
+    from .bounds import egamma_upper, straight_line_egamma_ub
 
     gammas = [parse_number(g, "--gammas") for g in args.gammas.split(",") if g]
     if args.steps < 1:
@@ -257,10 +257,9 @@ def _cmd_figure1(args: argparse.Namespace, fmt: str) -> int:
             raise DomainError(f"gamma {g} must exceed 1")
     sys.stdout.write("D,gamma,straight_line,bh_curve\n")
     for g in gammas:
-        cg = c_gamma(g)
         for i in range(1, args.steps + 1):
             d = args.d_max * i / args.steps
-            straight = cg * d
+            straight = straight_line_egamma_ub(g, d)
             curve = egamma_upper("kl", g, d)
             sys.stdout.write(
                 f"{d:.12g},{g:.12g},{straight:.12g},{curve:.12g}\n"

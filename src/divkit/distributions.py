@@ -10,10 +10,9 @@ Conventions used throughout the package:
 * ``_masses(p, q)`` is the one gate of every function of a pair (P, Q):
   it returns their masses, and refuses with ValidationError anything but
   two DiscreteDistribution records on one alphabet;
-* one pair slot (``_pair_slot``) keeps the spectrum, the direct sums and
-  the list of differences p - q of the last pair, each by its orientation;
-  every new pair takes it.  It knows the pair by the identity of its two
-  records, held weakly, and is emptied when either record dies.
+* each record's memo (``_pair_slot``) keeps its last partner, weakly, and
+  the pair's spectrum, atoms, sums and differences p - q by orientation; a
+  pair is on P's memo or, reversed, on Q's, and dies with that record.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Mapping
-from itertools import repeat
-from operator import truediv
+from itertools import compress, repeat
+from operator import sub, truediv
 from typing import Any, NamedTuple, Sequence
 from weakref import ref
 
@@ -54,7 +53,7 @@ class DiscreteDistribution:
     and hash by their masses; all operations on them are pure functions.
     """
 
-    __slots__ = ("masses", "__weakref__")
+    __slots__ = ("masses", "_memo", "__weakref__")
     __setattr__ = __delattr__ = refuse_change
 
     def __init__(self, masses: tuple[float, ...]) -> None:
@@ -71,6 +70,7 @@ class DiscreteDistribution:
                 f"masses sum to {total!r}, outside normalization tolerance"
             )
         object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "_memo", None)
 
     def __len__(self) -> int:
         return len(self.masses)
@@ -123,7 +123,9 @@ def make_distribution(weights: Sequence[float]) -> DiscreteDistribution:
     fails are the weights walked in order, so the first bad weight names
     the error, or, when none is bad, the sum overflowed.
     """
-    if isinstance(weights, (str, bytes, Mapping, set, frozenset)):
+    if type(weights) not in (list, tuple) and isinstance(
+        weights, (str, bytes, Mapping, set, frozenset)
+    ):
         raise ValidationError("weights must be a sequence of real numbers")
     try:
         ws = list(map(float, weights))
@@ -153,6 +155,7 @@ def make_distribution(weights: Sequence[float]) -> DiscreteDistribution:
     # without a second pass over the masses
     dist = object.__new__(DiscreteDistribution)
     object.__setattr__(dist, "masses", tuple(map(truediv, ws, repeat(total))))
+    object.__setattr__(dist, "_memo", None)
     return dist
 
 
@@ -210,28 +213,20 @@ def _exact_expansion(xs: list[float], total: float) -> list[float]:
     return out
 
 
-# The pair slot: weak references to the last pair's two records, then what
-# _pair_slot returns in each order; emptied when either record dies.
-_slot: tuple = ()
-
-
-def _drop(_dead: Any) -> None:
-    global _slot
-    _slot = ()
-
-
 def _pair_slot(p: DiscreteDistribution, q: DiscreteDistribution):
-    """(P's masses, Q's masses, entries, swapped if (P, Q) is the slot's pair
-    reversed).  Another pair is gated and takes the slot."""
-    global _slot
-    held = _slot
-    if held:
-        first, second = held[0](), held[1]()
-        if (first is p and second is q) or (first is q and second is p):
-            return held[2] if first is p else held[3]
+    """(P's masses, Q's masses, entries, swapped if kept for (Q, P)), from
+    P's memo if its partner is Q, else from Q's if its partner is P.  Else
+    the pair is gated and replaces P's memo: a weak reference to Q, then
+    what is returned in each order, over one entries dict."""
+    memo = getattr(p, "_memo", None)
+    if memo is not None and memo[0]() is q:
+        return memo[1]
+    memo = getattr(q, "_memo", None)
+    if memo is not None and memo[0]() is p:
+        return memo[2]
     ps, qs = _masses(p, q)
     fwd = ps, qs, {}, False
-    _slot = ref(p, _drop), ref(q, _drop), fwd, (qs, ps, fwd[2], True)
+    object.__setattr__(p, "_memo", (ref(q), fwd, (qs, ps, fwd[2], True)))
     return fwd
 
 
@@ -245,20 +240,46 @@ def _kept(entries: dict, key: tuple, value: Any) -> Any:
 
 
 def spectrum(p: DiscreteDistribution, q: DiscreteDistribution) -> SpectrumFunction:
-    """The relative information spectrum of (P, Q), built once per pair by
-    ``_build_spectrum`` and kept in the pair slot.  ``spectrum_from_egamma``
-    and ``spectrum_from_degroot`` compute from the masses and never read it."""
-    _, _, entries, swapped = _pair_slot(p, q)
-    spec = entries.get(("spectrum", swapped))
-    return _kept(entries, ("spectrum", swapped), _build_spectrum(p, q)) if spec is None else spec
+    """The relative information spectrum of (P, Q), built once per pair and
+    orientation from its ``_atoms`` and kept in the pair's entries, which
+    ``spectrum_from_egamma`` and ``spectrum_from_degroot`` never read."""
+    pair = _pair_slot(p, q)
+    entries, key = pair[2], ("spectrum", pair[3])
+    spec = entries.get(key)
+    return _kept(entries, key, _build_spectrum(_atoms(pair))) if spec is None else spec
 
 
-def _build_spectrum(p: DiscreteDistribution, q: DiscreteDistribution) -> SpectrumFunction:
-    """Build the relative information spectrum of (P, Q).
+def _atoms(pair: tuple) -> tuple:
+    """(P-masses, log-ratios ln p - ln q) of the atoms both measures charge,
+    and ``_singular_masses``, kept per orientation in ``pair``'s entries."""
+    ps, qs, entries, swapped = pair
+    atoms = entries.get(("atoms", swapped))
+    if atoms is None:
+        singular = 0.0, 0.0
+        try:
+            xs = list(map(sub, map(math.log, ps), map(math.log, qs)))
+        except ValueError:  # a mass is 0: keep the atoms both measures charge
+            singular = _singular_masses(ps, qs)
+            both = [pm > 0.0 < qm for pm, qm in zip(ps, qs)]
+            ps, qs = list(compress(ps, both)), list(compress(qs, both))
+            xs = list(map(sub, map(math.log, ps), map(math.log, qs)))
+        atoms = _kept(entries, ("atoms", swapped), (ps, xs, *singular))
+    return atoms
 
-    Atoms with mass under both measures contribute a breakpoint at their
-    log-ratio, ties merged by summing P-mass; singular atoms are recorded
-    in the two singular-mass fields; p == q == 0 atoms are dropped.
+
+def _singular_masses(ps: Sequence[float], qs: Sequence[float]):
+    """(Q-mass where p = 0, P-mass where q = 0)."""
+    q_where_p0 = [qm for pm, qm in zip(ps, qs) if pm == 0.0 < qm]
+    p_where_q0 = [pm for pm, qm in zip(ps, qs) if qm == 0.0 != pm]
+    return math.fsum(q_where_p0), math.fsum(p_where_q0)
+
+
+def _build_spectrum(atoms: tuple) -> SpectrumFunction:
+    """Build the relative information spectrum from a pair's ``_atoms``.
+
+    Each charged atom contributes a breakpoint at its log-ratio, ties
+    merged by summing P-mass; the singular masses are the two kept ones,
+    and p == q == 0 atoms were dropped with them.
 
     ``cum_masses[j]`` is ``fsum`` of the P-masses of every atom up to
     breakpoint j, correctly rounded, in O(n log n) time (the sort).  The
@@ -269,17 +290,10 @@ def _build_spectrum(p: DiscreteDistribution, q: DiscreteDistribution) -> Spectru
     whole prefix, while no ``fsum`` call sees more than a few dozen addends
     beyond the current tie group.
     """
+    pms, xs, q_where_p0, p_where_q0 = atoms
     groups: dict[float, list[float]] = {}
-    sing_p: list[float] = []
-    sing_q: list[float] = []
-    for pm, qm in zip(*_masses(p, q)):
-        if pm > 0.0 and qm > 0.0:
-            x = math.log(pm) - math.log(qm)
-            groups.setdefault(x, []).append(pm)
-        elif pm > 0.0:
-            sing_p.append(pm)
-        elif qm > 0.0:
-            sing_q.append(qm)
+    for pm, x in zip(pms, xs):
+        groups.setdefault(x, []).append(pm)
     breakpoints = tuple(sorted(groups))
     cums: list[float] = []
     seen: list[float] = []
@@ -291,8 +305,8 @@ def _build_spectrum(p: DiscreteDistribution, q: DiscreteDistribution) -> Spectru
     return SpectrumFunction(
         breakpoints=breakpoints,
         cum_masses=tuple(cums),
-        singular_mass_p=math.fsum(sing_p),
-        singular_mass_q=math.fsum(sing_q),
+        singular_mass_p=p_where_q0,
+        singular_mass_q=q_where_p0,
     )
 
 
@@ -301,9 +315,7 @@ def spectrum_eval(f: SpectrumFunction, x: float) -> float:
     if math.isnan(x):
         raise DomainError("x must not be NaN")
     j = bisect_right(f.breakpoints, x)
-    if j == 0:
-        return 0.0
-    return f.cum_masses[j - 1]
+    return f.cum_masses[j - 1] if j else 0.0
 
 
 def g_big(p: DiscreteDistribution, q: DiscreteDistribution, beta: float) -> float:
@@ -314,14 +326,8 @@ def g_big(p: DiscreteDistribution, q: DiscreteDistribution, beta: float) -> floa
     """
     if not (beta > 0.0) or math.isinf(beta):
         raise DomainError("beta must be a finite positive real")
-    return _g_from_spectrum(spectrum(p, q), beta)
-
-
-def _g_from_spectrum(f: SpectrumFunction, beta: float) -> float:
-    x = math.log(beta)
-    if beta >= 1.0:
-        return 1.0 - spectrum_eval(f, x)
-    return spectrum_eval(f, x)
+    cdf = spectrum_eval(spectrum(p, q), math.log(beta))
+    return 1.0 - cdf if beta >= 1.0 else cdf
 
 
 def mixture(

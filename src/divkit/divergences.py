@@ -8,7 +8,7 @@ invariance D_f = D_{f + c(t-1)} makes this the divergence; on stored masses
 it differs from sum q f(p/q) by c (sum P - sum Q), which the normalization
 tolerance holds to 1e-12 |c|.  The Hellinger-based kinds (squared
 Hellinger, Bhattacharyya, alpha, Renyi) are maps of the Hellinger sum.
-The pair slot of ``divkit.distributions`` keeps each sum over a pair's
+The pair memo of ``divkit.distributions`` keeps each sum over a pair's
 masses by its shifted term and, once a term reads them, the differences
 p - q, so each is taken once per pair and orientation; quadrature nodes
 and mixture paths sum past it.
@@ -24,7 +24,7 @@ from operator import sub
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .distributions import DiscreteDistribution, _kept, _pair_slot
+from .distributions import DiscreteDistribution, _kept, _pair_slot, _singular_masses
 from .errors import DomainError
 from .generators import KINDS, GeneratorFunction, kind_args
 from .terms import _BREGS, Breg, _alpha_breg, _edge_term, _shared, prior_scale
@@ -48,18 +48,6 @@ class DivergenceValue(NamedTuple):
 
     def __float__(self) -> float:
         return self.value
-
-
-def _singular_masses(ps: Sequence[float], qs: Sequence[float]):
-    """(Q-mass where p = 0, P-mass where q = 0), in one pass."""
-    q_where_p0, p_where_q0 = [], []
-    for pm, qm in zip(ps, qs):
-        if pm == 0.0:
-            if qm > 0.0:
-                q_where_p0.append(qm)
-        elif qm == 0.0:
-            p_where_q0.append(pm)
-    return math.fsum(q_where_p0), math.fsum(p_where_q0)
 
 
 def _shifted_sum(
@@ -120,8 +108,8 @@ def f_divergence(
 
 
 def _pair_sum(b: Breg, pair: tuple) -> float:
-    """b's shifted sum over ``pair`` (``_pair_slot``), kept in the slot with b,
-    which keeps b's id, the key, from being reused.  A term that reads
+    """b's shifted sum over ``pair`` (``_pair_slot``), kept with b, which
+    keeps b's id, the key, from being reused.  A term that reads
     d = p - q takes the pair's one kept list of them, made by the first."""
     ps, qs, entries, swapped = pair
     hit = entries.get((id(b), swapped))
@@ -206,7 +194,7 @@ def _alpha_map(
 # b over the pair (the Hellinger divergence, for a Hellinger term) and
 # renyi_terms(pair, alpha) is ln(sum q (p/q)^alpha) / (alpha - 1) by
 # log-sum-exp over the terms: divergence() passes the direct sums over the
-# pair slot's masses, spectrum_repr.represent_named() the spectral sums
+# pair's masses, spectrum_repr.represent_named() the spectral sums
 # over the spectrum.
 _HELLINGER_MAPS: dict[str, Callable[..., float]] = {
     "sq_hellinger": lambda h, renyi_terms, pair: 0.5 * h(_hellinger_term(0.5), pair),

@@ -1,5 +1,6 @@
-"""Exception hierarchy for divkit, the one parser of numbers from text, the
-attribute guard of the immutable records, and the one bound of the caches.
+"""Exception hierarchy for divkit, the one parser of numbers from text and
+gate of scalar parameters, the attribute guard of the immutable records,
+and the one bound of the caches.
 
 All library errors derive from DivkitError so callers (and the CLI) can
 distinguish bad inputs from genuine bugs with a single except clause.
@@ -7,7 +8,7 @@ distinguish bad inputs from genuine bugs with a single except clause.
 
 import math
 
-# Entries kept per family or kind (``terms._shared``) and per pair (the pair slot)
+# Entries kept per family or kind (``terms._shared``) and per pair (a record's pair memo)
 _CACHE_SIZE = 256
 
 
@@ -58,6 +59,17 @@ def parse_number(raw: str, what: str) -> float:
     if not math.isfinite(x):
         raise ValidationError(f"{what}: must be finite, got {raw!r}")
     return x
+
+
+def _real(value: object, name: str) -> float:
+    """``value`` if a float, or an int in the float range, not a bool; else DomainError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            float(value)
+        except OverflowError:
+            raise DomainError(f"parameter {name!r} passes the float range") from None
+        return value
+    raise DomainError(f"parameter {name!r} must be a real number, got {value!r}")
 
 
 def refuse_change(record: object, name: str, *_: object) -> None:

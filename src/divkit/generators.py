@@ -26,6 +26,7 @@ from .errors import (
     KinkError,
     UnknownKindError,
     ValidationError,
+    _real,
     parse_number,
     refuse_change,
 )
@@ -365,17 +366,6 @@ KINDS: dict[str, tuple[Optional[str], Optional[str]]] = {
     "degroot": ("degroot", "omega"),
     "renyi": (None, "alpha"),
 }
-
-
-def _real(value: Any, name: str) -> float:
-    """``value`` if a float, or an int in the float range, not a bool; else DomainError."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            float(value)
-        except OverflowError:
-            raise DomainError(f"parameter {name!r} passes the float range") from None
-        return value
-    raise DomainError(f"parameter {name!r} must be a real number, got {value!r}")
 
 
 def kind_args(kind: str, params: Mapping[str, float]) -> tuple[float, ...]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .distributions import DiscreteDistribution, _masses
 from .divergences import _shifted_sum, divergence
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, _real
 from .generators import GeneratorFunction
 from .terms import _BREGS, Breg
 
@@ -189,7 +189,7 @@ def renyi_local_estimate(
     Order 0 vanishes identically along mixture paths (the mixture keeps
     Q's support); order infinity diverges and is reported as such.
     """
-    if alpha < 0.0:
+    if _real(alpha, "alpha") < 0.0:
         raise DomainError("Renyi order must be non-negative")
     ps, qs = _supported_masses(p, q)
     chi2 = float(divergence("chi2", p, q))

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import chain
-from operator import neg, sub
+from itertools import chain, compress, repeat
+from operator import gt, lt, neg, sub
 
-from .distributions import DiscreteDistribution, SpectrumFunction, _masses, spectrum
-from .divergences import _HELLINGER_MAPS, _log_sum_exp, _shifted_sum, _singular_masses
+from .distributions import DiscreteDistribution, SpectrumFunction, _atoms, _pair_slot, spectrum
+from .divergences import _HELLINGER_MAPS, _log_sum_exp, _shifted_sum
 from .errors import (
     AbsoluteContinuityError,
     CapabilityError,
@@ -99,7 +99,7 @@ def _g_sum(b: Breg, spec: SpectrumFunction, c: float = 0.0) -> float:
     if k == len(xs) or xs[k] != 0.0:
         xs = xs[:k] + (0.0,) + xs[k:]
         cdfs = cdfs[:k] + (cdfs[k - 1] if k else 0.0,) + cdfs[k:]
-    edges = [_g_edge(b, x) for x in xs]
+    edges = list(map(_g_edge, repeat(b), xs))
     pieces = []
     for x0, x1, cdf, v0, v1 in zip(xs, xs[1:], cdfs, edges, edges[1:]):
         if x0 >= 0.0:
@@ -234,24 +234,24 @@ def spectrum_from_egamma(
     1 - E_gamma + gamma E'_gamma the gamma-terms cancel analytically, which
     leaves the P-mass on one side of x; comparing log-ratios with x keeps
     that finite for every x, where exp(|x|) would overflow past 709.78.
-    NaN x is refused, as ``spectrum_eval`` refuses it.
+    NaN x is refused, as ``spectrum_eval`` refuses it.  It reads the pair's
+    ``_atoms``, never the spectrum: an independent check of the identity.
     """
-    ps, qs = _masses(p, q)
-    _require_mutual(*_singular_masses(ps, qs))
+    pms, xs, q_where_p0, p_where_q0 = _atoms(_pair_slot(p, q))
+    _require_mutual(q_where_p0, p_where_q0)
     if math.isnan(x):
         raise DomainError("x must not be NaN")
-    ratios = [(pm, math.log(pm) - math.log(qm)) for pm, qm in zip(ps, qs) if pm > 0.0]
     if x >= 0.0:
-        return 1.0 - math.fsum(pm for pm, r in ratios if r > x)
+        return 1.0 - math.fsum(compress(pms, map(lt, repeat(x), xs)))
     # -E'_gamma(Q||P) at gamma = exp(-x), with the swapped-pair right-derivative
-    return math.fsum(pm for pm, r in ratios if r < x)
+    return math.fsum(compress(pms, map(gt, repeat(x), xs)))
 
 
 def _degroot_sum(p: DiscreteDistribution, q: DiscreteDistribution, omega: float) -> float:
     """I_omega(P||Q), the sum ``divergence("degroot")`` takes, with its term
-    built afresh, past the pair slot: the priors here are quadrature nodes,
-    each asked for once, which the term cache and the slot would churn."""
-    return _shifted_sum(_degroot_breg.__wrapped__(omega), *_masses(p, q))
+    built afresh, past the pair memo: the priors here are quadrature nodes,
+    each asked for once, which the term cache and the memo would churn."""
+    return _shifted_sum(_degroot_breg.__wrapped__(omega), *_pair_slot(p, q)[:2])
 
 
 def spectrum_from_degroot(

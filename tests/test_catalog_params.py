@@ -22,11 +22,16 @@ from divkit import (
     DivkitError,
     DomainError,
     UnknownKindError,
+    c_gamma,
     divergence,
+    egamma_upper,
     f_divergence,
+    fdiv_lower_via_egamma,
     generator,
+    hellinger_renyi_lower,
     make_distribution,
     renyi,
+    renyi_local_estimate,
     represent_named,
 )
 from divkit.generators import KINDS
@@ -199,8 +204,8 @@ class TestNonNumberParameter:
         assert generator("hellinger", alpha=Order(0.5)).params == (("alpha", 0.5),)
 
     def test_int_past_the_float_range_refused(self):
-        # float() of these ints overflows: four calls raised a raw
-        # OverflowError and chi_s returned inf
+        # float() of these ints overflows: the calls raised a raw
+        # OverflowError, and chi_s returned inf
         p, q = make_distribution([0.7, 0.3]), make_distribution([0.4, 0.6])
         big = 10**400
         calls = [
@@ -210,6 +215,15 @@ class TestNonNumberParameter:
             lambda: represent_named("renyi", p, q, alpha=big),
             lambda: divergence("chi_s", p, q, s=big),
             lambda: divergence("chi_s", p, q, s=-big),
+            # scalars of the local estimates and the bounds, which raised a
+            # raw OverflowError
+            lambda: renyi_local_estimate(big, p, q),
+            lambda: hellinger_renyi_lower("hellinger", big, 2.0, 0.3),
+            lambda: hellinger_renyi_lower("renyi", 2.0, big, 0.3),
+            lambda: egamma_upper("kl", big, 1.0),
+            lambda: egamma_upper("chi2", 2.0, big),
+            lambda: c_gamma(big),
+            lambda: fdiv_lower_via_egamma(generator("kl"), 0.3, big),
         ]
         for call in calls:
             for _ in range(2):  # the caches keep no refusal

@@ -300,18 +300,24 @@ class TestSpectrumCore:
         assert addends[0] <= 100 * n
 
 
+def _fresh(p, q):
+    """Fresh records with the masses of P and Q, whose memos are empty."""
+    return DiscreteDistribution(p.masses), DiscreteDistribution(q.masses)
+
+
 class TestSpectrumMemo:
-    """spectrum() keeps the last pair it built, keyed on object identity."""
+    """spectrum() keeps each pair's spectrum on the pair's records, keyed on
+    object identity."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """The pairs ``_build_spectrum`` is asked for, in order."""
+        """The atoms ``_build_spectrum`` is asked for, in order."""
         calls = []
         build = distributions._build_spectrum
 
-        def counting(p, q):
-            calls.append((p, q))
-            return build(p, q)
+        def counting(atoms):
+            calls.append(atoms)
+            return build(atoms)
 
         monkeypatch.setattr(distributions, "_build_spectrum", counting)
         return calls
@@ -324,7 +330,7 @@ class TestSpectrumMemo:
         spectrum_identity(p, q)
         represent_named("kl", p, q)
         represent_general(generator("kl"), p, q)
-        assert builds == [(p, q)]
+        assert len(builds) == 1 and builds[0][0] is p.masses
 
     def test_equal_masses_distinct_objects(self, builds):
         p, q = make_distribution([0.7, 0.3]), make_distribution([0.5, 0.5])
@@ -332,7 +338,8 @@ class TestSpectrumMemo:
         s = spectrum(p, q)
         s2 = spectrum(p2, q2)
         assert s2 == s and s2 is not s
-        assert builds == [(p, q), (p2, q2)]
+        assert [atoms[0] for atoms in builds] == [p.masses, p2.masses]
+        assert builds[0][0] is p.masses and builds[1][0] is p2.masses
 
     def test_refused_pair_never_kept(self, builds):
         p, short = make_distribution([1, 1]), make_distribution([1])
@@ -344,20 +351,24 @@ class TestSpectrumMemo:
         q = make_distribution([1, 3])
         s = spectrum(p, q)
         assert spectrum(p, q) is s
-        # the gate refuses before the slot and the build: only (P, Q) is built
-        assert builds == [(p, q)]
+        # the gate refuses before the memo and the build: only (P, Q) is built
+        assert len(builds) == 1 and builds[0][0] is p.masses
 
     def test_alternating_pairs(self, builds):
         # pairs that share one side, or swap the sides, are distinct pairs
         p1, q1 = make_distribution([0.7, 0.3]), make_distribution([0.5, 0.5])
         p2, q2 = make_distribution([0.1, 0.9]), make_distribution([0.6, 0.4])
         pairs = [(p1, q1), (p2, q2), (p2, q1), (p1, q2), (q1, p1)]
-        want = [distributions._build_spectrum(*pair) for pair in pairs]
+        want = [spectrum(*_fresh(a, b)) for a, b in pairs]
+        del builds[:]
         assert len(set(want)) == len(pairs)
         for k in (0, 1, 0, 2, 0, 3, 2, 4, 0):
             assert spectrum(*pairs[k]) == want[k]
             assert spectrum(*pairs[k]) == want[k]
-        assert len(builds) == len(pairs) + 9
+        # each pair once, and (P1, Q1) once more: (P1, Q2) takes P1's memo,
+        # and (P1, Q1) is then found reversed on Q1's, kept there by
+        # (Q1, P1), where its own orientation is built
+        assert len(builds) == len(pairs) + 1
 
     def test_reconstructions_read_the_masses(self, monkeypatch):
         p, q = make_distribution([0.7, 0.2, 0.1]), make_distribution([0.2, 0.3, 0.5])
@@ -380,8 +391,23 @@ class TestSpectrumMemo:
         got = [(spectrum_from_egamma(p, q, x), spectrum_from_degroot(p, q, x)) for x in xs]
         assert got == want
 
+    def test_planted_cum_masses_do_not_reach_the_reconstructions(self, monkeypatch):
+        # a kept spectrum with the right breakpoints and a wrong CDF: the
+        # E_gamma and DeGroot reconstructions read the atoms, not the CDF
+        p, q = random_pair(np.random.default_rng(83), 1000)
+        xs = (-0.5, 0.3)
+        calls = (spectrum_from_egamma, spectrum_from_degroot)
+        want = [f(*_fresh(p, q), x) for f in calls for x in xs]
+        spec = spectrum(p, q)
+        wrong = spec._replace(cum_masses=tuple(0.5 * c for c in spec.cum_masses))
+        pair = distributions._pair_slot(p, q)
+        monkeypatch.setitem(pair[2], ("spectrum", pair[3]), wrong)
+        assert spectrum(p, q) is wrong
+        assert g_big(p, q, math.exp(0.3)) != g_big(*_fresh(p, q), math.exp(0.3))
+        assert [f(p, q, x) for f in calls for x in xs] == want
+
     def test_outputs_bit_identical(self):
-        # a fresh copy of each distribution misses the slot, so it is built anew
+        # a fresh copy of each distribution has an empty memo, so it is built anew
         rng = np.random.default_rng(18)
         kl = generator("kl")
         for _ in range(20):
@@ -405,41 +431,41 @@ class TestSpectrumMemo:
 
 
 class TestPairSlot:
-    """The pair slot holds its records weakly: the spectrum and the sums
-    of a pair go when either record does."""
+    """Each record's memo holds its last partner weakly: the spectrum, the
+    atoms and the sums of a pair live on the pair's records and go with
+    the record that holds them."""
 
-    @pytest.fixture(autouse=True)
-    def empty_slot(self):
-        distributions._drop(None)
-
-    def test_dead_records_empty_the_slot(self):
+    def test_dead_records_free_their_memo(self):
         p, q = make_distribution([0.7, 0.2, 0.1]), make_distribution([0.2, 0.3, 0.5])
         spectrum(p, q)
         spectrum(q, p)
         divergence("kl", p, q)
         f_divergence(generator("chi_squared"), q, p)
         entries = distributions._pair_slot(p, q)[2]
-        # both spectra, both sums and the differences p - q of each order
-        assert len(entries) == 6
-        assert {key for key in entries if key[0] in ("spectrum", "diffs")} == {
-            (name, o) for name in ("spectrum", "diffs") for o in (False, True)
+        # both spectra, their atoms, both sums and the differences p - q of
+        # each order, all on P's memo
+        assert len(entries) == 8 and q._memo is None
+        assert {key for key in entries if key[0] in ("spectrum", "atoms", "diffs")} == {
+            (name, o) for name in ("spectrum", "atoms", "diffs") for o in (False, True)
         }
         records = weakref.ref(p), weakref.ref(q)
         del p, q
-        assert distributions._slot == ()
         assert [r() for r in records] == [None, None]
         assert sys.getrefcount(entries) == 2  # this name and the call's argument
 
-    def test_either_record_empties_it(self):
+    def test_dead_partner_is_not_kept_alive(self):
         p, q = make_distribution([0.7, 0.3]), make_distribution([0.4, 0.6])
         spectrum(p, q)
+        partner, kept = weakref.ref(q), p._memo[1]
         del q
-        assert distributions._slot == ()
+        assert partner() is None
+        # its entries stay on P until P re-partners; a new Q with the same
+        # masses is another pair
+        assert p._memo[0]() is None and p._memo[1] is kept
         q = make_distribution([0.4, 0.6])
         divergence("kl", p, q)
-        assert distributions._slot != ()
-        del p
-        assert distributions._slot == ()
+        assert p._memo[0]() is q and p._memo[1] is not kept
+        assert set(p._memo[1][2]) == {("diffs", False), (id(_BREGS["kl"]()), False)}
 
     def test_reversed_pair_keeps_the_slot(self):
         p, q = make_distribution([0.7, 0.3]), make_distribution([0.4, 0.6])
@@ -447,13 +473,14 @@ class TestPairSlot:
         r = spectrum(q, p)
         assert spectrum(p, q) is s and spectrum(q, p) is r
         assert s != r
+        assert q._memo is None and distributions._pair_slot(q, p)[3] is True
 
-    def test_every_new_pair_takes_the_slot(self, monkeypatch):
-        # a direct sum on another pair evicts a kept spectrum, and its own
-        # sums are kept; the first pair's spectrum is built again
+    def test_other_pairs_leave_the_memo(self, monkeypatch):
+        # a direct sum on another pair leaves a kept spectrum, and its own
+        # sums are kept on its own records
         builds, sums = [], []
         build, take = distributions._build_spectrum, divergences._shifted_sum
-        monkeypatch.setattr(distributions, "_build_spectrum", lambda *a: builds.append(a) or build(*a))
+        monkeypatch.setattr(distributions, "_build_spectrum", lambda a: builds.append(a) or build(a))
         monkeypatch.setattr(divergences, "_shifted_sum", lambda *a: sums.append(a) or take(*a))
         p, q = make_distribution([0.7, 0.2, 0.1]), make_distribution([0.2, 0.3, 0.5])
         r, s = make_distribution([0.1, 0.9]), make_distribution([0.5, 0.5])
@@ -464,8 +491,44 @@ class TestPairSlot:
             assert distributions._pair_slot(r, s)[2].keys() == {
                 ("diffs", False), (id(_BREGS["kl"]()), False)
             }
-        assert builds == [(p, q), (p, q)]
-        assert len(sums) == 2  # (r, s) once per visit, kept for its second call
+        assert len(builds) == 1 and builds[0][0] is p.masses
+        assert len(sums) == 1  # (r, s) once, kept for every later call
+
+    def test_large_pair_built_once_between_other_pairs(self, monkeypatch):
+        # an n = 1e3 pair whose spectral queries have spectra and direct
+        # sums of other pairs in between, as a benchmark visit has: its
+        # spectrum is built once and its atoms taken once per orientation
+        builds = []
+        build = distributions._build_spectrum
+        monkeypatch.setattr(distributions, "_build_spectrum", lambda a: builds.append(a) or build(a))
+        rng = np.random.default_rng(79)
+        p, q = random_pair(rng, 1000)
+        queries = (
+            lambda: spectrum(p, q),
+            lambda: spectrum_from_egamma(p, q, 0.3),
+            lambda: spectrum_from_degroot(p, q, -0.5),
+            lambda: g_big(p, q, 2.0),
+            lambda: spectrum_identity(p, q),
+            lambda: represent_named("kl", p, q),
+            lambda: spectrum_from_egamma(q, p, 0.3),
+            lambda: spectrum(q, p),
+        )
+        want = [query() for query in queries]
+        entries = distributions._pair_slot(p, q)[2]
+        kept = {key: entries[key] for key in entries if key[0] in ("spectrum", "atoms")}
+        assert set(kept) == {(name, o) for name in ("spectrum", "atoms") for o in (False, True)}
+        assert [atoms[0] for atoms in builds] == [p.masses, q.masses]
+        del builds[:]
+        for _ in range(3):
+            for query, value in zip(queries, want):
+                r, s = random_pair(rng, 100)
+                spectrum(r, s)
+                divergence("kl", r, s)
+                divergence("tv", *random_pair(rng, 1000))
+                assert query() == value
+        # each other pair built its own spectrum; (P, Q) kept its entries
+        assert len(builds) == 3 * len(queries)
+        assert all(entries[key] is value for key, value in kept.items())
 
     def test_quadrature_and_mixture_sums_stay_out(self):
         p, q = make_distribution([0.5, 0.3, 0.2]), make_distribution([0.2, 0.3, 0.5])
@@ -477,11 +540,12 @@ class TestPairSlot:
         local_limit_estimate(kl, p, q, direction="mixture_second")
         renyi_local_estimate(0.5, p, q)
         ratio_limit_pair(kl, chi2, p, q)
-        # the spectrum, and the chi^2 target of the local estimates with the
-        # differences it reads
+        # the spectrum and its atoms, and the chi^2 target of the local
+        # estimates with the differences it reads
         entries = distributions._pair_slot(p, q)[2]
         assert set(entries) == {
-            ("spectrum", False), ("diffs", False), (id(_BREGS["chi_squared"]()), False)
+            ("spectrum", False), ("atoms", False), ("diffs", False),
+            (id(_BREGS["chi_squared"]()), False),
         }
 
 

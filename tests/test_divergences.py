@@ -478,7 +478,7 @@ class TestDegrootFromEgamma:
 
 
 def _copies(p, q):
-    """Fresh records with the masses of P and Q, which miss the pair slot."""
+    """Fresh records with the masses of P and Q, whose memos are empty."""
     return DiscreteDistribution(p.masses), DiscreteDistribution(q.masses)
 
 
@@ -493,7 +493,7 @@ def _special_pairs(rng, count=40):
 
 def _fresh_kind_sum(kind, params, ps, qs):
     """divergence(kind)'s value from fresh ``_shifted_sum`` calls on the
-    masses, past the pair slot and its kept differences."""
+    masses, past the pair memo and its kept differences."""
     args = tuple(params.values())
     total = lambda b, pair: divergences._shifted_sum(b, pair[0], pair[1])
     mapped = divergences._HELLINGER_MAPS.get(kind)
@@ -504,10 +504,7 @@ def _fresh_kind_sum(kind, params, ps, qs):
 
 @pytest.fixture
 def pair_sums(monkeypatch):
-    """The (P's masses, Q's masses) of every sum ``divergences`` takes, from
-    an empty pair slot, which a spectrum kept for live records of an earlier
-    test would otherwise hold."""
-    distributions._drop(None)
+    """The (P's masses, Q's masses) of every sum ``divergences`` takes."""
     calls = []
     take = divergences._shifted_sum
 
@@ -520,9 +517,8 @@ def pair_sums(monkeypatch):
 
 
 class TestPairSlot:
-    """The pair slot keeps each direct sum of the last pair under its
-    shifted term and orientation; a hit is the very float a fresh sum
-    gives."""
+    """A pair's memo keeps each direct sum under its shifted term and
+    orientation; a hit is the very float a fresh sum gives."""
 
     def test_kinds_hit_as_fresh_sums(self, pair_sums):
         rng = np.random.default_rng(59)
@@ -594,7 +590,6 @@ class TestPairSlot:
     def test_one_kept_difference_list_per_orientation(self, monkeypatch):
         # a direct item's sums: kl makes the differences, and tv and chi2
         # read the same list; degroot, which reads the masses alone, makes none
-        distributions._drop(None)
         lists = []
         take = divergences._shifted_sum
 
@@ -630,7 +625,7 @@ class TestPairSlot:
             for _ in range(2):
                 assert degroot_from_egamma(omega, p, q).value == want
             assert pair_sums == [(q.masses, p.masses) if omega > 0.5 else (p.masses, q.masses)]
-        # the reversed pair's sums leave the pair in the slot
+        # the reversed pair's sums leave the pair's memo
         divergence("kl", q, p)
         del pair_sums[:]
         degroot_from_egamma(0.8, p, q)
