@@ -272,7 +272,7 @@ def fdiv_lower_via_egamma(f: GeneratorFunction, e_val: float, gamma: float) -> f
     f*(1 + E/g) + f*((1 - E)/g) - f*(1/g), valid for every pair with
     E_gamma(P||Q) = e_val.  Tight for f = total variation at gamma = 1.
     """
-    if not 0.0 <= _real(e_val, "e_val") < 1.0:
+    if not 0.0 <= e_val < 1.0:
         raise DomainError("E_gamma value must lie in [0, 1)")
     if not _real(gamma, "gamma") >= 1.0:
         raise DomainError("gamma must be >= 1")
@@ -361,7 +361,7 @@ def hellinger_renyi_lower(kind: str, alpha: float, gamma: float, e_val: float) -
         raise DomainError("order must be positive and finite")
     if not _real(gamma, "gamma") >= 1.0:
         raise DomainError("gamma must be >= 1")
-    if not 0.0 <= _real(e_val, "e_val") < 1.0:
+    if not 0.0 <= e_val < 1.0:
         raise DomainError("E_gamma value must lie in [0, 1)")
     if kind not in ("hellinger", "renyi"):
         raise DomainError(f"unknown kind {kind!r}")

@@ -215,15 +215,17 @@ def _exact_expansion(xs: list[float], total: float) -> list[float]:
 
 def _pair_slot(p: DiscreteDistribution, q: DiscreteDistribution):
     """(P's masses, Q's masses, entries, swapped if kept for (Q, P)), from
-    P's memo if its partner is Q, else from Q's if its partner is P.  Else
-    the pair is gated and replaces P's memo: a weak reference to Q, then
-    what is returned in each order, over one entries dict."""
-    memo = getattr(p, "_memo", None)
-    if memo is not None and memo[0]() is q:
-        return memo[1]
-    memo = getattr(q, "_memo", None)
-    if memo is not None and memo[0]() is p:
-        return memo[2]
+    P's memo if its partner is Q, else from Q's; else the pair is gated and
+    replaces P's memo: a weak reference to Q and what each order returns."""
+    try:
+        memo = p._memo
+        if memo is not None and memo[0]() is q:
+            return memo[1]
+        memo = q._memo
+        if memo is not None and memo[0]() is p:
+            return memo[2]
+    except AttributeError:  # not a record: the gate refuses it
+        pass
     ps, qs = _masses(p, q)
     fwd = ps, qs, {}, False
     object.__setattr__(p, "_memo", (ref(q), fwd, (qs, ps, fwd[2], True)))

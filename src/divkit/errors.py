@@ -1,6 +1,5 @@
-"""Exception hierarchy for divkit, the one parser of numbers from text and
-gate of scalar parameters, the attribute guard of the immutable records,
-and the one bound of the caches.
+"""Exception hierarchy for divkit, the one parser of numbers from text, the
+attribute guard of the immutable records, and the one bound of the caches.
 
 All library errors derive from DivkitError so callers (and the CLI) can
 distinguish bad inputs from genuine bugs with a single except clause.
@@ -63,6 +62,8 @@ def parse_number(raw: str, what: str) -> float:
 
 def _real(value: object, name: str) -> float:
     """``value`` if a float, or an int in the float range, not a bool; else DomainError."""
+    if type(value) is float:
+        return value
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             float(value)
