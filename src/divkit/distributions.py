@@ -243,8 +243,8 @@ def _kept(entries: dict, key: tuple, value: Any) -> Any:
 
 def spectrum(p: DiscreteDistribution, q: DiscreteDistribution) -> SpectrumFunction:
     """The relative information spectrum of (P, Q), built once per pair and
-    orientation from its ``_atoms`` and kept in the pair's entries, which
-    ``spectrum_from_egamma`` and ``spectrum_from_degroot`` never read."""
+    orientation from its ``_atoms`` and kept; ``spectrum_from_egamma`` and
+    ``spectrum_from_degroot`` read the atoms and never the spectrum."""
     pair = _pair_slot(p, q)
     entries, key = pair[2], ("spectrum", pair[3])
     spec = entries.get(key)

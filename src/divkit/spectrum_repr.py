@@ -99,7 +99,7 @@ def _g_sum(b: Breg, spec: SpectrumFunction, c: float = 0.0) -> float:
     if k == len(xs) or xs[k] != 0.0:
         xs = xs[:k] + (0.0,) + xs[k:]
         cdfs = cdfs[:k] + (cdfs[k - 1] if k else 0.0,) + cdfs[k:]
-    edges = list(map(_g_edge, repeat(b), xs))
+    edges = [_g_edge(b, x) for x in xs]
     pieces = []
     for x0, x1, cdf, v0, v1 in zip(xs, xs[1:], cdfs, edges, edges[1:]):
         if x0 >= 0.0:
