@@ -41,7 +41,7 @@ __all__ = [
 _NORMALIZATION_TOL = 1e-12
 # Prefix length past which spectrum() carries the prefix as its exact
 # expansion; below it the prefix is summed as it stands.
-_EXPANSION_AT = 32
+_EXPANSION_AT = 16
 
 
 class DiscreteDistribution:
