@@ -338,8 +338,7 @@ class TestSpectrumMemo:
         s = spectrum(p, q)
         s2 = spectrum(p2, q2)
         assert s2 == s and s2 is not s
-        assert [atoms[0] for atoms in builds] == [p.masses, p2.masses]
-        assert builds[0][0] is p.masses and builds[1][0] is p2.masses
+        assert len(builds) == 2 and builds[0][0] is p.masses and builds[1][0] is p2.masses
 
     def test_refused_pair_never_kept(self, builds):
         p, short = make_distribution([1, 1]), make_distribution([1])
