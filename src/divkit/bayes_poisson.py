@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from . import bounds
 from .bounds import BoundReport, make_report
-from .errors import DomainError, refuse_change
+from .errors import DomainError, _real, refuse_change
 from .terms import _kl_term, prior_scale
 
 __all__ = [
@@ -101,11 +101,11 @@ class PoissonModel:
         return type(self), (self.rate,)
 
     def log_pmf(self, k: int) -> float:
-        if k < 0:
-            raise DomainError("Poisson support is the non-negative integers")
+        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+            raise DomainError(f"Poisson support is the non-negative integers, got {k!r}")
         if k == 0:
             return -self.rate
-        bd0 = _kl_term(k - self.rate, self.rate, k)
+        bd0 = _kl_term(_real(k, "k") - self.rate, self.rate, k)
         return -_stirlerr(k) - bd0 - 0.5 * (_LN_2PI + math.log(k))
 
     def pmf(self, k: int) -> float:

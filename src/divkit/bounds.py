@@ -60,8 +60,9 @@ def make_report(
 ) -> BoundReport:
     if direction not in ("lower", "upper"):
         raise DomainError(f"direction must be 'lower' or 'upper', got {direction!r}")
-    if math.isnan(bound_value) or (
-        certified_quantity is not None and math.isnan(certified_quantity)
+    if math.isnan(_real(bound_value, "bound_value")) or (
+        certified_quantity is not None
+        and math.isnan(_real(certified_quantity, "certified_quantity"))
     ):
         raise DomainError(
             f"{name}: NaN bound {bound_value!r} or certified value "
@@ -114,7 +115,7 @@ def lambert_w(branch: str, x: float) -> float:
     where w e^w or e^w leaves the float range, it solves
     ln|w| + w = ln|x| instead.
     """
-    if math.isnan(x):
+    if math.isnan(_real(x, "x")):
         raise DomainError("NaN argument")
     if branch == "principal":
         if x < _BRANCH_POINT:
@@ -228,7 +229,7 @@ def _c_gamma(gamma: float, gm1: float) -> float:
 
 def straight_line_egamma_ub(gamma: float, d: float) -> float:
     """Straight-line bound E_gamma <= c_gamma * KL (nats), gamma > 1."""
-    if not d >= 0.0:
+    if not _real(d, "d") >= 0.0:
         raise DomainError("relative entropy must be non-negative")
     c = c_gamma(gamma)
     return math.inf if d == math.inf else c * d  # also at gamma = inf, where c is 0
@@ -404,7 +405,7 @@ def tv_kl_frontier(kind: str, value: float) -> float:
             return -math.log1p(-0.25 * tv * tv)
         return math.log((2.0 + tv) / (2.0 - tv)) - 2.0 * tv / (2.0 + tv)
     if kind in ("bh_ub_tv", "vajda_ub_tv"):
-        d = value
+        d = _real(value, "value")
         if not d >= 0.0:
             raise DomainError("relative entropy must be non-negative")
         if kind == "bh_ub_tv":
@@ -456,7 +457,7 @@ def degroot_upper(
     def _need(val: Optional[float], name: str) -> float:
         if val is None:
             raise ValidationError(f"{kind} with omega={omega} needs {name}")
-        if not val >= 0.0:
+        if not _real(val, name) >= 0.0:
             raise DomainError(f"{name} must be non-negative")
         return val
 
@@ -497,7 +498,7 @@ def chi2_lower_from_tv(kind: str, tv: float) -> float:
 
 def kl_upper_log_chi2(chi2: float) -> float:
     """KL <= ln(1 + chi^2), in nats."""
-    if not chi2 >= 0.0:
+    if not _real(chi2, "chi2") >= 0.0:
         raise DomainError("chi^2 must be non-negative")
     return math.log1p(chi2)
 

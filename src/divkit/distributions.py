@@ -25,7 +25,9 @@ from operator import sub, truediv
 from typing import Any, NamedTuple, Sequence
 from weakref import ref
 
-from .errors import _CACHE_SIZE, DomainError, UndefinedAtomError, ValidationError, refuse_change
+from .errors import (
+    _CACHE_SIZE, DomainError, UndefinedAtomError, ValidationError, _real, refuse_change
+)
 
 __all__ = [
     "DiscreteDistribution",
@@ -245,7 +247,11 @@ def spectrum(p: DiscreteDistribution, q: DiscreteDistribution) -> SpectrumFuncti
     """The relative information spectrum of (P, Q), built once per pair and
     orientation from its ``_atoms`` and kept; ``spectrum_from_egamma`` and
     ``spectrum_from_degroot`` read the atoms and never the spectrum."""
-    pair = _pair_slot(p, q)
+    return _spectrum(_pair_slot(p, q))
+
+
+def _spectrum(pair: tuple) -> SpectrumFunction:
+    """The spectrum of ``pair`` (``_pair_slot``), kept in its entries."""
     entries, key = pair[2], ("spectrum", pair[3])
     spec = entries.get(key)
     return _kept(entries, key, _build_spectrum(_atoms(pair))) if spec is None else spec
@@ -314,7 +320,7 @@ def _build_spectrum(atoms: tuple) -> SpectrumFunction:
 
 def spectrum_eval(f: SpectrumFunction, x: float) -> float:
     """Right-continuous evaluation of the spectrum CDF at x."""
-    if math.isnan(x):
+    if math.isnan(_real(x, "x")):
         raise DomainError("x must not be NaN")
     j = bisect_right(f.breakpoints, x)
     return f.cum_masses[j - 1] if j else 0.0
@@ -326,7 +332,7 @@ def g_big(p: DiscreteDistribution, q: DiscreteDistribution, beta: float) -> floa
     For beta >= 1 this is P[dP/dQ > beta] = 1 - F(ln beta); for beta in
     (0,1) it is F(ln beta).  Identically zero when P == Q.
     """
-    if not (beta > 0.0) or math.isinf(beta):
+    if not (_real(beta, "beta") > 0.0) or math.isinf(beta):
         raise DomainError("beta must be a finite positive real")
     cdf = spectrum_eval(spectrum(p, q), math.log(beta))
     return 1.0 - cdf if beta >= 1.0 else cdf

@@ -8,6 +8,8 @@ invariance D_f = D_{f + c(t-1)} makes this the divergence; on stored masses
 it differs from sum q f(p/q) by c (sum P - sum Q), which the normalization
 tolerance holds to 1e-12 |c|.  The Hellinger-based kinds (squared
 Hellinger, Bhattacharyya, alpha, Renyi) are maps of the Hellinger sum.
+One resolver (``_kind_sum``) turns a kind into its sum, for the direct
+sums here and for the spectral ones of ``spectrum_repr.represent_named``.
 The pair memo of ``divkit.distributions`` keeps each sum over a pair's
 masses by its shifted term and, once a term reads them, the differences
 p - q, so each is taken once per pair and orientation; quadrature nodes
@@ -150,12 +152,7 @@ def _renyi_terms(pair: tuple, alpha: float) -> float:
 _hellinger_term = _BREGS["hellinger"]
 
 
-def _renyi_map(
-    hellinger: Callable[[Breg, Any], float],
-    renyi_terms: Callable[[Any, float], float],
-    pair: Any,
-    alpha: float,
-) -> float:
+def _renyi_map(hellinger: Callable[[Breg, Any], float], pair: Any, alpha: float) -> float:
     """Renyi of order alpha from the Hellinger divergence
     H = ``hellinger(<Hellinger term of order alpha>, pair)``:
     ln(1 + (alpha - 1) H) / (alpha - 1), KL at order 1."""
@@ -170,15 +167,10 @@ def _renyi_map(
     # S = 1 + (alpha - 1) H is below 1/2 (alpha < 1), where ln S is better
     # taken from its terms than from the shift, and 0 exactly on disjoint
     # supports; or S passed the float range (alpha > 1)
-    return renyi_terms(pair, alpha)
+    return _renyi_terms(pair, alpha)
 
 
-def _alpha_map(
-    h: Callable[[Breg, Any], float],
-    renyi_terms: Callable[[Any, float], float],
-    pair: Any,
-    alpha: float,
-) -> float:
+def _alpha_map(h: Callable[[Breg, Any], float], pair: Any, alpha: float) -> float:
     """H_alpha / alpha; below order 1/2 the division sits inside the term
     (``terms._alpha_breg``), since H_alpha underflows at a subnormal
     order, where H_alpha / alpha tends to KL(Q||P)."""
@@ -189,17 +181,15 @@ def _alpha_map(
 
 # The kinds that are maps of a Hellinger sum; every other kind, the
 # Hellinger divergence itself included, is the sum of its family's shifted
-# term.  A map is called as
-# map(h, renyi_terms, pair, *param), where h(b, pair) sums the shifted term
-# b over the pair (the Hellinger divergence, for a Hellinger term) and
-# renyi_terms(pair, alpha) is ln(sum q (p/q)^alpha) / (alpha - 1) by
-# log-sum-exp over the terms: divergence() passes the direct sums over the
-# pair's masses, spectrum_repr.represent_named() the spectral sums
-# over the spectrum.
+# term.  A map is called as map(h, pair, *param), where h(b, pair) sums the
+# shifted term b over a ``_pair_slot`` (the Hellinger divergence, for a
+# Hellinger term): divergence() passes the direct sum over the pair's
+# masses, spectrum_repr.represent_named() the spectral one.  Renyi's
+# log-sum-exp is always ``_renyi_terms`` over the pair's masses.
 _HELLINGER_MAPS: dict[str, Callable[..., float]] = {
-    "sq_hellinger": lambda h, renyi_terms, pair: 0.5 * h(_hellinger_term(0.5), pair),
+    "sq_hellinger": lambda h, pair: 0.5 * h(_hellinger_term(0.5), pair),
     # -ln sum sqrt(p q), half the Renyi divergence of order 1/2
-    "bhattacharyya": lambda h, renyi_terms, pair: 0.5 * _renyi_map(h, renyi_terms, pair, 0.5),
+    "bhattacharyya": lambda h, pair: 0.5 * _renyi_map(h, pair, 0.5),
     "alpha": _alpha_map,
     "renyi": _renyi_map,
 }
@@ -219,7 +209,7 @@ def divergence(
     f'(1) (sum P - sum Q), which the 1e-12 normalization tolerance bounds.
     """
     try:
-        total = _kind_sum(kind, **params)
+        total = _kind_sum(kind, _pair_sum, **params)
     except TypeError:  # an unhashable kind or parameter, which kind_args refuses
         kind_args(kind, params)
         raise
@@ -227,16 +217,20 @@ def divergence(
 
 
 @_shared
-def _kind_sum(kind: str, **params: float) -> Callable[[tuple], float]:
-    """The sum ``divergence()`` takes over a ``_pair_slot`` for ``kind`` at
-    ``params``, resolved once per (kind, parameters): its family's shifted
-    term, or its map of the Hellinger sum.  An unknown kind or a missing
-    parameter raises here, and an exception is never kept."""
+def _kind_sum(
+    kind: str, h: Callable[[Breg, tuple], float], /, **params: float
+) -> Callable[[tuple], float]:
+    """The sum of ``kind`` at ``params`` over a ``_pair_slot``, resolved
+    once per (kind, h, parameters): h(b, pair) over its family's shifted
+    term b, or its map of the Hellinger sum h.  ``divergence()`` passes the
+    direct sum ``_pair_sum``, ``spectrum_repr.represent_named()`` the
+    spectral one.  An unknown kind or a missing parameter raises here, and
+    an exception is never kept."""
     args = kind_args(kind, params)
     mapped = _HELLINGER_MAPS.get(kind)
     if mapped is None:
-        return partial(_pair_sum, _BREGS[KINDS[kind][0]](*args))
-    return lambda pair: mapped(_pair_sum, _renyi_terms, pair, *args)
+        return partial(h, _BREGS[KINDS[kind][0]](*args))
+    return lambda pair: mapped(h, pair, *args)
 
 
 def renyi(alpha: float, p: DiscreteDistribution, q: DiscreteDistribution) -> DivergenceValue:

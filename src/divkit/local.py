@@ -84,7 +84,7 @@ def chis_mixture_scaling(
     """chi^s(lam P + (1-lam) Q || Q), the mixture-path sum that equals
     lam^s chi^s(P||Q) to rounding."""
     ps, qs = _path_masses(p, q, lam)
-    return _mixture_divergence(_BREGS["chi_s"](s), ps, qs, lam, True)
+    return _mixture_divergence(_BREGS["chi_s"](_real(s, "s")), ps, qs, lam, True)
 
 
 def chi2_mixture_three(

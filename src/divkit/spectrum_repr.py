@@ -5,13 +5,12 @@ Every engine here reduces the spectrum to segments on which it is constant.
 The named, general and inverse-g engines are one exact sum over those
 segments (``_g_sum``): the paper's general representation, whose kernel
 |h'| integrates on a segment to |g(x1) - g(x0)|, with g read from a shifted
-term (``terms.Breg``).  A named kind reads its family's term from
-``terms._BREGS``, the table ``divergence()`` sums, and the
-Hellinger-based kinds are the maps of ``divergences._HELLINGER_MAPS``; so a
-named representation is checked against the paper's per-kind kernels (the
-tests' 40-digit quadrature), not against ``divergence()`` alone.  Only the
-DeGroot-weight engine integrates, by adaptive 21-point Gauss-Kronrod
-quadrature.
+term (``terms.Breg``).  A named kind is resolved by ``divergence()``'s
+own resolver, ``divergences._kind_sum``, with that sum in place of the
+direct one; so a named representation is checked against the paper's
+per-kind kernels (the tests' 40-digit quadrature), not against
+``divergence()`` alone.  Only the DeGroot-weight engine integrates, by
+adaptive 21-point Gauss-Kronrod quadrature.
 """
 
 from __future__ import annotations
@@ -21,16 +20,19 @@ from bisect import bisect_left
 from itertools import chain, compress, repeat
 from operator import gt, lt, neg, sub
 
-from .distributions import DiscreteDistribution, SpectrumFunction, _atoms, _pair_slot, spectrum
-from .divergences import _HELLINGER_MAPS, _log_sum_exp, _shifted_sum
+from .distributions import (
+    DiscreteDistribution, SpectrumFunction, _atoms, _pair_slot, _spectrum, spectrum
+)
+from .divergences import _kind_sum, _shifted_sum
 from .errors import (
     AbsoluteContinuityError,
     CapabilityError,
     DomainError,
     KinkError,
+    _real,
 )
-from .generators import KINDS, GeneratorFunction, kind_args
-from .terms import _BREGS, Breg, _degroot_breg, _g_edge
+from .generators import GeneratorFunction
+from .terms import Breg, _degroot_breg, _g_edge
 from .quadrature import integrate
 
 __all__ = [
@@ -152,7 +154,7 @@ def represent_general(
     generator differentiable on (0, inf); requires mutual absolute
     continuity.  Kinked generators are routed to the named catalog.
     """
-    return _g_sum(f._breg, _smooth_spectrum(f, p, q), c)
+    return _g_sum(f._breg, _smooth_spectrum(f, p, q), _real(c, "c"))
 
 
 def represent_inverse_g(
@@ -171,37 +173,32 @@ def represent_inverse_g(
     return _g_sum(f._breg, _smooth_spectrum(f, p, q))
 
 
-def _renyi_terms(spec: SpectrumFunction, alpha: float) -> float:
-    """ln(sum q (p/q)^alpha) / (alpha - 1) over the spectrum's atoms: the
-    CDF's jump m_j at each breakpoint x_j times e^((alpha - 1) x_j), by
-    log-sum-exp of x_j + ln(m_j) / (alpha - 1)."""
-    jumps = map(sub, spec.cum_masses, (0.0,) + spec.cum_masses[:-1])
-    s = alpha - 1.0
-    return _log_sum_exp(
-        [x + math.log(m) / s for m, x in zip(jumps, spec.breakpoints) if m > 0.0], s
-    )
+def _spectral_sum(b: Breg, pair: tuple) -> float:
+    """``_g_sum`` of the shifted term b over the spectrum of ``pair``
+    (``_pair_slot``)."""
+    return _g_sum(b, _spectrum(pair))
 
 
 def represent_named(
     kind: str, p: DiscreteDistribution, q: DiscreteDistribution, **params: float
 ) -> float:
     """The paper's general representation of a named divergence, taken
-    exactly: ``_g_sum`` over the term of the kind's family in
-    ``terms._BREGS``, the term ``divergence()`` sums.  Squared
-    Hellinger, Bhattacharyya, alpha and Renyi are the maps of
-    ``divergences._HELLINGER_MAPS`` applied to that sum for the Hellinger
-    family, with Renyi's log-sum-exp taken over the spectrum's atoms.
+    exactly: ``_g_sum`` over the spectrum, for the sum ``divergence()``
+    resolves for the kind (``divergences._kind_sum``): the term of its
+    family, or, for squared Hellinger, Bhattacharyya, alpha and Renyi, a
+    map of the Hellinger family's sum, with Renyi's log-sum-exp taken over
+    the pair's masses.
 
     A singular mass is refused where the kind's term charges it, so E_gamma
     and DeGroot with omega <= 1/2 need only P << Q, DeGroot with
     omega > 1/2 only Q << P, and every other kind both.
     """
-    args = kind_args(kind, params)
-    spec = spectrum(p, q)
-    mapped = _HELLINGER_MAPS.get(kind)
-    if mapped is None:
-        return _g_sum(_BREGS[KINDS[kind][0]](*args), spec)
-    return mapped(_g_sum, _renyi_terms, spec, *args)
+    try:
+        total = _kind_sum(kind, _spectral_sum, **params)
+    except TypeError:  # an unhashable kind or parameter, which the resolver refuses
+        _kind_sum.__wrapped__(kind, _spectral_sum, **params)
+        raise
+    return total(_pair_slot(p, q))
 
 
 def spectrum_identity(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
@@ -239,7 +236,7 @@ def spectrum_from_egamma(
     """
     pms, xs, q_where_p0, p_where_q0 = _atoms(_pair_slot(p, q))
     _require_mutual(q_where_p0, p_where_q0)
-    if math.isnan(x):
+    if math.isnan(_real(x, "x")):
         raise DomainError("x must not be NaN")
     if x >= 0.0:
         return 1.0 - math.fsum(compress(pms, map(lt, repeat(x), xs)))
@@ -280,7 +277,9 @@ def represent_degroot_weight(
     evaluated at the likelihood-ratio threshold (1-omega)/omega; this is
     the form that reproduces the direct divergence.)  On finite alphabets
     the integrand has compact support; it is split at the prior images of
-    the likelihood-ratio atoms (and at 1/2).
+    the likelihood-ratio atoms (and at 1/2).  A likelihood ratio past the
+    float range, or a node whose omega^3 underflows (near a log-ratio of
+    250), is refused with DomainError.
     """
     if f._second is None:
         raise CapabilityError(
@@ -290,7 +289,12 @@ def represent_degroot_weight(
     _require_mutual(spec.singular_mass_q, spec.singular_mass_p)
     if not spec.breakpoints:
         return 0.0
-    betas = [math.exp(x) for x in spec.breakpoints]
+    try:
+        betas = [math.exp(x) for x in spec.breakpoints]
+    except OverflowError:
+        raise DomainError(
+            f"likelihood ratio e^{spec.breakpoints[-1]!r} passes the float range"
+        ) from None
     lo = 1.0 / (1.0 + betas[-1])
     hi = 1.0 / (1.0 + betas[0])
     if lo >= hi:
@@ -299,9 +303,15 @@ def represent_degroot_weight(
     cuts = [c for c in cuts if lo <= c <= hi]
 
     def integrand(omega: float) -> float:
+        cube = omega**3
+        if cube == 0.0:
+            raise DomainError(
+                f"the largest log-ratio {spec.breakpoints[-1]!r} puts a quadrature node "
+                f"at the prior {omega!r}, whose cube underflows"
+            )
         i_val = _degroot_sum(p, q, omega)
         t = (1.0 - omega) / omega
-        return i_val * f.second(t) / omega**3
+        return i_val * f.second(t) / cube
 
     pieces = [
         integrate(integrand, c0, c1, rel_tol=1e-10)

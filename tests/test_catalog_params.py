@@ -21,18 +21,33 @@ from divkit import (
     DivergenceValue,
     DivkitError,
     DomainError,
+    PoissonModel,
     UnknownKindError,
     c_gamma,
+    chis_mixture_scaling,
+    degroot_upper,
     divergence,
     egamma_upper,
     f_divergence,
     fdiv_lower_via_egamma,
+    g_big,
     generator,
     hellinger_renyi_lower,
+    kl_upper_log_chi2,
+    lambert_w,
     make_distribution,
+    make_report,
+    poisson_pmf,
     renyi,
     renyi_local_estimate,
+    represent_general,
     represent_named,
+    spectrum,
+    spectrum_eval,
+    spectrum_from_degroot,
+    spectrum_from_egamma,
+    straight_line_egamma_ub,
+    tv_kl_frontier,
 )
 from divkit.generators import KINDS
 
@@ -224,6 +239,28 @@ class TestNonNumberParameter:
             lambda: egamma_upper("chi2", 2.0, big),
             lambda: c_gamma(big),
             lambda: fdiv_lower_via_egamma(generator("kl"), 0.3, big),
+            lambda: straight_line_egamma_ub(2.0, big),
+            lambda: kl_upper_log_chi2(big),
+            lambda: tv_kl_frontier("bh_ub_tv", big),
+            lambda: tv_kl_frontier("vajda_ub_tv", big),
+            lambda: degroot_upper("chi2", 0.3, chi_pq=big),
+            lambda: degroot_upper("kl_line", 0.3, d_pq=big),
+            lambda: degroot_upper("kl_bh", 0.3, d_pq=big),
+            lambda: degroot_upper("kl_line", 0.5, d_pq=big, d_qp=1.0),
+            lambda: degroot_upper("kl_line", 0.5, d_pq=1.0, d_qp=big),
+            lambda: lambert_w("principal", big),
+            lambda: make_report("name", big, 1.0, "upper"),
+            lambda: make_report("name", 1.0, big, "lower"),
+            # spectral queries and the general engine's shift
+            lambda: spectrum_eval(spectrum(p, q), big),
+            lambda: g_big(p, q, big),
+            lambda: spectrum_from_egamma(p, q, big),
+            lambda: spectrum_from_degroot(p, q, -big),
+            lambda: represent_general(generator("kl"), p, q, c=big),
+            # a Poisson count, and chi^s on a mixture path, which read inf
+            lambda: PoissonModel(3.0).pmf(big),
+            lambda: poisson_pmf(3.0, big),
+            lambda: chis_mixture_scaling(p, q, big, 0.5),
         ]
         for call in calls:
             for _ in range(2):  # the caches keep no refusal
@@ -232,6 +269,16 @@ class TestNonNumberParameter:
         # an int in range stays as given, so params print unchanged
         assert divergence("chi_s", p, q, s=10**300).params == {"s": 10**300}
         assert generator("hellinger", alpha=3).params == (("alpha", 3),)
+
+    @pytest.mark.parametrize("k", [2.5, 20.5, "3", None, math.nan, math.inf, True, -1])
+    def test_poisson_count_is_a_non_negative_int(self, k):
+        # 2.5, "3" and None raised a raw TypeError; 20.5 read 2.7e-11, nan
+        # and inf NaN, and True the mass at 1
+        for call in (PoissonModel(3.0).pmf, PoissonModel(3.0).log_pmf):
+            with pytest.raises(DomainError, match="non-negative integers"):
+                call(k)
+        with pytest.raises(DomainError, match="non-negative integers"):
+            poisson_pmf(3.0, k)
 
 
 class TestHellingerOrders:

@@ -216,6 +216,30 @@ class TestRepresent:
         assert code == 2
         assert "kink" in err.lower()
 
+    def test_degroot_weight_refuses_a_ratio_past_the_float_range(self, capsys, tmp_path):
+        # e^x of the breakpoint ~713 raised a raw OverflowError, exit 1
+        p, q = tmp_path / "p.json", tmp_path / "q.json"
+        p.write_text("[0.5, 0.5]")
+        q.write_text("[1e-310, 1]")
+        code, _, err = run_cli(
+            capsys, "represent", "--kind", "kl", "--p", str(p), "--q", str(q),
+            "--engine", "degroot-weight",
+        )
+        assert code == 2
+        assert "passes the float range" in err
+
+    def test_named_renyi_keeps_a_jump_below_an_ulp(self, capsys, tmp_path):
+        # the named value read 0.405 against the direct 23.01
+        p, q = tmp_path / "p.json", tmp_path / "q.json"
+        p.write_text("[0.6, 0.4, 1e-20]")
+        q.write_text("[0.4, 0.6, 1e-30]")
+        code, out, _ = run_cli(
+            capsys, "represent", "--kind", "renyi:3000", "--p", str(p), "--q", str(q),
+            "--engine", "named",
+        )
+        assert code == 0
+        assert json.loads(out)["abs_diff"] == 0
+
 
 class TestSpectrum:
     def test_fields(self, capsys, dist_files):

@@ -499,7 +499,7 @@ def _fresh_kind_sum(kind, params, ps, qs):
     mapped = divergences._HELLINGER_MAPS.get(kind)
     if mapped is None:
         return total(_BREGS[KINDS[kind][0]](*args), (ps, qs))
-    return mapped(total, divergences._renyi_terms, (ps, qs), *args)
+    return mapped(total, (ps, qs), *args)
 
 
 @pytest.fixture

@@ -431,9 +431,20 @@ class TestRepresentNamed:
 
     def test_renyi_large_order(self, bern_pair):
         # S = sum q (p/q)^3000 passes the float range; ln S is then a
-        # log-sum-exp over the spectrum's atoms
+        # log-sum-exp over the pair's masses
         got = represent_named("renyi", *bern_pair, alpha=3000.0)
         assert abs(got - 0.3363533053294694) <= 1e-12
+
+    def test_renyi_large_order_keeps_a_jump_below_an_ulp_of_the_cdf(self):
+        # the 1e-20 atom sets the Renyi divergence of order 3000; its jump in
+        # the spectrum's CDF, read as the difference of two rounded prefixes
+        # at F = 1, was 0, and the log-sum-exp read 0.4053
+        p = make_distribution([0.6, 0.4, 1e-20])
+        q = make_distribution([0.4, 0.6, 1e-30])
+        direct = divergence("renyi", p, q, alpha=3000.0).value
+        assert direct == pytest.approx(23.0104952440919, rel=1e-12)
+        got = represent_named("renyi", p, q, alpha=3000.0)
+        assert abs(got - direct) <= 1e-12 * direct
 
     def test_degroot_continuous_at_half(self):
         rng = np.random.default_rng(79)
@@ -668,6 +679,30 @@ class TestDegrootWeightRepresentation:
     def test_requires_second_derivative(self, bern_pair):
         with pytest.raises(CapabilityError):
             represent_degroot_weight(generator("total_variation"), *bern_pair)
+
+    @pytest.mark.parametrize("tiny", [1e-310, math.exp(-250)], ids=["1e-310", "e^-250"])
+    @pytest.mark.parametrize("family", ["kl", "chi_squared"])
+    def test_extreme_log_ratio_refused(self, family, tiny):
+        # e^x of the breakpoint ~713 raised OverflowError, and a node's
+        # omega^3 underflowing from a log-ratio of ~250 up ZeroDivisionError
+        p = make_distribution([0.5, 0.5])
+        cause = "passes the float range" if tiny < 1e-300 else "cube underflows"
+        for q in (make_distribution([tiny, 1.0]), make_distribution([1.0, tiny])):
+            with pytest.raises(DomainError, match=cause):
+                represent_degroot_weight(generator(family), p, q)
+
+    def test_large_log_ratios_still_answer(self):
+        p = make_distribution([0.5, 0.5])
+        q = make_distribution([math.exp(-245), 1.0])
+        for family in ("kl", "chi_squared"):
+            gen = generator(family)
+            direct = float(f_divergence(gen, p, q))
+            assert represent_degroot_weight(gen, p, q) == pytest.approx(direct, rel=1e-6)
+        # the triangular integrand never reaches a node whose cube underflows
+        gen = generator("triangular")
+        q = make_distribution([math.exp(-300), 1.0])
+        direct = float(f_divergence(gen, p, q))
+        assert represent_degroot_weight(gen, p, q) == pytest.approx(direct, rel=1e-9)
 
     def test_oracle_equivalence(self):
         rng = np.random.default_rng(89)
