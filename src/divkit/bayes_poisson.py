@@ -64,7 +64,7 @@ _TAIL_RTOL = 1e-17
 
 def _check_rates(*rates: float) -> None:
     for rate in rates:
-        if not 0.0 < rate <= MAX_RATE:
+        if not 0.0 < _real(rate, "rate") <= MAX_RATE:
             raise DomainError(f"Poisson rate must lie in (0, {MAX_RATE:g}], got {rate!r}")
 
 

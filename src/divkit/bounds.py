@@ -273,7 +273,7 @@ def fdiv_lower_via_egamma(f: GeneratorFunction, e_val: float, gamma: float) -> f
     f*(1 + E/g) + f*((1 - E)/g) - f*(1/g), valid for every pair with
     E_gamma(P||Q) = e_val.  Tight for f = total variation at gamma = 1.
     """
-    if not 0.0 <= e_val < 1.0:
+    if not 0.0 <= _real(e_val, "e_val") < 1.0:
         raise DomainError("E_gamma value must lie in [0, 1)")
     if not _real(gamma, "gamma") >= 1.0:
         raise DomainError("gamma must be >= 1")
@@ -288,7 +288,7 @@ def fdiv_lower_via_degroot(f: GeneratorFunction, omega: float, i_val: float) -> 
     (m, big) from ``terms.prior_scale``.
     """
     m, big, _ = prior_scale(omega)
-    if not 0.0 <= i_val <= m:
+    if not 0.0 <= _real(i_val, "i_val") <= m:
         raise DomainError(
             f"DeGroot value {i_val!r} outside [0, min(omega, 1-omega)]"
         )
@@ -362,7 +362,7 @@ def hellinger_renyi_lower(kind: str, alpha: float, gamma: float, e_val: float) -
         raise DomainError("order must be positive and finite")
     if not _real(gamma, "gamma") >= 1.0:
         raise DomainError("gamma must be >= 1")
-    if not 0.0 <= e_val < 1.0:
+    if not 0.0 <= _real(e_val, "e_val") < 1.0:
         raise DomainError("E_gamma value must lie in [0, 1)")
     if kind not in ("hellinger", "renyi"):
         raise DomainError(f"unknown kind {kind!r}")
@@ -396,7 +396,7 @@ def tv_kl_frontier(kind: str, value: float) -> float:
     branch).
     """
     if kind in ("pinsker_lb_kl", "bh_lb_kl", "vajda_lb_kl"):
-        tv = value
+        tv = _real(value, "value")
         if not 0.0 <= tv < 2.0:
             raise DomainError("total variation must lie in [0, 2)")
         if kind == "pinsker_lb_kl":
@@ -485,7 +485,7 @@ def chi2_lower_from_tv(kind: str, tv: float) -> float:
     closed form 2 tv^2 / (4 - tv^2), at most a factor 2 (resp. 3/2) below
     the tight curve on tv < 1 (resp. tv >= 1).
     """
-    if not 0.0 <= tv < 2.0:
+    if not 0.0 <= _real(tv, "tv") < 2.0:
         raise DomainError("total variation must lie in [0, 2)")
     if kind == "tight":
         if tv < 1.0:
@@ -526,7 +526,7 @@ def _bisect(h, lo: float, hi: float, rtol: float, iters: int = 200) -> float:
 def crossover_d(gamma: float) -> float:
     """Relative entropy (nats) where the straight-line E_gamma bound stops
     being tighter than the Bretagnolle-Huber-style curve, for gamma > 1."""
-    if gamma <= 1.0:
+    if _real(gamma, "gamma") <= 1.0:
         raise DomainError("crossover defined for gamma > 1")
     c = c_gamma(gamma)
 

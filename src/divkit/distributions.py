@@ -21,7 +21,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Mapping
 from itertools import compress, repeat
-from operator import sub, truediv
+from operator import itemgetter, sub, truediv
 from typing import Any, NamedTuple, Sequence
 from weakref import ref
 
@@ -116,29 +116,37 @@ def make_distribution(weights: Sequence[float]) -> DiscreteDistribution:
 
     Any iterable of real numbers is read in order, and atom order is
     preserved.  Raises ValidationError on negative, non-finite, non-numeric
-    or all-zero weights, and on a non-iterable, a string or bytes, a
-    mapping, or a set or frozenset (which has no atom order).  Weights whose
-    sum overflows are divided by the largest one before normalizing.
+    or all-zero weights (text, which ``float`` would parse, included), and
+    on a non-iterable, a string or bytes, a mapping, or a set or frozenset
+    (which has no atom order).  Weights whose sum overflows are divided by
+    the largest one before normalizing.
 
     One check gates the weights: the smallest is >= 0 and their ``fsum``
     is finite (a NaN or an inf makes it NaN, inf or raise).  Only where it
     fails are the weights walked in order, so the first bad weight names
-    the error, or, when none is bad, the sum overflowed.
+    the error, or, when none is bad, the sum overflowed.  That ``fsum`` is
+    taken over the weights as given, which refuses text and sums each
+    number as ``float`` converts it.
     """
-    if type(weights) not in (list, tuple) and isinstance(
-        weights, (str, bytes, Mapping, set, frozenset)
-    ):
-        raise ValidationError("weights must be a sequence of real numbers")
+    if type(weights) not in (list, tuple):
+        if isinstance(weights, (str, bytes, Mapping, set, frozenset)):
+            raise ValidationError("weights must be a sequence of real numbers")
+        try:
+            weights = list(weights)  # an iterator is read twice below
+        except TypeError:
+            raise ValidationError("weights must be a sequence of real numbers") from None
     try:
         ws = list(map(float, weights))
     except OverflowError:  # an integer past the float range
         raise ValidationError("a weight passes the float range") from None
-    except (TypeError, ValueError):  # not iterable, or an entry not a number
+    except (TypeError, ValueError):  # an entry not a number
         raise ValidationError("weights must be a sequence of real numbers") from None
     if not ws:
         raise ValidationError("empty weight sequence")
     try:
-        total = math.fsum(ws)
+        total = math.fsum(weights)
+    except TypeError:  # text, which float() parsed
+        raise ValidationError("weights must be a sequence of real numbers") from None
     except (OverflowError, ValueError):  # the sum overflows, or inf - inf
         total = math.nan
     if not (min(ws) >= 0.0 and math.isfinite(total)):
@@ -190,7 +198,7 @@ def relative_information(
     ValidationError.
     """
     ps, qs = _masses(p, q)
-    if not isinstance(atom, int) or not 0 <= atom < len(ps):
+    if type(atom) is bool or not isinstance(atom, int) or not 0 <= atom < len(ps):
         raise ValidationError(f"atom {atom!r} is not an index in range({len(ps)})")
     pm, qm = ps[atom], qs[atom]
     if pm == 0.0 and qm == 0.0:
@@ -287,31 +295,37 @@ def _build_spectrum(atoms: tuple) -> SpectrumFunction:
 
     Each charged atom contributes a breakpoint at its log-ratio, ties
     merged by summing P-mass; the singular masses are the two kept ones,
-    and p == q == 0 atoms were dropped with them.
+    and p == q == 0 atoms were dropped with them.  One sort of the
+    (log-ratio, mass) pairs on the log-ratio alone puts each tie group in
+    one run, in atom order.
 
     ``cum_masses[j]`` is ``fsum`` of the P-masses of every atom up to
     breakpoint j, correctly rounded, in O(n log n) time (the sort).  The
-    running prefix is carried exactly: once it holds more than
-    ``_EXPANSION_AT`` addends it is replaced by its exact expansion, a few
-    floats with the same exact sum.  Since ``fsum`` rounds the exact sum of
-    its addends, every prefix sum is bit-identical to ``fsum`` over the
-    whole prefix, while no ``fsum`` call sees more than a few dozen addends
-    beyond the current tie group.
+    running prefix is carried exactly: at the end of a tie group that
+    leaves it with more than ``_EXPANSION_AT`` addends it is replaced by its
+    exact expansion, a few floats with the same exact sum.  Since ``fsum``
+    rounds the exact sum of its addends, every prefix sum is bit-identical
+    to ``fsum`` over the whole prefix, while no ``fsum`` call sees more than
+    a few dozen addends beyond the current tie group.
     """
     pms, xs, q_where_p0, p_where_q0 = atoms
-    groups: dict[float, list[float]] = {}
-    for pm, x in zip(pms, xs):
-        groups.setdefault(x, []).append(pm)
-    breakpoints = tuple(sorted(groups))
+    breakpoints: list[float] = []
     cums: list[float] = []
     seen: list[float] = []
-    for x in breakpoints:
-        seen.extend(groups[x])
+    last = math.nan  # equal to no log-ratio, so the first atom opens a group
+    for x, pm in sorted(zip(xs, pms), key=itemgetter(0)):
+        if x != last:
+            if breakpoints:
+                cums.append(math.fsum(seen))
+                if len(seen) > _EXPANSION_AT:
+                    seen = _exact_expansion(seen, cums[-1])
+            breakpoints.append(x)
+            last = x
+        seen.append(pm)
+    if breakpoints:
         cums.append(math.fsum(seen))
-        if len(seen) > _EXPANSION_AT:
-            seen = _exact_expansion(seen, cums[-1])
     return SpectrumFunction(
-        breakpoints=breakpoints,
+        breakpoints=tuple(breakpoints),
         cum_masses=tuple(cums),
         singular_mass_p=p_where_q0,
         singular_mass_q=q_where_p0,
@@ -343,6 +357,6 @@ def mixture(
 ) -> DiscreteDistribution:
     """Atomwise convex combination lam*P + (1-lam)*Q."""
     ps, qs = _masses(p, q)
-    if not 0.0 <= lam <= 1.0:
+    if not 0.0 <= _real(lam, "lam") <= 1.0:
         raise DomainError(f"mixture weight {lam!r} outside [0, 1]")
     return DiscreteDistribution(tuple(lam * pm + (1.0 - lam) * qm for pm, qm in zip(ps, qs)))

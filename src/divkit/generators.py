@@ -118,7 +118,7 @@ class GeneratorFunction:
 
     def eval(self, t: float) -> float:
         """f(t) for t > 0 (f_at_zero is used for the t = 0 limit)."""
-        if t < 0.0:
+        if _real(t, "t") < 0.0:
             raise DomainError("generator argument must be non-negative")
         if t == 0.0:
             return self.f_at_zero
@@ -458,6 +458,7 @@ def conjugate(f: GeneratorFunction) -> GeneratorFunction:
 def affine_shift(f: GeneratorFunction, c: float) -> GeneratorFunction:
     """f(t) + c (t - 1); defines the same divergence as f, and shares its
     shifted term."""
+    c = _real(c, "c")
     base_eval, base_deriv = f._eval, f._deriv
 
     def ev(t: float) -> float:
@@ -496,8 +497,10 @@ def g_eval(f: GeneratorFunction, x: float) -> float:
     term |d| takes c = 0 where that is 1).  The named representations sum
     g's increments for kinked families too, which needs no derivative; the
     general and inverse-g engines, whose generators may be custom, refuse
-    a kinked one.
+    a kinked one.  NaN x is refused, as ``spectrum_eval`` refuses it.
     """
+    if math.isnan(_real(x, "x")):
+        raise DomainError("x must not be NaN")
     v = _g_edge(f._breg, x)
     if x >= 0.0 or v == 0.0:
         return v

@@ -64,7 +64,7 @@ def _supported_masses(p: DiscreteDistribution, q: DiscreteDistribution):
 
 def _path_masses(p: DiscreteDistribution, q: DiscreteDistribution, lam: float):
     """The pair's masses, refused unless the mixture weight lies in [0, 1]."""
-    if not 0.0 <= lam <= 1.0:
+    if not 0.0 <= _real(lam, "lam") <= 1.0:
         raise DomainError("mixture weight must lie in [0, 1]")
     return _masses(p, q)
 

@@ -16,8 +16,9 @@ adaptive 21-point Gauss-Kronrod quadrature.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from itertools import chain, compress, repeat
+from bisect import bisect_left, bisect_right
+from itertools import chain, compress, islice, repeat
+from math import exp, expm1, isfinite, log, nan
 from operator import gt, lt, neg, sub
 
 from .distributions import (
@@ -73,18 +74,20 @@ def _g_sum(b: Breg, spec: SpectrumFunction, c: float = 0.0) -> float:
     plus, where c is not 0, the c kernel's exact part
     +-c G (e^-x0 - e^-x1), + above 0 and - below.
 
-    The segments are read in one walk over the breakpoints with 0 inserted
-    where no breakpoint sits at 0, F at 0 being the value of the last
+    The segments are read in one walk over the breakpoints below 0 and one
+    from 0 up, 0 a point of both, F at 0 being the value of the last
     breakpoint below it (0 if none).  So the stretch between 0 and the
     nearest breakpoint is a segment when every ratio sits on one side of 1,
     which rounding in the masses can cause, and an empty spectrum sums to 0.
 
-    g is the shifted term ``b`` through ``terms._g_edge``.  Below 0
-    each piece is formed from cdf e^-x = exp(ln cdf - x), at most the Q-mass
-    below the ratio, times the term at (e^x - 1, 1, e^x), so that e^-x never
-    leaves the float range.  The sum telescopes, so a kink in f costs
-    nothing: h(beta) = g(ln beta) + c is continuous and monotone on each
-    side of 1 for every convex f.
+    g is the shifted term ``b`` as ``terms._g_edge`` takes it, called once
+    per breakpoint; ``_g_edge`` itself only past x = 700 and where the term
+    raises or is not finite.  Above 0, e^-x serves the term and the c
+    kernel.  Below 0 each piece is formed from cdf e^-x = exp(ln cdf - x),
+    at most the Q-mass below the ratio, times the term at (e^x - 1, 1, e^x),
+    so that e^-x never leaves the float range.  The sum telescopes, so a
+    kink in f costs nothing: h(beta) = g(ln beta) + c is continuous and
+    monotone on each side of 1 for every convex f.
 
     A singular mass is refused only where the term charges it: Q-mass where
     p = 0 unless ``at_zero`` is 0, P-mass where q = 0 unless ``at_inf`` is 0.
@@ -92,32 +95,49 @@ def _g_sum(b: Breg, spec: SpectrumFunction, c: float = 0.0) -> float:
     ``at_inf``; the c kernel's part then no longer sums to 0, so a caller
     with c != 0 requires mutual continuity.
     """
-    if b.at_zero != 0.0:
-        _require_qp_dominated(spec.singular_mass_q)
-    if b.at_inf != 0.0:
-        _require_pq_dominated(spec.singular_mass_p)
-    xs, cdfs = spec.breakpoints, spec.cum_masses
+    xs, cdfs, p_where_q0, q_where_p0 = spec
+    if q_where_p0 != 0.0 and b.at_zero != 0.0:
+        _require_qp_dominated(q_where_p0)
+    if p_where_q0 != 0.0 and b.at_inf != 0.0:
+        _require_pq_dominated(p_where_q0)
+    term, reads = b.term, b.reads
     k = bisect_left(xs, 0.0)
-    if k == len(xs) or xs[k] != 0.0:
-        xs = xs[:k] + (0.0,) + xs[k:]
-        cdfs = cdfs[:k] + (cdfs[k - 1] if k else 0.0,) + cdfs[k:]
-    edges = [_g_edge(b, x) for x in xs]
-    pieces = []
-    for x0, x1, cdf, v0, v1 in zip(xs, xs[1:], cdfs, edges, edges[1:]):
-        if x0 >= 0.0:
-            tail = 1.0 - cdf
-            if tail == 0.0:
-                continue
-            if v1 != v0:  # not the same inf at both ends, past x = 700
-                pieces.append(tail * (v1 - v0))
+    pieces: list[float] = []
+    # below 0, then 0 itself, where the term reads (0, 1, 1) on either side
+    for j, x in enumerate(chain(islice(xs, k), (0.0,))):
+        try:
+            v = term(*(expm1(x), 1.0, exp(x))[reads])
+        except (OverflowError, ValueError):
+            v = nan
+        if not isfinite(v):
+            v = _g_edge(b, x)
+        if j:  # the segment [x0, x]
+            cdf = cdfs[j - 1]
+            if cdf != 0.0:
+                log_cdf = log(cdf)
+                a0, a1 = exp(log_cdf - x0), exp(log_cdf - x)
+                pieces.append(a0 * v0 - a1 * v)
+                if c != 0.0:
+                    pieces.append(-c * (a0 - a1))
+        x0, v0 = x, v
+    k = bisect_right(xs, 0.0, k)  # past a breakpoint at 0
+    cdf, e0 = cdfs[k - 1] if k else 0.0, 1.0
+    for j in range(k, len(xs)):  # the segment from the point before x up to x
+        x = xs[j]
+        e = exp(-x)
+        try:
+            v = term(*(-expm1(-x), e, 1.0)[reads]) if x <= 700.0 else nan
+        except (OverflowError, ValueError):
+            v = nan
+        if not isfinite(v):
+            v = _g_edge(b, x)
+        tail = 1.0 - cdf
+        if tail != 0.0:
+            if v != v0:  # not the same inf at both ends, past x = 700
+                pieces.append(tail * (v - v0))
             if c != 0.0:
-                pieces.append(c * tail * (math.exp(-x0) - math.exp(-x1)))
-        elif cdf != 0.0:
-            log_cdf = math.log(cdf)
-            a0, a1 = math.exp(log_cdf - x0), math.exp(log_cdf - x1)
-            pieces.append(a0 * v0 - a1 * v1)
-            if c != 0.0:
-                pieces.append(-c * (a0 - a1))
+                pieces.append(c * tail * (e0 - e))
+        e0, v0, cdf = e, v, cdfs[j]
     return math.fsum(pieces)
 
 
@@ -277,9 +297,10 @@ def represent_degroot_weight(
     evaluated at the likelihood-ratio threshold (1-omega)/omega; this is
     the form that reproduces the direct divergence.)  On finite alphabets
     the integrand has compact support; it is split at the prior images of
-    the likelihood-ratio atoms (and at 1/2).  A likelihood ratio past the
-    float range, or a node whose omega^3 underflows (near a log-ratio of
-    250), is refused with DomainError.
+    the likelihood-ratio atoms (and at 1/2), each prior 1/(1 + e^x) taken
+    as e^-x/(1 + e^-x) above x = 0, so that no e^x leaves the float range.
+    A node whose omega^3 underflows (near a log-ratio of 250) is refused
+    with DomainError.
     """
     if f._second is None:
         raise CapabilityError(
@@ -289,17 +310,14 @@ def represent_degroot_weight(
     _require_mutual(spec.singular_mass_q, spec.singular_mass_p)
     if not spec.breakpoints:
         return 0.0
-    try:
-        betas = [math.exp(x) for x in spec.breakpoints]
-    except OverflowError:
-        raise DomainError(
-            f"likelihood ratio e^{spec.breakpoints[-1]!r} passes the float range"
-        ) from None
-    lo = 1.0 / (1.0 + betas[-1])
-    hi = 1.0 / (1.0 + betas[0])
+    priors = [
+        1.0 / (1.0 + exp(x)) if x <= 0.0 else exp(-x) / (1.0 + exp(-x))
+        for x in spec.breakpoints
+    ]
+    lo, hi = priors[-1], priors[0]
     if lo >= hi:
         return 0.0
-    cuts = sorted({lo, hi, 0.5, *(1.0 / (1.0 + b) for b in betas)})
+    cuts = sorted({lo, hi, 0.5, *priors})
     cuts = [c for c in cuts if lo <= c <= hi]
 
     def integrand(omega: float) -> float:

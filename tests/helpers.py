@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import mpmath
 import numpy as np
@@ -18,9 +19,10 @@ from divkit import (
     generator,
     make_distribution,
 )
+from divkit.distributions import _EXPANSION_AT, SpectrumFunction, _exact_expansion
 from divkit.divergences import DivergenceValue
 from divkit.spectrum_repr import _require_pq_dominated, _require_qp_dominated
-from divkit.terms import _edge_term, _g_edge
+from divkit.terms import _BREGS, _alpha_breg, _edge_term, _g_edge
 
 mp = mpmath.mp
 INF = mpmath.inf
@@ -183,6 +185,79 @@ def reference_g_sum(b, spec, c: float = 0.0) -> float:
             if c != 0.0:
                 pieces.append(-c * (a0 - a1))
     return math.fsum(pieces)
+
+
+def grouped_build_spectrum(atoms: tuple) -> SpectrumFunction:
+    """Reference for ``distributions._build_spectrum``: its earlier form,
+    which grouped the P-masses by log-ratio in a dict and summed the groups
+    in sorted order, with the same exact-expansion prefix.  The keyed-sort
+    build must give the same spectrum bit for bit."""
+    pms, xs, q_where_p0, p_where_q0 = atoms
+    groups: dict[float, list[float]] = {}
+    for pm, x in zip(pms, xs):
+        groups.setdefault(x, []).append(pm)
+    breakpoints = tuple(sorted(groups))
+    cums: list[float] = []
+    seen: list[float] = []
+    for x in breakpoints:
+        seen.extend(groups[x])
+        cums.append(math.fsum(seen))
+        if len(seen) > _EXPANSION_AT:
+            seen = _exact_expansion(seen, cums[-1])
+    return SpectrumFunction(breakpoints, tuple(cums), p_where_q0, q_where_p0)
+
+
+def edge_list_g_sum(b, spec, c: float = 0.0) -> float:
+    """Reference for ``spectrum_repr._g_sum``: its earlier form, which
+    inserted 0 into copies of the breakpoints and CDF values, took every
+    edge through ``terms._g_edge`` into a list, then walked the segments.
+    The one-pass sum must give the same float, or refusal, bit for bit."""
+    if b.at_zero != 0.0:
+        _require_qp_dominated(spec.singular_mass_q)
+    if b.at_inf != 0.0:
+        _require_pq_dominated(spec.singular_mass_p)
+    xs, cdfs = spec.breakpoints, spec.cum_masses
+    k = bisect_left(xs, 0.0)
+    if k == len(xs) or xs[k] != 0.0:
+        xs = xs[:k] + (0.0,) + xs[k:]
+        cdfs = cdfs[:k] + (cdfs[k - 1] if k else 0.0,) + cdfs[k:]
+    edges = [_g_edge(b, x) for x in xs]
+    pieces = []
+    for x0, x1, cdf, v0, v1 in zip(xs, xs[1:], cdfs, edges, edges[1:]):
+        if x0 >= 0.0:
+            tail = 1.0 - cdf
+            if tail == 0.0:
+                continue
+            if v1 != v0:
+                pieces.append(tail * (v1 - v0))
+            if c != 0.0:
+                pieces.append(c * tail * (math.exp(-x0) - math.exp(-x1)))
+        elif cdf != 0.0:
+            log_cdf = math.log(cdf)
+            a0, a1 = math.exp(log_cdf - x0), math.exp(log_cdf - x1)
+            pieces.append(a0 * v0 - a1 * v1)
+            if c != 0.0:
+                pieces.append(-c * (a0 - a1))
+    return math.fsum(pieces)
+
+
+def catalog_terms():
+    """Every catalog family's shifted term, at orders on both sides of the
+    special values, the alpha kind's term and a custom generator's."""
+    params = {
+        "hellinger": (0.2, 0.5, 1.0, 2.0, 3.0),
+        "chi_s": (1.0, 1.5, 2.5),
+        "lin": (0.3,),
+        "e_gamma": (1.0, 1.7, 4.0),
+        "degroot": (0.3, 0.5, 0.8),
+    }
+    terms = []
+    for family, make in _BREGS.items():
+        if family in params:
+            terms += [make(a) for a in params[family]]
+        else:
+            terms.append(make())
+    return terms + [_alpha_breg(0.3), catalog_generators()[-1]._breg]
 
 
 # masses a sweep draws besides uniform ones: zero (a singular atom where

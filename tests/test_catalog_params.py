@@ -23,21 +23,33 @@ from divkit import (
     DomainError,
     PoissonModel,
     UnknownKindError,
+    ValidationError,
+    affine_shift,
     c_gamma,
+    chi2_lower_from_tv,
+    chi2_mixture_scaling,
     chis_mixture_scaling,
+    crossover_d,
+    degroot_from_egamma,
     degroot_upper,
     divergence,
     egamma_upper,
     f_divergence,
+    fdiv_lower_via_degroot,
     fdiv_lower_via_egamma,
     g_big,
+    g_eval,
     generator,
     hellinger_renyi_lower,
     kl_upper_log_chi2,
     lambert_w,
     make_distribution,
     make_report,
+    mixture,
+    poisson_degroot_exact,
+    poisson_k0,
     poisson_pmf,
+    relative_information,
     renyi,
     renyi_local_estimate,
     represent_general,
@@ -269,6 +281,54 @@ class TestNonNumberParameter:
         # an int in range stays as given, so params print unchanged
         assert divergence("chi_s", p, q, s=10**300).params == {"s": 10**300}
         assert generator("hellinger", alpha=3).params == (("alpha", 3),)
+
+    def test_public_scalars_refuse_text(self):
+        # each raised a raw TypeError from its first comparison or sum
+        p, q = make_distribution([0.7, 0.3]), make_distribution([0.4, 0.6])
+        f = generator("kl")
+        calls = [
+            lambda: mixture(p, q, "0.5"),
+            lambda: chi2_mixture_scaling(p, q, "0.5"),
+            lambda: chi2_lower_from_tv("tight", "0.5"),
+            lambda: tv_kl_frontier("pinsker_lb_kl", "0.5"),
+            lambda: fdiv_lower_via_egamma(f, "0.3", 2.0),
+            lambda: fdiv_lower_via_degroot(f, "0.3", 0.1),
+            lambda: fdiv_lower_via_degroot(f, 0.3, "0.1"),
+            lambda: degroot_upper("chi2", "0.3", chi_pq=0.1),
+            lambda: hellinger_renyi_lower("renyi", 2.0, 1.5, "0.3"),
+            lambda: crossover_d("2"),
+            lambda: poisson_k0(1.0, 2.0, "0.3"),
+            lambda: poisson_degroot_exact("1", 2.0, 0.3),
+            lambda: degroot_from_egamma("0.3", p, q),
+            lambda: g_eval(f, "1"),
+            lambda: f.eval("1"),
+            lambda: affine_shift(f, "1")(2.0),
+        ]
+        for call in calls:
+            for _ in range(2):  # the caches keep no refusal
+                with pytest.raises(DomainError, match="must be a real number"):
+                    call()
+
+    def test_g_eval_refuses_a_big_int_and_nan(self):
+        # 10**400 raised a raw OverflowError, and NaN read inf
+        f = generator("kl")
+        with pytest.raises(DomainError, match="passes the float range"):
+            g_eval(f, 10**400)
+        with pytest.raises(DomainError, match="NaN"):
+            g_eval(f, math.nan)
+        assert g_eval(f, 2) == g_eval(f, 2.0)
+
+    def test_bool_scalars_refused(self):
+        # True passed as 1: the mixture read P, the Poisson mass at rate 1
+        # 0.3679 and the relative information atom 1
+        p, q = make_distribution([0.7, 0.3]), make_distribution([0.4, 0.6])
+        with pytest.raises(DomainError, match="must be a real number"):
+            mixture(p, q, True)
+        with pytest.raises(DomainError, match="must be a real number"):
+            PoissonModel(True)
+        with pytest.raises(ValidationError, match="not an index"):
+            relative_information(p, q, True)
+        assert relative_information(p, q, 1) == math.log(0.3) - math.log(0.6)
 
     @pytest.mark.parametrize("k", [2.5, 20.5, "3", None, math.nan, math.inf, True, -1])
     def test_poisson_count_is_a_non_negative_int(self, k):

@@ -217,7 +217,8 @@ class TestRepresent:
         assert "kink" in err.lower()
 
     def test_degroot_weight_refuses_a_ratio_past_the_float_range(self, capsys, tmp_path):
-        # e^x of the breakpoint ~713 raised a raw OverflowError, exit 1
+        # e^x of the breakpoint ~713 raised a raw OverflowError, exit 1; the
+        # prior cut is now taken from e^-x, and a node's omega^3 underflows
         p, q = tmp_path / "p.json", tmp_path / "q.json"
         p.write_text("[0.5, 0.5]")
         q.write_text("[1e-310, 1]")
@@ -226,7 +227,19 @@ class TestRepresent:
             "--engine", "degroot-weight",
         )
         assert code == 2
-        assert "passes the float range" in err
+        assert "cube underflows" in err
+
+    def test_degroot_weight_answers_triangular_past_the_float_range(self, capsys, tmp_path):
+        # the prior cut 1/(1 + e^x) of the breakpoint ~713 refused it, exit 2
+        p, q = tmp_path / "p.json", tmp_path / "q.json"
+        p.write_text("[0.5, 0.5]")
+        q.write_text("[1e-310, 1]")
+        code, out, _ = run_cli(
+            capsys, "represent", "--kind", "triangular", "--p", str(p), "--q", str(q),
+            "--engine", "degroot-weight",
+        )
+        assert code == 0
+        assert json.loads(out)["abs_diff"] <= 1e-6
 
     def test_named_renyi_keeps_a_jump_below_an_ulp(self, capsys, tmp_path):
         # the named value read 0.405 against the direct 23.01

@@ -72,6 +72,18 @@ class TestMakeDistribution:
         with pytest.raises(ValidationError):
             make_distribution(bad)
 
+    @pytest.mark.parametrize(
+        "bad", [["0.5", "0.5"], [b"1", 1], [1, "inf"], (w for w in ("1", "2"))]
+    )
+    def test_text_weights_refused(self, bad):
+        # float() parsed them: ["0.5", "0.5"] and [b"1", 1] read (0.5, 0.5)
+        with pytest.raises(ValidationError, match="sequence of real numbers"):
+            make_distribution(bad)
+
+    def test_iterators_still_read(self):
+        assert make_distribution(w for w in (2, 3, 5)).masses == (0.2, 0.3, 0.5)
+        assert make_distribution(iter([0.7, 0.3])).masses == (0.7, 0.3)
+
     def test_atom_order_preserved(self):
         d = make_distribution([5, 2, 3])
         assert d.masses == (0.5, 0.2, 0.3)

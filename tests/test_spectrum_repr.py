@@ -26,9 +26,13 @@ from divkit import (
     spectrum_identity,
 )
 from divkit import quadrature
+from divkit.distributions import _atoms, _build_spectrum, _pair_slot
 from divkit.spectrum_repr import _g_sum
 from helpers import (
     catalog_generators,
+    catalog_terms,
+    edge_list_g_sum,
+    grouped_build_spectrum,
     log_segments,
     named_kernel,
     outcome,
@@ -173,6 +177,85 @@ class TestGSumReference:
         }
         specs = [s for family in _G_SUM_FAMILIES for s in _g_sum_sweep(family)]
         assert {name for name, hit in cases.items() if any(map(hit, specs))} == set(cases)
+
+
+def _bits_weights(rng, mode):
+    """One weight list of the bit-pinning sweep, on n in [1, 120] atoms."""
+    n = int(rng.integers(1, 121))
+    if mode == "special":
+        return special_weights(rng, n - 1)
+    if mode == "ties":
+        return rng.integers(1, 4, size=n).astype(float).tolist()
+    if mode == "far":
+        pool = (1.0, 0.5, 1e-310, 1e-300, 5e-324, 1e-30)
+        return [pool[int(rng.integers(6))] for _ in range(n - 1)] + [1.0]
+    return rng.uniform(0.01, 1.0, size=n).tolist()
+
+
+def _bits_specs(mode, count=60):
+    """(atoms, spectrum) of ``count`` seeded pairs of one mode, both orders."""
+    rng = np.random.default_rng([28, _BITS_MODES.index(mode)])
+    out = []
+    for _ in range(count):
+        wp = _bits_weights(rng, mode)
+        wq = _bits_weights(rng, mode)[: len(wp)]
+        wq += [1.0] * (len(wp) - len(wq))
+        p, q = make_distribution(wp), make_distribution(wq)
+        for pair in (_pair_slot(p, q), _pair_slot(q, p)):
+            atoms = _atoms(pair)
+            out.append((atoms, _build_spectrum(atoms)))
+    return out
+
+
+_BITS_MODES = ("uniform", "special", "ties", "far")
+
+
+def _spec_hex(spec):
+    return [[x.hex() for x in spec.breakpoints], [v.hex() for v in spec.cum_masses],
+            spec.singular_mass_p.hex(), spec.singular_mass_q.hex()]
+
+
+class TestKeyedSortOnePassBits:
+    # the keyed-sort spectrum build and the one-pass _g_sum against their
+    # earlier forms (helpers.grouped_build_spectrum, edge_list_g_sum): the
+    # same floats bit for bit, refusals included, on seeded pairs with
+    # special masses, tie-heavy weights and log-ratios past +-700
+
+    @pytest.mark.parametrize("mode", _BITS_MODES)
+    def test_spectrum_bit_equal(self, mode):
+        for atoms, spec in _bits_specs(mode):
+            assert _spec_hex(spec) == _spec_hex(grouped_build_spectrum(atoms))
+
+    @pytest.mark.parametrize("mode", _BITS_MODES)
+    def test_g_sum_bit_equal(self, mode):
+        terms = catalog_terms()
+        for _, spec in _bits_specs(mode, count=30):
+            for b in terms:
+                for c in (0.0, 1.0):
+                    assert outcome(_g_sum, b, spec, c) == outcome(
+                        edge_list_g_sum, b, spec, c
+                    ), (mode, spec, b, c)
+
+    def test_sweep_reaches_every_case(self):
+        specs = {mode: _bits_specs(mode, count=30) for mode in _BITS_MODES}
+        every = [s for found in specs.values() for s in found]
+        # ties merged, a breakpoint past +700 and one below -700, a singular mass
+        assert any(len(s.breakpoints) < len(atoms[1]) for atoms, s in specs["ties"])
+        assert any(s.breakpoints and s.breakpoints[-1] > 700.0 for _, s in every)
+        assert any(s.breakpoints and s.breakpoints[0] < -700.0 for _, s in every)
+        assert any(s.singular_mass_p and s.singular_mass_q for _, s in every)
+        assert any(len(s.breakpoints) > 100 for _, s in every)
+
+    def test_all_tied_pair(self):
+        # P = Q on 2000 atoms: one tie group at 0, whose fsum is 1
+        p = make_distribution(np.random.default_rng(28).uniform(0.01, 1.0, 2000).tolist())
+        atoms = _atoms(_pair_slot(p, p))
+        spec = _build_spectrum(atoms)
+        assert spec.breakpoints == (0.0,) and spec.cum_masses == (1.0,)
+        assert _spec_hex(spec) == _spec_hex(grouped_build_spectrum(atoms))
+        for b in catalog_terms():
+            for c in (0.0, 1.0):
+                assert outcome(_g_sum, b, spec, c) == outcome(edge_list_g_sum, b, spec, c)
 
 
 class TestRepresentGeneral:
@@ -684,12 +767,21 @@ class TestDegrootWeightRepresentation:
     @pytest.mark.parametrize("family", ["kl", "chi_squared"])
     def test_extreme_log_ratio_refused(self, family, tiny):
         # e^x of the breakpoint ~713 raised OverflowError, and a node's
-        # omega^3 underflowing from a log-ratio of ~250 up ZeroDivisionError
+        # omega^3 underflowing from a log-ratio of ~250 up ZeroDivisionError;
+        # the prior cuts come from e^-x above 0, so both end at the cube
         p = make_distribution([0.5, 0.5])
-        cause = "passes the float range" if tiny < 1e-300 else "cube underflows"
         for q in (make_distribution([tiny, 1.0]), make_distribution([1.0, tiny])):
-            with pytest.raises(DomainError, match=cause):
+            with pytest.raises(DomainError, match="cube underflows"):
                 represent_degroot_weight(generator(family), p, q)
+
+    def test_triangular_past_the_float_range(self):
+        # the prior cut 1/(1 + e^x) of the breakpoint ~713 overflowed, and
+        # the engine refused the pair in both orders
+        gen = generator("triangular")
+        p, q = make_distribution([0.5, 0.5]), make_distribution([1e-310, 1.0])
+        for a, b in ((p, q), (q, p)):
+            direct = float(f_divergence(gen, a, b))
+            assert represent_degroot_weight(gen, a, b) == pytest.approx(direct, rel=1e-12)
 
     def test_large_log_ratios_still_answer(self):
         p = make_distribution([0.5, 0.5])
