@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from . import bounds
-from .bounds import BoundReport, make_report
+from .bounds import _DEGROOT_INPUTS, CATALOG, BoundReport, make_report
 from .errors import DomainError, _real, refuse_change
 from .terms import _kl_term, prior_scale
 
@@ -249,18 +248,15 @@ def poisson_degroot_exact(mu: float, lam: float, omega: float) -> float:
 
 
 def poisson_bound_report(mu: float, lam: float, omega: float) -> list[BoundReport]:
-    """The three closed-form DeGroot upper bounds instantiated with the
-    Poisson divergences, certified against the exact DeGroot value, which
-    it reads from the kept slot when the triple was just summed."""
+    """The DeGroot upper bounds of ``bounds.CATALOG`` on the Poisson
+    divergences, certified against the exact DeGroot value, which it reads
+    from the kept slot when the triple was just summed."""
     kl_pq, chi_pq = poisson_divergences(mu, lam)
     kl_qp, chi_qp = poisson_divergences(lam, mu)
     exact = poisson_degroot_exact(mu, lam, omega)
-    kwargs = dict(d_pq=kl_pq, d_qp=kl_qp, chi_pq=chi_pq, chi_qp=chi_qp)
+    inputs = (omega, kl_pq, kl_qp, chi_pq, chi_qp)
     return [
-        make_report(name, bounds.degroot_upper(kind, omega, **kwargs), exact, "upper")
-        for name, kind in (
-            ("degroot_ub_from_chi2", "chi2"),
-            ("degroot_ub_kl_line", "kl_line"),
-            ("degroot_ub_kl_bh", "kl_bh"),
-        )
+        make_report(name, bound(*inputs), exact, direction)
+        for name, (direction, keys, bound) in CATALOG.items()
+        if keys == _DEGROOT_INPUTS
     ]

@@ -11,8 +11,8 @@ quantities are in nats throughout.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from functools import lru_cache, partial
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .errors import DomainError, RootError, ValidationError, _real
 from .terms import _edge_term, _exp_times, prior_scale
@@ -36,6 +36,7 @@ __all__ = [
     "crossover_d",
     "pinsker_bh_switch",
     "make_report",
+    "CATALOG",
 ]
 
 _BRANCH_POINT = -math.exp(-1.0)
@@ -546,3 +547,29 @@ def pinsker_bh_switch() -> float:
     2(1 - e^(-D)) = D, which is 2 + W0(-2 e^-2) (principal Lambert branch;
     the secondary one gives the root D = 0)."""
     return 2.0 + lambert_w("principal", -2.0 * math.exp(-2.0))
+
+
+# the inequality catalog: bound name -> (direction, the names of its inputs
+# in call order, the function of them), read by the CLI's ``bounds`` and by
+# ``bayes_poisson.poisson_bound_report``.  The DeGroot bounds take
+# ``degroot_upper``'s inputs: the side a bound reads depends on omega
+_DEGROOT_INPUTS = ("omega", "d_pq", "d_qp", "chi_pq", "chi_qp")
+CATALOG: dict[str, tuple[str, tuple[str, ...], Callable[..., float]]] = {
+    "pinsker_lb_kl": ("lower", ("tv",), partial(tv_kl_frontier, "pinsker_lb_kl")),
+    "bh_lb_kl": ("lower", ("tv",), partial(tv_kl_frontier, "bh_lb_kl")),
+    "vajda_lb_kl": ("lower", ("tv",), partial(tv_kl_frontier, "vajda_lb_kl")),
+    "bh_ub_tv": ("upper", ("kl",), partial(tv_kl_frontier, "bh_ub_tv")),
+    "vajda_ub_tv": ("upper", ("kl",), partial(tv_kl_frontier, "vajda_ub_tv")),
+    "egamma_ub_chi2": ("upper", ("gamma", "chi2"), partial(egamma_upper, "chi2")),
+    "egamma_ub_kl": ("upper", ("gamma", "kl"), partial(egamma_upper, "kl")),
+    "straight_line_egamma_ub": ("upper", ("gamma", "kl"), straight_line_egamma_ub),
+    "chi2_lb_tv_tight": ("lower", ("tv",), partial(chi2_lower_from_tv, "tight")),
+    "chi2_lb_tv_jensen": ("lower", ("tv",), partial(chi2_lower_from_tv, "jensen")),
+    "kl_ub_log_chi2": ("upper", ("chi2",), kl_upper_log_chi2),
+    "degroot_ub_from_chi2": ("upper", _DEGROOT_INPUTS, partial(degroot_upper, "chi2")),
+    "degroot_ub_kl_line": ("upper", _DEGROOT_INPUTS, partial(degroot_upper, "kl_line")),
+    "degroot_ub_kl_bh": ("upper", _DEGROOT_INPUTS, partial(degroot_upper, "kl_bh")),
+    "c_gamma": ("upper", ("gamma",), c_gamma),
+    "crossover_d": ("upper", ("gamma",), crossover_d),
+    "pinsker_bh_switch": ("upper", (), pinsker_bh_switch),
+}

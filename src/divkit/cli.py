@@ -26,25 +26,6 @@ if TYPE_CHECKING:
 # call loads only those: poisson never loads the spectrum engines, spectrum
 # never loads the generator catalog.
 
-# bound name -> (direction, --args keys in call order, name of its function
-# in divkit.bounds, the arguments that function takes before the keys')
-_BOUNDS: dict[str, tuple[str, tuple[str, ...], str, tuple[str, ...]]] = {
-    "pinsker_lb_kl": ("lower", ("tv",), "tv_kl_frontier", ("pinsker_lb_kl",)),
-    "bh_lb_kl": ("lower", ("tv",), "tv_kl_frontier", ("bh_lb_kl",)),
-    "vajda_lb_kl": ("lower", ("tv",), "tv_kl_frontier", ("vajda_lb_kl",)),
-    "bh_ub_tv": ("upper", ("kl",), "tv_kl_frontier", ("bh_ub_tv",)),
-    "vajda_ub_tv": ("upper", ("kl",), "tv_kl_frontier", ("vajda_ub_tv",)),
-    "egamma_ub_chi2": ("upper", ("gamma", "chi2"), "egamma_upper", ("chi2",)),
-    "egamma_ub_kl": ("upper", ("gamma", "kl"), "egamma_upper", ("kl",)),
-    "straight_line_egamma_ub": ("upper", ("gamma", "kl"), "straight_line_egamma_ub", ()),
-    "chi2_lb_tv_tight": ("lower", ("tv",), "chi2_lower_from_tv", ("tight",)),
-    "chi2_lb_tv_jensen": ("lower", ("tv",), "chi2_lower_from_tv", ("jensen",)),
-    "kl_ub_log_chi2": ("upper", ("chi2",), "kl_upper_log_chi2", ()),
-    "c_gamma": ("upper", ("gamma",), "c_gamma", ()),
-    "crossover_d": ("upper", ("gamma",), "crossover_d", ()),
-    "pinsker_bh_switch": ("upper", (), "pinsker_bh_switch", ()),
-}
-
 
 def _fmt_float(x: float) -> str:
     if math.isnan(x):
@@ -208,7 +189,8 @@ def _cmd_spectrum(args: argparse.Namespace, fmt: str) -> int:
 
 
 def _parse_args_kv(raw: str, keys: tuple[str, ...]) -> dict[str, float]:
-    """The --args k=v items: exactly ``keys``, plus an optional certified."""
+    """The --args k=v items: exactly ``keys``, plus an optional certified,
+    each once."""
     out: dict[str, float] = {}
     for item in raw.split(",") if raw else ():
         key, _, val = item.partition("=")
@@ -219,6 +201,8 @@ def _parse_args_kv(raw: str, keys: tuple[str, ...]) -> dict[str, float]:
             raise ValidationError(
                 f"unexpected --args key {key!r}; expected {', '.join(keys) or 'none'}"
             )
+        if key in out:
+            raise ValidationError(f"repeated --args key {key!r}")
         out[key] = parse_number(val, f"--args {key}")
     missing = [k for k in keys if k not in out]
     if missing:
@@ -227,19 +211,19 @@ def _parse_args_kv(raw: str, keys: tuple[str, ...]) -> dict[str, float]:
 
 
 def _cmd_bounds(args: argparse.Namespace, fmt: str) -> int:
+    from .bounds import CATALOG, make_report
+
     if args.list:
-        _emit({"bounds": sorted(_BOUNDS)}, fmt)
+        _emit({"bounds": sorted(CATALOG)}, fmt)
         return 0
     if not args.name:
         raise ValidationError("bounds needs --name or --list")
-    if args.name not in _BOUNDS:
+    if args.name not in CATALOG:
         raise UnknownKindError(f"unknown bound {args.name!r}")
-    from . import bounds
-
-    direction, keys, func, lead = _BOUNDS[args.name]
+    direction, keys, bound = CATALOG[args.name]
     kv = _parse_args_kv(args.args or "", keys)
-    value = getattr(bounds, func)(*lead, *(kv[k] for k in keys))
-    report = bounds.make_report(args.name, value, kv.get("certified"), direction)
+    value = bound(*(kv[k] for k in keys))
+    report = make_report(args.name, value, kv.get("certified"), direction)
     _emit(report._asdict(), fmt)
     return 0
 
@@ -268,12 +252,7 @@ def _cmd_figure1(args: argparse.Namespace, fmt: str) -> int:
 
 
 def _cmd_poisson(args: argparse.Namespace, fmt: str) -> int:
-    from .bayes_poisson import (
-        _threshold,
-        poisson_bound_report,
-        poisson_divergences,
-        poisson_k0,
-    )
+    from .bayes_poisson import _threshold, poisson_bound_report, poisson_divergences
 
     mu, lam, omega = args.mu, args.lam, args.omega
     kl, chi2 = poisson_divergences(mu, lam)
@@ -285,14 +264,9 @@ def _cmd_poisson(args: argparse.Namespace, fmt: str) -> int:
         # echo that rounding next to the full-precision value
         d["bound_value_2sig"] = f"{r.bound_value:.1e}"
         bound_dicts.append(d)
-    if mu > lam:
-        k0 = poisson_k0(lam, mu, omega)
-    elif mu < lam:
-        # the roles swap and the prior becomes 1 - omega, taken exactly:
-        # in floats 1 - omega rounds to 1 for omega below ~1e-16
-        k0 = _threshold(mu, lam, omega, flip=True)[0]
-    else:
-        k0 = None  # equal laws: no threshold, and the information is 0
+    # for mu < lam the roles swap and the prior becomes 1 - omega, taken
+    # exactly: in floats 1 - omega rounds to 1 for omega below ~1e-16
+    k0 = None if mu == lam else _threshold(min(mu, lam), max(mu, lam), omega, mu < lam)[0]
     payload = {
         "mu": mu,
         "lambda": lam,

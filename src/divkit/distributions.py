@@ -117,9 +117,10 @@ def make_distribution(weights: Sequence[float]) -> DiscreteDistribution:
     Any iterable of real numbers is read in order, and atom order is
     preserved.  Raises ValidationError on negative, non-finite, non-numeric
     or all-zero weights (text, which ``float`` would parse, included), and
-    on a non-iterable, a string or bytes, a mapping, or a set or frozenset
-    (which has no atom order).  Weights whose sum overflows are divided by
-    the largest one before normalizing.
+    on a non-iterable, a string, bytes, a bytearray or memoryview (whose
+    items are byte values), a mapping, or a set or frozenset (which has no
+    atom order).  Weights whose sum overflows are divided by the largest
+    one before normalizing.
 
     One check gates the weights: the smallest is >= 0 and their ``fsum``
     is finite (a NaN or an inf makes it NaN, inf or raise).  Only where it
@@ -129,7 +130,7 @@ def make_distribution(weights: Sequence[float]) -> DiscreteDistribution:
     number as ``float`` converts it.
     """
     if type(weights) not in (list, tuple):
-        if isinstance(weights, (str, bytes, Mapping, set, frozenset)):
+        if isinstance(weights, (str, bytes, bytearray, memoryview, Mapping, set, frozenset)):
             raise ValidationError("weights must be a sequence of real numbers")
         try:
             weights = list(weights)  # an iterator is read twice below

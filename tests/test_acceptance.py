@@ -42,8 +42,10 @@ from divkit import (
     spectrum_from_degroot,
     spectrum_from_egamma,
     spectrum_identity,
+    straight_line_egamma_ub,
     tv_kl_frontier,
 )
+from divkit.bounds import CATALOG
 from helpers import random_pair, random_triple
 
 
@@ -241,6 +243,7 @@ def test_criterion_07_inequality_certification():
     gammas_t5 = (1.0, 1.2, 2.0, 5.0)
     gens = [(kind, generator(fam, **pr), pr) for kind, fam, pr in BOUND_CATALOG]
     worst_slack = math.inf  # over max(1, |certified value|)
+    covered = set()  # the names of CATALOG that the sweep certifies
 
     def check(slack, certified, *label):
         nonlocal worst_slack
@@ -271,13 +274,16 @@ def test_criterion_07_inequality_certification():
                 check(h_val - hellinger_renyi_lower("hellinger", alpha, g, e_vals[g]), h_val)
                 check(r_val - hellinger_renyi_lower("renyi", alpha, g, e_vals[g]), r_val)
 
-        # E_gamma upper bounds from chi^2 and from KL
+        # E_gamma upper bounds from chi^2 and from KL, and the straight line
         for g in (1.0, 1.5):
             for bound in (
                 egamma_upper("chi2", g, chi_pq),
                 egamma_upper("kl", g, kl_pq),
             ):
                 check(bound - e_vals[g], e_vals[g])
+        for g in (1.2, 2.0, 5.0):
+            check(straight_line_egamma_ub(g, kl_pq) - e_vals[g], e_vals[g], g)
+        covered |= {"egamma_ub_chi2", "egamma_ub_kl", "straight_line_egamma_ub"}
 
         # DeGroot-based lower bounds on KL
         f_kl = gens[0][1]
@@ -294,6 +300,7 @@ def test_criterion_07_inequality_certification():
             i_val = float(divergence("degroot", p, q, omega=omega))
             for kind in ("chi2", "kl_line", "kl_bh"):
                 check(degroot_upper(kind, omega, **kwargs) - i_val, i_val, kind, omega)
+        covered |= {"degroot_ub_from_chi2", "degroot_ub_kl_line", "degroot_ub_kl_bh"}
 
         # classical frontier, log bound, chi^2-from-TV floors
         for name in ("pinsker_lb_kl", "bh_lb_kl", "vajda_lb_kl"):
@@ -303,8 +310,22 @@ def test_criterion_07_inequality_certification():
         check(kl_upper_log_chi2(chi_pq) - kl_pq, kl_pq)
         for kind in ("tight", "jensen"):
             check(chi_pq - chi2_lower_from_tv(kind, tv), chi_pq, kind)
+        covered |= {"pinsker_lb_kl", "bh_lb_kl", "vajda_lb_kl", "bh_ub_tv", "vajda_ub_tv"}
+        covered |= {"kl_ub_log_chi2", "chi2_lb_tv_tight", "chi2_lb_tv_jensen"}
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
+    # every catalog entry is certified here, or bounds no pair: c_gamma,
+    # crossover_d and pinsker_bh_switch are checked by criterion 8 and
+    # test_bounds.TestCGamma; the names are pinned, so that an entry cannot
+    # leave the catalog without a change here
+    no_pair = {"c_gamma", "crossover_d", "pinsker_bh_switch"}
+    assert covered | no_pair == set(CATALOG) == {
+        "pinsker_lb_kl", "bh_lb_kl", "vajda_lb_kl", "bh_ub_tv", "vajda_ub_tv",
+        "egamma_ub_chi2", "egamma_ub_kl", "straight_line_egamma_ub",
+        "chi2_lb_tv_tight", "chi2_lb_tv_jensen", "kl_ub_log_chi2",
+        "degroot_ub_from_chi2", "degroot_ub_kl_line", "degroot_ub_kl_bh",
+        "c_gamma", "crossover_d", "pinsker_bh_switch",
+    }
     _report(
         7,
         f"10^4 pairs, full catalog: worst slack {worst_slack:.2e} max(1, |value|) "

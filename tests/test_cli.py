@@ -7,6 +7,19 @@ import sys
 import pytest
 
 import divkit
+from divkit.bayes_poisson import poisson_k0
+from divkit.bounds import (
+    CATALOG,
+    c_gamma,
+    chi2_lower_from_tv,
+    crossover_d,
+    degroot_upper,
+    egamma_upper,
+    kl_upper_log_chi2,
+    pinsker_bh_switch,
+    straight_line_egamma_ub,
+    tv_kl_frontier,
+)
 from divkit.cli import main
 from divkit.generators import KINDS
 
@@ -265,12 +278,87 @@ class TestSpectrum:
         assert payload["breakpoints"][1] == pytest.approx(math.log(1.4), abs=1e-11)
 
 
+# DeGroot inputs whose four divergences differ, so that a bound reading the
+# wrong one, or the wrong side for its omega, reads another value
+_DEGROOT = dict(d_pq=0.02, d_qp=0.03, chi_pq=0.04, chi_qp=0.05)
+_DEGROOT_ARGS = ",".join(f"{k}={v}" for k, v in _DEGROOT.items())
+
+# catalog name -> (--args, direction, the public call it stands for)
+_WIRING = {
+    "pinsker_lb_kl": ("tv=0.4", "lower", lambda: tv_kl_frontier("pinsker_lb_kl", 0.4)),
+    "bh_lb_kl": ("tv=0.4", "lower", lambda: tv_kl_frontier("bh_lb_kl", 0.4)),
+    "vajda_lb_kl": ("tv=1.3", "lower", lambda: tv_kl_frontier("vajda_lb_kl", 1.3)),
+    "bh_ub_tv": ("kl=0.3", "upper", lambda: tv_kl_frontier("bh_ub_tv", 0.3)),
+    "vajda_ub_tv": ("kl=0.3", "upper", lambda: tv_kl_frontier("vajda_ub_tv", 0.3)),
+    "egamma_ub_chi2": ("gamma=2,chi2=0.5", "upper", lambda: egamma_upper("chi2", 2.0, 0.5)),
+    "egamma_ub_kl": ("gamma=2,kl=0.5", "upper", lambda: egamma_upper("kl", 2.0, 0.5)),
+    "straight_line_egamma_ub": (
+        "gamma=2,kl=0.5", "upper", lambda: straight_line_egamma_ub(2.0, 0.5)
+    ),
+    "chi2_lb_tv_tight": ("tv=1.2", "lower", lambda: chi2_lower_from_tv("tight", 1.2)),
+    "chi2_lb_tv_jensen": ("tv=1.2", "lower", lambda: chi2_lower_from_tv("jensen", 1.2)),
+    "kl_ub_log_chi2": ("chi2=0.9", "upper", lambda: kl_upper_log_chi2(0.9)),
+    "degroot_ub_from_chi2": (
+        f"omega=0.7,{_DEGROOT_ARGS}", "upper", lambda: degroot_upper("chi2", 0.7, **_DEGROOT)
+    ),
+    "degroot_ub_kl_line": (
+        f"omega=0.3,{_DEGROOT_ARGS}", "upper", lambda: degroot_upper("kl_line", 0.3, **_DEGROOT)
+    ),
+    "degroot_ub_kl_bh": (
+        f"omega=0.7,{_DEGROOT_ARGS}", "upper", lambda: degroot_upper("kl_bh", 0.7, **_DEGROOT)
+    ),
+    "c_gamma": ("gamma=3", "upper", lambda: c_gamma(3.0)),
+    "crossover_d": ("gamma=2", "upper", lambda: crossover_d(2.0)),
+    "pinsker_bh_switch": ("", "upper", pinsker_bh_switch),
+}
+
+
 class TestBounds:
     def test_list(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--list")
         assert code == 0
-        names = json.loads(out)["bounds"]
-        assert "pinsker_lb_kl" in names and "c_gamma" in names
+        assert json.loads(out)["bounds"] == [
+            "bh_lb_kl",
+            "bh_ub_tv",
+            "c_gamma",
+            "chi2_lb_tv_jensen",
+            "chi2_lb_tv_tight",
+            "crossover_d",
+            "degroot_ub_from_chi2",
+            "degroot_ub_kl_bh",
+            "degroot_ub_kl_line",
+            "egamma_ub_chi2",
+            "egamma_ub_kl",
+            "kl_ub_log_chi2",
+            "pinsker_bh_switch",
+            "pinsker_lb_kl",
+            "straight_line_egamma_ub",
+            "vajda_lb_kl",
+            "vajda_ub_tv",
+        ]
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_every_entry_calls_its_function(self, capsys, name):
+        kv, direction, call = _WIRING[name]
+        code, out, _ = run_cli(capsys, "bounds", "--name", name, "--args", kv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["bound_value"] == float(format(call(), ".12g"))
+        assert payload["direction"] == direction
+
+    def test_degroot_entry_needs_every_input(self, capsys):
+        args = "omega=0.3,d_pq=0.02,d_qp=0.03,chi_pq=0.04"
+        code, out, err = run_cli(capsys, "bounds", "--name", "degroot_ub_kl_bh", "--args", args)
+        assert code == 2
+        assert out == ""
+        assert "missing chi_qp" in err
+
+    @pytest.mark.parametrize("args", ["tv=0.1,tv=0.4", "tv=0.4,certified=0.1,certified=0.2"])
+    def test_repeated_key(self, capsys, args):
+        code, out, err = run_cli(capsys, "bounds", "--name", "pinsker_lb_kl", "--args", args)
+        assert code == 2
+        assert out == ""
+        assert "repeated --args key" in err
 
     def test_named_bound(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--name", "pinsker_lb_kl", "--args", "tv=0.4")
@@ -394,6 +482,18 @@ class TestPoisson:
         assert code == 0
         payload = json.loads(out)
         assert payload["k0"] == -1073
+        assert all(b["slack"] >= 0.0 for b in payload["bounds"])
+
+    def test_swapped_roles_at_a_small_prior(self, capsys):
+        # mu < lam: the threshold is the swapped one's, at the prior 1 - omega
+        code, out, _ = run_cli(
+            capsys, "poisson", "--mu", "0.1", "--lambda", "99", "--omega", "1e-6"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["k0"] == poisson_k0(0.1, 99.0, 1.0 - 1e-6) == 12
+        names = [b["name"] for b in payload["bounds"]]
+        assert names == ["degroot_ub_from_chi2", "degroot_ub_kl_line", "degroot_ub_kl_bh"]
         assert all(b["slack"] >= 0.0 for b in payload["bounds"])
 
     @pytest.mark.parametrize("mu", ["inf", "1e300", "nan"])

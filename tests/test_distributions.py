@@ -73,10 +73,19 @@ class TestMakeDistribution:
             make_distribution(bad)
 
     @pytest.mark.parametrize(
-        "bad", [["0.5", "0.5"], [b"1", 1], [1, "inf"], (w for w in ("1", "2"))]
+        "bad",
+        [
+            ["0.5", "0.5"],
+            [b"1", 1],
+            [1, "inf"],
+            (w for w in ("1", "2")),
+            bytearray(b"12"),
+            memoryview(b"12"),
+        ],
     )
     def test_text_weights_refused(self, bad):
-        # float() parsed them: ["0.5", "0.5"] and [b"1", 1] read (0.5, 0.5)
+        # float() parsed them: ["0.5", "0.5"] and [b"1", 1] read (0.5, 0.5);
+        # a bytearray or memoryview of b"12" read its byte values 49 and 50
         with pytest.raises(ValidationError, match="sequence of real numbers"):
             make_distribution(bad)
 
