@@ -247,6 +247,14 @@ def poisson_degroot_exact(mu: float, lam: float, omega: float) -> float:
     return min(math.fsum([first, *upper, *lower]), w)
 
 
+# (name, direction, bound) of the catalog's DeGroot bounds, in table order
+_DEGROOT_BOUNDS = tuple(
+    (name, direction, bound)
+    for name, (direction, keys, bound) in CATALOG.items()
+    if keys == _DEGROOT_INPUTS
+)
+
+
 def poisson_bound_report(mu: float, lam: float, omega: float) -> list[BoundReport]:
     """The DeGroot upper bounds of ``bounds.CATALOG`` on the Poisson
     divergences, certified against the exact DeGroot value, which it reads
@@ -257,6 +265,5 @@ def poisson_bound_report(mu: float, lam: float, omega: float) -> list[BoundRepor
     inputs = (omega, kl_pq, kl_qp, chi_pq, chi_qp)
     return [
         make_report(name, bound(*inputs), exact, direction)
-        for name, (direction, keys, bound) in CATALOG.items()
-        if keys == _DEGROOT_INPUTS
+        for name, direction, bound in _DEGROOT_BOUNDS
     ]

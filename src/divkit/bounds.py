@@ -116,7 +116,7 @@ def lambert_w(branch: str, x: float) -> float:
     where w e^w or e^w leaves the float range, it solves
     ln|w| + w = ln|x| instead.
     """
-    if math.isnan(_real(x, "x")):
+    if math.isnan(x if type(x) is float else _real(x, "x")):
         raise DomainError("NaN argument")
     if branch == "principal":
         if x < _BRANCH_POINT:
@@ -236,21 +236,18 @@ def straight_line_egamma_ub(gamma: float, d: float) -> float:
     return math.inf if d == math.inf else c * d  # also at gamma = inf, where c is 0
 
 
-def _fstar(f: GeneratorFunction, t: float) -> float:
-    """The conjugate f*(t) = t f(1/t), with its limit f*(0) at t = 0,
-    evaluated in place instead of through a conjugate generator."""
-    return f.fstar_at_zero if t == 0.0 else t * f._eval(1.0 / t)
-
-
 def _jensen(f: GeneratorFunction, up: float, down: float, base: float) -> float:
-    """f*(up) + f*(down) - f*(base) for up + down - base = 1 and
-    down <= base <= 1, in place; where f* passes the float range, the same
-    sum of f's shifted term T(t) = f*(t) - c (1 - t), whose c parts cancel.
-    For down = base the last two cancel, also where both are 0 (gamma =
-    inf); a lower bound must not overstate, so past the float range their
-    difference is refused."""
+    """f*(up) + f*(down) - f*(base) for up + down - base = 1, up >= 1 and
+    down <= base <= 1, with the conjugate f*(t) = t f(1/t) and its limit
+    f*(0) at t = 0 evaluated in place; where f* passes the float range, the
+    same sum of f's shifted term T(t) = f*(t) - c (1 - t), whose c parts
+    cancel.  For down = base the last two cancel, also where both are 0
+    (gamma = inf); a lower bound must not overstate, so past the float
+    range their difference is refused."""
+    ev, at_zero = f._eval, f.fstar_at_zero
     try:
-        value = _fstar(f, up) + _fstar(f, down) - _fstar(f, base)
+        value = up * ev(1.0 / up) + (down * ev(1.0 / down) if down else at_zero)
+        value -= base * ev(1.0 / base) if base else at_zero
         if value == value:  # not NaN
             return value
     except (OverflowError, ZeroDivisionError):
@@ -274,9 +271,9 @@ def fdiv_lower_via_egamma(f: GeneratorFunction, e_val: float, gamma: float) -> f
     f*(1 + E/g) + f*((1 - E)/g) - f*(1/g), valid for every pair with
     E_gamma(P||Q) = e_val.  Tight for f = total variation at gamma = 1.
     """
-    if not 0.0 <= _real(e_val, "e_val") < 1.0:
+    if not 0.0 <= (e_val if type(e_val) is float else _real(e_val, "e_val")) < 1.0:
         raise DomainError("E_gamma value must lie in [0, 1)")
-    if not _real(gamma, "gamma") >= 1.0:
+    if not (gamma if type(gamma) is float else _real(gamma, "gamma")) >= 1.0:
         raise DomainError("gamma must be >= 1")
     return _jensen(f, 1.0 + e_val / gamma, (1.0 - e_val) / gamma, 1.0 / gamma)
 
@@ -289,7 +286,7 @@ def fdiv_lower_via_degroot(f: GeneratorFunction, omega: float, i_val: float) -> 
     (m, big) from ``terms.prior_scale``.
     """
     m, big, _ = prior_scale(omega)
-    if not 0.0 <= _real(i_val, "i_val") <= m:
+    if not 0.0 <= (i_val if type(i_val) is float else _real(i_val, "i_val")) <= m:
         raise DomainError(
             f"DeGroot value {i_val!r} outside [0, min(omega, 1-omega)]"
         )
@@ -327,9 +324,10 @@ def egamma_upper(kind: str, gamma: float, value: float) -> float:
     With a = 4 g s, s the share under the root, they tend to the limit of
     s as gamma grows, which is their value at gamma = inf.
     """
-    if not _real(gamma, "gamma") >= 1.0:
+    if not (gamma if type(gamma) is float else _real(gamma, "gamma")) >= 1.0:
         raise DomainError("gamma must be >= 1")
-    return _egamma_upper(kind, gamma, gamma - 1.0, _real(value, "value"))
+    value = value if type(value) is float else _real(value, "value")
+    return _egamma_upper(kind, gamma, gamma - 1.0, value)
 
 
 def _egamma_upper(kind: str, gamma: float, gm1: float, value: float) -> float:
@@ -359,11 +357,11 @@ def hellinger_renyi_lower(kind: str, alpha: float, gamma: float, e_val: float) -
     gamma^(a-1) |t| is taken from its logarithm, so a bound is inf only
     where it passes the float range.
     """
-    if not 0.0 < _real(alpha, "alpha") < math.inf:
+    if not 0.0 < (alpha if type(alpha) is float else _real(alpha, "alpha")) < math.inf:
         raise DomainError("order must be positive and finite")
-    if not _real(gamma, "gamma") >= 1.0:
+    if not (gamma if type(gamma) is float else _real(gamma, "gamma")) >= 1.0:
         raise DomainError("gamma must be >= 1")
-    if not 0.0 <= _real(e_val, "e_val") < 1.0:
+    if not 0.0 <= (e_val if type(e_val) is float else _real(e_val, "e_val")) < 1.0:
         raise DomainError("E_gamma value must lie in [0, 1)")
     if kind not in ("hellinger", "renyi"):
         raise DomainError(f"unknown kind {kind!r}")
@@ -397,7 +395,7 @@ def tv_kl_frontier(kind: str, value: float) -> float:
     branch).
     """
     if kind in ("pinsker_lb_kl", "bh_lb_kl", "vajda_lb_kl"):
-        tv = _real(value, "value")
+        tv = value if type(value) is float else _real(value, "value")
         if not 0.0 <= tv < 2.0:
             raise DomainError("total variation must lie in [0, 2)")
         if kind == "pinsker_lb_kl":
@@ -406,7 +404,7 @@ def tv_kl_frontier(kind: str, value: float) -> float:
             return -math.log1p(-0.25 * tv * tv)
         return math.log((2.0 + tv) / (2.0 - tv)) - 2.0 * tv / (2.0 + tv)
     if kind in ("bh_ub_tv", "vajda_ub_tv"):
-        d = _real(value, "value")
+        d = value if type(value) is float else _real(value, "value")
         if not d >= 0.0:
             raise DomainError("relative entropy must be non-negative")
         if kind == "bh_ub_tv":
@@ -429,6 +427,17 @@ def tv_kl_frontier(kind: str, value: float) -> float:
 # 700-digit oracle each form is within 3.4 such units of its exact value,
 # and the product with this factor rounds by half a unit more
 _OUTWARD = 1.0 + 6.0 * 2.0**-52
+
+
+def _need(val: Optional[float], name: str, kind: str, omega: float) -> float:
+    """The input ``name`` of ``degroot_upper``: given, a real number and >= 0."""
+    if type(val) is not float:
+        if val is None:
+            raise ValidationError(f"{kind} with omega={omega} needs {name}")
+        _real(val, name)
+    if not val >= 0.0:
+        raise DomainError(f"{name} must be non-negative")
+    return val
 
 
 def degroot_upper(
@@ -454,25 +463,20 @@ def degroot_upper(
     to the rounding of big/m, and is rounded up by the factor _OUTWARD.
     """
     m, big, swap = prior_scale(omega)
-
-    def _need(val: Optional[float], name: str) -> float:
-        if val is None:
-            raise ValidationError(f"{kind} with omega={omega} needs {name}")
-        if not _real(val, name) >= 0.0:
-            raise DomainError(f"{name} must be non-negative")
-        return val
-
     gm1 = abs(1.0 - 2.0 * omega) / m
     if kind == "kl_line" and omega == 0.5:
-        bound = math.sqrt(min(_need(d_pq, "d_pq"), _need(d_qp, "d_qp")) / 8.0)
+        d = min(_need(d_pq, "d_pq", kind, omega), _need(d_qp, "d_qp", kind, omega))
+        bound = math.sqrt(d / 8.0)
     elif kind == "chi2":
-        value = _need(chi_qp, "chi_qp") if swap else _need(chi_pq, "chi_pq")
+        value = (
+            _need(chi_qp, "chi_qp", kind, omega) if swap else _need(chi_pq, "chi_pq", kind, omega)
+        )
         bound = m * _egamma_upper("chi2", big / m, gm1, value)
     elif kind == "kl_bh":
-        value = _need(d_qp, "d_qp") if swap else _need(d_pq, "d_pq")
+        value = _need(d_qp, "d_qp", kind, omega) if swap else _need(d_pq, "d_pq", kind, omega)
         bound = m * _egamma_upper("kl", big / m, gm1, value)
     elif kind == "kl_line":
-        value = _need(d_qp, "d_qp") if swap else _need(d_pq, "d_pq")
+        value = _need(d_qp, "d_qp", kind, omega) if swap else _need(d_pq, "d_pq", kind, omega)
         bound = math.inf if value == math.inf else m * (_c_gamma(big / m, gm1) * value)
     else:
         raise DomainError(f"unknown degroot_upper kind {kind!r}")
@@ -486,7 +490,7 @@ def chi2_lower_from_tv(kind: str, tv: float) -> float:
     closed form 2 tv^2 / (4 - tv^2), at most a factor 2 (resp. 3/2) below
     the tight curve on tv < 1 (resp. tv >= 1).
     """
-    if not 0.0 <= _real(tv, "tv") < 2.0:
+    if not 0.0 <= (tv if type(tv) is float else _real(tv, "tv")) < 2.0:
         raise DomainError("total variation must lie in [0, 2)")
     if kind == "tight":
         if tv < 1.0:
@@ -499,7 +503,7 @@ def chi2_lower_from_tv(kind: str, tv: float) -> float:
 
 def kl_upper_log_chi2(chi2: float) -> float:
     """KL <= ln(1 + chi^2), in nats."""
-    if not _real(chi2, "chi2") >= 0.0:
+    if not (chi2 if type(chi2) is float else _real(chi2, "chi2")) >= 0.0:
         raise DomainError("chi^2 must be non-negative")
     return math.log1p(chi2)
 

@@ -27,7 +27,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .distributions import DiscreteDistribution, _kept, _pair_slot, _singular_masses
-from .errors import DomainError
+from .errors import _CACHE_SIZE, DomainError
 from .generators import KINDS, GeneratorFunction, kind_args
 from .terms import _BREGS, Breg, _alpha_breg, _edge_term, _shared, prior_scale
 
@@ -106,21 +106,29 @@ def f_divergence(
     non-negative.  A ratio p/q past the float range takes its term from
     ln p - ln q; see ``_shifted_sum``.
     """
-    return DivergenceValue(_pair_sum(f._breg, _pair_slot(p, q)), f.family, dict(f.params))
+    value = _pair_sum(f._breg, _pair_slot(p, q))
+    return tuple.__new__(DivergenceValue, (value, f.family, dict(f.params)))
 
 
 def _pair_sum(b: Breg, pair: tuple) -> float:
     """b's shifted sum over ``pair`` (``_pair_slot``), kept with b, which
     keeps b's id, the key, from being reused.  A term that reads
-    d = p - q takes the pair's one kept list of them, made by the first."""
+    d = p - q takes the pair's one kept list of them, made by the first.
+    A sum is kept in place, the entries cleared at _CACHE_SIZE as
+    ``distributions._kept`` clears them."""
     ps, qs, entries, swapped = pair
-    hit = entries.get((id(b), swapped))
-    if hit is None:
-        ds = entries.get(("diffs", swapped))
-        if ds is None and b.reads.start is None:
-            ds = _kept(entries, ("diffs", swapped), list(map(sub, ps, qs)))
-        hit = _kept(entries, (id(b), swapped), (_shifted_sum(b, ps, qs, ds), b))
-    return hit[0]
+    key = id(b), swapped
+    hit = entries.get(key)
+    if hit is not None:
+        return hit[0]
+    ds = entries.get(("diffs", swapped))
+    if ds is None and b.reads.start is None:
+        ds = _kept(entries, ("diffs", swapped), list(map(sub, ps, qs)))
+    total = _shifted_sum(b, ps, qs, ds)
+    if len(entries) >= _CACHE_SIZE:
+        entries.clear()
+    entries[key] = total, b
+    return total
 
 
 def _log_sum_exp(ws: list[float], s: float) -> float:
@@ -213,7 +221,8 @@ def divergence(
     except TypeError:  # an unhashable kind or parameter, which kind_args refuses
         kind_args(kind, params)
         raise
-    return DivergenceValue(total(_pair_slot(p, q)), kind, params)
+    # the record's fields as one tuple, past its Python-level constructor
+    return tuple.__new__(DivergenceValue, (total(_pair_slot(p, q)), kind, params))
 
 
 @_shared

@@ -343,7 +343,8 @@ def generator(family: str, **params: float) -> GeneratorFunction:
         return made
     if len(params) != 1 or pname not in params:
         raise DomainError(f"generator {family!r} takes the one parameter {pname!r}")
-    return made(_real(params[pname], pname))
+    value = params[pname]
+    return made(value if type(value) is float else _real(value, pname))
 
 
 # Every divergence kind: name -> (catalog generator family or None, name of

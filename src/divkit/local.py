@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 
 from .distributions import DiscreteDistribution, _masses
 from .divergences import _shifted_sum, divergence
@@ -54,12 +55,12 @@ class LocalLimitEstimate:
 
 
 def _supported_masses(p: DiscreteDistribution, q: DiscreteDistribution):
-    """The pair's masses, refused unless P << Q."""
+    """The pair's masses and their differences p - q, refused unless P << Q."""
     ps, qs = _masses(p, q)
     for i, (pm, qm) in enumerate(zip(ps, qs)):
         if pm > 0.0 and qm == 0.0:
             raise DomainError(f"atom {i} has P-mass where Q vanishes")
-    return ps, qs
+    return ps, qs, list(map(sub, ps, qs))
 
 
 def _path_masses(p: DiscreteDistribution, q: DiscreteDistribution, lam: float):
@@ -75,7 +76,7 @@ def chi2_mixture_scaling(
     """chi^2(lam P + (1-lam) Q || Q), the mixture-path sum that equals
     lam^2 chi^2(P||Q) to rounding."""
     ps, qs = _path_masses(p, q, lam)
-    return _mixture_divergence(_BREGS["chi_squared"](), ps, qs, lam, True)
+    return _mixture_divergence(_BREGS["chi_squared"](), list(map(sub, ps, qs)), qs, lam, True)
 
 
 def chis_mixture_scaling(
@@ -84,7 +85,8 @@ def chis_mixture_scaling(
     """chi^s(lam P + (1-lam) Q || Q), the mixture-path sum that equals
     lam^s chi^s(P||Q) to rounding."""
     ps, qs = _path_masses(p, q, lam)
-    return _mixture_divergence(_BREGS["chi_s"](_real(s, "s")), ps, qs, lam, True)
+    b = _BREGS["chi_s"](_real(s, "s"))
+    return _mixture_divergence(b, list(map(sub, ps, qs)), qs, lam, True)
 
 
 def chi2_mixture_three(
@@ -131,13 +133,13 @@ def _richardson(ratios) -> tuple[float, float]:
     return extraps[-1], residual
 
 
-def _mixture_divergence(b: Breg, ps, qs, lam: float, first: bool) -> float:
-    """D(M||Q) (first) or D(Q||M) for M = lam P + (1-lam) Q, from the masses
-    of a pair already read through the gate: the shifted sum at
-    d = +-lam (p - q), exact where the mixture's rounded masses would swamp
-    the lam^2 of its value; M's masses are read only where a term asks for
-    them."""
-    steps = [lam * (pm - qm) for pm, qm in zip(ps, qs)]
+def _mixture_divergence(b: Breg, ds, qs, lam: float, first: bool) -> float:
+    """D(M||Q) (first) or D(Q||M) for M = lam P + (1-lam) Q, from Q's masses
+    and the differences p - q of a pair already read through the gate, which
+    a caller takes once for every lam: the shifted sum at d = +-lam (p - q),
+    exact where the mixture's rounded masses would swamp the lam^2 of its
+    value; M's masses are read only where a term asks for them."""
+    steps = [lam * d for d in ds]
     ms = [qm + step for qm, step in zip(qs, steps)]
     if first:
         return _shifted_sum(b, ms, qs, steps)
@@ -160,10 +162,10 @@ def local_limit_estimate(
         raise DomainError(f"unknown direction {direction!r}")
     if f.second_at_one is None or not math.isfinite(f.second_at_one):
         raise CapabilityError(f"generator {f.family} lacks a finite f''(1)")
-    ps, qs = _supported_masses(p, q)
+    _, qs, ds = _supported_masses(p, q)
     first = direction == "mixture_first"
     ratios = [
-        _mixture_divergence(f._breg, ps, qs, lam, first) / (lam * lam)
+        _mixture_divergence(f._breg, ds, qs, lam, first) / (lam * lam)
         for lam in _LAMBDA_GRID
     ]
     target = 0.5 * f.second_at_one * float(divergence("chi2", p, q))
@@ -191,7 +193,7 @@ def renyi_local_estimate(
     """
     if _real(alpha, "alpha") < 0.0:
         raise DomainError("Renyi order must be non-negative")
-    ps, qs = _supported_masses(p, q)
+    ps, qs, ds = _supported_masses(p, q)
     chi2 = float(divergence("chi2", p, q))
     if alpha == 0.0:
         zeros = tuple(0.0 for _ in _LAMBDA_GRID)
@@ -209,7 +211,7 @@ def renyi_local_estimate(
     b = _BREGS["hellinger"](alpha)
     ratios = []
     for lam in _LAMBDA_GRID:
-        h_sum = _mixture_divergence(b, ps, qs, lam, first)
+        h_sum = _mixture_divergence(b, ds, qs, lam, first)
         if alpha != 1.0:
             h_sum = math.log1p((alpha - 1.0) * h_sum) / (alpha - 1.0)
         ratios.append(h_sum / (lam * lam))
@@ -235,11 +237,11 @@ def ratio_limit_pair(
         raise DomainError("denominator generator needs g''(1) > 0")
     if f.second_at_one is None or not math.isfinite(f.second_at_one):
         raise CapabilityError(f"generator {f.family} lacks a finite f''(1)")
-    ps, qs = _supported_masses(p, q)
+    _, qs, ds = _supported_masses(p, q)
     ratios = []
     for lam in _LAMBDA_GRID[1:]:
-        num = _mixture_divergence(f._breg, ps, qs, lam, True)
-        den = _mixture_divergence(g._breg, ps, qs, lam, True)
+        num = _mixture_divergence(f._breg, ds, qs, lam, True)
+        den = _mixture_divergence(g._breg, ds, qs, lam, True)
         if den == 0.0:
             raise DomainError("distributions must differ for the ratio limit")
         ratios.append(num / den)

@@ -243,7 +243,7 @@ def prior_scale(omega: float) -> tuple[float, float, bool]:
     """(m, big, swap) for a DeGroot prior omega: m = min(omega, 1 - omega),
     big = max(omega, 1 - omega) and swap = omega > 1/2, so that
     I_omega(P||Q) = m E_{big/m}, taken on (Q, P) where swap is set."""
-    if not 0.0 < _real(omega, "omega") < 1.0:
+    if not 0.0 < (omega if type(omega) is float else _real(omega, "omega")) < 1.0:
         raise DomainError("DeGroot prior must lie in (0, 1)")
     comp = 1.0 - omega
     return (comp, omega, True) if omega > 0.5 else (omega, comp, False)

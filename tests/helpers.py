@@ -21,6 +21,7 @@ from divkit import (
 )
 from divkit.distributions import _EXPANSION_AT, SpectrumFunction, _exact_expansion
 from divkit.divergences import DivergenceValue
+from divkit.errors import _real
 from divkit.spectrum_repr import _require_pq_dominated, _require_qp_dominated
 from divkit.terms import _BREGS, _alpha_breg, _edge_term, _g_edge
 
@@ -205,6 +206,58 @@ def grouped_build_spectrum(atoms: tuple) -> SpectrumFunction:
         if len(seen) > _EXPANSION_AT:
             seen = _exact_expansion(seen, cums[-1])
     return SpectrumFunction(breakpoints, tuple(cums), p_where_q0, q_where_p0)
+
+
+def fstar(f, t: float) -> float:
+    """The conjugate f*(t) = t f(1/t), with its limit f*(0) at t = 0: the
+    earlier ``bounds._fstar``."""
+    return f.fstar_at_zero if t == 0.0 else t * f._eval(1.0 / t)
+
+
+def fstar_jensen(f, up: float, down: float, base: float) -> float:
+    """Reference for ``bounds._jensen``: its earlier form, which took each
+    f* through a call of its own (``fstar``), with the same shifted-term
+    sum where f* passes the float range.  The in-place sum must give the
+    same float, or refusal, bit for bit."""
+    try:
+        value = fstar(f, up) + fstar(f, down) - fstar(f, base)
+        if value == value:  # not NaN
+            return value
+    except (OverflowError, ZeroDivisionError):
+        pass
+    b = f._breg
+
+    def term(t: float) -> float:
+        return _edge_term(b, 1.0 - t, t, 1.0) if t > 0.0 else b.at_inf
+
+    value = term(up)
+    if down != base:
+        value += term(down) - term(base)
+        if not value < math.inf:
+            raise DomainError(f"generator {f.family}: f* passes the float range at {base!r}")
+    return value
+
+
+def fstar_fdiv_lower_via_egamma(f, e_val: float, gamma: float) -> float:
+    """Reference for ``bounds.fdiv_lower_via_egamma``: its earlier form,
+    every input through ``errors._real``, over ``fstar_jensen``."""
+    if not 0.0 <= _real(e_val, "e_val") < 1.0:
+        raise DomainError("E_gamma value must lie in [0, 1)")
+    if not _real(gamma, "gamma") >= 1.0:
+        raise DomainError("gamma must be >= 1")
+    return fstar_jensen(f, 1.0 + e_val / gamma, (1.0 - e_val) / gamma, 1.0 / gamma)
+
+
+def fstar_fdiv_lower_via_degroot(f, omega: float, i_val: float) -> float:
+    """Reference for ``bounds.fdiv_lower_via_degroot``: its earlier form,
+    every input through ``errors._real`` and the (m, big) of
+    ``terms.prior_scale`` written out, over ``fstar_jensen``."""
+    if not 0.0 < _real(omega, "omega") < 1.0:
+        raise DomainError("DeGroot prior must lie in (0, 1)")
+    m, big = (1.0 - omega, omega) if omega > 0.5 else (omega, 1.0 - omega)
+    if not 0.0 <= _real(i_val, "i_val") <= m:
+        raise DomainError(f"DeGroot value {i_val!r} outside [0, min(omega, 1-omega)]")
+    return fstar_jensen(f, 1.0 + i_val / big, (m - i_val) / big, m / big)
 
 
 def edge_list_g_sum(b, spec, c: float = 0.0) -> float:

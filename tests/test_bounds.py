@@ -14,6 +14,7 @@ from divkit import (
     affine_shift,
     c_gamma,
     chi2_lower_from_tv,
+    conjugate,
     crossover_d,
     degroot_upper,
     GeneratorFunction,
@@ -38,6 +39,9 @@ from helpers import (
     catalog_generators,
     conjugate_fdiv_lower_via_degroot,
     conjugate_fdiv_lower_via_egamma,
+    fstar,
+    fstar_fdiv_lower_via_degroot,
+    fstar_fdiv_lower_via_egamma,
     outcome,
     random_pair,
     settles,
@@ -235,6 +239,70 @@ class TestConjugateInPlace:
                 assert_agrees_in_place(
                     fdiv_lower_via_degroot, conjugate_fdiv_lower_via_degroot, f, omega, i_val
                 )
+
+    # refused inputs: out of range, NaN, text, bool and an int past the float range
+    _REFUSED = [(1.0, 2.0), (-0.1, 2.0), (0.3, 0.5), (math.nan, 2.0), (0.3, math.nan)] + [
+        ("0.3", 2.0), (True, 2.0), (0.3, "2"), (0.3, True), (10**400, 2.0), (0.3, 10**400)
+    ]
+
+    @staticmethod
+    def _route(f, up, down, base):
+        """Which way the three f* values go: "in place" where their sum is a
+        number, else "shifted" (the shifted-term fallback)."""
+        try:
+            value = fstar(f, up) + fstar(f, down) - fstar(f, base)
+        except (OverflowError, ZeroDivisionError):
+            return "shifted"
+        return "in place" if value == value else "shifted"
+
+    def test_egamma_bit_equal_to_three_fstar_calls(self):
+        # the in-place sum against the earlier three calls of _fstar, over
+        # every catalog generator, a custom and a conjugate one; gamma = inf
+        # puts down = base = 0, and gamma past 1e300 sends f* past the float
+        # range, into the shifted-term sum and its refusal
+        rng = np.random.default_rng(603)
+        gens = catalog_generators() + [conjugate(generator("hellinger", alpha=2.0))]
+        points = [(0.0, math.inf), (0.3, math.inf), (0.999, 1e300), (0.5, 1.7e308)]
+        points += [(1.0 - 2.0**-53, 1e300), (0.0, 1.0), (0.5, 1.0), (0.3, 2), (0, 2.0)]
+        for _ in range(60):
+            e_val = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 1.0))
+            points.append((e_val, float(10.0 ** rng.uniform(0.0, 308.0))))
+        routes, refusals = set(), set()
+        for f in gens:
+            for e_val, gamma in points + self._REFUSED:
+                got = outcome(fdiv_lower_via_egamma, f, e_val, gamma)
+                assert got == outcome(fstar_fdiv_lower_via_egamma, f, e_val, gamma), (f, e_val, gamma)
+                if (e_val, gamma) in points:
+                    args = 1.0 + e_val / gamma, (1.0 - e_val) / gamma, 1.0 / gamma
+                    routes.add(self._route(f, *args))
+                if got[0] == "raised":
+                    refusals.add(got[2].split(":")[-1].split(" at ")[0])
+        assert routes == {"in place", "shifted"}
+        assert " f* passes the float range" in refusals
+        assert "E_gamma value must lie in [0, 1)" in refusals
+
+    def test_degroot_bit_equal_to_three_fstar_calls(self):
+        rng = np.random.default_rng(604)
+        gens = catalog_generators() + [conjugate(generator("hellinger", alpha=2.0))]
+        omegas = [0.5, 0.25, 0.75, 1e-300, 5e-324, 1.0 - 2.0**-53, 0.5 + 2.0**-53]
+        omegas += [float(rng.uniform(0.0, 1.0)) for _ in range(25)]
+        points = []
+        for omega in omegas:
+            top = min(omega, 1.0 - omega)
+            # I = top puts down at 0: the f*(0) branch
+            points += [(omega, 0.0), (omega, top), (omega, float(rng.uniform(0.0, top)))]
+        routes, refusals = set(), set()
+        for f in gens:
+            for omega, i_val in points + self._REFUSED + [(0.25, 0.3), (0.0, 0.0)]:
+                got = outcome(fdiv_lower_via_degroot, f, omega, i_val)
+                assert got == outcome(fstar_fdiv_lower_via_degroot, f, omega, i_val), (f, omega, i_val)
+                if (omega, i_val) in points:
+                    m, big = min(omega, 1.0 - omega), max(omega, 1.0 - omega)
+                    routes.add(self._route(f, 1.0 + i_val / big, (m - i_val) / big, m / big))
+                if got[0] == "raised":
+                    refusals.add(got[1])
+        assert routes == {"in place", "shifted"}
+        assert refusals == {"DomainError"}
 
     def test_sweep_builds_no_generator(self, monkeypatch):
         gens = catalog_generators()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +195,34 @@ class TestNonNumberParameter:
             lambda: generator("hellinger", alpha=value),
             lambda: generator("chi_s", s=value),
         ]
+        # the scalar gates that pass a float in line and send anything else
+        # through errors._real; None is a missing DeGroot input, refused apart
+        f = generator("kl")
+        calls += [
+            lambda: fdiv_lower_via_egamma(f, value, 2.0),
+            lambda: fdiv_lower_via_egamma(f, 0.3, value),
+            lambda: fdiv_lower_via_degroot(f, value, 0.1),
+            lambda: fdiv_lower_via_degroot(f, 0.25, value),
+            lambda: hellinger_renyi_lower("renyi", value, 2.0, 0.3),
+            lambda: hellinger_renyi_lower("hellinger", 2.0, value, 0.3),
+            lambda: hellinger_renyi_lower("renyi", 2.0, 2.0, value),
+            lambda: egamma_upper("kl", value, 0.3),
+            lambda: egamma_upper("chi2", 1.5, value),
+            lambda: tv_kl_frontier("vajda_lb_kl", value),
+            lambda: tv_kl_frontier("vajda_ub_tv", value),
+            lambda: degroot_upper("chi2", value, chi_pq=0.1),
+            lambda: degroot_from_egamma(value, p, q),
+            lambda: chi2_lower_from_tv("tight", value),
+            lambda: kl_upper_log_chi2(value),
+            lambda: lambert_w("principal", value),
+        ]
+        if value is not None:  # each input on the side that omega reads
+            inputs = dict(d_pq=0.1, d_qp=0.2, chi_pq=0.3, chi_qp=0.4)
+            for kind, omega, name in [
+                ("chi2", 0.25, "chi_pq"), ("chi2", 0.75, "chi_qp"), ("kl_bh", 0.25, "d_pq"),
+                ("kl_line", 0.75, "d_qp"), ("kl_line", 0.5, "d_pq"), ("kl_line", 0.5, "d_qp"),
+            ]:
+                calls.append(partial(degroot_upper, kind, omega, **{**inputs, name: value}))
         for call in calls:
             for _ in range(2):  # the caches keep no refusal
                 with pytest.raises(DomainError, match="must be a real number"):
@@ -229,6 +258,41 @@ class TestNonNumberParameter:
         assert divergence("hellinger", p, q, alpha=2).value == want
         assert divergence("hellinger", p, q, alpha=Order(2.0)).value == want
         assert generator("hellinger", alpha=Order(0.5)).params == (("alpha", 0.5),)
+        # the scalar gates that pass a float in line: an int and a float
+        # subclass give the float's value, or its refusal, bit for bit
+        f = generator("kl")
+        gates = [
+            (lambda x: fdiv_lower_via_egamma(f, x, 2.0), 0),
+            (lambda x: fdiv_lower_via_egamma(f, 0.3, x), 2),
+            (lambda x: fdiv_lower_via_degroot(f, x, 0.1), 1),  # refused: omega = 1
+            (lambda x: fdiv_lower_via_degroot(f, 0.25, x), 0),
+            (lambda x: hellinger_renyi_lower("renyi", x, 2.0, 0.3), 2),
+            (lambda x: hellinger_renyi_lower("hellinger", 2.0, x, 0.3), 3),
+            (lambda x: hellinger_renyi_lower("renyi", 2.0, 2.0, x), 0),
+            (lambda x: egamma_upper("kl", x, 0.3), 2),
+            (lambda x: egamma_upper("chi2", 1.5, x), 2),
+            (lambda x: tv_kl_frontier("vajda_lb_kl", x), 1),
+            (lambda x: tv_kl_frontier("vajda_ub_tv", x), 1),
+            (lambda x: degroot_upper("chi2", x, chi_pq=0.1), 1),  # refused: omega = 1
+            (lambda x: degroot_upper("chi2", 0.25, chi_pq=x), 2),
+            (lambda x: degroot_upper("chi2", 0.75, chi_qp=x), 2),
+            (lambda x: degroot_upper("kl_bh", 0.25, d_pq=x), 1),
+            (lambda x: degroot_upper("kl_line", 0.5, d_pq=x, d_qp=3.0), 2),
+            (lambda x: degroot_upper("kl_line", 0.5, d_pq=3.0, d_qp=x), 2),
+            (lambda x: degroot_from_egamma(x, p, q).value, 1),  # refused: omega = 1
+            (lambda x: chi2_lower_from_tv("tight", x), 1),
+            (lambda x: kl_upper_log_chi2(x), 2),
+            (lambda x: lambert_w("principal", x), 2),
+            (lambda x: generator("chi_s", s=x)._eval(1.7), 2),
+        ]
+        for call, n in gates:
+            want = _outcome(lambda: call(float(n)))
+            for x in (n, Order(n)):
+                got = _outcome(lambda: call(x))
+                if isinstance(want, DivkitError):
+                    assert type(got) is type(want) and str(got) == str(want), (n, got)
+                else:
+                    assert type(got) in (float, Order) and got.hex() == want.hex(), (n, got)
 
     def test_int_past_the_float_range_refused(self):
         # float() of these ints overflows: the calls raised a raw
@@ -263,6 +327,17 @@ class TestNonNumberParameter:
             lambda: lambert_w("principal", big),
             lambda: make_report("name", big, 1.0, "upper"),
             lambda: make_report("name", 1.0, big, "lower"),
+            # the other inputs of the gates that pass a float in line
+            lambda: fdiv_lower_via_egamma(generator("kl"), big, 2.0),
+            lambda: fdiv_lower_via_degroot(generator("kl"), big, 0.1),
+            lambda: fdiv_lower_via_degroot(generator("kl"), 0.25, big),
+            lambda: hellinger_renyi_lower("hellinger", 2.0, 2.0, big),
+            lambda: tv_kl_frontier("vajda_lb_kl", big),
+            lambda: degroot_upper("chi2", big, chi_pq=1.0),
+            lambda: degroot_upper("chi2", 0.75, chi_qp=big),
+            lambda: degroot_upper("kl_line", 0.75, d_qp=big),
+            lambda: chi2_lower_from_tv("tight", big),
+            lambda: generator("chi_s", s=big),
             # spectral queries and the general engine's shift
             lambda: spectrum_eval(spectrum(p, q), big),
             lambda: g_big(p, q, big),
