@@ -28,8 +28,8 @@ class UndefinedAtomError(DivkitError):
 
 
 class KinkError(DivkitError):
-    """Derivative requested at a kink, or a kinked generator was passed to
-    a code path that needs a differentiable one."""
+    """A kinked generator was passed to a code path that needs a smooth
+    one (one that declares no kink)."""
 
 
 class AbsoluteContinuityError(DivkitError):

@@ -1,16 +1,16 @@
 """Generator functions of f-divergences.
 
 A generator is a convex function f on (0, inf) with f(1) = 0.  Each family
-ships analytic first (and where available second) derivatives; numerical
-differentiation is never used because the derivatives feed integrands where
-noise compounds.  Kinked families (total variation, E_gamma, DeGroot,
-chi^s at s = 1) expose their derivative as undefined exactly at the kink
-abscissa.  Each family also carries its shifted term f(1+d) - f'(1) d
-(``terms.Breg``), from the module ``divkit.terms`` that the direct sums in
-``divkit.divergences`` read too; the g transform of the spectral engines
-(``g_eval``) is read from it.  Catalog generators are immutable, so each is
-built once per (family, parameter) and shared; the families with a
-parameter keep theirs in bounded caches.
+carries f, its analytic second derivative where it has one (the
+DeGroot-weight engine reads f''), its limits and one-sided derivatives at
+1, and its shifted term f(1+d) - c d (``terms.Breg``), from the module
+``divkit.terms`` that the direct sums in ``divkit.divergences`` read too;
+the g transform of the spectral engines (``g_eval``) is read from it, so no
+engine needs f'.  A generator is smooth when it declares no kink; the
+kinked families (total variation, E_gamma, DeGroot, chi^s at s = 1) declare
+theirs.  Catalog generators are immutable, so each is built once per
+(family, parameter) and shared; the families with a parameter keep theirs
+in bounded caches.
 
 Everything here is in nats: the catalog's logarithms are natural.
 """
@@ -23,7 +23,6 @@ from typing import Any, Callable, Mapping, Optional
 from .errors import (
     CapabilityError,
     DomainError,
-    KinkError,
     UnknownKindError,
     ValidationError,
     _real,
@@ -52,13 +51,14 @@ class GeneratorFunction:
     lim_{u->inf} f(u)/u; both live in (-inf, +inf].  ``right_deriv_at_one``
     always exists and is finite; ``left_deriv_at_one`` differs from it only
     at a kink sitting exactly at 1, and is taken equal to it unless given.
-    ``second_at_one`` is f''(1) when defined. ``kink`` is the abscissa where
-    the derivative fails, or None.  The keywords ``eval``, ``deriv`` and
-    ``second`` give f, f' and f'' (kept as ``_eval``, ``_deriv`` and
-    ``_second``), and ``breg`` the family's shifted term (``_breg``, see
-    ``terms.Breg``), which the direct sums and the mixture-path sums read; a
-    generator built without one, such as a custom or a conjugate generator,
-    gets q f(p/q) - f'(1) d, from p/q in the masses so that it is never
+    ``second_at_one`` is f''(1) when defined. ``kink`` is the abscissa of a
+    declared kink, or None; a generator without one is smooth
+    (``is_smooth``).  The keywords ``eval`` and ``second`` give f and f''
+    (kept as ``_eval`` and ``_second``), and ``breg`` the family's shifted
+    term (``_breg``, see ``terms.Breg``), which the direct sums and the
+    mixture-path sums read; a generator built without one, such as a custom
+    or a conjugate generator, gets q f(p/q) - c d with c =
+    ``right_deriv_at_one``, from p/q in the masses so that it is never
     rounded through d.  The catalog's families, ``custom``, ``conjugate``
     and ``affine_shift`` are all built by this one constructor.
 
@@ -68,7 +68,7 @@ class GeneratorFunction:
 
     __slots__ = (
         "family", "params", "f_at_zero", "fstar_at_zero", "right_deriv_at_one",
-        "left_deriv_at_one", "second_at_one", "kink", "_eval", "_deriv", "_second", "_breg",
+        "left_deriv_at_one", "second_at_one", "kink", "_eval", "_second", "_breg",
     )
     __setattr__ = __delattr__ = refuse_change
 
@@ -79,7 +79,6 @@ class GeneratorFunction:
         params: tuple[tuple[str, float], ...] = (),
         breg: Optional[Breg] = None,
         eval: Callable[[float], float],
-        deriv: Optional[Callable[[float], float]] = None,
         second: Optional[Callable[[float], float]] = None,
         f_at_zero: float,
         fstar_at_zero: float,
@@ -88,7 +87,7 @@ class GeneratorFunction:
         second_at_one: Optional[float] = None,
         kink: Optional[float] = None,
     ) -> None:
-        if abs(eval(1.0)) > 1e-12:
+        if not abs(eval(1.0)) <= 1e-12:  # a NaN f(1) fails too
             raise ValidationError(f"generator {family} violates f(1)=0")
         if left_deriv_at_one is None:
             left_deriv_at_one = right_deriv_at_one
@@ -99,7 +98,7 @@ class GeneratorFunction:
             )
         values = (
             family, params, f_at_zero, fstar_at_zero, right_deriv_at_one, left_deriv_at_one,
-            second_at_one, kink, eval, deriv, second, breg,
+            second_at_one, kink, eval, second, breg,
         )
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
@@ -118,27 +117,15 @@ class GeneratorFunction:
 
     def eval(self, t: float) -> float:
         """f(t) for t > 0 (f_at_zero is used for the t = 0 limit)."""
-        if _real(t, "t") < 0.0:
+        if not _real(t, "t") >= 0.0:
             raise DomainError("generator argument must be non-negative")
         if t == 0.0:
             return self.f_at_zero
         return self._eval(t)
 
-    def deriv(self, t: float) -> float:
-        """f'(t); raises KinkError exactly at the kink abscissa."""
-        if t <= 0.0:
-            raise DomainError("derivative defined on (0, inf) only")
-        if self.kink is not None and t == self.kink:
-            raise KinkError(
-                f"generator {self.family} is not differentiable at t={t!r}"
-            )
-        if self._deriv is None:
-            raise CapabilityError(f"generator {self.family} supplies no derivative")
-        return self._deriv(t)
-
     def second(self, t: float) -> float:
         """f''(t) where the family supplies it."""
-        if t <= 0.0:
+        if not (t if type(t) is float else _real(t, "t")) > 0.0:  # NaN too
             raise DomainError("second derivative defined on (0, inf) only")
         if self._second is None:
             raise CapabilityError(
@@ -150,12 +137,13 @@ class GeneratorFunction:
                     f"generator {self.family} has no second derivative at 1"
                 )
             return self.second_at_one
-
         return self._second(t)
 
     @property
     def is_smooth(self) -> bool:
-        return self.kink is None and self._deriv is not None
+        """True when no kink is declared; the general and inverse-g engines
+        take only a smooth generator."""
+        return self.kink is None
 
 
 def _named(**kv: float) -> tuple[tuple[str, float], ...]:
@@ -170,7 +158,6 @@ def _kl() -> GeneratorFunction:
         "kl", breg=_BREGS["kl"](), f_at_zero=0.0, fstar_at_zero=math.inf,
         right_deriv_at_one=1.0, second_at_one=1.0,
         eval=lambda t: t * math.log(t),
-        deriv=lambda t: math.log(t) + 1.0,
         second=lambda t: 1.0 / t,
     )
 
@@ -180,7 +167,6 @@ def _jeffreys() -> GeneratorFunction:
         "jeffreys", breg=_BREGS["jeffreys"](), f_at_zero=math.inf, fstar_at_zero=math.inf,
         right_deriv_at_one=0.0, second_at_one=2.0,
         eval=lambda t: (t - 1.0) * math.log(t),
-        deriv=lambda t: math.log(t) + 1.0 - 1.0 / t,
         second=lambda t: 1.0 / t + 1.0 / (t * t),
     )
 
@@ -194,7 +180,6 @@ def _hellinger(alpha: float) -> GeneratorFunction:
         f_at_zero=1.0 / (1.0 - alpha), fstar_at_zero=math.inf if alpha > 1.0 else 0.0,
         right_deriv_at_one=alpha / am1, second_at_one=alpha,
         eval=lambda t: (t**alpha - 1.0) / am1,
-        deriv=lambda t: alpha * t ** (alpha - 1.0) / am1,
         second=lambda t: alpha * t ** (alpha - 2.0),
     )
 
@@ -204,7 +189,6 @@ def _chi_squared() -> GeneratorFunction:
         "chi_squared", breg=_BREGS["chi_squared"](), f_at_zero=1.0, fstar_at_zero=math.inf,
         right_deriv_at_one=0.0, second_at_one=2.0,
         eval=lambda t: (t - 1.0) ** 2,
-        deriv=lambda t: 2.0 * (t - 1.0),
         second=lambda t: 2.0,
     )
 
@@ -215,7 +199,6 @@ def _total_variation(family: str = "total_variation") -> GeneratorFunction:
         breg=_BREGS["total_variation"](), f_at_zero=1.0, fstar_at_zero=1.0,
         right_deriv_at_one=1.0, left_deriv_at_one=-1.0, kink=1.0,
         eval=lambda t: abs(t - 1.0),
-        deriv=lambda t: 1.0 if t > 1.0 else -1.0,
     )
 
 
@@ -231,17 +214,10 @@ def _chi_s(s: float) -> GeneratorFunction:
     else:
         second_at_one = None  # |t-1|^(s-2) blows up at 1 for s in (1,2)
 
-    def dv(t: float) -> float:
-        d = t - 1.0
-        if d == 0.0:
-            return 0.0
-        return s * abs(d) ** (s - 1.0) * math.copysign(1.0, d)
-
     return GeneratorFunction(
         "chi_s", params=_named(s=s), breg=breg, f_at_zero=1.0, fstar_at_zero=math.inf,
         right_deriv_at_one=0.0, second_at_one=second_at_one,
         eval=lambda t: abs(t - 1.0) ** s,
-        deriv=dv,
         second=lambda t: s * (s - 1.0) * abs(t - 1.0) ** (s - 2.0),
     )
 
@@ -251,7 +227,6 @@ def _triangular() -> GeneratorFunction:
         "triangular", breg=_BREGS["triangular"](), f_at_zero=1.0, fstar_at_zero=1.0,
         right_deriv_at_one=0.0, second_at_one=1.0,
         eval=lambda t: (t - 1.0) ** 2 / (t + 1.0),
-        deriv=lambda t: (t - 1.0) * (t + 3.0) / (t + 1.0) ** 2,
         second=lambda t: 8.0 / (t + 1.0) ** 3,
     )
 
@@ -270,7 +245,6 @@ def _lin(theta: float, family: str = "lin") -> GeneratorFunction:
         f_at_zero=breg.at_zero, fstar_at_zero=breg.at_inf,
         right_deriv_at_one=0.0, second_at_one=theta * comp,
         eval=ev,
-        deriv=lambda t: theta * (math.log(t) - math.log(theta * t + comp)),
         second=lambda t: theta * comp / (t * (theta * t + comp)),
     )
 
@@ -282,7 +256,6 @@ def _e_gamma(gamma: float) -> GeneratorFunction:
         "e_gamma", params=_named(gamma=gamma), breg=breg, f_at_zero=0.0, fstar_at_zero=1.0,
         right_deriv_at_one=1.0 if gamma == 1.0 else 0.0, left_deriv_at_one=0.0, kink=gamma,
         eval=lambda t: max(t - gamma, 0.0),
-        deriv=lambda t: 1.0 if t > gamma else 0.0,
     )
 
 
@@ -301,7 +274,6 @@ def _degroot(omega: float) -> GeneratorFunction:
         "degroot", params=_named(omega=omega), breg=breg, f_at_zero=m, fstar_at_zero=0.0,
         right_deriv_at_one=d_right, left_deriv_at_one=d_left, kink=kink,
         eval=lambda t: m - min(omega * t, 1.0 - omega),
-        deriv=lambda t: -omega if t < kink else 0.0,
     )
 
 
@@ -329,10 +301,16 @@ def generator(family: str, **params: float) -> GeneratorFunction:
     total_variation, triangular, lin(theta), jensen_shannon,
     e_gamma(gamma), degroot(omega), custom.  Catalog generators are shared
     immutable instances, built once per (family, parameters); a ``custom``
-    generator is built on every call; a non-number parameter is a DomainError.
+    generator is built on every call, from the ``GeneratorFunction``
+    keywords.  A non-number parameter is a DomainError, and so is a missing
+    or unknown keyword of ``custom``, or any TypeError its constructor
+    raises.
     """
     if family == "custom":
-        return GeneratorFunction("custom", **params)  # type: ignore[arg-type]
+        try:
+            return GeneratorFunction("custom", **params)  # type: ignore[arg-type]
+        except TypeError as e:
+            raise DomainError(f"generator 'custom': {e}") from None
     try:
         pname, made = _FAMILIES[family]
     except (KeyError, TypeError):  # TypeError: an unhashable family
@@ -422,17 +400,10 @@ def conjugate(f: GeneratorFunction) -> GeneratorFunction:
     one.  The bounds in ``divkit.bounds`` do not build it: they evaluate
     t f(1/t), and f*(0) = ``f.fstar_at_zero``, in place.
     """
-    base_eval, base_deriv, base_second = f._eval, f._deriv, f._second
+    base_eval, base_second = f._eval, f._second
 
     def ev(t: float) -> float:
         return t * base_eval(1.0 / t)
-
-    dv = None
-    if base_deriv is not None:
-
-        def dv(t: float) -> float:  # type: ignore[misc]
-            u = 1.0 / t
-            return base_eval(u) - u * base_deriv(u)
 
     sd = None
     if base_second is not None:
@@ -451,7 +422,6 @@ def conjugate(f: GeneratorFunction) -> GeneratorFunction:
         second_at_one=f.second_at_one,
         kink=None if f.kink is None else 1.0 / f.kink,
         eval=ev,
-        deriv=dv,
         second=sd,
     )
 
@@ -459,17 +429,12 @@ def conjugate(f: GeneratorFunction) -> GeneratorFunction:
 def affine_shift(f: GeneratorFunction, c: float) -> GeneratorFunction:
     """f(t) + c (t - 1); defines the same divergence as f, and shares its
     shifted term."""
-    c = _real(c, "c")
-    base_eval, base_deriv = f._eval, f._deriv
+    if not math.isfinite(_real(c, "c")):
+        raise DomainError(f"shift c must be finite, got {c!r}")
+    base_eval = f._eval
 
     def ev(t: float) -> float:
         return base_eval(t) + c * (t - 1.0)
-
-    dv = None
-    if base_deriv is not None:
-
-        def dv(t: float) -> float:  # type: ignore[misc]
-            return base_deriv(t) + c
 
     return GeneratorFunction(
         f.family,
@@ -481,7 +446,6 @@ def affine_shift(f: GeneratorFunction, c: float) -> GeneratorFunction:
         second_at_one=f.second_at_one,
         kink=f.kink,
         eval=ev,
-        deriv=dv,
         second=f._second,
         breg=f._breg,  # the shifted term is the same for f + c (t - 1)
     )

@@ -214,7 +214,9 @@ def _lin_breg(theta: float) -> Breg:
         m = q + theta * d
         return theta * _kl_term(comp * d, m, p) + comp * _kl_term(-theta * d, m, q)
 
-    return Breg(term, -comp * math.log(comp), -theta * math.log(theta))
+    # f(0) = -(1 - theta) ln(1 - theta), with ln(1 - theta) taken from theta:
+    # comp is already rounded, which ln would magnify where theta is small
+    return Breg(term, -comp * math.log1p(-theta), -theta * math.log(theta))
 
 
 _JS = _lin_breg(0.5)

@@ -30,6 +30,7 @@ from divkit import (
     chi2_lower_from_tv,
     chi2_mixture_scaling,
     chis_mixture_scaling,
+    conjugate,
     crossover_d,
     degroot_from_egamma,
     degroot_upper,
@@ -378,6 +379,8 @@ class TestNonNumberParameter:
             lambda: g_eval(f, "1"),
             lambda: f.eval("1"),
             lambda: affine_shift(f, "1")(2.0),
+            # f'' raised a raw TypeError from its first comparison
+            lambda: f.second("1"),
         ]
         for call in calls:
             for _ in range(2):  # the caches keep no refusal
@@ -392,6 +395,37 @@ class TestNonNumberParameter:
         with pytest.raises(DomainError, match="NaN"):
             g_eval(f, math.nan)
         assert g_eval(f, 2) == g_eval(f, 2.0)
+        # f, its conjugate and f'' read NaN at NaN; a shift by NaN or inf
+        # was accepted
+        for call in (
+            lambda: f.eval(math.nan),
+            lambda: conjugate(f).eval(math.nan),
+            lambda: f.second(math.nan),
+            lambda: f.second(10**400),
+            lambda: affine_shift(f, math.nan),
+            lambda: affine_shift(f, math.inf),
+            lambda: affine_shift(f, -math.inf),
+        ):
+            with pytest.raises(DomainError):
+                call()
+        assert f.second(2) == f.second(2.0) == 0.5
+        # a custom generator with f(1) = NaN passed the f(1) = 0 check
+        with pytest.raises(ValidationError, match="f\\(1\\)=0"):
+            generator(
+                "custom", eval=lambda t: math.nan, f_at_zero=0.0, fstar_at_zero=1.0,
+                right_deriv_at_one=0.0,
+            )
+        # a missing or unknown keyword of custom, the removed deriv among
+        # them, raised a raw TypeError
+        made = dict(eval=lambda t: (t - 1.0) ** 2, f_at_zero=1.0, fstar_at_zero=math.inf)
+        for kwargs in (
+            made,
+            {**made, "right_deriv_at_one": 0.0, "deriv": lambda t: 2.0 * (t - 1.0)},
+            {**made, "right_deriv_at_one": 0.0, "foo": 1},
+        ):
+            with pytest.raises(DomainError, match="generator 'custom'"):
+                generator("custom", **kwargs)
+        assert generator("custom", **made, right_deriv_at_one=0.0).is_smooth
 
     def test_bool_scalars_refused(self):
         # True passed as 1: the mixture read P, the Poisson mass at rate 1

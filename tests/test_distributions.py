@@ -744,8 +744,13 @@ class TestRecords:
             "custom", eval=lambda t: (t - 1.0) ** 2, f_at_zero=1.0, fstar_at_zero=math.inf,
             right_deriv_at_one=0.0,
         )
-        assert f.left_deriv_at_one == 0.0 and f.kink is None and not f.is_smooth
+        assert f.left_deriv_at_one == 0.0 and f.kink is None and f.is_smooth
         assert f._breg.term(0.5, 0.5, 1.0) == pytest.approx(0.5)  # q (p/q - 1)^2
+        # smooth means no declared kink: the general and inverse-g engines take it
+        p, q = make_distribution([0.7, 0.2, 0.1]), make_distribution([0.2, 0.5, 0.3])
+        direct = f_divergence(f, p, q).value
+        for engine in (represent_general, represent_inverse_g):
+            assert engine(f, p, q) == pytest.approx(direct, rel=1e-14)
         assert f == f and f != generator("chi_squared")
         assert copy.copy(f) is f and copy.deepcopy([f])[0] is f
         with pytest.raises(ValidationError, match="f\\(1\\)=0"):

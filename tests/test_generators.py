@@ -9,11 +9,19 @@ from divkit import (
     KinkError,
     affine_shift,
     conjugate,
+    divergence,
     g_eval,
     generator,
+    make_distribution,
     parse_generator,
+    represent_general,
+    represent_inverse_g,
 )
+from divkit.generators import KINDS
 from helpers import mp_family, weight_kernel
+
+# family -> the name of its one parameter
+FAMILY_PARAM = {family: pname for family, pname in KINDS.values() if family and pname}
 
 SMOOTH_FAMILIES = [
     ("kl", {}),
@@ -118,14 +126,6 @@ class TestCatalog:
             u = 1e8
             assert abs(f.eval(u) / u - 0.0) <= 2.0 * u ** (alpha - 1.0) / (1.0 - alpha)
 
-    @pytest.mark.parametrize("family,params", SMOOTH_FAMILIES)
-    def test_derivative_matches_finite_difference(self, family, params):
-        f = generator(family, **params)
-        for t in (0.3, 0.9, 1.5, 4.0):
-            h = 1e-6 * t
-            fd = (f.eval(t + h) - f.eval(t - h)) / (2 * h)
-            assert f.deriv(t) == pytest.approx(fd, rel=1e-6, abs=1e-8)
-
     @pytest.mark.parametrize(
         "family,params,kink",
         [
@@ -136,12 +136,17 @@ class TestCatalog:
         ],
     )
     def test_kink_abscissa(self, family, params, kink):
+        # a declared kink, here or at 1/kink on the conjugate, is what the
+        # general and inverse-g engines refuse
         f = generator(family, **params)
-        assert f.kink == kink
-        with pytest.raises(KinkError):
-            f.deriv(kink)
-        f.deriv(kink * 0.9)  # off-kink derivative works
-        f.deriv(kink * 1.1)
+        assert f.kink == kink and not f.is_smooth
+        fc = conjugate(f)
+        assert fc.kink == 1.0 / kink and not fc.is_smooth
+        p, q = make_distribution([0.7, 0.3]), make_distribution([0.4, 0.6])
+        for g in (f, fc):
+            for engine in (represent_general, represent_inverse_g):
+                with pytest.raises(KinkError, match="has a kink"):
+                    engine(g, p, q)
 
     @pytest.mark.parametrize(
         "family,params",
@@ -185,6 +190,60 @@ class TestCatalog:
         assert f.f_at_zero == pytest.approx(-0.7 * math.log(0.7), abs=1e-15)
         assert f.fstar_at_zero == pytest.approx(-0.3 * math.log(0.3), abs=1e-15)
 
+    @pytest.mark.parametrize("theta", [1e-10, 1e-6, 0.0047, 0.5, 0.999])
+    def test_lin_limit_at_zero_keeps_its_bits(self, theta):
+        # f(0) = -(1 - theta) ln(1 - theta) was taken from the rounded
+        # 1 - theta: 47 units of 2^-53 off at theta = 0.0047, and Lin on this
+        # pair, whose last atom has p = 0, 6e-8 relative off at 1e-10
+        P, Q = (0.5, 0.5, 0.0), (0.25, 0.25, 0.5)
+        with mpmath.workdps(50):
+            th = mpmath.mpf(theta)
+            f0 = -(1 - th) * mpmath.log1p(-th)
+            exact = 0
+            for a, b in zip(map(mpmath.mpf, P), map(mpmath.mpf, Q)):
+                m = th * a + (1 - th) * b
+                exact += (th * a * mpmath.log(a / m) if a else 0) + (1 - th) * b * mpmath.log(b / m)
+            got = generator("lin", theta=theta).f_at_zero
+            assert abs((got - f0) / f0) <= 2 * 2.0**-53
+            value = divergence("lin", make_distribution(P), make_distribution(Q), theta=theta)
+            assert abs((value.value - exact) / exact) <= 4 * 2.0**-53
+
+    def test_limits_match_the_oracle(self):
+        # f(0) and f*(0) are stated twice, on the generator and on its
+        # shifted term as f(0) + c and f*(0) - c; both against one oracle
+        rng = np.random.default_rng(31)
+        n = 150
+        orders = {
+            "hellinger": [0.5, 2.0, 117.0]
+            + [a for a in np.exp(rng.uniform(math.log(1e-3), math.log(200.0), n)) if a != 1.0],
+            "chi_s": [1.0, 2.0] + list(1.0 + np.exp(rng.uniform(-12.0, 4.0, n))),
+            "lin": list(rng.uniform(0.0, 1.0, n)) + list(np.exp(rng.uniform(-28.0, -1.0, n))),
+            "e_gamma": [1.0] + list(1.0 + np.exp(rng.uniform(-12.0, 6.0, n))),
+            "degroot": [0.5] + list(rng.uniform(0.0, 1.0, n)),
+        }
+        plain = ("kl", "jeffreys", "chi_squared", "total_variation", "triangular", "jensen_shannon")
+        members = [(fam, None) for fam in plain]
+        members += [(fam, float(a)) for fam, values in orders.items() for a in values if a > 0.0]
+        worst = 0.0
+        for family, a in members:
+            params = {} if a is None else {FAMILY_PARAM[family]: a}
+            f = generator(family, **params)
+            with mpmath.workdps(50):
+                _, f0, fs0, c = mp_family(family, a)
+                for got, exact in (
+                    (f.f_at_zero, f0),
+                    (f.fstar_at_zero, fs0),
+                    (f._breg.at_zero, f0 + c),
+                    (f._breg.at_inf, fs0 - c),
+                ):
+                    if exact == 0 or mpmath.isinf(exact):
+                        assert got == exact, (family, a, got, exact)
+                        continue
+                    err = float(abs((got - exact) / exact)) / 2.0**-53
+                    assert err <= 2.0, (family, a, got, exact, err)
+                    worst = max(worst, err)
+        assert worst > 0.0  # the sweep reached a rounded limit
+
 
 class TestConjugate:
     def test_kl_conjugate_is_negative_log(self):
@@ -210,13 +269,6 @@ class TestConjugate:
         assert fc.f_at_zero == math.inf
         assert fc.fstar_at_zero == 0.0
         assert fc.second_at_one == f.second_at_one
-
-    def test_conjugate_derivative(self):
-        fc = conjugate(generator("kl"))
-        for t in (0.4, 1.3, 2.5):
-            h = 1e-6 * t
-            fd = (fc.eval(t + h) - fc.eval(t - h)) / (2 * h)
-            assert fc.deriv(t) == pytest.approx(fd, rel=1e-6)
 
 
 class TestAffineShift:
