@@ -28,8 +28,8 @@ from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .distributions import DiscreteDistribution, _kept, _pair_slot, _singular_masses
 from .errors import _CACHE_SIZE, DomainError
-from .generators import KINDS, GeneratorFunction, kind_args
-from .terms import _BREGS, Breg, _alpha_breg, _edge_term, _shared, prior_scale
+from .generators import _FAMILIES, KINDS, GeneratorFunction, kind_args
+from .terms import Breg, _alpha_breg, _edge_term, _shared, prior_scale
 
 __all__ = [
     "DivergenceValue",
@@ -157,7 +157,7 @@ def _renyi_terms(pair: tuple, alpha: float) -> float:
     return _log_sum_exp(ws, alpha - 1.0)
 
 
-_hellinger_term = _BREGS["hellinger"]
+_hellinger_term = _FAMILIES["hellinger"].term
 
 
 def _renyi_map(hellinger: Callable[[Breg, Any], float], pair: Any, alpha: float) -> float:
@@ -238,7 +238,7 @@ def _kind_sum(
     args = kind_args(kind, params)
     mapped = _HELLINGER_MAPS.get(kind)
     if mapped is None:
-        return partial(h, _BREGS[KINDS[kind][0]](*args))
+        return partial(h, _FAMILIES[KINDS[kind][0]].term(*args))
     return lambda pair: mapped(h, pair, *args)
 
 
@@ -261,5 +261,5 @@ def degroot_from_egamma(
     """
     m, big, swap = prior_scale(omega)
     pair = _pair_slot(q, p) if swap else _pair_slot(p, q)
-    val = m * _pair_sum(_BREGS["e_gamma"](big / m), pair)
+    val = m * _pair_sum(_FAMILIES["e_gamma"].term(big / m), pair)
     return DivergenceValue(val, "degroot_from_egamma", {"omega": omega})

@@ -8,9 +8,9 @@ DeGroot-weight engine reads f''), its limits and one-sided derivatives at
 the g transform of the spectral engines (``g_eval``) is read from it, so no
 engine needs f'.  A generator is smooth when it declares no kink; the
 kinked families (total variation, E_gamma, DeGroot, chi^s at s = 1) declare
-theirs.  Catalog generators are immutable, so each is built once per
-(family, parameter) and shared; the families with a parameter keep theirs
-in bounded caches.
+theirs.  One table (``_FAMILIES``) gives each family's kind, parameter name,
+term and generator.  Catalog generators are immutable, so each is built
+once per (family, parameter) and shared, in bounded caches.
 
 Everything here is in nats: the catalog's logarithms are natural.
 """
@@ -18,7 +18,7 @@ Everything here is in nats: the catalog's logarithms are natural.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Mapping, NamedTuple, Optional
 
 from .errors import (
     CapabilityError,
@@ -29,7 +29,10 @@ from .errors import (
     parse_number,
     refuse_change,
 )
-from .terms import _BREGS, Breg, _exp_times, _g_edge, _hellinger_breg, _shared
+from .terms import (
+    _CHI2, _JEFFREYS, _JS, _KL, _TRIANGULAR, _TV, Breg, _chi_s_breg, _degroot_breg,
+    _e_gamma_breg, _exp_times, _g_edge, _hellinger_breg, _lin_breg, _shared,
+)
 
 __all__ = [
     "GeneratorFunction",
@@ -146,16 +149,14 @@ class GeneratorFunction:
         return self.kink is None
 
 
-def _named(**kv: float) -> tuple[tuple[str, float], ...]:
-    return tuple(kv.items())
-
-
 # generators ------------------------------------------------------------------
+# A family with a parameter is built from its value and its ``params``
+# record, ((name, value),), which ``generator()`` makes from the table.
 
 
 def _kl() -> GeneratorFunction:
     return GeneratorFunction(
-        "kl", breg=_BREGS["kl"](), f_at_zero=0.0, fstar_at_zero=math.inf,
+        "kl", breg=_KL, f_at_zero=0.0, fstar_at_zero=math.inf,
         right_deriv_at_one=1.0, second_at_one=1.0,
         eval=lambda t: t * math.log(t),
         second=lambda t: 1.0 / t,
@@ -164,7 +165,7 @@ def _kl() -> GeneratorFunction:
 
 def _jeffreys() -> GeneratorFunction:
     return GeneratorFunction(
-        "jeffreys", breg=_BREGS["jeffreys"](), f_at_zero=math.inf, fstar_at_zero=math.inf,
+        "jeffreys", breg=_JEFFREYS, f_at_zero=math.inf, fstar_at_zero=math.inf,
         right_deriv_at_one=0.0, second_at_one=2.0,
         eval=lambda t: (t - 1.0) * math.log(t),
         second=lambda t: 1.0 / t + 1.0 / (t * t),
@@ -172,11 +173,11 @@ def _jeffreys() -> GeneratorFunction:
 
 
 @_shared
-def _hellinger(alpha: float) -> GeneratorFunction:
+def _hellinger(alpha: float, params: tuple) -> GeneratorFunction:
     breg = _hellinger_breg(alpha)
     am1 = alpha - 1.0
     return GeneratorFunction(
-        "hellinger", params=_named(alpha=alpha), breg=breg,
+        "hellinger", params=params, breg=breg,
         f_at_zero=1.0 / (1.0 - alpha), fstar_at_zero=math.inf if alpha > 1.0 else 0.0,
         right_deriv_at_one=alpha / am1, second_at_one=alpha,
         eval=lambda t: (t**alpha - 1.0) / am1,
@@ -186,27 +187,26 @@ def _hellinger(alpha: float) -> GeneratorFunction:
 
 def _chi_squared() -> GeneratorFunction:
     return GeneratorFunction(
-        "chi_squared", breg=_BREGS["chi_squared"](), f_at_zero=1.0, fstar_at_zero=math.inf,
+        "chi_squared", breg=_CHI2, f_at_zero=1.0, fstar_at_zero=math.inf,
         right_deriv_at_one=0.0, second_at_one=2.0,
         eval=lambda t: (t - 1.0) ** 2,
         second=lambda t: 2.0,
     )
 
 
-def _total_variation(family: str = "total_variation") -> GeneratorFunction:
+def _total_variation(family: str = "total_variation", params: tuple = ()) -> GeneratorFunction:
     return GeneratorFunction(
-        family, params=_named(s=1.0) if family == "chi_s" else (),
-        breg=_BREGS["total_variation"](), f_at_zero=1.0, fstar_at_zero=1.0,
+        family, params=params, breg=_TV, f_at_zero=1.0, fstar_at_zero=1.0,
         right_deriv_at_one=1.0, left_deriv_at_one=-1.0, kink=1.0,
         eval=lambda t: abs(t - 1.0),
     )
 
 
 @_shared
-def _chi_s(s: float) -> GeneratorFunction:
-    breg = _BREGS["chi_s"](s)
+def _chi_s(s: float, params: tuple) -> GeneratorFunction:
+    breg = _chi_s_breg(s)
     if s == 1.0:
-        return _total_variation(family="chi_s")
+        return _total_variation("chi_s", params)
     if s == 2.0:
         second_at_one: Optional[float] = 2.0
     elif s > 2.0:
@@ -215,7 +215,7 @@ def _chi_s(s: float) -> GeneratorFunction:
         second_at_one = None  # |t-1|^(s-2) blows up at 1 for s in (1,2)
 
     return GeneratorFunction(
-        "chi_s", params=_named(s=s), breg=breg, f_at_zero=1.0, fstar_at_zero=math.inf,
+        "chi_s", params=params, breg=breg, f_at_zero=1.0, fstar_at_zero=math.inf,
         right_deriv_at_one=0.0, second_at_one=second_at_one,
         eval=lambda t: abs(t - 1.0) ** s,
         second=lambda t: s * (s - 1.0) * abs(t - 1.0) ** (s - 2.0),
@@ -224,7 +224,7 @@ def _chi_s(s: float) -> GeneratorFunction:
 
 def _triangular() -> GeneratorFunction:
     return GeneratorFunction(
-        "triangular", breg=_BREGS["triangular"](), f_at_zero=1.0, fstar_at_zero=1.0,
+        "triangular", breg=_TRIANGULAR, f_at_zero=1.0, fstar_at_zero=1.0,
         right_deriv_at_one=0.0, second_at_one=1.0,
         eval=lambda t: (t - 1.0) ** 2 / (t + 1.0),
         second=lambda t: 8.0 / (t + 1.0) ** 3,
@@ -232,8 +232,8 @@ def _triangular() -> GeneratorFunction:
 
 
 @_shared
-def _lin(theta: float, family: str = "lin") -> GeneratorFunction:
-    breg = _BREGS["lin"](theta)
+def _lin(theta: float, params: tuple, family: str = "lin") -> GeneratorFunction:
+    breg = _lin_breg(theta)
     comp = 1.0 - theta
 
     def ev(t: float) -> float:
@@ -241,7 +241,7 @@ def _lin(theta: float, family: str = "lin") -> GeneratorFunction:
         return theta * t * math.log(t) - m * math.log(m)
 
     return GeneratorFunction(
-        family, params=_named(theta=theta) if family == "lin" else (), breg=breg,
+        family, params=params, breg=breg,
         f_at_zero=breg.at_zero, fstar_at_zero=breg.at_inf,
         right_deriv_at_one=0.0, second_at_one=theta * comp,
         eval=ev,
@@ -250,18 +250,18 @@ def _lin(theta: float, family: str = "lin") -> GeneratorFunction:
 
 
 @_shared
-def _e_gamma(gamma: float) -> GeneratorFunction:
-    breg = _BREGS["e_gamma"](gamma)
+def _e_gamma(gamma: float, params: tuple) -> GeneratorFunction:
+    breg = _e_gamma_breg(gamma)
     return GeneratorFunction(
-        "e_gamma", params=_named(gamma=gamma), breg=breg, f_at_zero=0.0, fstar_at_zero=1.0,
+        "e_gamma", params=params, breg=breg, f_at_zero=0.0, fstar_at_zero=1.0,
         right_deriv_at_one=1.0 if gamma == 1.0 else 0.0, left_deriv_at_one=0.0, kink=gamma,
         eval=lambda t: max(t - gamma, 0.0),
     )
 
 
 @_shared
-def _degroot(omega: float) -> GeneratorFunction:
-    breg = _BREGS["degroot"](omega)
+def _degroot(omega: float, params: tuple) -> GeneratorFunction:
+    breg = _degroot_breg(omega)
     m = min(omega, 1.0 - omega)
     kink = (1.0 - omega) / omega
     if omega < 0.5:
@@ -271,26 +271,41 @@ def _degroot(omega: float) -> GeneratorFunction:
     else:
         d_right, d_left = 0.0, -0.5
     return GeneratorFunction(
-        "degroot", params=_named(omega=omega), breg=breg, f_at_zero=m, fstar_at_zero=0.0,
+        "degroot", params=params, breg=breg, f_at_zero=m, fstar_at_zero=0.0,
         right_deriv_at_one=d_right, left_deriv_at_one=d_left, kink=kink,
         eval=lambda t: m - min(omega * t, 1.0 - omega),
     )
 
 
-# family -> (name of its one parameter, its memoized builder), or (None,
-# the family's one generator, built here once)
-_FAMILIES: dict[str, tuple[Optional[str], Any]] = {
-    "kl": (None, _kl()),
-    "jeffreys": (None, _jeffreys()),
-    "hellinger": ("alpha", _hellinger),
-    "chi_squared": (None, _chi_squared()),
-    "chi_s": ("s", _chi_s),
-    "total_variation": (None, _total_variation()),
-    "triangular": (None, _triangular()),
-    "lin": ("theta", _lin),
-    "jensen_shannon": (None, _lin(0.5, family="jensen_shannon")),
-    "e_gamma": ("gamma", _e_gamma),
-    "degroot": ("omega", _degroot),
+class _Family(NamedTuple):
+    """A row of the family table: the family's divergence kind, the name of
+    its one parameter or None, its shifted term's builder and its
+    generator's builder, or the one generator of a family with no
+    parameter.  Builders share what they build per value, so a kind's sum
+    and its generator's read one term, which keys the pair memo.  The kinds
+    take Hellinger order 1 as KL, by analytic extension; the generator
+    refuses it."""
+
+    kind: str
+    param: Optional[str]
+    term: Callable[..., Breg]
+    build: Any
+
+
+_FAMILIES: dict[str, _Family] = {
+    "kl": _Family("kl", None, lambda: _KL, _kl()),
+    "jeffreys": _Family("jeffreys", None, lambda: _JEFFREYS, _jeffreys()),
+    "hellinger": _Family(
+        "hellinger", "alpha", lambda a: _KL if a == 1.0 else _hellinger_breg(a), _hellinger
+    ),
+    "chi_squared": _Family("chi2", None, lambda: _CHI2, _chi_squared()),
+    "chi_s": _Family("chi_s", "s", _chi_s_breg, _chi_s),
+    "total_variation": _Family("tv", None, lambda: _TV, _total_variation()),
+    "triangular": _Family("triangular", None, lambda: _TRIANGULAR, _triangular()),
+    "lin": _Family("lin", "theta", _lin_breg, _lin),
+    "jensen_shannon": _Family("js", None, lambda: _JS, _lin(0.5, (), "jensen_shannon")),
+    "e_gamma": _Family("e_gamma", "gamma", _e_gamma_breg, _e_gamma),
+    "degroot": _Family("degroot", "omega", _degroot_breg, _degroot),
 }
 
 
@@ -312,7 +327,7 @@ def generator(family: str, **params: float) -> GeneratorFunction:
         except TypeError as e:
             raise DomainError(f"generator 'custom': {e}") from None
     try:
-        pname, made = _FAMILIES[family]
+        _, pname, _, made = _FAMILIES[family]
     except (KeyError, TypeError):  # TypeError: an unhashable family
         raise DomainError(f"unknown generator family {family!r}") from None
     if pname is None:
@@ -322,28 +337,22 @@ def generator(family: str, **params: float) -> GeneratorFunction:
     if len(params) != 1 or pname not in params:
         raise DomainError(f"generator {family!r} takes the one parameter {pname!r}")
     value = params[pname]
-    return made(value if type(value) is float else _real(value, pname))
+    value = value if type(value) is float else _real(value, pname)
+    return made(value, ((pname, value),))
 
 
 # Every divergence kind: name -> (catalog generator family or None, name of
-# its one parameter or None).  The direct sums, the named representations
-# and the CLI all read kind and parameter names from here.
+# its one parameter or None): each family's kind, then the maps of the
+# Hellinger sum (``divergences._HELLINGER_MAPS``), which take its order.
+# The direct sums, the named representations and the CLI all read kind and
+# parameter names from here.
+_ORDER = _FAMILIES["hellinger"].param
 KINDS: dict[str, tuple[Optional[str], Optional[str]]] = {
-    "kl": ("kl", None),
-    "jeffreys": ("jeffreys", None),
-    "hellinger": ("hellinger", "alpha"),
-    "chi2": ("chi_squared", None),
+    **{row.kind: (family, row.param) for family, row in _FAMILIES.items()},
     "sq_hellinger": (None, None),
     "bhattacharyya": (None, None),
-    "alpha": (None, "alpha"),
-    "chi_s": ("chi_s", "s"),
-    "tv": ("total_variation", None),
-    "triangular": ("triangular", None),
-    "lin": ("lin", "theta"),
-    "js": ("jensen_shannon", None),
-    "e_gamma": ("e_gamma", "gamma"),
-    "degroot": ("degroot", "omega"),
-    "renyi": (None, "alpha"),
+    "alpha": (None, _ORDER),
+    "renyi": (None, _ORDER),
 }
 
 

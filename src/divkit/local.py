@@ -19,8 +19,8 @@ from operator import sub
 from .distributions import DiscreteDistribution, _masses
 from .divergences import _shifted_sum, divergence
 from .errors import CapabilityError, DomainError, _real
-from .generators import GeneratorFunction
-from .terms import _BREGS, Breg
+from .generators import _FAMILIES, GeneratorFunction
+from .terms import Breg
 
 __all__ = [
     "LocalLimitEstimate",
@@ -76,7 +76,7 @@ def chi2_mixture_scaling(
     """chi^2(lam P + (1-lam) Q || Q), the mixture-path sum that equals
     lam^2 chi^2(P||Q) to rounding."""
     ps, qs = _path_masses(p, q, lam)
-    return _mixture_divergence(_BREGS["chi_squared"](), list(map(sub, ps, qs)), qs, lam, True)
+    return _mixture_divergence(_FAMILIES["chi_squared"].term(), list(map(sub, ps, qs)), qs, lam, True)
 
 
 def chis_mixture_scaling(
@@ -85,7 +85,7 @@ def chis_mixture_scaling(
     """chi^s(lam P + (1-lam) Q || Q), the mixture-path sum that equals
     lam^s chi^s(P||Q) to rounding."""
     ps, qs = _path_masses(p, q, lam)
-    b = _BREGS["chi_s"](_real(s, "s"))
+    b = _FAMILIES["chi_s"].term(_real(s, "s"))
     return _mixture_divergence(b, list(map(sub, ps, qs)), qs, lam, True)
 
 
@@ -120,7 +120,7 @@ def chi2_mixture_three(
         rs.append(rm)
         ds.append((qm - rm) + step)
     c = 2.0 * math.fsum(terms)
-    return _shifted_sum(_BREGS["chi_squared"](), ms, rs, ds), c
+    return _shifted_sum(_FAMILIES["chi_squared"].term(), ms, rs, ds), c
 
 
 def _richardson(ratios) -> tuple[float, float]:
@@ -208,7 +208,7 @@ def renyi_local_estimate(
         return LocalLimitEstimate(_LAMBDA_GRID, tuple(ratios), target, target, math.inf)
     # ln(1 + (alpha-1) H)/(alpha-1) of the Hellinger sum along the path
     first = direction == "mixture_first"
-    b = _BREGS["hellinger"](alpha)
+    b = _FAMILIES["hellinger"].term(alpha)
     ratios = []
     for lam in _LAMBDA_GRID:
         h_sum = _mixture_divergence(b, ds, qs, lam, first)

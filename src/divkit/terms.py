@@ -1,8 +1,9 @@
-"""Each generator family's shifted term f(1 + x) - c x (``Breg``), the one
-table of them (``_BREGS``) that the catalog generators, the direct sums,
-the mixture paths and the spectral engines read, and the passes that take
-a term where a ratio leaves the float range.  Terms are immutable, so each
-is built once per (family, parameter) and shared.  In nats throughout.
+"""Each generator family's shifted term f(1 + x) - c x (``Breg``), which
+the catalog generators, the direct sums, the mixture paths and the
+spectral engines read through the one family table,
+``generators._FAMILIES``, and the passes that take a term where a ratio
+leaves the float range.  Terms are immutable, so each is built once per
+(family, parameter) and shared.  In nats throughout.
 
 It also holds the one map from a DeGroot prior omega to E_gamma
 (``prior_scale``): with m = min(omega, 1 - omega) and gamma =
@@ -269,25 +270,6 @@ def _degroot_breg(omega: float) -> Breg:
     # subnormal would round
     log_odds = math.log(big) - math.log(m)
     return Breg(term, 0.0, m, lambda x, p: m * p * max(-math.expm1(log_odds - x), 0.0), _MASSES)
-
-
-# family -> its shifted term, made from the family's parameter; the
-# catalog generators and divergences.divergence() both read it.  The kinds
-# take Hellinger order 1 as KL, by analytic extension, where a generator
-# refuses it.
-_BREGS: dict[str, Callable[..., Breg]] = {
-    "kl": lambda: _KL,
-    "jeffreys": lambda: _JEFFREYS,
-    "hellinger": lambda alpha: _KL if alpha == 1.0 else _hellinger_breg(alpha),
-    "chi_squared": lambda: _CHI2,
-    "chi_s": _chi_s_breg,
-    "total_variation": lambda: _TV,
-    "triangular": lambda: _TRIANGULAR,
-    "lin": _lin_breg,
-    "jensen_shannon": lambda: _JS,
-    "e_gamma": _e_gamma_breg,
-    "degroot": _degroot_breg,
-}
 
 
 def _edge_term(b: Breg, d: float, qm: float, pm: float) -> float:

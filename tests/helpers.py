@@ -22,8 +22,9 @@ from divkit import (
 from divkit.distributions import _EXPANSION_AT, SpectrumFunction, _exact_expansion
 from divkit.divergences import DivergenceValue
 from divkit.errors import _real
+from divkit.generators import _FAMILIES
 from divkit.spectrum_repr import _require_pq_dominated, _require_qp_dominated
-from divkit.terms import _BREGS, _alpha_breg, _edge_term, _g_edge
+from divkit.terms import _alpha_breg, _edge_term, _g_edge
 
 mp = mpmath.mp
 INF = mpmath.inf
@@ -305,11 +306,11 @@ def catalog_terms():
         "degroot": (0.3, 0.5, 0.8),
     }
     terms = []
-    for family, make in _BREGS.items():
+    for family, row in _FAMILIES.items():
         if family in params:
-            terms += [make(a) for a in params[family]]
+            terms += [row.term(a) for a in params[family]]
         else:
-            terms.append(make())
+            terms.append(row.term())
     return terms + [_alpha_breg(0.3), catalog_generators()[-1]._breg]
 
 

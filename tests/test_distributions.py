@@ -43,7 +43,7 @@ from divkit import (
     spectrum_identity,
 )
 from divkit import distributions, divergences, spectrum_repr
-from divkit.terms import _BREGS
+from divkit.generators import _FAMILIES
 from helpers import prefix_fsum_cum_masses, random_pair, reference_make_distribution
 
 
@@ -485,7 +485,7 @@ class TestPairSlot:
         q = make_distribution([0.4, 0.6])
         divergence("kl", p, q)
         assert p._memo[0]() is q and p._memo[1] is not kept
-        assert set(p._memo[1][2]) == {("diffs", False), (id(_BREGS["kl"]()), False)}
+        assert set(p._memo[1][2]) == {("diffs", False), (id(_FAMILIES["kl"].term()), False)}
 
     def test_reversed_pair_keeps_the_slot(self):
         p, q = make_distribution([0.7, 0.3]), make_distribution([0.4, 0.6])
@@ -509,7 +509,7 @@ class TestPairSlot:
             spectrum(p, q)
             assert divergence("kl", r, s) == divergence("kl", r, s)
             assert distributions._pair_slot(r, s)[2].keys() == {
-                ("diffs", False), (id(_BREGS["kl"]()), False)
+                ("diffs", False), (id(_FAMILIES["kl"].term()), False)
             }
         assert len(builds) == 1 and builds[0][0] is p.masses
         assert len(sums) == 1  # (r, s) once, kept for every later call
@@ -565,7 +565,7 @@ class TestPairSlot:
         entries = distributions._pair_slot(p, q)[2]
         assert set(entries) == {
             ("spectrum", False), ("atoms", False), ("diffs", False),
-            (id(_BREGS["chi_squared"]()), False),
+            (id(_FAMILIES["chi_squared"].term()), False),
         }
 
 

@@ -21,8 +21,8 @@ from divkit import (
     renyi,
 )
 from divkit import distributions, divergences, local_limit_estimate, parse_generator
-from divkit.generators import KINDS
-from divkit.terms import _BREGS, _CACHE_SIZE, _edge_term, prior_scale
+from divkit.generators import _FAMILIES, KINDS
+from divkit.terms import _CACHE_SIZE, _edge_term, prior_scale
 from helpers import (
     ORACLE_KINDS,
     brute_force_e_gamma,
@@ -242,10 +242,10 @@ class TestMassOnlyTerms:
     with their former (d, q, p) forms, atom by atom and summed."""
 
     def test_bit_equal_to_the_dqp_forms(self):
-        terms = [(_BREGS["e_gamma"](g), _dqp_e_gamma(g)) for g in (1.0, 1.5, 4.0, 1e300, math.inf)]
+        terms = [(_FAMILIES["e_gamma"].term(g), _dqp_e_gamma(g)) for g in (1.0, 1.5, 4.0, 1e300, math.inf)]
         # priors on both sides of 1/2: the swapped ones read (-big) p - (-m) q
         terms += [
-            (_BREGS["degroot"](w), _dqp_degroot(w))
+            (_FAMILIES["degroot"].term(w), _dqp_degroot(w))
             for w in (1e-300, 0.2, 0.5, 0.8, 1.0 - 2.0**-53)
         ]
         pairs = _special_pairs(np.random.default_rng(73), 60)
@@ -498,7 +498,7 @@ def _fresh_kind_sum(kind, params, ps, qs):
     total = lambda b, pair: divergences._shifted_sum(b, pair[0], pair[1])
     mapped = divergences._HELLINGER_MAPS.get(kind)
     if mapped is None:
-        return total(_BREGS[KINDS[kind][0]](*args), (ps, qs))
+        return total(_FAMILIES[KINDS[kind][0]].term(*args), (ps, qs))
     return mapped(total, (ps, qs), *args)
 
 
@@ -537,7 +537,7 @@ class TestPairSlot:
                 for kind, params in ORACLE_KINDS:
                     family = KINDS[kind][0]
                     if family is not None:
-                        term = _BREGS[family](*params.values())
+                        term = _FAMILIES[family].term(*params.values())
                         direct = divergences._shifted_sum(term, a.masses, b.masses)
                         assert divergence(kind, a, b, **params).value.hex() == direct.hex()
             del pair_sums[:]
@@ -657,7 +657,7 @@ class TestPairSlot:
             got = divergence("hellinger", p, q, alpha=alpha).value
             sizes.append(len(distributions._pair_slot(p, q)[2]))
             assert divergence("hellinger", p, q, alpha=alpha).value == got
-            fresh = divergences._shifted_sum(_BREGS["hellinger"](alpha), p.masses, q.masses)
+            fresh = divergences._shifted_sum(_FAMILIES["hellinger"].term(alpha), p.masses, q.masses)
             assert got.hex() == fresh.hex()
         assert max(sizes) == _CACHE_SIZE and min(sizes[_CACHE_SIZE:]) == 1
 
