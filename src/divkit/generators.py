@@ -31,7 +31,7 @@ from .errors import (
 )
 from .terms import (
     _CHI2, _JEFFREYS, _JS, _KL, _TRIANGULAR, _TV, Breg, _chi_s_breg, _degroot_breg,
-    _e_gamma_breg, _exp_times, _g_edge, _hellinger_breg, _lin_breg, _shared,
+    _e_gamma_breg, _edge_term, _exp_times, _g_edge, _hellinger_breg, _lin_breg, _shared,
 )
 
 __all__ = [
@@ -62,8 +62,13 @@ class GeneratorFunction:
     mixture-path sums read; a generator built without one, such as a custom
     or a conjugate generator, gets q f(p/q) - c d with c =
     ``right_deriv_at_one``, from p/q in the masses so that it is never
-    rounded through d.  The catalog's families, ``custom``, ``conjugate``
-    and ``affine_shift`` are all built by this one constructor.
+    rounded through d.  ``edge`` gives f where ``eval`` overflows or reads
+    NaN (inf - inf); by default it is the shifted term at (t - 1, 1, t)
+    plus c (t - 1), which takes a ratio past the float range from its
+    logarithm (``terms._edge_term``).  The catalog families whose f can
+    overflow are smooth at 1, so there c is their term's subgradient.  The
+    catalog's families, ``custom``, ``conjugate`` and ``affine_shift`` are
+    all built by this one constructor.
 
     An immutable record: assigning or deleting an attribute raises
     AttributeError, and a generator equals only itself.
@@ -71,7 +76,7 @@ class GeneratorFunction:
 
     __slots__ = (
         "family", "params", "f_at_zero", "fstar_at_zero", "right_deriv_at_one",
-        "left_deriv_at_one", "second_at_one", "kink", "_eval", "_second", "_breg",
+        "left_deriv_at_one", "second_at_one", "kink", "_eval", "_second", "_breg", "_edge",
     )
     __setattr__ = __delattr__ = refuse_change
 
@@ -89,19 +94,26 @@ class GeneratorFunction:
         left_deriv_at_one: Optional[float] = None,
         second_at_one: Optional[float] = None,
         kink: Optional[float] = None,
+        edge: Optional[Callable[[float], float]] = None,
     ) -> None:
         if not abs(eval(1.0)) <= 1e-12:  # a NaN f(1) fails too
             raise ValidationError(f"generator {family} violates f(1)=0")
         if left_deriv_at_one is None:
             left_deriv_at_one = right_deriv_at_one
+        c = right_deriv_at_one
         if breg is None:
-            c = right_deriv_at_one
             breg = Breg(
                 lambda d, q, p: q * eval(p / q) - c * d, f_at_zero + c, fstar_at_zero - c
             )
+        if edge is None:
+            b = breg
+
+            def edge(t: float) -> float:
+                return _edge_term(b, t - 1.0, 1.0, t) + c * (t - 1.0)
+
         values = (
             family, params, f_at_zero, fstar_at_zero, right_deriv_at_one, left_deriv_at_one,
-            second_at_one, kink, eval, second, breg,
+            second_at_one, kink, eval, second, breg, edge,
         )
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
@@ -119,12 +131,25 @@ class GeneratorFunction:
         return self._eval(t)
 
     def eval(self, t: float) -> float:
-        """f(t) for t > 0 (f_at_zero is used for the t = 0 limit)."""
+        """f(t) for t > 0 (f_at_zero is used for the t = 0 limit), from
+        ``edge`` where the closed form is not finite: it overflowed, maybe
+        in a factor of a finite value, or read inf - inf."""
         if not _real(t, "t") >= 0.0:
             raise DomainError("generator argument must be non-negative")
         if t == 0.0:
             return self.f_at_zero
-        return self._eval(t)
+        try:
+            value = self._eval(t)
+        except (OverflowError, ZeroDivisionError):
+            value = math.nan
+        if math.isfinite(value):
+            return value
+        edge = self._edge(t)  # NaN where c (t - 1) cancels an infinite term
+        if edge == edge:
+            return edge
+        if value == value:
+            return value
+        raise DomainError(f"generator {self.family}: f({t!r}) leaves the float range")
 
     def second(self, t: float) -> float:
         """f''(t) where the family supplies it."""
@@ -140,13 +165,28 @@ class GeneratorFunction:
                     f"generator {self.family} has no second derivative at 1"
                 )
             return self.second_at_one
-        return self._second(t)
+        try:
+            value = self._second(t)
+        except (OverflowError, ZeroDivisionError):
+            value = math.nan
+        if value == value:
+            return value
+        raise DomainError(f"generator {self.family}: f''({t!r}) leaves the float range")
 
     @property
     def is_smooth(self) -> bool:
         """True when no kink is declared; the general and inverse-g engines
         take only a smooth generator."""
         return self.kink is None
+
+
+def _scaled_power(a: float, x: float, y: float) -> float:
+    """a x^y, also where x^y alone passes the float range: inf where a x^y
+    does, and NaN there for a = 0."""
+    try:
+        return a * x**y
+    except OverflowError:
+        return _exp_times(a, y * math.log(x)) if a > 0.0 else math.nan
 
 
 # generators ------------------------------------------------------------------
@@ -168,7 +208,7 @@ def _jeffreys() -> GeneratorFunction:
         "jeffreys", breg=_JEFFREYS, f_at_zero=math.inf, fstar_at_zero=math.inf,
         right_deriv_at_one=0.0, second_at_one=2.0,
         eval=lambda t: (t - 1.0) * math.log(t),
-        second=lambda t: 1.0 / t + 1.0 / (t * t),
+        second=lambda t: 1.0 / t + (1.0 / (t * t) if t * t else math.inf),
     )
 
 
@@ -181,7 +221,7 @@ def _hellinger(alpha: float, params: tuple) -> GeneratorFunction:
         f_at_zero=1.0 / (1.0 - alpha), fstar_at_zero=math.inf if alpha > 1.0 else 0.0,
         right_deriv_at_one=alpha / am1, second_at_one=alpha,
         eval=lambda t: (t**alpha - 1.0) / am1,
-        second=lambda t: alpha * t ** (alpha - 2.0),
+        second=lambda t: _scaled_power(alpha, t, alpha - 2.0),
     )
 
 
@@ -218,7 +258,7 @@ def _chi_s(s: float, params: tuple) -> GeneratorFunction:
         "chi_s", params=params, breg=breg, f_at_zero=1.0, fstar_at_zero=math.inf,
         right_deriv_at_one=0.0, second_at_one=second_at_one,
         eval=lambda t: abs(t - 1.0) ** s,
-        second=lambda t: s * (s - 1.0) * abs(t - 1.0) ** (s - 2.0),
+        second=lambda t: _scaled_power(s * (s - 1.0), abs(t - 1.0), s - 2.0),
     )
 
 
@@ -227,7 +267,7 @@ def _triangular() -> GeneratorFunction:
         "triangular", breg=_TRIANGULAR, f_at_zero=1.0, fstar_at_zero=1.0,
         right_deriv_at_one=0.0, second_at_one=1.0,
         eval=lambda t: (t - 1.0) ** 2 / (t + 1.0),
-        second=lambda t: 8.0 / (t + 1.0) ** 3,
+        second=lambda t: 8.0 / _scaled_power(1.0, t + 1.0, 3.0),
     )
 
 
@@ -406,10 +446,11 @@ def conjugate(f: GeneratorFunction) -> GeneratorFunction:
 
     Conjugation is an involution; f* inherits limits and the second
     derivative at 1 from f.  Its shifted term is the constructor's generic
-    one.  The bounds in ``divkit.bounds`` do not build it: they evaluate
-    t f(1/t), and f*(0) = ``f.fstar_at_zero``, in place.
+    one; where t f(1/t) overflows, f* is f's term at (1 - t, t, 1) plus
+    c (1 - t), c = f'(1).  The bounds in ``divkit.bounds`` do not build it:
+    they evaluate t f(1/t), and f*(0) = ``f.fstar_at_zero``, in place.
     """
-    base_eval, base_second = f._eval, f._second
+    base_eval, base_second, b, c = f._eval, f._second, f._breg, f.right_deriv_at_one
 
     def ev(t: float) -> float:
         return t * base_eval(1.0 / t)
@@ -419,7 +460,7 @@ def conjugate(f: GeneratorFunction) -> GeneratorFunction:
 
         def sd(t: float) -> float:  # type: ignore[misc]
             u = 1.0 / t
-            return base_second(u) * u**3
+            return _scaled_power(base_second(u), u, 3.0)
 
     return GeneratorFunction(
         f.family + "*",
@@ -432,6 +473,7 @@ def conjugate(f: GeneratorFunction) -> GeneratorFunction:
         kink=None if f.kink is None else 1.0 / f.kink,
         eval=ev,
         second=sd,
+        edge=lambda t: _edge_term(b, 1.0 - t, t, 1.0) + c * (1.0 - t),
     )
 
 
@@ -440,7 +482,7 @@ def affine_shift(f: GeneratorFunction, c: float) -> GeneratorFunction:
     shifted term."""
     if not math.isfinite(_real(c, "c")):
         raise DomainError(f"shift c must be finite, got {c!r}")
-    base_eval = f._eval
+    base_eval, base_edge = f._eval, f._edge
 
     def ev(t: float) -> float:
         return base_eval(t) + c * (t - 1.0)
@@ -457,6 +499,7 @@ def affine_shift(f: GeneratorFunction, c: float) -> GeneratorFunction:
         eval=ev,
         second=f._second,
         breg=f._breg,  # the shifted term is the same for f + c (t - 1)
+        edge=lambda t: base_edge(t) + c * (t - 1.0),
     )
 
 

@@ -43,7 +43,9 @@ class LocalLimitEstimate:
     """Richardson-extrapolated lam -> 0 limit of D(mixture)/lam^2.
 
     ``residual`` is the change between the last two extrapolants -- an
-    honest stability estimate, reported rather than hidden.  ``target`` is
+    honest stability estimate, reported rather than hidden -- and inf where
+    a ratio or an extrapolant leaves the float range; ``extrapolated`` is
+    then the last finite extrapolant, or inf where none is.  ``target`` is
     the predicted limit (1/2) f''(1) chi^2(P||Q).
     """
 
@@ -129,6 +131,9 @@ def _richardson(ratios) -> tuple[float, float]:
     extraps = [
         (10.0 * r1 - r0) / 9.0 for r0, r1 in zip(ratios, ratios[1:])
     ]
+    finite = [e for e in extraps if math.isfinite(e)]
+    if len(finite) < len(extraps) or not all(map(math.isfinite, ratios)):
+        return (finite[-1] if finite else math.inf), math.inf
     residual = abs(extraps[-1] - extraps[-2]) if len(extraps) > 1 else math.inf
     return extraps[-1], residual
 
@@ -168,7 +173,8 @@ def local_limit_estimate(
         _mixture_divergence(f._breg, ds, qs, lam, first) / (lam * lam)
         for lam in _LAMBDA_GRID
     ]
-    target = 0.5 * f.second_at_one * float(divergence("chi2", p, q))
+    # 0 where f''(1) is, also where chi^2 passes the float range (0 inf)
+    target = 0.5 * f.second_at_one * float(divergence("chi2", p, q)) if f.second_at_one else 0.0
     extrapolated, residual = _richardson(ratios)
     return LocalLimitEstimate(
         lambdas=_LAMBDA_GRID,
@@ -232,7 +238,8 @@ def ratio_limit_pair(
     q: DiscreteDistribution,
 ) -> float:
     """Extrapolated limit of D_f/D_g along the mixture path; converges to
-    f''(1)/g''(1) whenever both second derivatives exist and g''(1) > 0."""
+    f''(1)/g''(1) whenever both second derivatives exist and g''(1) > 0.
+    Where a ratio or an extrapolant on the grid is not finite, DomainError."""
     if g.second_at_one is None or not g.second_at_one > 0.0:
         raise DomainError("denominator generator needs g''(1) > 0")
     if f.second_at_one is None or not math.isfinite(f.second_at_one):
@@ -245,5 +252,7 @@ def ratio_limit_pair(
         if den == 0.0:
             raise DomainError("distributions must differ for the ratio limit")
         ratios.append(num / den)
-    extrapolated, _ = _richardson(ratios)
+    extrapolated, residual = _richardson(ratios)
+    if residual == math.inf:
+        raise DomainError("the ratio of the mixture-path sums leaves the float range")
     return extrapolated

@@ -299,8 +299,9 @@ def represent_degroot_weight(
     the integrand has compact support; it is split at the prior images of
     the likelihood-ratio atoms (and at 1/2), each prior 1/(1 + e^x) taken
     as e^-x/(1 + e^-x) above x = 0, so that no e^x leaves the float range.
-    A node whose omega^3 underflows (near a log-ratio of 250) is refused
-    with DomainError.
+    A node whose omega^3 underflows (near a log-ratio of 250), or whose
+    integrand is not finite though the integral may be, is refused with
+    DomainError.
     """
     if f._second is None:
         raise CapabilityError(
@@ -329,7 +330,12 @@ def represent_degroot_weight(
             )
         i_val = _degroot_sum(p, q, omega)
         t = (1.0 - omega) / omega
-        return i_val * f.second(t) / cube
+        value = i_val * f.second(t) / cube
+        if isfinite(value):
+            return value
+        raise DomainError(
+            f"the integrand at the prior {omega!r} is {value!r}, past the float range"
+        )
 
     pieces = [
         integrate(integrand, c0, c1, rel_tol=1e-10)

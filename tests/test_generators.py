@@ -1,15 +1,19 @@
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
 
 from divkit import (
+    DivkitError,
     DomainError,
     KinkError,
+    UnknownKindError,
     affine_shift,
     conjugate,
     divergence,
+    f_divergence,
     g_eval,
     generator,
     make_distribution,
@@ -17,7 +21,10 @@ from divkit import (
     represent_general,
     represent_inverse_g,
 )
-from divkit.generators import KINDS
+from divkit import divergences
+from divkit.distributions import _pair_slot
+from divkit.generators import _FAMILIES, KINDS, kind_args, parse_kind
+from divkit.terms import _hellinger_breg
 from helpers import mp_family, weight_kernel
 
 # family -> the name of its one parameter
@@ -243,6 +250,120 @@ class TestCatalog:
                     assert err <= 2.0, (family, a, got, exact, err)
                     worst = max(worst, err)
         assert worst > 0.0  # the sweep reached a rounded limit
+
+
+class TestFamilyTable:
+    # one member of each family, by its kind: (kind, family, parameters)
+    MEMBERS = [
+        (kind, family, {pname: 2.5 if family in ("hellinger", "chi_s", "e_gamma") else 0.3}
+         if pname else {})
+        for kind, (family, pname) in KINDS.items()
+        if family
+    ]
+
+    def test_every_family_has_one_row_and_one_kind(self):
+        assert len(self.MEMBERS) == len(_FAMILIES) == 11
+        assert {family for _, family, _ in self.MEMBERS} == set(_FAMILIES)
+        assert {kind for kind, (family, _) in KINDS.items() if family is None} == {
+            "sq_hellinger", "bhattacharyya", "alpha", "renyi",
+        }
+
+    @pytest.mark.parametrize("kind,family,params", MEMBERS)
+    def test_a_kind_and_its_generator_share_one_memo_entry(self, kind, family, params):
+        # they share one term while the bounded caches hold the parameter;
+        # other tests' parameters may have evicted it from some of them
+        for cached in (divergences._kind_sum, _hellinger_breg, *_FAMILIES[family][2:]):
+            getattr(cached, "cache_clear", lambda: None)()
+        p, q = make_distribution([0.7, 0.2, 0.1]), make_distribution([0.4, 0.35, 0.25])
+        value = divergence(kind, p, q, **params).value
+        f = generator(family, **params)
+        assert f_divergence(f, p, q).value == value
+        entries = _pair_slot(p, q)[2]
+        sums = {key: hit for key, hit in entries.items() if key[0] != "diffs"}
+        assert list(sums) == [(id(f._breg), False)]
+        assert sums[id(f._breg), False][1] is f._breg is _FAMILIES[family].term(*params.values())
+
+    @pytest.mark.parametrize("kind,family,params", [m for m in MEMBERS if m[2]])
+    def test_one_parameter_name_for_every_reader(self, kind, family, params):
+        (pname,) = params
+        assert _FAMILIES[family].param == pname == KINDS[kind][1]
+        assert generator(family, **params).params == tuple(params.items())
+        assert kind_args(kind, params) == tuple(params.values())
+        assert parse_kind(f"{kind}:0.75") == (kind, {pname: 0.75})
+        with pytest.raises(DomainError, match=f"takes the one parameter '{pname}'"):
+            generator(family)
+        with pytest.raises(DomainError, match=f"needs the parameter '{pname}'"):
+            kind_args(kind, {})
+        with pytest.raises(DomainError, match=f"takes no parameter 'x'"):
+            kind_args(kind, {pname: 0.5, "x": 1.0})
+
+    def test_the_maps_take_the_hellinger_order(self):
+        order = _FAMILIES["hellinger"].param
+        assert KINDS["alpha"] == KINDS["renyi"] == (None, order)
+        assert parse_kind("renyi:2") == ("renyi", {order: 2.0})
+
+    def test_a_name_without_a_row_is_refused_as_before(self, bern_pair):
+        for name in ("nope", "chi2", "renyi", "custom*"):
+            with pytest.raises(DomainError, match=f"^unknown generator family '{re.escape(name)}'$"):
+                generator(name)
+        with pytest.raises(DomainError, match="^unknown generator family \\[\\]$"):
+            generator([])
+        for name in ("nope", "chi_squared", "jensen_shannon"):
+            with pytest.raises(UnknownKindError, match=f"^unknown divergence kind '{name}'$"):
+                divergence(name, *bern_pair)
+            with pytest.raises(UnknownKindError, match=f"^unknown divergence kind '{name}:1'$"):
+                parse_kind(f"{name}:1")
+        with pytest.raises(DomainError, match="^'renyi' has no catalog generator$"):
+            parse_generator("renyi:2")
+        with pytest.raises(DomainError, match="^generator 'kl' takes no parameter$"):
+            generator("kl", alpha=2.0)
+        # order 1 is KL for the kinds, and refused by the generator
+        assert divergence("hellinger", *bern_pair, alpha=1.0).value == divergence("kl", *bern_pair).value
+        with pytest.raises(DomainError, match="Hellinger order"):
+            generator("hellinger", alpha=1.0)
+
+
+class TestFloatRange:
+    # the closed forms of f and f'' overflow (or read inf - inf) at these
+    # arguments for some member or its conjugate
+    TS = (1e-308, 1e-200, 1e154, 1e200, 1e308)
+    MEMBERS = ALL_FAMILIES + [
+        ("hellinger", {"alpha": a}) for a in (0.3, 1.5, 117.0)
+    ] + [("lin", {"theta": 1e-3}), ("e_gamma", {"gamma": 1.0})]
+
+    @pytest.mark.parametrize("family,params", MEMBERS)
+    def test_eval_and_second_end_in_a_value_or_a_refusal(self, family, params):
+        f = generator(family, **params)
+        exact, _, _, _ = mp_family(family, next(iter(params.values()), None))
+        cases = (
+            (f, exact),
+            (conjugate(f), lambda t: t * exact(1 / t)),
+            (affine_shift(f, 0.7), lambda t: exact(t) + mpmath.mpf(0.7) * (t - 1)),
+        )
+        for g, want in cases:
+            for t in self.TS:
+                got = g.eval(t)
+                with mpmath.workdps(60):
+                    w = want(mpmath.mpf(t))
+                    if abs(w) > mpmath.mpf(1.7976931348623157e308):
+                        assert got == math.copysign(math.inf, w), (g, t, got, w)
+                    else:
+                        assert abs(got - w) <= 1e-12 * abs(w) + 1e-300, (g, t, got, w)
+                try:
+                    second = g.second(t)
+                except DivkitError:
+                    continue
+                assert second >= 0.0, (g, t, second)  # f is convex; NaN fails too
+
+    def test_named_cases(self):
+        assert generator("triangular").eval(1e200) == pytest.approx(1e200, rel=1e-15)
+        assert generator("chi_squared").eval(1e200) == math.inf
+        assert conjugate(generator("chi_squared")).eval(1e-308) == pytest.approx(1e308, rel=1e-15)
+        assert generator("hellinger", alpha=0.5).second(1e-308) == math.inf
+        assert generator("jeffreys").second(1e-308) == math.inf
+        assert generator("triangular").second(1e154) == 0.0
+        with pytest.raises(DomainError, match="float range"):
+            conjugate(generator("triangular")).second(1e-200)
 
 
 class TestConjugate:

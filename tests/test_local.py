@@ -23,6 +23,14 @@ from helpers import random_pair, random_triple
 LAM_GRID = [round(0.1 * k, 1) for k in range(11)]
 
 
+def _past_the_float_range():
+    # every D(lam)/lam^2 of Hellinger order 117 on this pair passes the float
+    # range, while the predicted limit is ~39.65
+    p = make_distribution([1e-300, 1e-300, 1.0])
+    q = make_distribution([0.404, 6.0e-311, 0.596])
+    return p, q
+
+
 class TestChi2MixtureScaling:
     def test_endpoints(self, bern_pair):
         p, q = bern_pair
@@ -208,6 +216,23 @@ class TestLocalLimit:
         with pytest.raises(CapabilityError):
             local_limit_estimate(generator("total_variation"), *bern_pair)
 
+    def test_ratios_past_the_float_range_read_no_nan(self):
+        # Richardson took inf - inf: extrapolated and residual were NaN
+        p, q = _past_the_float_range()
+        est = local_limit_estimate(generator("hellinger", alpha=117.0), p, q)
+        assert est.ratios == (math.inf,) * 4
+        assert est.extrapolated == math.inf and est.residual == math.inf
+        assert est.target == pytest.approx(39.65436241610739, rel=1e-12)
+        # the other direction stays finite, and keeps its residual
+        est = local_limit_estimate(generator("hellinger", alpha=117.0), p, q, "mixture_second")
+        assert math.isfinite(est.extrapolated) and est.residual < 0.01
+
+    def test_target_is_zero_where_f2_is(self):
+        # f''(1) = 0 against a chi^2 past the float range read 0 inf = NaN
+        p, q = make_distribution([0.5, 0.5]), make_distribution([1e-310, 1.0])
+        est = local_limit_estimate(generator("chi_s", s=3.0), p, q)
+        assert est.target == 0.0 and est.residual == math.inf
+
 
 class TestRenyiLocal:
     def test_order_one_matches_kl(self, bern_pair):
@@ -234,6 +259,11 @@ class TestRenyiLocal:
         with pytest.raises(DomainError):
             renyi_local_estimate(-0.5, *bern_pair)
 
+    def test_ratios_past_the_float_range_read_no_nan(self):
+        # it read extrapolated -inf and residual NaN
+        est = renyi_local_estimate(117, *_past_the_float_range())
+        assert est.extrapolated == math.inf and est.residual == math.inf
+
 
 class TestRatioLimitPair:
     def test_identical_generators(self, bern_pair):
@@ -254,3 +284,9 @@ class TestRatioLimitPair:
     def test_domain(self, bern_pair):
         with pytest.raises(DomainError):
             ratio_limit_pair(generator("kl"), generator("total_variation"), *bern_pair)
+
+    def test_ratios_past_the_float_range_refused(self):
+        # it returned NaN
+        f = generator("hellinger", alpha=117.0)
+        with pytest.raises(DomainError, match="float range"):
+            ratio_limit_pair(f, generator("kl"), *_past_the_float_range())

@@ -783,6 +783,15 @@ class TestDegrootWeightRepresentation:
             direct = float(f_divergence(gen, a, b))
             assert represent_degroot_weight(gen, a, b) == pytest.approx(direct, rel=1e-12)
 
+    def test_an_integrand_past_the_float_range_is_refused(self):
+        # one node's I_omega f''(t) / omega^3 overflowed to inf where the
+        # integral is finite (~1.808e207), and the engine answered inf
+        p, q = make_distribution([0.5, 0.5]), make_distribution([math.exp(-240), 1.0])
+        gen = generator("hellinger", alpha=3.0)
+        assert float(f_divergence(gen, p, q)) == pytest.approx(1.80813699016e207, rel=1e-11)
+        with pytest.raises(DomainError, match="integrand"):
+            represent_degroot_weight(gen, p, q)
+
     def test_large_log_ratios_still_answer(self):
         p = make_distribution([0.5, 0.5])
         q = make_distribution([math.exp(-245), 1.0])
