@@ -322,9 +322,9 @@ class _Family(NamedTuple):
     its one parameter or None, its shifted term's builder and its
     generator's builder, or the one generator of a family with no
     parameter.  Builders share what they build per value, so a kind's sum
-    and its generator's read one term, which keys the pair memo.  The kinds
-    take Hellinger order 1 as KL, by analytic extension; the generator
-    refuses it."""
+    and its generator's read one term, which keys the pair memo, while the
+    bounded caches keep the value.  The kinds take Hellinger order 1 as KL,
+    by analytic extension; the generator refuses it."""
 
     kind: str
     param: Optional[str]
