@@ -446,11 +446,15 @@ def conjugate(f: GeneratorFunction) -> GeneratorFunction:
 
     Conjugation is an involution; f* inherits limits and the second
     derivative at 1 from f.  Its shifted term is the constructor's generic
-    one; where t f(1/t) overflows, f* is f's term at (1 - t, t, 1) plus
-    c (1 - t), c = f'(1).  The bounds in ``divkit.bounds`` do not build it:
-    they evaluate t f(1/t), and f*(0) = ``f.fstar_at_zero``, in place.
+    one; where t f(1/t) is not finite, f* is f's term at (1 - t, t, 1) plus
+    c (1 - t), c the subgradient at 1 that the term takes: f'(1), or at a
+    kink at 1 the one its limit at 0 implies.  The bounds in
+    ``divkit.bounds`` do not build it: they evaluate t f(1/t), and f*(0) =
+    ``f.fstar_at_zero``, in place.
     """
     base_eval, base_second, b, c = f._eval, f._second, f._breg, f.right_deriv_at_one
+    if f.left_deriv_at_one != c:
+        c = b.at_zero - f.f_at_zero
 
     def ev(t: float) -> float:
         return t * base_eval(1.0 / t)

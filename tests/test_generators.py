@@ -359,6 +359,11 @@ class TestFloatRange:
         assert generator("triangular").eval(1e200) == pytest.approx(1e200, rel=1e-15)
         assert generator("chi_squared").eval(1e200) == math.inf
         assert conjugate(generator("chi_squared")).eval(1e-308) == pytest.approx(1e308, rel=1e-15)
+        # t f(1/t) read inf where 1/t f(1/t) passed the float range, and where
+        # 1/t itself did; a kink at 1 keeps its term's subgradient there
+        assert conjugate(generator("kl")).eval(1e-308) == pytest.approx(-math.log(1e-308), rel=1e-15)
+        assert conjugate(generator("total_variation")).eval(5e-324) == 1.0
+        assert conjugate(generator("degroot", omega=0.5)).eval(5e-324) == 0.0
         assert generator("hellinger", alpha=0.5).second(1e-308) == math.inf
         assert generator("jeffreys").second(1e-308) == math.inf
         assert generator("triangular").second(1e154) == 0.0
