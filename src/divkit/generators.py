@@ -106,10 +106,9 @@ class GeneratorFunction:
                 lambda d, q, p: q * eval(p / q) - c * d, f_at_zero + c, fstar_at_zero - c
             )
         if edge is None:
-            b = breg
 
             def edge(t: float) -> float:
-                return _edge_term(b, t - 1.0, 1.0, t) + c * (t - 1.0)
+                return _edge_term(breg, t - 1.0, 1.0, t) + c * (t - 1.0)
 
         values = (
             family, params, f_at_zero, fstar_at_zero, right_deriv_at_one, left_deriv_at_one,
