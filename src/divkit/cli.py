@@ -294,7 +294,7 @@ def _cmd_local(args: argparse.Namespace, fmt: str) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace, fmt: str) -> int:
-    from .distributions import make_distribution
+    from .distributions import make_distribution, mixture
     from .divergences import f_divergence
     from .generators import conjugate, parse_generator
     from .spectrum_repr import represent_general, spectrum_identity
@@ -320,11 +320,16 @@ def _cmd_selftest(args: argparse.Namespace, fmt: str) -> int:
             f"spectrum identity ({name})",
             abs(spectrum_identity(p, q) - 1.0) <= 1e-12,
         )
+    near_p = mixture(bern_p, bern_q, 1e-8)
     for fam in ("kl", "chi2", "hellinger:0.5", "triangular", "js"):
         f = parse_generator(fam)
+        fc = conjugate(f)
         d_pq = float(f_divergence(f, bern_p, bern_q))
-        d_conj = float(f_divergence(conjugate(f), bern_q, bern_p))
-        check(f"conjugate duality ({fam})", abs(d_pq - d_conj) <= 1e-12)
+        d_conj = float(f_divergence(fc, bern_q, bern_p))
+        check(f"conjugate duality ({fam})", d_pq == d_conj)
+        near = float(f_divergence(f, near_p, bern_q))
+        near_conj = float(f_divergence(fc, bern_q, near_p))
+        check(f"conjugate duality, near-equal ({fam})", near == near_conj)
         rep = represent_general(f, bern_p, bern_q, c=1.0)
         check(
             f"representation vs direct ({fam})",

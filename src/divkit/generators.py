@@ -60,13 +60,13 @@ class GeneratorFunction:
     (kept as ``_eval`` and ``_second``), and ``breg`` the family's shifted
     term (``_breg``, see ``terms.Breg``), which the direct sums and the
     mixture-path sums read; a generator built without one, such as a custom
-    or a conjugate generator, gets q f(p/q) - c d with c =
-    ``right_deriv_at_one``, from p/q in the masses so that it is never
-    rounded through d.  ``edge`` gives f where ``eval`` overflows or reads
-    NaN (inf - inf); by default it is the shifted term at (t - 1, 1, t)
-    plus c (t - 1), which takes a ratio past the float range from its
-    logarithm (``terms._edge_term``).  The catalog families whose f can
-    overflow are smooth at 1, so there c is their term's subgradient.  The
+    generator, gets q f(p/q) - c d with c = ``right_deriv_at_one``, from p/q
+    in the masses so that it is never rounded through d.  Where the closed
+    form overflows or reads NaN (inf - inf), ``eval`` takes f from the
+    shifted term at (t - 1, 1, t) plus c (t - 1), which takes a ratio past
+    the float range from its logarithm (``terms._edge_term``); c is the
+    term's subgradient at 1: ``right_deriv_at_one``, or at a kink at 1 the
+    one its limit at 0 implies.  Calling a generator is ``eval``.  The
     catalog's families, ``custom``, ``conjugate`` and ``affine_shift`` are
     all built by this one constructor.
 
@@ -76,7 +76,7 @@ class GeneratorFunction:
 
     __slots__ = (
         "family", "params", "f_at_zero", "fstar_at_zero", "right_deriv_at_one",
-        "left_deriv_at_one", "second_at_one", "kink", "_eval", "_second", "_breg", "_edge",
+        "left_deriv_at_one", "second_at_one", "kink", "_eval", "_second", "_breg",
     )
     __setattr__ = __delattr__ = refuse_change
 
@@ -94,7 +94,6 @@ class GeneratorFunction:
         left_deriv_at_one: Optional[float] = None,
         second_at_one: Optional[float] = None,
         kink: Optional[float] = None,
-        edge: Optional[Callable[[float], float]] = None,
     ) -> None:
         if not abs(eval(1.0)) <= 1e-12:  # a NaN f(1) fails too
             raise ValidationError(f"generator {family} violates f(1)=0")
@@ -105,14 +104,9 @@ class GeneratorFunction:
             breg = Breg(
                 lambda d, q, p: q * eval(p / q) - c * d, f_at_zero + c, fstar_at_zero - c
             )
-        if edge is None:
-
-            def edge(t: float) -> float:
-                return _edge_term(breg, t - 1.0, 1.0, t) + c * (t - 1.0)
-
         values = (
             family, params, f_at_zero, fstar_at_zero, right_deriv_at_one, left_deriv_at_one,
-            second_at_one, kink, eval, second, breg, edge,
+            second_at_one, kink, eval, second, breg,
         )
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
@@ -126,13 +120,10 @@ class GeneratorFunction:
     def __deepcopy__(self, memo: dict) -> GeneratorFunction:
         return self
 
-    def __call__(self, t: float) -> float:
-        return self._eval(t)
-
     def eval(self, t: float) -> float:
-        """f(t) for t > 0 (f_at_zero is used for the t = 0 limit), from
-        ``edge`` where the closed form is not finite: it overflowed, maybe
-        in a factor of a finite value, or read inf - inf."""
+        """f(t) for t > 0 (f_at_zero is used for the t = 0 limit), from the
+        shifted term where the closed form is not finite: it overflowed,
+        maybe in a factor of a finite value, or read inf - inf."""
         if not _real(t, "t") >= 0.0:
             raise DomainError("generator argument must be non-negative")
         if t == 0.0:
@@ -143,12 +134,17 @@ class GeneratorFunction:
             value = math.nan
         if math.isfinite(value):
             return value
-        edge = self._edge(t)  # NaN where c (t - 1) cancels an infinite term
-        if edge == edge:
+        b, c = self._breg, self.right_deriv_at_one
+        if self.left_deriv_at_one != c:
+            c = b.at_zero - self.f_at_zero
+        edge = _edge_term(b, t - 1.0, 1.0, t) + c * (t - 1.0)
+        if edge == edge:  # NaN where c (t - 1) cancels an infinite term
             return edge
         if value == value:
             return value
         raise DomainError(f"generator {self.family}: f({t!r}) leaves the float range")
+
+    __call__ = eval
 
     def second(self, t: float) -> float:
         """f''(t) where the family supplies it."""
@@ -444,16 +440,14 @@ def conjugate(f: GeneratorFunction) -> GeneratorFunction:
     """The conjugate generator f*(t) = t f(1/t); swaps divergence arguments.
 
     Conjugation is an involution; f* inherits limits and the second
-    derivative at 1 from f.  Its shifted term is the constructor's generic
-    one; where t f(1/t) is not finite, f* is f's term at (1 - t, t, 1) plus
-    c (1 - t), c the subgradient at 1 that the term takes: f'(1), or at a
-    kink at 1 the one its limit at 0 implies.  The bounds in
-    ``divkit.bounds`` do not build it: they evaluate t f(1/t), and f*(0) =
-    ``f.fstar_at_zero``, in place.
+    derivative at 1 from f.  Its shifted term is f's read with P and Q
+    swapped, T*(d, q, p) = T(-d, p, q) through ``terms._edge_term``, which
+    takes a ratio past the float range, with ``at_zero`` and ``at_inf``
+    exchanged: D_{f*}(P||Q) sums the same terms as D_f(Q||P).  The bounds
+    in ``divkit.bounds`` do not build it: they evaluate t f(1/t), and
+    f*(0) = ``f.fstar_at_zero``, in place.
     """
-    base_eval, base_second, b, c = f._eval, f._second, f._breg, f.right_deriv_at_one
-    if f.left_deriv_at_one != c:
-        c = b.at_zero - f.f_at_zero
+    base_eval, base_second, b = f._eval, f._second, f._breg
 
     def ev(t: float) -> float:
         return t * base_eval(1.0 / t)
@@ -468,6 +462,7 @@ def conjugate(f: GeneratorFunction) -> GeneratorFunction:
     return GeneratorFunction(
         f.family + "*",
         params=f.params,
+        breg=Breg(lambda d, q, p: _edge_term(b, -d, p, q), b.at_inf, b.at_zero),
         f_at_zero=f.fstar_at_zero,
         fstar_at_zero=f.f_at_zero,
         right_deriv_at_one=-f.left_deriv_at_one,
@@ -476,16 +471,15 @@ def conjugate(f: GeneratorFunction) -> GeneratorFunction:
         kink=None if f.kink is None else 1.0 / f.kink,
         eval=ev,
         second=sd,
-        edge=lambda t: _edge_term(b, 1.0 - t, t, 1.0) + c * (1.0 - t),
     )
 
 
 def affine_shift(f: GeneratorFunction, c: float) -> GeneratorFunction:
     """f(t) + c (t - 1); defines the same divergence as f, and shares its
-    shifted term."""
+    shifted term, from which ``eval`` takes it past the float range."""
     if not math.isfinite(_real(c, "c")):
         raise DomainError(f"shift c must be finite, got {c!r}")
-    base_eval, base_edge = f._eval, f._edge
+    base_eval = f._eval
 
     def ev(t: float) -> float:
         return base_eval(t) + c * (t - 1.0)
@@ -502,7 +496,6 @@ def affine_shift(f: GeneratorFunction, c: float) -> GeneratorFunction:
         eval=ev,
         second=f._second,
         breg=f._breg,  # the shifted term is the same for f + c (t - 1)
-        edge=lambda t: base_edge(t) + c * (t - 1.0),
     )
 
 

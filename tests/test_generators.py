@@ -25,7 +25,7 @@ from divkit import divergences
 from divkit.distributions import _pair_slot
 from divkit.generators import _FAMILIES, KINDS, kind_args, parse_kind
 from divkit.terms import _hellinger_breg
-from helpers import mp_family, weight_kernel
+from helpers import mp_family, outcome, weight_kernel
 
 # family -> the name of its one parameter
 FAMILY_PARAM = {family: pname for family, pname in KINDS.values() if family and pname}
@@ -339,9 +339,14 @@ class TestFloatRange:
             (f, exact),
             (conjugate(f), lambda t: t * exact(1 / t)),
             (affine_shift(f, 0.7), lambda t: exact(t) + mpmath.mpf(0.7) * (t - 1)),
+            (
+                affine_shift(conjugate(f), -0.4),
+                lambda t: t * exact(1 / t) - mpmath.mpf(0.4) * (t - 1),
+            ),
         )
         for g, want in cases:
             for t in self.TS:
+                assert outcome(g, t) == outcome(g.eval, t), (g, t)  # f(t) is f.eval(t)
                 got = g.eval(t)
                 with mpmath.workdps(60):
                     w = want(mpmath.mpf(t))

@@ -9,6 +9,7 @@ from divkit import (
     chi2_mixture_scaling,
     chi2_mixture_three,
     chis_mixture_scaling,
+    conjugate,
     divergence,
     f_divergence,
     generator,
@@ -21,6 +22,18 @@ from divkit import (
 from helpers import random_pair, random_triple
 
 LAM_GRID = [round(0.1 * k, 1) for k in range(11)]
+SMOOTH = [
+    ("kl", {}),
+    ("jeffreys", {}),
+    ("hellinger", {"alpha": 0.5}),
+    ("hellinger", {"alpha": 2.5}),
+    ("hellinger", {"alpha": 117.0}),
+    ("chi_squared", {}),
+    ("chi_s", {"s": 2.5}),
+    ("triangular", {}),
+    ("lin", {"theta": 0.3}),
+    ("jensen_shannon", {}),
+]
 
 
 def _past_the_float_range():
@@ -186,6 +199,20 @@ class TestLocalLimit:
             rev = local_limit_estimate(f, *bern_pair, direction="mixture_second")
             tol = 2.0 * max(fwd.residual, rev.residual) + 1e-12
             assert abs(fwd.extrapolated - rev.extrapolated) <= tol
+
+    def test_conjugate_reads_the_other_direction(self, bern_pair):
+        # D_{f*}(M||Q) = D_f(Q||M): the mixture path sums the same terms
+        rng = np.random.default_rng(151)
+        pairs = [bern_pair, _past_the_float_range()]
+        pairs += [random_pair(rng, int(rng.integers(2, 8))) for _ in range(6)]
+        first, second = "mixture_first", "mixture_second"
+        for fam, params in SMOOTH:
+            f = generator(fam, **params)
+            fc = conjugate(f)
+            for p, q in pairs:
+                for mine, other in (first, second), (second, first):
+                    got = local_limit_estimate(fc, p, q, mine)
+                    assert got == local_limit_estimate(f, p, q, other), (fam, params, mine)
 
     def test_first_derivative_vanishes(self, bern_pair):
         p, q = bern_pair

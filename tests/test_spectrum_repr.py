@@ -10,6 +10,7 @@ from divkit import (
     DiscreteDistribution,
     DomainError,
     KinkError,
+    conjugate,
     divergence,
     f_divergence,
     g_eval,
@@ -350,7 +351,13 @@ class TestRepresentGeneral:
             for kind, fam, pr in SMOOTH:
                 ref = oracle(kind, pr, p.masses, q.masses)
                 gen = generator(fam, **pr)
-                for got in (represent_inverse_g(gen, p, q), represent_general(gen, p, q)):
+                conj = conjugate(gen)  # D_{f*}(Q||P), from the same terms
+                for got in (
+                    represent_inverse_g(gen, p, q),
+                    represent_general(gen, p, q),
+                    represent_inverse_g(conj, q, p),
+                    represent_general(conj, q, p),
+                ):
                     assert abs(got - ref) <= 1e-8 * ref, (kind, lam, got, float(ref))
 
     def test_no_quadrature(self, monkeypatch, bern_pair, trinomial_pair):
