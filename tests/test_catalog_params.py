@@ -415,12 +415,13 @@ class TestNonNumberParameter:
                 "custom", eval=lambda t: math.nan, f_at_zero=0.0, fstar_at_zero=1.0,
                 right_deriv_at_one=0.0,
             )
-        # a missing or unknown keyword of custom, the removed deriv among
-        # them, raised a raw TypeError
+        # a missing or unknown keyword of custom (the removed deriv and edge
+        # among them) is a DomainError, not a raw TypeError
         made = dict(eval=lambda t: (t - 1.0) ** 2, f_at_zero=1.0, fstar_at_zero=math.inf)
         for kwargs in (
             made,
             {**made, "right_deriv_at_one": 0.0, "deriv": lambda t: 2.0 * (t - 1.0)},
+            {**made, "right_deriv_at_one": 0.0, "edge": lambda t: (t - 1.0) ** 2},
             {**made, "right_deriv_at_one": 0.0, "foo": 1},
         ):
             with pytest.raises(DomainError, match="generator 'custom'"):
