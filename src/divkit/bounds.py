@@ -241,9 +241,10 @@ def _jensen(f: GeneratorFunction, up: float, down: float, base: float) -> float:
     down <= base <= 1, with the conjugate f*(t) = t f(1/t) and its limit
     f*(0) at t = 0 evaluated in place; where f* passes the float range, the
     same sum of f's shifted term T(t) = f*(t) - c (1 - t), whose c parts
-    cancel.  For down = base the last two cancel, also where both are 0
-    (gamma = inf); a lower bound must not overstate, so past the float
-    range their difference is refused."""
+    cancel, each from ``terms._edge_term``, which reads T(0) = f*(0) - c
+    as the singular part ``at_inf``.  For down = base the last two cancel,
+    also where both are 0 (gamma = inf); a lower bound must not overstate,
+    so past the float range their difference is refused."""
     ev, at_zero = f._eval, f.fstar_at_zero
     try:
         value = up * ev(1.0 / up) + (down * ev(1.0 / down) if down else at_zero)
@@ -255,7 +256,7 @@ def _jensen(f: GeneratorFunction, up: float, down: float, base: float) -> float:
     b = f._breg
 
     def term(t: float) -> float:
-        return _edge_term(b, 1.0 - t, t, 1.0) if t > 0.0 else b.at_inf
+        return _edge_term(b, 1.0 - t, t, 1.0)
 
     value = term(up)
     if down != base:

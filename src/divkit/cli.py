@@ -1,9 +1,9 @@
 """divkit command-line front end.
 
 Subcommands: div, represent, spectrum, bounds, figure1, poisson, local,
-selftest.  Output is JSON by default (CSV via --format csv or the
-DIVKIT_FORMAT environment variable) and is deterministic byte for byte:
-stable key order, floats at 12 significant digits.
+selftest.  Output is JSON by default (CSV via --format csv) and is
+deterministic byte for byte: the same argv prints the same bytes, with
+stable key order and floats at 12 significant digits.
 
 Exit status: 0 success, 2 validation/input error, 1 internal error.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -348,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format",
         choices=("json", "csv"),
-        default=None,
-        help="output format (default json; DIVKIT_FORMAT overrides)",
+        default="json",
+        help="output format (default json)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -422,12 +421,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    fmt = args.format or os.environ.get("DIVKIT_FORMAT") or "json"
-    if fmt not in ("json", "csv"):
-        print(f"divkit: unknown format {fmt!r}", file=sys.stderr)
-        return 2
     try:
-        return args.func(args, fmt)
+        return args.func(args, args.format)
     except DivkitError as exc:
         print(f"divkit: {exc}", file=sys.stderr)
         return 2

@@ -268,7 +268,8 @@ def _spectrum(pair: tuple) -> SpectrumFunction:
 
 def _atoms(pair: tuple) -> tuple:
     """(P-masses, log-ratios ln p - ln q) of the atoms both measures charge,
-    and ``_singular_masses``, kept per orientation in ``pair``'s entries."""
+    the Q-mass where p = 0 and the P-mass where q = 0, kept per
+    orientation in ``pair``'s entries."""
     ps, qs, entries, swapped = pair
     atoms = entries.get(("atoms", swapped))
     if atoms is None:
@@ -276,19 +277,15 @@ def _atoms(pair: tuple) -> tuple:
         try:
             xs = list(map(sub, map(math.log, ps), map(math.log, qs)))
         except ValueError:  # a mass is 0: keep the atoms both measures charge
-            singular = _singular_masses(ps, qs)
+            singular = (
+                math.fsum([qm for pm, qm in zip(ps, qs) if pm == 0.0 < qm]),
+                math.fsum([pm for pm, qm in zip(ps, qs) if qm == 0.0 != pm]),
+            )
             both = [pm > 0.0 < qm for pm, qm in zip(ps, qs)]
             ps, qs = list(compress(ps, both)), list(compress(qs, both))
             xs = list(map(sub, map(math.log, ps), map(math.log, qs)))
         atoms = _kept(entries, ("atoms", swapped), (ps, xs, *singular))
     return atoms
-
-
-def _singular_masses(ps: Sequence[float], qs: Sequence[float]):
-    """(Q-mass where p = 0, P-mass where q = 0)."""
-    q_where_p0 = [qm for pm, qm in zip(ps, qs) if pm == 0.0 < qm]
-    p_where_q0 = [pm for pm, qm in zip(ps, qs) if qm == 0.0 != pm]
-    return math.fsum(q_where_p0), math.fsum(p_where_q0)
 
 
 def _build_spectrum(atoms: tuple) -> SpectrumFunction:

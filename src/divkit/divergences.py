@@ -1,9 +1,10 @@
 """Direct computation of f-divergences on finite alphabets.
 
 Every catalog divergence is one sum of its family's shifted term
-q (f(p/q) - c (p/q - 1)) (``terms.Breg``), each term non-negative and
-written without cancellation, plus the two singular parts Q(p=0) (f(0) + c)
-and P(q=0) (f*(0) - c) with the 0 * inf = 0 convention.  The paper's
+q (f(p/q) - c (p/q - 1)) (``terms.Breg``) over every atom, each term
+non-negative and written without cancellation; the singular parts are
+terms of that sum, q (f(0) + c) where p = 0 and p (f*(0) - c) where
+q = 0, with the 0 * inf = 0 convention.  The paper's
 invariance D_f = D_{f + c(t-1)} makes this the divergence; on stored masses
 it differs from sum q f(p/q) by c (sum P - sum Q), which the normalization
 tolerance holds to 1e-12 |c|.  The Hellinger-based kinds (squared
@@ -26,7 +27,7 @@ from operator import sub
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .distributions import DiscreteDistribution, _kept, _pair_slot, _singular_masses
+from .distributions import DiscreteDistribution, _kept, _pair_slot
 from .errors import _CACHE_SIZE, DomainError
 from .generators import _FAMILIES, KINDS, GeneratorFunction, kind_args
 from .terms import Breg, _alpha_breg, _edge_term, _shared, prior_scale
@@ -58,17 +59,17 @@ def _shifted_sum(
     qs: Sequence[float],
     ds: Optional[Sequence[float]] = None,
 ) -> float:
-    """sum term(d, q, p), or the slice ``b.reads`` of it, over the atoms
-    charged by both measures, plus the singular parts Q(p=0) at_zero and
-    P(q=0) at_inf; P's masses ``ps``, Q's ``qs``, and ``ds`` their
+    """sum term(d, q, p), or the slice ``b.reads`` of it, over every atom,
+    the singular parts q at_zero where p = 0 and p at_inf where q = 0
+    among its terms; P's masses ``ps``, Q's ``qs``, and ``ds`` their
     differences where a caller keeps them (``_pair_sum``) or where p - q
     would round them away (a mixture path's).
 
-    One pass maps every atom through the term, which gives q at_zero and
-    p at_inf at p = 0 and q = 0, or raises.  Only where it raises or the
-    sum is not finite -- a ratio past the float range -- are the terms
-    taken again through ``_edge_term``, and the singular masses in a pass
-    of their own.
+    One pass maps every atom through the term, which gives the singular
+    parts at p = 0 and q = 0, or raises.  Only where it raises or the sum
+    is not finite -- a singular part the term cannot take, or a ratio past
+    the float range -- is every atom taken again through ``_edge_term``,
+    into one fsum.
     """
     diffs = map(sub, ps, qs) if ds is None else ds
     try:
@@ -78,21 +79,11 @@ def _shifted_sum(
     if math.isfinite(total):
         return total
     try:
-        total = math.fsum(
-            [
-                _edge_term(b, d, qm, pm)
-                for d, qm, pm in zip(map(sub, ps, qs) if ds is None else ds, qs, ps)
-                if pm > 0.0 < qm
-            ]
+        return math.fsum(
+            map(partial(_edge_term, b), map(sub, ps, qs) if ds is None else ds, qs, ps)
         )
     except OverflowError:  # finite terms whose sum passes the float range
-        total = math.inf
-    for mass, per_unit in zip(_singular_masses(ps, qs), (b.at_zero, b.at_inf)):
-        if mass > 0.0:
-            if math.isinf(per_unit):
-                return math.inf
-            total += mass * per_unit
-    return total
+        return math.inf
 
 
 def f_divergence(

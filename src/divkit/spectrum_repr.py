@@ -32,7 +32,7 @@ from .errors import (
     KinkError,
     _real,
 )
-from .generators import GeneratorFunction
+from .generators import GeneratorFunction, kind_args
 from .terms import Breg, _degroot_breg, _g_edge
 from .quadrature import integrate
 
@@ -215,8 +215,8 @@ def represent_named(
     """
     try:
         total = _kind_sum(kind, _spectral_sum, **params)
-    except TypeError:  # an unhashable kind or parameter, which the resolver refuses
-        _kind_sum.__wrapped__(kind, _spectral_sum, **params)
+    except TypeError:  # an unhashable kind or parameter, which kind_args refuses
+        kind_args(kind, params)
         raise
     return total(_pair_slot(p, q))
 

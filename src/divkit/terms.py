@@ -73,7 +73,8 @@ def _kl_term(d: float, q: float, p: float) -> float:
     (2000) bd0(p, q).  For |x| < 1/4 it is his series in v = x/(2+x),
     d v + 2 p (v^3/3 + v^5/5 + ...), whose first omitted term is below
     1e-17 of the sum; beyond, the logarithm's form holds ~2e-15 relative.
-    Finite at every p, q > 0; p = 0 raises, for the singular pass."""
+    Finite at every p, q > 0; p = 0 raises, and ``_edge_term`` takes the
+    singular part."""
     x = d / q
     if -0.25 < x < 0.25:
         v = x / (2.0 + x)
@@ -273,15 +274,20 @@ def _degroot_breg(omega: float) -> Breg:
 
 
 def _edge_term(b: Breg, d: float, qm: float, pm: float) -> float:
-    """One atom's term, p and q > 0, where the pass over all atoms failed:
-    the term if finite, else its form in x = ln(p/q), ``at_log``, or where
-    the family has none its limit at x = +-inf."""
+    """Any atom's term, where the pass over all atoms failed: the term if
+    finite; at p = 0 or q = 0 its singular part q at_zero or p at_inf (0
+    where both masses are 0); else its form in x = ln(p/q), ``at_log``, or
+    where the family has none its limit at x = +-inf."""
     try:
         term = b.term(*(d, qm, pm)[b.reads])
-    except (OverflowError, ValueError):
+    except (ZeroDivisionError, OverflowError, ValueError):
         term = math.nan
     if math.isfinite(term):
         return term
+    if pm == 0.0:
+        return qm * b.at_zero if qm > 0.0 else 0.0
+    if qm == 0.0:
+        return pm * b.at_inf
     x = math.log(pm) - math.log(qm)
     if x > 0.0 and b.at_log is not None:
         return b.at_log(x, pm)

@@ -399,10 +399,10 @@ def multipass_f_divergence(
     """Reference f-divergence over f's shifted term q (f(p/q) - c (p/q - 1)).
 
     First every atom's term in a list of its own, summed once; where a term
-    fails or the sum is not finite, the terms of the atoms charged by both
-    measures, the Q-mass where p = 0 and the P-mass where q = 0 each in a
-    pass of their own, the singular masses weighted by f(0) + c and
-    f*(0) - c."""
+    fails or the sum is not finite, every atom again into one fsum: an atom
+    charged by both measures through ``_edge_term``, a singular one as its
+    term where finite, else the Q-mass where p = 0 weighted by f(0) + c, the
+    P-mass where q = 0 by f*(0) - c, and 0 where both masses are 0."""
     b = f._breg
 
     def pairs():
@@ -415,25 +415,31 @@ def multipass_f_divergence(
     def term(pm, qm):
         return b.term(*(pm - qm, qm, pm)[b.reads])
 
+    def singular(pm, qm):
+        try:
+            value = term(pm, qm)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            value = math.nan
+        if math.isfinite(value):
+            return value
+        if qm > 0.0:
+            return qm * b.at_zero
+        return pm * b.at_inf if pm > 0.0 else 0.0
+
     try:
         total = math.fsum([term(pm, qm) for pm, qm in pairs()])
     except (ZeroDivisionError, OverflowError, ValueError):
         total = math.nan
     if math.isfinite(total):
         return DivergenceValue(total, f.family, dict(f.params))
+    terms = [
+        _edge_term(b, pm - qm, qm, pm) if pm > 0.0 and qm > 0.0 else singular(pm, qm)
+        for pm, qm in pairs()
+    ]
     try:
-        total = math.fsum(
-            [_edge_term(b, pm - qm, qm, pm) for pm, qm in pairs() if pm > 0.0 and qm > 0.0]
-        )
+        total = math.fsum(terms)
     except OverflowError:
         total = math.inf
-    q_p0 = math.fsum(qm for pm, qm in pairs() if pm == 0.0 and qm > 0.0)
-    p_q0 = math.fsum(pm for pm, qm in pairs() if qm == 0.0 and pm > 0.0)
-    for mass, per_unit in ((q_p0, b.at_zero), (p_q0, b.at_inf)):
-        if mass > 0.0:
-            if math.isinf(per_unit):
-                return DivergenceValue(math.inf, f.family, dict(f.params))
-            total += mass * per_unit
     return DivergenceValue(total, f.family, dict(f.params))
 
 

@@ -245,8 +245,11 @@ class TestNonNumberParameter:
 
     def test_unhashable_kind_or_family(self):
         p, q = _PAIRS[0]
-        with pytest.raises(UnknownKindError):
-            divergence(["kl"], p, q)
+        for named in (divergence, represent_named):
+            with pytest.raises(UnknownKindError):
+                named(["kl"], p, q)
+            with pytest.raises(DomainError):
+                named("hellinger", p, q, alpha=[2])
         with pytest.raises(DomainError):
             generator(["kl"])
 

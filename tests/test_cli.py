@@ -540,14 +540,22 @@ class TestSelftestAndPlumbing:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
-    def test_format_env_override(self, capsys, dist_files, monkeypatch):
+    def test_format_only_from_argv(self, capsys, dist_files, monkeypatch):
+        # the environment does not change stdout: JSON unless --format csv
         p, q = dist_files
+        args = ("div", "--kind", "tv", "--p", p, "--q", q)
+        monkeypatch.delenv("DIVKIT_FORMAT", raising=False)
+        code, plain, _ = run_cli(capsys, *args)
+        assert code == 0
         monkeypatch.setenv("DIVKIT_FORMAT", "csv")
-        code, out, _ = run_cli(capsys, "div", "--kind", "tv", "--p", p, "--q", q)
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert out == plain
+        assert json.loads(out)["kind"] == "tv"
+        code, out, _ = run_cli(capsys, "--format", "csv", *args)
         assert code == 0
         header, row = out.strip().split("\n")
         assert "value_nats" in header.split(",")
-        monkeypatch.delenv("DIVKIT_FORMAT")
 
     def test_infinite_value_serialization(self, capsys, tmp_path):
         p = tmp_path / "p.json"

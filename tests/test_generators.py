@@ -489,6 +489,10 @@ class TestGEval:
         assert g_eval(half, 720.0) == 1.0  # f*(0) - f'(1)
         assert g_eval(kl, -720.0) == math.inf
         assert g_eval(half, -700.0) == pytest.approx(math.exp(700.0), rel=1e-12)
+        # below x ~ -745 e^x is 0, and the term is the singular part q at_zero
+        for x in (-746.0, -800.0):
+            assert g_eval(kl, x) == g_eval(generator("jeffreys"), x) == math.inf
+            assert g_eval(generator("e_gamma", gamma=2.0), x) == 0.0
 
     @pytest.mark.parametrize("family,params", SMOOTH_FAMILIES)
     def test_monotone_both_sides(self, family, params):
