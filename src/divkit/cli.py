@@ -159,7 +159,7 @@ def _cmd_represent(args: argparse.Namespace, fmt: str) -> int:
     else:
         f = parse_generator(args.kind)
         if args.engine == "general":
-            value = represent_general(f, p, q, c=args.c)
+            value = represent_general(f, p, q)
         elif args.engine == "inverse-g":
             value = represent_inverse_g(f, p, q)
         else:  # degroot-weight
@@ -362,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--kind", required=True)
     p_rep.add_argument("--p", required=True)
     p_rep.add_argument("--q", required=True)
-    p_rep.add_argument("--c", type=float, default=0.0, help="kernel shift constant")
     p_rep.add_argument(
         "--engine",
         choices=("general", "inverse-g", "named", "degroot-weight"),

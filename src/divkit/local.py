@@ -195,8 +195,12 @@ def renyi_local_estimate(
     the target is (1/2) alpha chi^2(P||Q) in nats.
 
     Order 0 vanishes identically along mixture paths (the mixture keeps
-    Q's support); order infinity diverges and is reported as such.
+    Q's support); order infinity diverges and is reported as such, its
+    ratios read from D_inf(M||Q) = max ln(m/q) or D_inf(Q||M) = max ln(q/m).
     """
+    if direction not in ("mixture_first", "mixture_second"):
+        raise DomainError(f"unknown direction {direction!r}")
+    first = direction == "mixture_first"
     if _real(alpha, "alpha") < 0.0:
         raise DomainError("Renyi order must be non-negative")
     ps, qs, ds = _supported_masses(p, q)
@@ -205,15 +209,15 @@ def renyi_local_estimate(
         zeros = tuple(0.0 for _ in _LAMBDA_GRID)
         return LocalLimitEstimate(_LAMBDA_GRID, zeros, 0.0, 0.0, 0.0)
     if math.isinf(alpha):
+        sign = 1.0 if first else -1.0  # ln(q/m) = -ln(m/q)
         ratios = [
-            max(math.log1p(lam * (pm - qm) / qm) for pm, qm in zip(ps, qs) if qm > 0.0)
+            max(sign * math.log1p(lam * (pm - qm) / qm) for pm, qm in zip(ps, qs) if qm > 0.0)
             / (lam * lam)
             for lam in _LAMBDA_GRID
         ]
         target = math.inf if chi2 > 0.0 else 0.0
         return LocalLimitEstimate(_LAMBDA_GRID, tuple(ratios), target, target, math.inf)
     # ln(1 + (alpha-1) H)/(alpha-1) of the Hellinger sum along the path
-    first = direction == "mixture_first"
     b = _FAMILIES["hellinger"].term(alpha)
     ratios = []
     for lam in _LAMBDA_GRID:

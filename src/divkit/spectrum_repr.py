@@ -5,10 +5,11 @@ Every engine here reduces the spectrum to segments on which it is constant.
 The named, general and inverse-g engines are one exact sum over those
 segments (``_g_sum``): the paper's general representation, whose kernel
 |h'| integrates on a segment to |g(x1) - g(x0)|, with g read from a shifted
-term (``terms.Breg``).  A named kind is resolved by ``divergence()``'s
-own resolver, ``divergences._kind_sum``, with that sum in place of the
-direct one; so a named representation is checked against the paper's
-per-kind kernels (the tests' 40-digit quadrature), not against
+term (``terms.Breg``); its c part integrates to exactly 0 under the mutual
+continuity the general engine requires.  A named kind is resolved by
+``divergence()``'s own resolver, ``divergences._kind_sum``, with that sum
+in place of the direct one; so a named representation is checked against
+the paper's per-kind kernels (the tests' 40-digit quadrature), not against
 ``divergence()`` alone.  Only the DeGroot-weight engine integrates, by
 adaptive 21-point Gauss-Kronrod quadrature.
 """
@@ -68,11 +69,9 @@ def _require_mutual(q_where_p0: float, p_where_q0: float) -> None:
     _require_qp_dominated(q_where_p0)
 
 
-def _g_sum(b: Breg, spec: SpectrumFunction, c: float = 0.0) -> float:
+def _g_sum(b: Breg, spec: SpectrumFunction) -> float:
     """The sum over the spectrum segments [x0, x1] (cut at 0), on which F
-    equals cdf, of G |g(x1) - g(x0)| -- G = 1 - cdf above 0, cdf below --
-    plus, where c is not 0, the c kernel's exact part
-    +-c G (e^-x0 - e^-x1), + above 0 and - below.
+    equals cdf, of G |g(x1) - g(x0)|, G = 1 - cdf above 0 and cdf below.
 
     The segments are read in one walk over the breakpoints below 0 and one
     from 0 up, 0 a point of both, F at 0 being the value of the last
@@ -82,18 +81,17 @@ def _g_sum(b: Breg, spec: SpectrumFunction, c: float = 0.0) -> float:
 
     g is the shifted term ``b`` as ``terms._g_edge`` takes it, called once
     per breakpoint; ``_g_edge`` itself only past x = 700 and where the term
-    raises or is not finite.  Above 0, e^-x serves the term and the c
-    kernel.  Below 0 each piece is formed from cdf e^-x = exp(ln cdf - x),
-    at most the Q-mass below the ratio, times the term at (e^x - 1, 1, e^x),
-    so that e^-x never leaves the float range.  The sum telescopes, so a
-    kink in f costs nothing: h(beta) = g(ln beta) + c is continuous and
-    monotone on each side of 1 for every convex f.
+    raises or is not finite.  Above 0 the term is read at e^-x.  Below 0
+    each piece is formed from cdf e^-x = exp(ln cdf - x), at most the Q-mass
+    below the ratio, times the term at (e^x - 1, 1, e^x), so that e^-x
+    never leaves the float range.  The sum telescopes, so a kink in f costs
+    nothing: g is continuous and monotone on each side of 0 for every
+    convex f.
 
     A singular mass is refused only where the term charges it: Q-mass where
     p = 0 unless ``at_zero`` is 0, P-mass where q = 0 unless ``at_inf`` is 0.
     Where it is 0 the mass adds nothing, since g rises on [0, inf) to
-    ``at_inf``; the c kernel's part then no longer sums to 0, so a caller
-    with c != 0 requires mutual continuity.
+    ``at_inf``.
     """
     xs, cdfs, p_where_q0, q_where_p0 = spec
     if q_where_p0 != 0.0 and b.at_zero != 0.0:
@@ -117,27 +115,21 @@ def _g_sum(b: Breg, spec: SpectrumFunction, c: float = 0.0) -> float:
                 log_cdf = log(cdf)
                 a0, a1 = exp(log_cdf - x0), exp(log_cdf - x)
                 pieces.append(a0 * v0 - a1 * v)
-                if c != 0.0:
-                    pieces.append(-c * (a0 - a1))
         x0, v0 = x, v
     k = bisect_right(xs, 0.0, k)  # past a breakpoint at 0
-    cdf, e0 = cdfs[k - 1] if k else 0.0, 1.0
+    cdf = cdfs[k - 1] if k else 0.0
     for j in range(k, len(xs)):  # the segment from the point before x up to x
         x = xs[j]
-        e = exp(-x)
         try:
-            v = term(*(-expm1(-x), e, 1.0)[reads]) if x <= 700.0 else nan
+            v = term(*(-expm1(-x), exp(-x), 1.0)[reads]) if x <= 700.0 else nan
         except (OverflowError, ValueError):
             v = nan
         if not isfinite(v):
             v = _g_edge(b, x)
         tail = 1.0 - cdf
-        if tail != 0.0:
-            if v != v0:  # not the same inf at both ends, past x = 700
-                pieces.append(tail * (v - v0))
-            if c != 0.0:
-                pieces.append(c * tail * (e0 - e))
-        e0, v0, cdf = e, v, cdfs[j]
+        if tail != 0.0 and v != v0:  # not the same inf at both ends, past x = 700
+            pieces.append(tail * (v - v0))
+        v0, cdf = v, cdfs[j]
     return math.fsum(pieces)
 
 
@@ -164,17 +156,19 @@ def represent_general(
     """Divergence as the integral of the weight kernel w_{f,c} against the
     spectral tail function G, taken exactly.
 
-    The kernel is w = |h'| plus the c part (c/beta^2)(1{beta>=1} -
-    1{beta<1}), where h(beta) = (f(beta) + f'(1))/beta = g(ln beta) + f'(1)
-    is monotone on either side of 1.  G is constant on each spectrum
-    segment, so the integral is the sum of G |g(x1) - g(x0)| over the
-    segments, with the c part's exact segment integrals
-    c G (e^-x0 - e^-x1) added above 1 and subtracted below; those sum to 0
-    up to the masses' rounding, so the result is c-independent.  Works for any
-    generator differentiable on (0, inf); requires mutual absolute
-    continuity.  Kinked generators are routed to the named catalog.
+    The kernel is |h'|, h(beta) = (f(beta) + f'(1))/beta = g(ln beta) + f'(1)
+    monotone on either side of 1, plus the c part (c/beta^2)(1{beta>=1} -
+    1{beta<1}).  G is constant on each spectrum segment, so the |h'| part
+    is ``_g_sum``; the c part integrates to c Q(p = 0), exactly 0 under the
+    mutual continuity required here (``spectrum_identity``).  So every
+    finite real c gives ``represent_inverse_g``'s float, and any other c is
+    refused.  Works for any generator differentiable on (0, inf); kinked
+    generators are routed to the named catalog.
     """
-    return _g_sum(f._breg, _smooth_spectrum(f, p, q), _real(c, "c"))
+    spec = _smooth_spectrum(f, p, q)
+    if not isfinite(_real(c, "c")):
+        raise DomainError(f"parameter 'c' must be finite, got {c!r}")
+    return _g_sum(f._breg, spec)
 
 
 def represent_inverse_g(
@@ -186,7 +180,7 @@ def represent_inverse_g(
     jumps at the g(x_j), so the integral over t is an exact sum over the
     spectrum segments [x0, x1] (cut at 0) on which F is constant:
     (g(x1) - g(x0)) (1 - F) for x0 >= 0 and (g(x0) - g(x1)) F below 0 --
-    the general engine's sum at c = 0.  No quadrature and no inversion of
+    the general engine's sum.  No quadrature and no inversion of
     g, so it agrees with the direct sum to rounding error.  Requires a
     differentiable f and mutual absolute continuity.
     """

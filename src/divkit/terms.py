@@ -189,6 +189,8 @@ def _chi_s_breg(s: float) -> Breg:
         raise DomainError("chi^s order must satisfy s >= 1")
     if s == 1.0:
         return _TV
+    if s == 2.0:
+        return _CHI2  # q |x|^2
 
     def term(d: float, q: float) -> float:
         return q * abs(d / q) ** s

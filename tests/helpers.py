@@ -151,7 +151,7 @@ def log_segments(spec) -> list:
     return segs
 
 
-def reference_g_sum(b, spec, c: float = 0.0) -> float:
+def reference_g_sum(b, spec) -> float:
     """Reference for ``spectrum_repr._g_sum``: the same pieces, formed over
     ``log_segments`` with the stretch from 0 to the nearest breakpoint
     prepended or appended where every ratio sits on one side of 0."""
@@ -178,14 +178,10 @@ def reference_g_sum(b, spec, c: float = 0.0) -> float:
                 continue
             if v1 != v0:
                 pieces.append(tail * (v1 - v0))
-            if c != 0.0:
-                pieces.append(c * tail * (math.exp(-x0) - math.exp(-x1)))
         elif cdf != 0.0:
             log_cdf = math.log(cdf)
             a0, a1 = math.exp(log_cdf - x0), math.exp(log_cdf - x1)
             pieces.append(a0 * v0 - a1 * v1)
-            if c != 0.0:
-                pieces.append(-c * (a0 - a1))
     return math.fsum(pieces)
 
 
@@ -261,7 +257,7 @@ def fstar_fdiv_lower_via_degroot(f, omega: float, i_val: float) -> float:
     return fstar_jensen(f, 1.0 + i_val / big, (m - i_val) / big, m / big)
 
 
-def edge_list_g_sum(b, spec, c: float = 0.0) -> float:
+def edge_list_g_sum(b, spec) -> float:
     """Reference for ``spectrum_repr._g_sum``: its earlier form, which
     inserted 0 into copies of the breakpoints and CDF values, took every
     edge through ``terms._g_edge`` into a list, then walked the segments.
@@ -284,14 +280,10 @@ def edge_list_g_sum(b, spec, c: float = 0.0) -> float:
                 continue
             if v1 != v0:
                 pieces.append(tail * (v1 - v0))
-            if c != 0.0:
-                pieces.append(c * tail * (math.exp(-x0) - math.exp(-x1)))
         elif cdf != 0.0:
             log_cdf = math.log(cdf)
             a0, a1 = math.exp(log_cdf - x0), math.exp(log_cdf - x1)
             pieces.append(a0 * v0 - a1 * v1)
-            if c != 0.0:
-                pieces.append(-c * (a0 - a1))
     return math.fsum(pieces)
 
 

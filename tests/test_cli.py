@@ -190,12 +190,21 @@ class TestRepresent:
         p, q = dist_files
         code, out, _ = run_cli(
             capsys,
-            "represent", "--kind", "kl", "--p", p, "--q", q,
-            "--engine", engine, "--c", "1.0",
+            "represent", "--kind", "kl", "--p", p, "--q", q, "--engine", engine
         )
         assert code == 0
         payload = json.loads(out)
         assert payload["abs_diff"] <= 1e-6
+
+    def test_no_shift_option(self, capsys, dist_files):
+        # the general engine's c selects nothing, so the CLI has no --c
+        p, q = dist_files
+        code, out, err = run_cli(
+            capsys,
+            "represent", "--kind", "kl", "--p", p, "--q", q, "--engine", "general", "--c", "1",
+        )
+        assert code == 2
+        assert out == "" and "--c" in err
 
     # one in-domain value per parameter name that KINDS uses
     PARAM_VALUES = {"alpha": 0.5, "s": 2.0, "theta": 0.3, "gamma": 1.2, "omega": 0.3}

@@ -309,6 +309,23 @@ class TestNamedDivergences:
             divergence("kl", p, q)
         )
 
+    def test_chi2_is_one_term_under_three_names(self, pair_sums):
+        # chi^s at s = 2 and Hellinger at order 2 take chi^2's shifted term:
+        # the same float bit for bit, from one sum per pair
+        rng = np.random.default_rng(43)
+        pairs = [random_pair(rng, int(rng.integers(2, 13))) for _ in range(400)]
+        pairs += _special_pairs(rng, 100)
+        names = (("chi_s", {"s": 2}), ("chi_s", {"s": 2.0}), ("hellinger", {"alpha": 2.0}))
+        for p, q in pairs:
+            p, q = _copies(p, q)
+            del pair_sums[:]
+            chi2 = float(divergence("chi2", p, q)).hex()
+            for kind, params in names:
+                assert float(divergence(kind, p, q, **params)).hex() == chi2, (kind, p, q)
+            assert len(pair_sums) == 1
+            value = f_divergence(generator("chi_s", s=2.0), p, q)
+            assert float(value).hex() == chi2
+
     def test_unknown_kind(self, bern_pair):
         with pytest.raises(UnknownKindError):
             divergence("nope", *bern_pair)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -282,9 +283,29 @@ class TestRenyiLocal:
         assert est.target == math.inf
         assert est.ratios[-1] > est.ratios[0]
 
+    def test_order_infinity_reads_its_direction(self, bern_pair):
+        # both directions read D_inf(M||Q); mixture_second is D_inf(Q||M)
+        first = renyi_local_estimate(math.inf, *bern_pair)
+        second = renyi_local_estimate(math.inf, *bern_pair, direction="mixture_second")
+        with mpmath.mp.workdps(40):
+            for lam, r1, r2 in zip(first.lambdas, first.ratios, second.ratios):
+                lam2 = mpmath.mpf(lam) ** 2
+                # lam P + (1 - lam) Q on the atoms (0.7 | 0.5) and (0.3 | 0.5)
+                m = [lam * mpmath.mpf(pm) + (1 - mpmath.mpf(lam)) * 0.5 for pm in (0.7, 0.3)]
+                assert r1 == pytest.approx(float(mpmath.log(m[0] / 0.5) / lam2), rel=1e-12)
+                assert r2 == pytest.approx(float(mpmath.log(0.5 / m[1]) / lam2), rel=1e-12)
+        assert round(first.ratios[0], 3) == 39.920 and round(second.ratios[0], 3) == 40.080
+        assert second.target == math.inf
+
     def test_domain(self, bern_pair):
         with pytest.raises(DomainError):
             renyi_local_estimate(-0.5, *bern_pair)
+
+    @pytest.mark.parametrize("direction", ["bogus", None, "mixture"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, math.inf])
+    def test_unknown_direction_refused(self, bern_pair, alpha, direction):
+        with pytest.raises(DomainError, match="unknown direction"):
+            renyi_local_estimate(alpha, *bern_pair, direction=direction)
 
     def test_ratios_past_the_float_range_read_no_nan(self):
         # it read extrapolated -inf and residual NaN
