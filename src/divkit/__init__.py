@@ -34,7 +34,7 @@ _EXPORTS = {
         "local": "LocalLimitEstimate chi2_mixture_scaling chis_mixture_scaling "
         "chi2_mixture_three local_limit_estimate renyi_local_estimate ratio_limit_pair",
         "errors": "DivkitError ValidationError DomainError UndefinedAtomError "
-        "KinkError AbsoluteContinuityError CapabilityError UnknownKindError RootError",
+        "AbsoluteContinuityError CapabilityError UnknownKindError RootError",
     }.items()
     for name in names.split()
 }

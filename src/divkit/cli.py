@@ -233,15 +233,15 @@ def _cmd_figure1(args: argparse.Namespace, fmt: str) -> int:
     gammas = [parse_number(g, "--gammas") for g in args.gammas.split(",") if g]
     if args.steps < 1:
         raise ValidationError("--steps must be >= 1")
-    if not args.d_max > 0.0:
-        raise ValidationError("--d-max must be positive")
+    if not 0.0 < args.d_max < math.inf:
+        raise ValidationError("--d-max must be positive and finite")
     for g in gammas:
         if g <= 1.0:
             raise DomainError(f"gamma {g} must exceed 1")
     sys.stdout.write("D,gamma,straight_line,bh_curve\n")
     for g in gammas:
         for i in range(1, args.steps + 1):
-            d = args.d_max * i / args.steps
+            d = args.d_max * (i / args.steps)  # never above d_max, nor past the float range
             straight = straight_line_egamma_ub(g, d)
             curve = egamma_upper("kl", g, d)
             sys.stdout.write(

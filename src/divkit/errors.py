@@ -27,11 +27,6 @@ class UndefinedAtomError(DivkitError):
     """Relative information requested at an atom where both masses vanish."""
 
 
-class KinkError(DivkitError):
-    """A kinked generator was passed to a code path that needs a smooth
-    one (one that declares no kink)."""
-
-
 class AbsoluteContinuityError(DivkitError):
     """Operation requires absolute continuity that the pair does not have."""
 

@@ -6,11 +6,11 @@ DeGroot-weight engine reads f''), its limits and one-sided derivatives at
 1, and its shifted term f(1+d) - c d (``terms.Breg``), from the module
 ``divkit.terms`` that the direct sums in ``divkit.divergences`` read too;
 the g transform of the spectral engines (``g_eval``) is read from it, so no
-engine needs f'.  A generator is smooth when it declares no kink; the
-kinked families (total variation, E_gamma, DeGroot, chi^s at s = 1) declare
-theirs.  One table (``_FAMILIES``) gives each family's kind, parameter name,
-term and generator.  Catalog generators are immutable, so each is built
-once per (family, parameter) and shared, in bounded caches.
+engine needs f', and every convex f, kinked or not, goes through every
+engine but the DeGroot-weight one.  One table (``_FAMILIES``) gives each
+family's kind, parameter name, term and generator.  Catalog generators are
+immutable, so each is built once per (family, parameter) and shared, in
+bounded caches.
 
 Everything here is in nats: the catalog's logarithms are natural.
 """
@@ -54,9 +54,8 @@ class GeneratorFunction:
     lim_{u->inf} f(u)/u; both live in (-inf, +inf].  ``right_deriv_at_one``
     always exists and is finite; ``left_deriv_at_one`` differs from it only
     at a kink sitting exactly at 1, and is taken equal to it unless given.
-    ``second_at_one`` is f''(1) when defined. ``kink`` is the abscissa of a
-    declared kink, or None; a generator without one is smooth
-    (``is_smooth``).  The keywords ``eval`` and ``second`` give f and f''
+    ``second_at_one`` is f''(1) when defined.  The keywords ``eval`` and
+    ``second`` give f and f''
     (kept as ``_eval`` and ``_second``), and ``breg`` the family's shifted
     term (``_breg``, see ``terms.Breg``), which the direct sums and the
     mixture-path sums read; a generator built without one, such as a custom
@@ -76,7 +75,7 @@ class GeneratorFunction:
 
     __slots__ = (
         "family", "params", "f_at_zero", "fstar_at_zero", "right_deriv_at_one",
-        "left_deriv_at_one", "second_at_one", "kink", "_eval", "_second", "_breg",
+        "left_deriv_at_one", "second_at_one", "_eval", "_second", "_breg",
     )
     __setattr__ = __delattr__ = refuse_change
 
@@ -93,7 +92,6 @@ class GeneratorFunction:
         right_deriv_at_one: float,
         left_deriv_at_one: Optional[float] = None,
         second_at_one: Optional[float] = None,
-        kink: Optional[float] = None,
     ) -> None:
         if not abs(eval(1.0)) <= 1e-12:  # a NaN f(1) fails too
             raise ValidationError(f"generator {family} violates f(1)=0")
@@ -106,7 +104,7 @@ class GeneratorFunction:
             )
         values = (
             family, params, f_at_zero, fstar_at_zero, right_deriv_at_one, left_deriv_at_one,
-            second_at_one, kink, eval, second, breg,
+            second_at_one, eval, second, breg,
         )
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
@@ -168,12 +166,6 @@ class GeneratorFunction:
             return value
         raise DomainError(f"generator {self.family}: f''({t!r}) leaves the float range")
 
-    @property
-    def is_smooth(self) -> bool:
-        """True when no kink is declared; the general and inverse-g engines
-        take only a smooth generator."""
-        return self.kink is None
-
 
 def _scaled_power(a: float, x: float, y: float) -> float:
     """a x^y, also where x^y alone passes the float range: inf where a x^y
@@ -232,7 +224,7 @@ def _chi_squared() -> GeneratorFunction:
 def _total_variation(family: str = "total_variation", params: tuple = ()) -> GeneratorFunction:
     return GeneratorFunction(
         family, params=params, breg=_TV, f_at_zero=1.0, fstar_at_zero=1.0,
-        right_deriv_at_one=1.0, left_deriv_at_one=-1.0, kink=1.0,
+        right_deriv_at_one=1.0, left_deriv_at_one=-1.0,
         eval=lambda t: abs(t - 1.0),
     )
 
@@ -289,7 +281,7 @@ def _e_gamma(gamma: float, params: tuple) -> GeneratorFunction:
     breg = _e_gamma_breg(gamma)
     return GeneratorFunction(
         "e_gamma", params=params, breg=breg, f_at_zero=0.0, fstar_at_zero=1.0,
-        right_deriv_at_one=1.0 if gamma == 1.0 else 0.0, left_deriv_at_one=0.0, kink=gamma,
+        right_deriv_at_one=1.0 if gamma == 1.0 else 0.0, left_deriv_at_one=0.0,
         eval=lambda t: max(t - gamma, 0.0),
     )
 
@@ -298,7 +290,6 @@ def _e_gamma(gamma: float, params: tuple) -> GeneratorFunction:
 def _degroot(omega: float, params: tuple) -> GeneratorFunction:
     breg = _degroot_breg(omega)
     m = min(omega, 1.0 - omega)
-    kink = (1.0 - omega) / omega
     if omega < 0.5:
         d_right = d_left = -omega
     elif omega > 0.5:
@@ -307,7 +298,7 @@ def _degroot(omega: float, params: tuple) -> GeneratorFunction:
         d_right, d_left = 0.0, -0.5
     return GeneratorFunction(
         "degroot", params=params, breg=breg, f_at_zero=m, fstar_at_zero=0.0,
-        right_deriv_at_one=d_right, left_deriv_at_one=d_left, kink=kink,
+        right_deriv_at_one=d_right, left_deriv_at_one=d_left,
         eval=lambda t: m - min(omega * t, 1.0 - omega),
     )
 
@@ -468,7 +459,6 @@ def conjugate(f: GeneratorFunction) -> GeneratorFunction:
         right_deriv_at_one=-f.left_deriv_at_one,
         left_deriv_at_one=-f.right_deriv_at_one,
         second_at_one=f.second_at_one,
-        kink=None if f.kink is None else 1.0 / f.kink,
         eval=ev,
         second=sd,
     )
@@ -492,7 +482,6 @@ def affine_shift(f: GeneratorFunction, c: float) -> GeneratorFunction:
         right_deriv_at_one=f.right_deriv_at_one + c,
         left_deriv_at_one=f.left_deriv_at_one + c,
         second_at_one=f.second_at_one,
-        kink=f.kink,
         eval=ev,
         second=f._second,
         breg=f._breg,  # the shifted term is the same for f + c (t - 1)
@@ -507,10 +496,9 @@ def g_eval(f: GeneratorFunction, x: float) -> float:
     [0, inf), strictly where f is strictly convex.  c is the subgradient of
     f at 1 that the term uses: f'(1) for a differentiable f; for a kinked
     family it can differ from ``right_deriv_at_one`` (total variation's
-    term |d| takes c = 0 where that is 1).  The named representations sum
-    g's increments for kinked families too, which needs no derivative; the
-    general and inverse-g engines, whose generators may be custom, refuse
-    a kinked one.  NaN x is refused, as ``spectrum_eval`` refuses it.
+    term |d| takes c = 0 where that is 1).  The spectral engines sum g's
+    increments, which needs no derivative, so they take a kinked f as they
+    take a smooth one.  NaN x is refused, as ``spectrum_eval`` refuses it.
     """
     if math.isnan(_real(x, "x")):
         raise DomainError("x must not be NaN")

@@ -30,7 +30,6 @@ from .errors import (
     AbsoluteContinuityError,
     CapabilityError,
     DomainError,
-    KinkError,
     _real,
 )
 from .generators import GeneratorFunction, kind_args
@@ -133,20 +132,6 @@ def _g_sum(b: Breg, spec: SpectrumFunction) -> float:
     return math.fsum(pieces)
 
 
-def _smooth_spectrum(
-    f: GeneratorFunction, p: DiscreteDistribution, q: DiscreteDistribution
-) -> SpectrumFunction:
-    """The spectrum of a mutually absolutely continuous pair, for an engine
-    of a differentiable generator."""
-    if not f.is_smooth:
-        raise KinkError(
-            f"generator {f.family} has a kink; use represent_named instead"
-        )
-    spec = spectrum(p, q)
-    _require_mutual(spec.singular_mass_q, spec.singular_mass_p)
-    return spec
-
-
 def represent_general(
     f: GeneratorFunction,
     p: DiscreteDistribution,
@@ -158,17 +143,17 @@ def represent_general(
 
     The kernel is |h'|, h(beta) = (f(beta) + f'(1))/beta = g(ln beta) + f'(1)
     monotone on either side of 1, plus the c part (c/beta^2)(1{beta>=1} -
-    1{beta<1}).  G is constant on each spectrum segment, so the |h'| part
-    is ``_g_sum``; the c part integrates to c Q(p = 0), exactly 0 under the
-    mutual continuity required here (``spectrum_identity``).  So every
-    finite real c gives ``represent_inverse_g``'s float, and any other c is
-    refused.  Works for any generator differentiable on (0, inf); kinked
-    generators are routed to the named catalog.
+    1{beta<1}).  It needs f' only almost everywhere: at a kink the kernel
+    jumps but stays finite, and at a kink at 1 any subgradient of f there
+    may stand for f'(1).  So every convex f is taken.  G is constant on each
+    spectrum segment, so the |h'| part is ``_g_sum``; the c part integrates
+    to c Q(p = 0), exactly 0 under the mutual continuity required here
+    (``spectrum_identity``).  So every finite real c gives
+    ``represent_inverse_g``'s float, and any other c is refused.
     """
-    spec = _smooth_spectrum(f, p, q)
     if not isfinite(_real(c, "c")):
         raise DomainError(f"parameter 'c' must be finite, got {c!r}")
-    return _g_sum(f._breg, spec)
+    return represent_inverse_g(f, p, q)
 
 
 def represent_inverse_g(
@@ -181,10 +166,12 @@ def represent_inverse_g(
     spectrum segments [x0, x1] (cut at 0) on which F is constant:
     (g(x1) - g(x0)) (1 - F) for x0 >= 0 and (g(x0) - g(x1)) F below 0 --
     the general engine's sum.  No quadrature and no inversion of
-    g, so it agrees with the direct sum to rounding error.  Requires a
-    differentiable f and mutual absolute continuity.
+    g, so it agrees with the direct sum to rounding error.  Takes every
+    convex f, kinked or not, and requires mutual absolute continuity.
     """
-    return _g_sum(f._breg, _smooth_spectrum(f, p, q))
+    spec = spectrum(p, q)
+    _require_mutual(spec.singular_mass_q, spec.singular_mass_p)
+    return _g_sum(f._breg, spec)
 
 
 def _spectral_sum(b: Breg, pair: tuple) -> float:

@@ -12,7 +12,6 @@ from divkit import (
     DiscreteDistribution,
     DivkitError,
     DomainError,
-    KinkError,
     PoissonModel,
     ValidationError,
     conjugate,
@@ -347,7 +346,6 @@ def catalog_generators():
             fstar_at_zero=1.5,
             right_deriv_at_one=0.5,
             left_deriv_at_one=-0.5,
-            kink=1.0,
         ),
     ]
 
@@ -477,7 +475,8 @@ def mp_family(family: str, a: float | None):
 
 
 def _mp_deriv(family: str, a: float | None):
-    """f' in mpmath for a differentiable catalog family."""
+    """f' in mpmath for a catalog family, almost everywhere: at a kink
+    either one-sided derivative."""
     if family == "kl":
         return lambda u: mpmath.log(u) + 1
     if family == "jeffreys":
@@ -487,6 +486,8 @@ def _mp_deriv(family: str, a: float | None):
         return lambda u: al * u ** (al - 1) / (al - 1)
     if family == "chi_squared":
         return lambda u: 2 * (u - 1)
+    if family in ("total_variation", "chi_s") and (a is None or a == 1.0):
+        return lambda u: mpmath.sign(u - 1)
     if family == "chi_s":
         s = mpmath.mpf(a)
         return lambda u: s * abs(u - 1) ** (s - 1) * mpmath.sign(u - 1)
@@ -495,6 +496,12 @@ def _mp_deriv(family: str, a: float | None):
     if family in ("lin", "jensen_shannon"):
         th = mpmath.mpf(0.5 if a is None else a)
         return lambda u: th * (mpmath.log(u) - mpmath.log(th * u + 1 - th))
+    if family == "e_gamma":
+        g = mpmath.mpf(a)
+        return lambda u: 1 if u > g else 0
+    if family == "degroot":
+        w = mpmath.mpf(a)
+        return lambda u: -w if w * u < 1 - w else 0
     raise AssertionError(family)
 
 
@@ -503,9 +510,8 @@ def weight_kernel(f, beta, c: float | None = None):
     40-digit arithmetic from the textbook generator of f's family:
     |f'(beta) - (f(beta) + f'(1))/beta| / beta, which is |h'(beta)| for
     h(beta) = (f(beta) + f'(1))/beta, plus, where c is given,
-    (c/beta^2)(1{beta >= 1} - 1{beta < 1}).  Refuses a kinked f."""
-    if not f.is_smooth:
-        raise KinkError(f"the kernel of {f.family} needs a differentiable f")
+    (c/beta^2)(1{beta >= 1} - 1{beta < 1}).  At a kink f' is taken almost
+    everywhere, and f'(1) is the subgradient of the package's term."""
     a = f.params[0][1] if f.params else None
     fm, _, _, d1 = mp_family(f.family, a)
     df = _mp_deriv(f.family, a)

@@ -418,18 +418,19 @@ class TestNonNumberParameter:
                 "custom", eval=lambda t: math.nan, f_at_zero=0.0, fstar_at_zero=1.0,
                 right_deriv_at_one=0.0,
             )
-        # a missing or unknown keyword of custom (the removed deriv and edge
-        # among them) is a DomainError, not a raw TypeError
+        # a missing or unknown keyword of custom (the removed deriv, edge and
+        # kink among them) is a DomainError, not a raw TypeError
         made = dict(eval=lambda t: (t - 1.0) ** 2, f_at_zero=1.0, fstar_at_zero=math.inf)
         for kwargs in (
             made,
             {**made, "right_deriv_at_one": 0.0, "deriv": lambda t: 2.0 * (t - 1.0)},
             {**made, "right_deriv_at_one": 0.0, "edge": lambda t: (t - 1.0) ** 2},
+            {**made, "right_deriv_at_one": 0.0, "kink": 1.0},
             {**made, "right_deriv_at_one": 0.0, "foo": 1},
         ):
             with pytest.raises(DomainError, match="generator 'custom'"):
                 generator("custom", **kwargs)
-        assert generator("custom", **made, right_deriv_at_one=0.0).is_smooth
+        assert generator("custom", **made, right_deriv_at_one=0.0).family == "custom"
 
     def test_bool_scalars_refused(self):
         # True passed as 1: the mixture read P, the Poisson mass at rate 1

@@ -230,13 +230,18 @@ class TestRepresent:
         payload = json.loads(out)
         assert payload["value"] == pytest.approx(0.04, abs=1e-11)
 
-    def test_kinked_general_rejected(self, capsys, dist_files):
+    def test_kinked_general_taken(self, capsys, dist_files):
+        # TV's kink at 1 and E_1.2's lie among the pair's ratios 1.4 and 0.6
         p, q = dist_files
-        code, _, err = run_cli(
-            capsys, "represent", "--kind", "tv", "--p", p, "--q", q, "--engine", "general"
-        )
-        assert code == 2
-        assert "kink" in err.lower()
+        for kind in ("tv", "e_gamma:1.2"):
+            for engine in ("general", "inverse-g"):
+                code, out, _ = run_cli(
+                    capsys, "represent", "--kind", kind, "--p", p, "--q", q, "--engine", engine
+                )
+                assert code == 0
+                payload = json.loads(out)
+                assert payload["direct_value"] > 0.0
+                assert payload["abs_diff"] <= 1e-15, (kind, engine, payload)
 
     def test_degroot_weight_refuses_a_ratio_past_the_float_range(self, capsys, tmp_path):
         # e^x of the breakpoint ~713 raised a raw OverflowError, exit 1; the
@@ -417,6 +422,16 @@ class TestFigure1:
             straights = [s for _, s, _ in rows]
             assert all(a < b for a, b in zip(straights, straights[1:]))
 
+    def test_d_max_near_the_float_range(self, capsys):
+        # d_max i / steps passed the float range before the division
+        code, out, _ = run_cli(
+            capsys, "figure1", "--gammas", "2", "--d-max", "1e308", "--steps", "3"
+        )
+        assert code == 0
+        ds = [float(line.split(",")[0]) for line in out.strip().split("\n")[1:]]
+        assert len(ds) == 3 and all(map(math.isfinite, ds))
+        assert ds == sorted(ds) and ds[-1] == 1e308
+
     def test_bad_gamma(self, capsys):
         code, _, _ = run_cli(capsys, "figure1", "--gammas", "0.9", "--steps", "5")
         assert code == 2
@@ -432,8 +447,13 @@ class TestFigure1:
             ["--d-max", "nan"],
             ["--d-max", "0"],
             ["--d-max", "-1"],
+            ["--d-max", "inf"],
+            ["--d-max", "1e400"],
         ],
-        ids=["abc", "second_abc", "1e400", "inf", "nan", "d_max_nan", "d_max_0", "d_max_neg"],
+        ids=[
+            "abc", "second_abc", "1e400", "inf", "nan", "d_max_nan", "d_max_0", "d_max_neg",
+            "d_max_inf", "d_max_1e400",
+        ],
     )
     def test_bad_option_writes_nothing(self, capsys, argv):
         code, out, err = run_cli(capsys, "figure1", "--steps", "2", *argv)

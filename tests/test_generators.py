@@ -8,7 +8,6 @@ import pytest
 from divkit import (
     DivkitError,
     DomainError,
-    KinkError,
     UnknownKindError,
     affine_shift,
     conjugate,
@@ -25,7 +24,7 @@ from divkit import divergences
 from divkit.distributions import _pair_slot
 from divkit.generators import _FAMILIES, KINDS, kind_args, parse_kind
 from divkit.terms import _hellinger_breg
-from helpers import mp_family, outcome, weight_kernel
+from helpers import mp_family, named_kernel, outcome, weight_kernel
 
 # family -> the name of its one parameter
 FAMILY_PARAM = {family: pname for family, pname in KINDS.values() if family and pname}
@@ -143,17 +142,19 @@ class TestCatalog:
         ],
     )
     def test_kink_abscissa(self, family, params, kink):
-        # a declared kink, here or at 1/kink on the conjugate, is what the
-        # general and inverse-g engines refuse
+        # the general and inverse-g engines take f, kinked at ``kink``, with
+        # the first atom's ratio below, at and above the kink and the
+        # second's on the other side, and its conjugate, kinked at 1/kink,
+        # on the swapped pair
         f = generator(family, **params)
-        assert f.kink == kink and not f.is_smooth
-        fc = conjugate(f)
-        assert fc.kink == 1.0 / kink and not fc.is_smooth
-        p, q = make_distribution([0.7, 0.3]), make_distribution([0.4, 0.6])
-        for g in (f, fc):
-            for engine in (represent_general, represent_inverse_g):
-                with pytest.raises(KinkError, match="has a kink"):
-                    engine(g, p, q)
+        for r in (0.5 * kink, kink, 1.5 * kink):
+            p, q = make_distribution([0.1 * r, 1.0 - 0.1 * r]), make_distribution([0.1, 0.9])
+            for g, pair in ((f, (p, q)), (conjugate(f), (q, p))):
+                direct = float(f_divergence(g, *pair))
+                assert direct > 0.0 or r <= kink, (g, r)
+                for engine in (represent_general, represent_inverse_g):
+                    got = engine(g, *pair)
+                    assert abs(got - direct) <= 1e-12 * max(1.0, direct), (g, r, got, direct)
 
     @pytest.mark.parametrize(
         "family,params",
@@ -179,7 +180,7 @@ class TestCatalog:
     def test_parse_generator(self):
         assert parse_generator("hellinger:0.5").params == (("alpha", 0.5),)
         assert parse_generator("chi2").family == "chi_squared"
-        assert parse_generator("tv").kink == 1.0
+        assert parse_generator("tv") is generator("total_variation")
         with pytest.raises(DomainError):
             parse_generator("hellinger")
         with pytest.raises(DomainError):
@@ -450,9 +451,21 @@ class TestWeight:
             for b in rng.uniform(0.02, 8.0, size=200):
                 assert weight_kernel(f, float(b)) >= 0
 
-    def test_kink_error(self):
-        with pytest.raises(KinkError):
-            weight_kernel(generator("total_variation"), 1.0)
+    def test_kinked_kernel(self):
+        # with f' taken almost everywhere, the general kernel is the paper's
+        # named one, TV's at c = 1 and E_gamma's and DeGroot's at c = 0, and
+        # jumps at the kink
+        for kind, family, params, c in (
+            ("tv", "total_variation", {}, 1.0),
+            ("e_gamma", "e_gamma", {"gamma": 2.0}, None),
+            ("degroot", "degroot", {"omega": 0.25}, None),
+            ("degroot", "degroot", {"omega": 0.75}, None),
+        ):
+            f = generator(family, **params)
+            _, pieces = named_kernel(kind, **params)
+            for beta in (0.2, 0.5, 0.9, 1.5, 2.5, 4.0):
+                want = sum(k(beta) for lo, hi, k, _ in pieces if lo < beta < hi)
+                assert abs(weight_kernel(f, beta, c) - want) <= 1e-15, (kind, beta)
 
 
 class TestGEval:

@@ -9,7 +9,6 @@ from divkit import (
     CapabilityError,
     DiscreteDistribution,
     DomainError,
-    KinkError,
     conjugate,
     divergence,
     f_divergence,
@@ -54,6 +53,26 @@ SMOOTH = [
     ("lin", "lin", {"theta": 0.3}),
     ("js", "jensen_shannon", {}),
 ]
+
+# every kinked family of the catalog: first the kinks at 1, then kinks on
+# either side of it
+KINKED = [
+    ("tv", "total_variation", {}),
+    ("chi_s", "chi_s", {"s": 1.0}),
+    ("e_gamma", "e_gamma", {"gamma": 1.0}),
+    ("degroot", "degroot", {"omega": 0.5}),
+    ("e_gamma", "e_gamma", {"gamma": 1.7}),
+    ("degroot", "degroot", {"omega": 0.3}),
+    ("degroot", "degroot", {"omega": 0.7}),
+]
+
+
+def smooth_and_kinked():
+    """The generators of SMOOTH and of KINKED, and KINKED's conjugates."""
+    kinked = [generator(fam, **pr) for _, fam, pr in KINKED]
+    smooth = [generator(fam, **pr) for _, fam, pr in SMOOTH]
+    return smooth + kinked + [conjugate(f) for f in kinked]
+
 
 NAMED_ENTRIES = [
     ("kl", {}),
@@ -269,10 +288,6 @@ class TestRepresentGeneral:
         got = represent_general(generator("hellinger", alpha=2.0), *bern_pair, c=1.0)
         assert got == pytest.approx(0.16, abs=1e-10)
 
-    def test_kinked_rejected(self, bern_pair):
-        with pytest.raises(KinkError):
-            represent_general(generator("total_variation"), *bern_pair)
-
     def test_singular_rejected(self):
         p = make_distribution([0.5, 0.5, 0])
         q = make_distribution([0.25, 0.25, 0.5])
@@ -283,10 +298,10 @@ class TestRepresentGeneral:
         # the c part integrates to exactly 0 under mutual continuity, so
         # every finite c gives the inverse-g engine's float
         rng = np.random.default_rng(61)
-        f = {name: generator(fam, **pr) for name, fam, pr in SMOOTH}
+        gens = smooth_and_kinked()
         for _ in range(20):
             p, q = random_pair(rng, int(rng.integers(2, 6)))
-            for gen in f.values():
+            for gen in gens:
                 ref = represent_inverse_g(gen, p, q)
                 for c in (-1e300, -2.0, 0.0, 1.0, 5.0, 1e20):
                     assert represent_general(gen, p, q, c=c) == ref, (gen.family, c)
@@ -298,17 +313,18 @@ class TestRepresentGeneral:
 
     def test_oracle_equivalence(self):
         rng = np.random.default_rng(67)
+        gens = smooth_and_kinked()
         for _ in range(30):
             p, q = random_pair(rng, int(rng.integers(2, 8)))
-            for _, fam, pr in SMOOTH:
-                gen = generator(fam, **pr)
+            for gen in gens:
                 direct = float(f_divergence(gen, p, q))
                 rep = represent_general(gen, p, q, c=1.0)
-                assert abs(rep - direct) <= 1e-12 * max(1.0, direct)
+                assert abs(rep - direct) <= 1e-12 * max(1.0, direct), gen
 
     def test_kernel_quadrature_oracle(self):
         # the paper's integral itself: mpmath.quad of w_{f,c}(beta) G(beta)
-        # over each segment between the sorted ratios and 1
+        # over each segment between the sorted ratios and 1, cut again at a
+        # kink, where the kernel jumps
         rng = np.random.default_rng(101)
         for _ in range(10):
             p, q = random_pair(rng, int(rng.integers(2, 9)))
@@ -323,14 +339,19 @@ class TestRepresentGeneral:
                         if mpmath.mpf(pm) / qm <= (lo + hi) / 2
                     )
                     segs.append((lo, hi, below if hi <= 1 else 1 - below))
-            for _, fam, pr in SMOOTH:
+            for _, fam, pr in SMOOTH + KINKED:
                 gen = generator(fam, **pr)
+                with mpmath.mp.workdps(40):
+                    kink = mpmath.mpf(pr.get("gamma", 1.0))
+                    if "omega" in pr:
+                        kink = (1 - mpmath.mpf(pr["omega"])) / pr["omega"]
                 for c in (0.0, 1.0):
                     # the kernel in 40 digits, each segment's integral to 20
                     with mpmath.mp.workdps(20):
                         ref = mpmath.fsum(
                             big_g * mpmath.quad(
-                                lambda b: weight_kernel(gen, b, c), [lo, hi],
+                                lambda b: weight_kernel(gen, b, c),
+                                [lo, kink, hi] if lo < kink < hi else [lo, hi],
                                 method="gauss-legendre",
                             )
                             for lo, hi, big_g in segs
@@ -349,7 +370,9 @@ class TestRepresentGeneral:
             p = make_distribution(
                 [lam * a + (1.0 - lam) * b for a, b in zip(p0.masses, q.masses)]
             )
-            for kind, fam, pr in SMOOTH:
+            # the kinks at 1 sit among the ratios; a kink away from 1 lies past
+            # them all, where the oracle reads only the masses' rounding
+            for kind, fam, pr in SMOOTH + KINKED[:4]:
                 ref = oracle(kind, pr, p.masses, q.masses)
                 gen = generator(fam, **pr)
                 conj = conjugate(gen)  # D_{f*}(Q||P), from the same terms
@@ -482,11 +505,10 @@ class TestRepresentInverseG:
         rng = np.random.default_rng(97)
         for _ in range(20):
             p, q = random_pair(rng, int(rng.integers(2, 65)))
-            for _, family, params in SMOOTH:
-                gen = generator(family, **params)
+            for gen in smooth_and_kinked():
                 direct = float(f_divergence(gen, p, q))
                 got = represent_inverse_g(gen, p, q)
-                assert abs(got - direct) <= 1e-12 * max(1.0, direct), family
+                assert abs(got - direct) <= 1e-12 * max(1.0, direct), gen
 
 
 class TestRepresentNamed:
