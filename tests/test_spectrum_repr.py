@@ -294,6 +294,17 @@ class TestRepresentGeneral:
         with pytest.raises(AbsoluteContinuityError):
             represent_general(generator("kl"), p, q)
 
+    def test_kinked_taken(self, bern_pair):
+        # TV's kink at 1 and E_1.2's at 1.2 lie among the ratios 1.4 and 0.6;
+        # the kernel needs f' only a.e., so both go through, and so do their
+        # conjugates on the swapped pair: |0.7 - 0.5| + |0.3 - 0.5| = 0.4 and
+        # (0.7 - 1.2 * 0.5)^+ + (0.3 - 1.2 * 0.5)^+ = 0.1
+        p, q = bern_pair
+        for f, expected in ((generator("total_variation"), 0.4),
+                            (generator("e_gamma", gamma=1.2), 0.1)):
+            assert represent_general(f, p, q) == pytest.approx(expected, abs=1e-15)
+            assert represent_general(conjugate(f), q, p) == pytest.approx(expected, abs=1e-15)
+
     def test_c_independence(self):
         # the c part integrates to exactly 0 under mutual continuity, so
         # every finite c gives the inverse-g engine's float
