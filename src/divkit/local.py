@@ -2,18 +2,16 @@
 
 As the mixture weight of P in lam*P + (1-lam)*Q goes to zero, every
 divergence with a finite f''(1) scales like (1/2) f''(1) chi^2(P||Q) lam^2.
-This module holds the chi^2 / chi^s mixture identities, the
-three-measure chi^2 expansion, and Richardson-extrapolated estimates of
-the lam -> 0 limits used to verify the scaling numerically.  The
-identities and the estimates sum each family's shifted term at
-d = lam (p - q)/q, so rounding the mixture's masses never swamps the
-lam^s they are divided by.
+This module holds the chi^2 / chi^s mixture identities, the three-measure
+chi^2 expansion, and the lam -> 0 limits, each read at one point lam* of
+the path.  All sum each family's shifted term at d = lam (p - q)/q, so
+rounding the mixture's masses never swamps the lam^s they are divided by.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import sub
 
 from .distributions import DiscreteDistribution, _masses
@@ -32,21 +30,23 @@ __all__ = [
     "ratio_limit_pair",
 ]
 
-# the shifted terms keep D(lam) accurate to rounding at every lam, so the
-# grid starts where the O(lam^2) truncation of one Richardson level is
-# already below 1e-6 of the limit for mass ratios up to ~100
-_LAMBDA_GRID = (1e-2, 1e-3, 1e-4, 1e-5)
+# lam* = 2^-k keeps lam* max|p - q|/q at or below 2^-66, where D(lam)/lam^2
+# lies ~1e-20 relative off its limit; past k = 500, Q's masses scaled by 4^k
+# would near the end of the float range
+_K_FLOOR, _K_CAP = 66, 500
 
 
 @dataclass(frozen=True)
 class LocalLimitEstimate:
-    """Richardson-extrapolated lam -> 0 limit of D(mixture)/lam^2.
+    """The lam -> 0 limit of D(mixture)/lam^2, read at one point of the path.
 
-    ``residual`` is the change between the last two extrapolants -- an
-    honest stability estimate, reported rather than hidden -- and inf where
-    a ratio or an extrapolant leaves the float range; ``extrapolated`` is
-    then the last finite extrapolant, or inf where none is.  ``target`` is
-    the predicted limit (1/2) f''(1) chi^2(P||Q).
+    ``ratios`` holds D(lam)/lam^2 at each of ``lambdas`` = (8 lam*, lam*);
+    ``extrapolated`` is the last, at lam* = 2^-k, k = 66 + the binary
+    exponent of max |p - q|/q.  ``residual`` = |r(8 lam*) - r(lam*)|, seven
+    times the O(lam*) term the reading keeps -- an honest error estimate,
+    reported rather than hidden -- and inf where a ratio leaves the float
+    range or k passes 500, where lam* = 2^-500 is read instead.
+    ``target`` is the predicted limit (1/2) f''(1) chi^2(P||Q).
     """
 
     lambdas: tuple[float, ...]
@@ -57,12 +57,12 @@ class LocalLimitEstimate:
 
 
 def _supported_masses(p: DiscreteDistribution, q: DiscreteDistribution):
-    """The pair's masses and their differences p - q, refused unless P << Q."""
+    """Q's masses and the differences p - q, refused unless P << Q."""
     ps, qs = _masses(p, q)
     for i, (pm, qm) in enumerate(zip(ps, qs)):
         if pm > 0.0 and qm == 0.0:
             raise DomainError(f"atom {i} has P-mass where Q vanishes")
-    return ps, qs, list(map(sub, ps, qs))
+    return qs, list(map(sub, ps, qs))
 
 
 def _path_masses(p: DiscreteDistribution, q: DiscreteDistribution, lam: float):
@@ -125,19 +125,6 @@ def chi2_mixture_three(
     return _shifted_sum(_FAMILIES["chi_squared"].term(), ms, rs, ds), c
 
 
-def _richardson(ratios) -> tuple[float, float]:
-    # assumes an expansion ratio(lam) = L + a lam + O(lam^2) on a grid
-    # shrinking by 10x; one elimination level per adjacent pair
-    extraps = [
-        (10.0 * r1 - r0) / 9.0 for r0, r1 in zip(ratios, ratios[1:])
-    ]
-    finite = [e for e in extraps if math.isfinite(e)]
-    if len(finite) < len(extraps) or not all(map(math.isfinite, ratios)):
-        return (finite[-1] if finite else math.inf), math.inf
-    residual = abs(extraps[-1] - extraps[-2]) if len(extraps) > 1 else math.inf
-    return extraps[-1], residual
-
-
 def _mixture_divergence(b: Breg, ds, qs, lam: float, first: bool) -> float:
     """D(M||Q) (first) or D(Q||M) for M = lam P + (1-lam) Q, from Q's masses
     and the differences p - q of a pair already read through the gate, which
@@ -149,6 +136,36 @@ def _mixture_divergence(b: Breg, ds, qs, lam: float, first: bool) -> float:
     if first:
         return _shifted_sum(b, ms, qs, steps)
     return _shifted_sum(b, qs, ms, [-step for step in steps])
+
+
+def _path_ratio(b: Breg, ds, qs, k: int, first: bool) -> float:
+    """D(lam)/lam^2 at lam = 2^-k: the path sum with Q's masses scaled by 4^k
+    and the step by 2^k, which scales each term, q times a function of d/q,
+    by 1/lam^2 exactly in binary, so no D(lam) underflows before the division."""
+    scale = 2.0**k
+    return _mixture_divergence(b, ds, [qm * scale * scale for qm in qs], scale, first)
+
+
+def _estimate(ratio_at, qs, ds, target: float) -> LocalLimitEstimate:
+    """The estimate from ``ratio_at(k)``, the ratio at lam = 2^-k, read at
+    the check point 8 lam* and at lam* (``LocalLimitEstimate``)."""
+    peak = max((abs(d) / qm for qm, d in zip(qs, ds) if d), default=0.0)
+    k = _K_FLOOR + max(math.frexp(peak)[1], 0) if peak < math.inf else math.inf
+    read = min(k, _K_CAP)
+    ratios = ratio_at(read - 3), ratio_at(read)
+    resolved = k <= _K_CAP and all(map(math.isfinite, ratios))  # no inf - inf
+    residual = abs(ratios[0] - ratios[1]) if resolved else math.inf
+    return LocalLimitEstimate((2.0 ** (3 - read), 2.0**-read), ratios, ratios[1], target, residual)
+
+
+def _renyi_ratio(alpha: float, r: float, k: int) -> float:
+    """ln(1 + (alpha-1) H)/(alpha-1) over lam^2 at lam = 2^-k, from the
+    Hellinger sum's r = H/lam^2: r ln(1+y)/y at y = (alpha-1) H, r where
+    y = 0, and inf where y passes the float range."""
+    y = (alpha - 1.0) * (r * 4.0**-k)
+    if not math.isfinite(y):
+        return math.inf
+    return r * (math.log1p(y) / y) if y else r
 
 
 def local_limit_estimate(
@@ -167,22 +184,11 @@ def local_limit_estimate(
         raise DomainError(f"unknown direction {direction!r}")
     if f.second_at_one is None or not math.isfinite(f.second_at_one):
         raise CapabilityError(f"generator {f.family} lacks a finite f''(1)")
-    _, qs, ds = _supported_masses(p, q)
+    qs, ds = _supported_masses(p, q)
     first = direction == "mixture_first"
-    ratios = [
-        _mixture_divergence(f._breg, ds, qs, lam, first) / (lam * lam)
-        for lam in _LAMBDA_GRID
-    ]
     # 0 where f''(1) is, also where chi^2 passes the float range (0 inf)
     target = 0.5 * f.second_at_one * float(divergence("chi2", p, q)) if f.second_at_one else 0.0
-    extrapolated, residual = _richardson(ratios)
-    return LocalLimitEstimate(
-        lambdas=_LAMBDA_GRID,
-        ratios=tuple(ratios),
-        extrapolated=extrapolated,
-        target=target,
-        residual=residual,
-    )
+    return _estimate(lambda k: _path_ratio(f._breg, ds, qs, k, first), qs, ds, target)
 
 
 def renyi_local_estimate(
@@ -203,35 +209,23 @@ def renyi_local_estimate(
     first = direction == "mixture_first"
     if _real(alpha, "alpha") < 0.0:
         raise DomainError("Renyi order must be non-negative")
-    ps, qs, ds = _supported_masses(p, q)
+    qs, ds = _supported_masses(p, q)
     chi2 = float(divergence("chi2", p, q))
     if alpha == 0.0:
-        zeros = tuple(0.0 for _ in _LAMBDA_GRID)
-        return LocalLimitEstimate(_LAMBDA_GRID, zeros, 0.0, 0.0, 0.0)
+        return _estimate(lambda k: 0.0, qs, ds, 0.0)
     if math.isinf(alpha):
         sign = 1.0 if first else -1.0  # ln(q/m) = -ln(m/q)
-        ratios = [
-            max(sign * math.log1p(lam * (pm - qm) / qm) for pm, qm in zip(ps, qs) if qm > 0.0)
-            / (lam * lam)
-            for lam in _LAMBDA_GRID
-        ]
-        target = math.inf if chi2 > 0.0 else 0.0
-        return LocalLimitEstimate(_LAMBDA_GRID, tuple(ratios), target, target, math.inf)
+        est = _estimate(
+            lambda k: max(sign * math.log1p(d / qm * 2.0**-k) for qm, d in zip(qs, ds) if qm > 0.0)
+            * 4.0**k,
+            qs, ds, math.inf if chi2 > 0.0 else 0.0,
+        )
+        return replace(est, extrapolated=est.target, residual=math.inf)
     # ln(1 + (alpha-1) H)/(alpha-1) of the Hellinger sum along the path
     b = _FAMILIES["hellinger"].term(alpha)
-    ratios = []
-    for lam in _LAMBDA_GRID:
-        h_sum = _mixture_divergence(b, ds, qs, lam, first)
-        if alpha != 1.0:
-            h_sum = math.log1p((alpha - 1.0) * h_sum) / (alpha - 1.0)
-        ratios.append(h_sum / (lam * lam))
-    extrapolated, residual = _richardson(ratios)
-    return LocalLimitEstimate(
-        lambdas=_LAMBDA_GRID,
-        ratios=tuple(ratios),
-        extrapolated=extrapolated,
-        target=0.5 * alpha * chi2,
-        residual=residual,
+    return _estimate(
+        lambda k: _renyi_ratio(alpha, _path_ratio(b, ds, qs, k, first), k),
+        qs, ds, 0.5 * alpha * chi2,
     )
 
 
@@ -241,22 +235,23 @@ def ratio_limit_pair(
     p: DiscreteDistribution,
     q: DiscreteDistribution,
 ) -> float:
-    """Extrapolated limit of D_f/D_g along the mixture path; converges to
-    f''(1)/g''(1) whenever both second derivatives exist and g''(1) > 0.
-    Where a ratio or an extrapolant on the grid is not finite, DomainError."""
+    """D_f/D_g along the mixture path at lam* (``LocalLimitEstimate``), which
+    reads f''(1)/g''(1) whenever both second derivatives exist and
+    g''(1) > 0.  Where the residual is inf -- a ratio that is not finite, or
+    a pair whose lam* passes the cap -- DomainError."""
     if g.second_at_one is None or not g.second_at_one > 0.0:
         raise DomainError("denominator generator needs g''(1) > 0")
     if f.second_at_one is None or not math.isfinite(f.second_at_one):
         raise CapabilityError(f"generator {f.family} lacks a finite f''(1)")
-    _, qs, ds = _supported_masses(p, q)
-    ratios = []
-    for lam in _LAMBDA_GRID[1:]:
-        num = _mixture_divergence(f._breg, ds, qs, lam, True)
-        den = _mixture_divergence(g._breg, ds, qs, lam, True)
+    qs, ds = _supported_masses(p, q)
+
+    def ratio_at(k: int) -> float:
+        num, den = (_path_ratio(h._breg, ds, qs, k, True) for h in (f, g))
         if den == 0.0:
             raise DomainError("distributions must differ for the ratio limit")
-        ratios.append(num / den)
-    extrapolated, residual = _richardson(ratios)
-    if residual == math.inf:
-        raise DomainError("the ratio of the mixture-path sums leaves the float range")
-    return extrapolated
+        return num / den
+
+    est = _estimate(ratio_at, qs, ds, f.second_at_one / g.second_at_one)
+    if est.residual == math.inf:
+        raise DomainError("the ratio of the mixture-path sums is not resolved in the float range")
+    return est.extrapolated

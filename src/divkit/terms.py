@@ -290,7 +290,8 @@ def _edge_term(b: Breg, d: float, qm: float, pm: float) -> float:
         return qm * b.at_zero if qm > 0.0 else 0.0
     if qm == 0.0:
         return pm * b.at_inf
-    x = math.log(pm) - math.log(qm)
+    # ln(p/q) from d where d carries it, as the terms take it; p/q rounds it
+    x = math.log1p(d / qm) if _LOW_EDGE < d / qm < math.inf else math.log(pm) - math.log(qm)
     if x > 0.0 and b.at_log is not None:
         return b.at_log(x, pm)
     return pm * b.at_inf if x > 0.0 else qm * b.at_zero

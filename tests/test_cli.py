@@ -542,7 +542,7 @@ class TestLocal:
         assert code == 0
         payload = json.loads(out)
         assert payload["target"] == pytest.approx(0.08, abs=1e-11)
-        assert abs(payload["extrapolated"] - 0.08) <= 1e-5
+        assert abs(payload["extrapolated"] - 0.08) <= 1e-12
 
 
 class TestSelftestAndPlumbing:

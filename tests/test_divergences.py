@@ -204,6 +204,16 @@ class TestOnePass:
         assert math.isinf(math.fsum(qm * f(pm / qm) for pm, qm in zip(p.masses, q.masses)))
         assert math.isfinite(f_divergence(f, p, q).value)
 
+    def test_fallback_reads_a_log_ratio_below_an_ulp(self):
+        # one ulp apart at 0.123456, ln p - ln q rounds to 0, and the fallback
+        # read the term of p = 0 there: Hellinger order 1e19 read 0.123456,
+        # where (1 + x)^alpha at alpha x ~ 2250 passes the float range
+        q = make_distribution([0.123456, 0.876544])
+        p = make_distribution([math.nextafter(q.masses[0], 1.0), q.masses[1]])
+        assert math.log(p.masses[0]) == math.log(q.masses[0]) and p.masses != q.masses
+        for alpha in (1e19, 1e25):
+            assert divergence("hellinger", p, q, alpha=alpha).value == math.inf
+
     def test_mismatched_lengths_same_message(self):
         p = make_distribution([0.5, 0.5])
         q = make_distribution([0.2, 0.3, 0.5])

@@ -37,12 +37,22 @@ SMOOTH = [
 ]
 
 
+EPS = 2.0**-52
+
+
 def _past_the_float_range():
-    # every D(lam)/lam^2 of Hellinger order 117 on this pair passes the float
-    # range, while the predicted limit is ~39.65
+    # every D(lam)/lam^2 of Hellinger order 117 on this pair passed the float
+    # range on a grid of lam = 1e-2 .. 1e-5, while the predicted limit is
+    # ~39.65; at lam* every term stays finite
     p = make_distribution([1e-300, 1e-300, 1.0])
     q = make_distribution([0.404, 6.0e-311, 0.596])
     return p, q
+
+
+def _past_the_cap():
+    # max |p - q|/q ~ 2^995 would take lam* to 2^-1061, past the cap of
+    # 2^-500 that keeps Q's scaled masses in the float range
+    return make_distribution([0.5, 0.5]), make_distribution([1e-300, 1.0])
 
 
 class TestChi2MixtureScaling:
@@ -245,15 +255,16 @@ class TestLocalLimit:
             local_limit_estimate(generator("total_variation"), *bern_pair)
 
     def test_ratios_past_the_float_range_read_no_nan(self):
-        # Richardson took inf - inf: extrapolated and residual were NaN
-        p, q = _past_the_float_range()
-        est = local_limit_estimate(generator("hellinger", alpha=117.0), p, q)
-        assert est.ratios == (math.inf,) * 4
-        assert est.extrapolated == math.inf and est.residual == math.inf
-        assert est.target == pytest.approx(39.65436241610739, rel=1e-12)
-        # the other direction stays finite, and keeps its residual
-        est = local_limit_estimate(generator("hellinger", alpha=117.0), p, q, "mixture_second")
-        assert math.isfinite(est.extrapolated) and est.residual < 0.01
+        # Richardson took inf - inf on a grid whose ratios passed the float
+        # range: extrapolated and residual were NaN.  lam* reads the target
+        # in both directions; past the cap the residual is inf, never NaN
+        f = generator("hellinger", alpha=117.0)
+        for direction in ("mixture_first", "mixture_second"):
+            est = local_limit_estimate(f, *_past_the_float_range(), direction)
+            assert est.target == pytest.approx(39.65436241610739, rel=1e-12)
+            assert abs(est.extrapolated - est.target) <= est.residual + 8 * EPS * est.target
+            est = local_limit_estimate(f, *_past_the_cap(), direction)
+            assert est.residual == math.inf and not math.isnan(est.extrapolated)
 
     def test_target_is_zero_where_f2_is(self):
         # f''(1) = 0 against a chi^2 past the float range read 0 inf = NaN
@@ -283,18 +294,23 @@ class TestRenyiLocal:
         assert est.target == math.inf
         assert est.ratios[-1] > est.ratios[0]
 
-    def test_order_infinity_reads_its_direction(self, bern_pair):
-        # both directions read D_inf(M||Q); mixture_second is D_inf(Q||M)
-        first = renyi_local_estimate(math.inf, *bern_pair)
-        second = renyi_local_estimate(math.inf, *bern_pair, direction="mixture_second")
-        with mpmath.mp.workdps(40):
+    def test_order_infinity_reads_its_direction(self):
+        # both directions read D_inf(M||Q); mixture_second is D_inf(Q||M).
+        # On (0.7, 0.3) against (0.6, 0.4), (p - q)/q is 1/6 and -1/4, so
+        # lam^2 times the ratio reads max ln(m/q) ~ lam/6, or max ln(q/m) ~ lam/4
+        p, q = make_distribution([0.7, 0.3]), make_distribution([0.6, 0.4])
+        first = renyi_local_estimate(math.inf, p, q)
+        second = renyi_local_estimate(math.inf, p, q, direction="mixture_second")
+        with mpmath.mp.workdps(60):
             for lam, r1, r2 in zip(first.lambdas, first.ratios, second.ratios):
-                lam2 = mpmath.mpf(lam) ** 2
-                # lam P + (1 - lam) Q on the atoms (0.7 | 0.5) and (0.3 | 0.5)
-                m = [lam * mpmath.mpf(pm) + (1 - mpmath.mpf(lam)) * 0.5 for pm in (0.7, 0.3)]
-                assert r1 == pytest.approx(float(mpmath.log(m[0] / 0.5) / lam2), rel=1e-12)
-                assert r2 == pytest.approx(float(mpmath.log(0.5 / m[1]) / lam2), rel=1e-12)
-        assert round(first.ratios[0], 3) == 39.920 and round(second.ratios[0], 3) == 40.080
+                lam = mpmath.mpf(lam)
+                m = [lam * pm + (1 - lam) * qm for pm, qm in zip(p.masses, q.masses)]
+                ln_mq = [mpmath.log(mm / qm) for mm, qm in zip(m, q.masses)]
+                assert r1 == pytest.approx(float(ln_mq[0] / lam**2), rel=1e-12)
+                assert r2 == pytest.approx(float(-ln_mq[1] / lam**2), rel=1e-12)
+        for lam, r1, r2 in zip(first.lambdas, first.ratios, second.ratios):
+            assert r1 * lam == pytest.approx(1 / 6, rel=1e-12)
+            assert r2 * lam == pytest.approx(1 / 4, rel=1e-12)
         assert second.target == math.inf
 
     def test_domain(self, bern_pair):
@@ -308,9 +324,12 @@ class TestRenyiLocal:
             renyi_local_estimate(alpha, *bern_pair, direction=direction)
 
     def test_ratios_past_the_float_range_read_no_nan(self):
-        # it read extrapolated -inf and residual NaN
+        # it read extrapolated -inf and residual NaN; lam* reads the target,
+        # and past the cap the residual is inf, never NaN
         est = renyi_local_estimate(117, *_past_the_float_range())
-        assert est.extrapolated == math.inf and est.residual == math.inf
+        assert abs(est.extrapolated - est.target) <= est.residual + 8 * EPS * est.target
+        est = renyi_local_estimate(117, *_past_the_cap())
+        assert est.residual == math.inf and not math.isnan(est.extrapolated)
 
 
 class TestRatioLimitPair:
@@ -334,7 +353,53 @@ class TestRatioLimitPair:
             ratio_limit_pair(generator("kl"), generator("total_variation"), *bern_pair)
 
     def test_ratios_past_the_float_range_refused(self):
-        # it returned NaN
+        # it returned NaN; lam* keeps this pair's ratios finite, and reads
+        # f''(1)/g''(1).  Past the cap the ratio is refused
         f = generator("hellinger", alpha=117.0)
+        got = ratio_limit_pair(f, generator("kl"), *_past_the_float_range())
+        assert got == pytest.approx(117.0, rel=4 * EPS)
         with pytest.raises(DomainError, match="float range"):
-            ratio_limit_pair(f, generator("kl"), *_past_the_float_range())
+            ratio_limit_pair(f, generator("kl"), *_past_the_cap())
+
+
+ONE_POINT_CASES = [
+    *[
+        pytest.param("kl", ([0.5, 0.5], [eps, 1.0 - eps]), False, id=f"kl-eps{eps:g}")
+        for eps in (1e-2, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15)
+    ],
+    *[
+        pytest.param(alpha, ([0.7, 0.3], [0.5, 0.5]), False, id=f"hellinger{alpha:g}")
+        for alpha in (1e6, 1e9, 1e12, 1e16, 1e18, 1e20)
+    ],
+    pytest.param("kl", ([0.5, 0.5, 1e-300], [0.5, 0.5, 2e-300]), False, id="tiny-chi2"),
+    pytest.param("kl", ([0.5, 0.5], [1e-300, 1.0]), True, id="past-the-cap"),
+]
+
+
+@pytest.mark.parametrize("direction", ["mixture_first", "mixture_second"])
+@pytest.mark.parametrize("spec, masses, capped", ONE_POINT_CASES)
+def test_one_point_estimate_within_its_residual(spec, masses, capped, direction):
+    """Every estimate reads its target to within its residual and 8 ulps, a
+    residual that is finite unless lam* passes the cap, and no NaN; a
+    Hellinger order reads both its Hellinger and its Renyi limit."""
+    p, q = map(make_distribution, masses)
+    if spec == "kl":
+        estimates = [local_limit_estimate(generator("kl"), p, q, direction)]
+    else:
+        estimates = [
+            local_limit_estimate(generator("hellinger", alpha=spec), p, q, direction),
+            renyi_local_estimate(spec, p, q, direction),
+        ]
+    for est in estimates:
+        fields = (*est.lambdas, *est.ratios, est.extrapolated, est.target, est.residual)
+        assert not any(map(math.isnan, fields))
+        assert abs(est.extrapolated - est.target) <= est.residual + 8 * EPS * abs(est.target)
+        assert (est.residual == math.inf) == capped
+    if spec != "kl":
+        return
+    kl, chi2 = generator("kl"), generator("chi_squared")
+    if capped:
+        with pytest.raises(DomainError):
+            ratio_limit_pair(kl, chi2, p, q)
+    else:
+        assert abs(ratio_limit_pair(kl, chi2, p, q) - 0.5) <= 1e-12

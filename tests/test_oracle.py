@@ -187,7 +187,7 @@ def test_kl_local_limit_on_near_equal_pairs():
             [lam * pm + (1.0 - lam) * qm for pm, qm in zip(p0.masses, q.masses)]
         )
         est = local_limit_estimate(f, p, q)
-        if not abs(est.extrapolated - est.target) <= 1e-4 * abs(est.target):
+        if not abs(est.extrapolated - est.target) <= 1e-12 * abs(est.target):
             misses += 1
     assert misses == 0
 
