@@ -30,7 +30,7 @@ from .errors import (
     refuse_change,
 )
 from .terms import (
-    _CHI2, _JEFFREYS, _JS, _KL, _TRIANGULAR, _TV, Breg, _chi_s_breg, _degroot_breg,
+    _CHI2, _JEFFREYS, _JS, _KL, _MASSES, _TRIANGULAR, _TV, Breg, _chi_s_breg, _degroot_breg,
     _e_gamma_breg, _edge_term, _exp_times, _g_edge, _hellinger_breg, _lin_breg, _shared,
 )
 
@@ -59,8 +59,8 @@ class GeneratorFunction:
     (kept as ``_eval`` and ``_second``), and ``breg`` the family's shifted
     term (``_breg``, see ``terms.Breg``), which the direct sums and the
     mixture-path sums read; a generator built without one, such as a custom
-    generator, gets q f(p/q) - c d with c = ``right_deriv_at_one``, from p/q
-    in the masses so that it is never rounded through d.  Where the closed
+    generator, gets q (f(t) - c (t - 1)) at t = p/q, c =
+    ``right_deriv_at_one``, a term of the masses alone.  Where the closed
     form overflows or reads NaN (inf - inf), ``eval`` takes f from the
     shifted term at (t - 1, 1, t) plus c (t - 1), which takes a ratio past
     the float range from its logarithm (``terms._edge_term``); c is the
@@ -100,7 +100,8 @@ class GeneratorFunction:
         c = right_deriv_at_one
         if breg is None:
             breg = Breg(
-                lambda d, q, p: q * eval(p / q) - c * d, f_at_zero + c, fstar_at_zero - c
+                lambda q, p: q * (eval(p / q) - c * (p / q - 1.0)),
+                f_at_zero + c, fstar_at_zero - c, None, _MASSES,
             )
         values = (
             family, params, f_at_zero, fstar_at_zero, right_deriv_at_one, left_deriv_at_one,
@@ -434,9 +435,9 @@ def conjugate(f: GeneratorFunction) -> GeneratorFunction:
     derivative at 1 from f.  Its shifted term is f's read with P and Q
     swapped, T*(d, q, p) = T(-d, p, q) through ``terms._edge_term``, which
     takes a ratio past the float range, with ``at_zero`` and ``at_inf``
-    exchanged: D_{f*}(P||Q) sums the same terms as D_f(Q||P).  The bounds
-    in ``divkit.bounds`` do not build it: they evaluate t f(1/t), and
-    f*(0) = ``f.fstar_at_zero``, in place.
+    exchanged (a term of the masses alone stays one): D_{f*}(P||Q) sums the
+    same terms as D_f(Q||P).  The bounds in ``divkit.bounds`` do not build
+    it: they evaluate t f(1/t), and f*(0) = ``f.fstar_at_zero``, in place.
     """
     base_eval, base_second, b = f._eval, f._second, f._breg
 
@@ -450,10 +451,14 @@ def conjugate(f: GeneratorFunction) -> GeneratorFunction:
             u = 1.0 / t
             return _scaled_power(base_second(u), u, 3.0)
 
+    if b.reads.start:  # a term of the masses alone, and so its conjugate
+        breg = Breg(lambda q, p: _edge_term(b, q - p, p, q), b.at_inf, b.at_zero, None, _MASSES)
+    else:
+        breg = Breg(lambda d, q, p: _edge_term(b, -d, p, q), b.at_inf, b.at_zero)
     return GeneratorFunction(
         f.family + "*",
         params=f.params,
-        breg=Breg(lambda d, q, p: _edge_term(b, -d, p, q), b.at_inf, b.at_zero),
+        breg=breg,
         f_at_zero=f.fstar_at_zero,
         fstar_at_zero=f.f_at_zero,
         right_deriv_at_one=-f.left_deriv_at_one,

@@ -11,7 +11,7 @@ rounding the mixture's masses never swamps the lam^s they are divided by.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import sub
 
 from .distributions import DiscreteDistribution, _masses
@@ -30,10 +30,9 @@ __all__ = [
     "ratio_limit_pair",
 ]
 
-# lam* = 2^-k keeps lam* max|p - q|/q at or below 2^-66, where D(lam)/lam^2
-# lies ~1e-20 relative off its limit; past k = 500, Q's masses scaled by 4^k
-# would near the end of the float range
-_K_FLOOR, _K_CAP = 66, 500
+# the leads of k in lam* = 2^-k (``LocalLimitEstimate``); past k = 500, Q's
+# masses scaled by 4^k would near the end of the float range
+_K_FLOOR, _K_MASSES, _K_CAP = 66, 12, 500
 
 
 @dataclass(frozen=True)
@@ -42,11 +41,14 @@ class LocalLimitEstimate:
 
     ``ratios`` holds D(lam)/lam^2 at each of ``lambdas`` = (8 lam*, lam*);
     ``extrapolated`` is the last, at lam* = 2^-k, k = 66 + the binary
-    exponent of max |p - q|/q.  ``residual`` = |r(8 lam*) - r(lam*)|, seven
-    times the O(lam*) term the reading keeps -- an honest error estimate,
-    reported rather than hidden -- and inf where a ratio leaves the float
-    range or k passes 500, where lam* = 2^-500 is read instead.
-    ``target`` is the predicted limit (1/2) f''(1) chi^2(P||Q).
+    exponent of max |p - q|/q, never below 66.  ``residual`` =
+    |r(8 lam*) - r(lam*)|, seven times the O(lam*) term the reading keeps --
+    an honest error estimate -- and inf where a ratio leaves the float range
+    or k passes 500, where lam* = 2^-500 is read instead.  A term of the
+    masses alone (a custom generator's) sees the step only through the
+    mixture's rounded masses: k = 12 + that exponent (lam* past 1 for a
+    near-equal pair, on the path past P), and the residual adds their
+    rounding, (1 + |c|) 2^-50 / lam*^2.  ``target`` is (1/2) f''(1) chi^2(P||Q).
     """
 
     lambdas: tuple[float, ...]
@@ -56,13 +58,18 @@ class LocalLimitEstimate:
     residual: float
 
 
-def _supported_masses(p: DiscreteDistribution, q: DiscreteDistribution):
-    """Q's masses and the differences p - q, refused unless P << Q."""
+def _supported_masses(
+    p: DiscreteDistribution, q: DiscreteDistribution, direction: str = "mixture_first"
+):
+    """Q's masses, the differences p - q, refused unless P << Q, and whether
+    ``direction`` puts the mixture first."""
+    if direction not in ("mixture_first", "mixture_second"):
+        raise DomainError(f"unknown direction {direction!r}")
     ps, qs = _masses(p, q)
     for i, (pm, qm) in enumerate(zip(ps, qs)):
         if pm > 0.0 and qm == 0.0:
             raise DomainError(f"atom {i} has P-mass where Q vanishes")
-    return qs, list(map(sub, ps, qs))
+    return qs, list(map(sub, ps, qs)), direction == "mixture_first"
 
 
 def _path_masses(p: DiscreteDistribution, q: DiscreteDistribution, lam: float):
@@ -77,8 +84,7 @@ def chi2_mixture_scaling(
 ) -> float:
     """chi^2(lam P + (1-lam) Q || Q), the mixture-path sum that equals
     lam^2 chi^2(P||Q) to rounding."""
-    ps, qs = _path_masses(p, q, lam)
-    return _mixture_divergence(_FAMILIES["chi_squared"].term(), list(map(sub, ps, qs)), qs, lam, True)
+    return chis_mixture_scaling(p, q, 2.0, lam)
 
 
 def chis_mixture_scaling(
@@ -146,22 +152,24 @@ def _path_ratio(b: Breg, ds, qs, k: int, first: bool) -> float:
     return _mixture_divergence(b, ds, [qm * scale * scale for qm in qs], scale, first)
 
 
-def _estimate(ratio_at, qs, ds, target: float) -> LocalLimitEstimate:
+def _estimate(ratio_at, qs, ds, target: float, noise: float | None = None) -> LocalLimitEstimate:
     """The estimate from ``ratio_at(k)``, the ratio at lam = 2^-k, read at
-    the check point 8 lam* and at lam* (``LocalLimitEstimate``)."""
+    the check point 8 lam* and at lam* (``LocalLimitEstimate``).  ``noise``
+    is given for a term of the masses alone: its rounding per unit of Q's
+    mass (which sums to 1), which the residual takes in 1/lam*^2 times over."""
     peak = max((abs(d) / qm for qm, d in zip(qs, ds) if d), default=0.0)
-    k = _K_FLOOR + max(math.frexp(peak)[1], 0) if peak < math.inf else math.inf
+    e = math.frexp(peak)[1] if peak < math.inf else math.inf
+    k = _K_FLOOR + max(e, 0) if noise is None else _K_MASSES + e
     read = min(k, _K_CAP)
     ratios = ratio_at(read - 3), ratio_at(read)
     resolved = k <= _K_CAP and all(map(math.isfinite, ratios))  # no inf - inf
-    residual = abs(ratios[0] - ratios[1]) if resolved else math.inf
+    residual = abs(ratios[0] - ratios[1]) + (noise or 0.0) * 4.0**read if resolved else math.inf
     return LocalLimitEstimate((2.0 ** (3 - read), 2.0**-read), ratios, ratios[1], target, residual)
 
 
 def _renyi_ratio(alpha: float, r: float, k: int) -> float:
-    """ln(1 + (alpha-1) H)/(alpha-1) over lam^2 at lam = 2^-k, from the
-    Hellinger sum's r = H/lam^2: r ln(1+y)/y at y = (alpha-1) H, r where
-    y = 0, and inf where y passes the float range."""
+    """ln(1 + (alpha-1) H)/(alpha-1) over lam^2 at lam = 2^-k from the
+    Hellinger sum's r = H/lam^2: r ln(1+y)/y at y = (alpha-1) H, r at y = 0."""
     y = (alpha - 1.0) * (r * 4.0**-k)
     if not math.isfinite(y):
         return math.inf
@@ -180,15 +188,13 @@ def local_limit_estimate(
     "mixture_second" the second; both converge to the same target
     (1/2) f''(1) chi^2(P||Q).
     """
-    if direction not in ("mixture_first", "mixture_second"):
-        raise DomainError(f"unknown direction {direction!r}")
     if f.second_at_one is None or not math.isfinite(f.second_at_one):
         raise CapabilityError(f"generator {f.family} lacks a finite f''(1)")
-    qs, ds = _supported_masses(p, q)
-    first = direction == "mixture_first"
+    qs, ds, first = _supported_masses(p, q, direction)
     # 0 where f''(1) is, also where chi^2 passes the float range (0 inf)
     target = 0.5 * f.second_at_one * float(divergence("chi2", p, q)) if f.second_at_one else 0.0
-    return _estimate(lambda k: _path_ratio(f._breg, ds, qs, k, first), qs, ds, target)
+    noise = 2.0**-50 * (1.0 + abs(f.right_deriv_at_one)) if f._breg.reads.start else None
+    return _estimate(lambda k: _path_ratio(f._breg, ds, qs, k, first), qs, ds, target, noise)
 
 
 def renyi_local_estimate(
@@ -204,23 +210,20 @@ def renyi_local_estimate(
     Q's support); order infinity diverges and is reported as such, its
     ratios read from D_inf(M||Q) = max ln(m/q) or D_inf(Q||M) = max ln(q/m).
     """
-    if direction not in ("mixture_first", "mixture_second"):
-        raise DomainError(f"unknown direction {direction!r}")
-    first = direction == "mixture_first"
     if _real(alpha, "alpha") < 0.0:
         raise DomainError("Renyi order must be non-negative")
-    qs, ds = _supported_masses(p, q)
+    qs, ds, first = _supported_masses(p, q, direction)
     chi2 = float(divergence("chi2", p, q))
     if alpha == 0.0:
-        return _estimate(lambda k: 0.0, qs, ds, 0.0)
+        return LocalLimitEstimate((2.0**-63, 2.0**-66), (0.0, 0.0), 0.0, 0.0, 0.0)
     if math.isinf(alpha):
         sign = 1.0 if first else -1.0  # ln(q/m) = -ln(m/q)
+        xs = [d / qm for qm, d in zip(qs, ds) if qm > 0.0]
         est = _estimate(
-            lambda k: max(sign * math.log1p(d / qm * 2.0**-k) for qm, d in zip(qs, ds) if qm > 0.0)
-            * 4.0**k,
-            qs, ds, math.inf if chi2 > 0.0 else 0.0,
+            lambda k: max(sign * math.log1p(x / 2.0**k) for x in xs) * 4.0**k, qs, ds, 0.0
         )
-        return replace(est, extrapolated=est.target, residual=math.inf)
+        target = math.inf if chi2 > 0.0 else 0.0
+        return LocalLimitEstimate(est.lambdas, est.ratios, target, target, math.inf)
     # ln(1 + (alpha-1) H)/(alpha-1) of the Hellinger sum along the path
     b = _FAMILIES["hellinger"].term(alpha)
     return _estimate(
@@ -243,7 +246,7 @@ def ratio_limit_pair(
         raise DomainError("denominator generator needs g''(1) > 0")
     if f.second_at_one is None or not math.isfinite(f.second_at_one):
         raise CapabilityError(f"generator {f.family} lacks a finite f''(1)")
-    qs, ds = _supported_masses(p, q)
+    qs, ds, _ = _supported_masses(p, q)
 
     def ratio_at(k: int) -> float:
         num, den = (_path_ratio(h._breg, ds, qs, k, True) for h in (f, g))
@@ -251,7 +254,8 @@ def ratio_limit_pair(
             raise DomainError("distributions must differ for the ratio limit")
         return num / den
 
-    est = _estimate(ratio_at, qs, ds, f.second_at_one / g.second_at_one)
+    noise = 0.0 if f._breg.reads.start or g._breg.reads.start else None  # k's lead only
+    est = _estimate(ratio_at, qs, ds, f.second_at_one / g.second_at_one, noise)
     if est.residual == math.inf:
         raise DomainError("the ratio of the mixture-path sums is not resolved in the float range")
     return est.extrapolated

@@ -36,7 +36,8 @@ class Breg(NamedTuple):
     masses no longer carry.  A term takes p/q from d except near d/q = -1,
     where d no longer carries it and the term reads p; elsewhere p is at
     most a factor, whose rounding costs an ulp.  The E_gamma and DeGroot
-    terms read the masses only, (q, p), so no sum forms d for them.
+    terms, and a custom generator's, read the masses only, (q, p), so no
+    sum forms d for them.
     ``at_zero`` = f(0) + c and ``at_inf`` = f*(0) - c are the terms per unit
     of mass where p = 0 and where q = 0.  ``at_log``, where given, is the
     term at x = ln(p/q) > 0 from x and p, for an atom whose p/q, or a power

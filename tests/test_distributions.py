@@ -745,7 +745,9 @@ class TestRecords:
             right_deriv_at_one=0.0,
         )
         assert f.left_deriv_at_one == 0.0
-        assert f._breg.term(0.5, 0.5, 1.0) == pytest.approx(0.5)  # q (p/q - 1)^2
+        # q (p/q - 1)^2, a term of the masses alone: it reads (q, p) of (d, q, p)
+        b = f._breg
+        assert b.reads.start == 1 and b.term(*(0.5, 0.5, 1.0)[b.reads]) == pytest.approx(0.5)
         # the general and inverse-g engines take every convex f, kinked or not
         kinked = GeneratorFunction(
             "custom", eval=lambda t: abs(t - 1.0), f_at_zero=1.0, fstar_at_zero=1.0,

@@ -19,6 +19,8 @@ from divkit import (
     make_distribution,
     mixture,
     renyi,
+    represent_general,
+    represent_inverse_g,
 )
 from divkit import distributions, divergences, local_limit_estimate, parse_generator
 from divkit.generators import _FAMILIES, KINDS
@@ -213,6 +215,24 @@ class TestOnePass:
         assert math.log(p.masses[0]) == math.log(q.masses[0]) and p.masses != q.masses
         for alpha in (1e19, 1e25):
             assert divergence("hellinger", p, q, alpha=alpha).value == math.inf
+
+    def test_custom_term_cancels_at_the_rounded_ratio(self):
+        # a custom generator's term took f at the rounded p/q and c d at the
+        # exact d, whose mismatch of an ulp swamped a near-equal pair's value,
+        # in the direct sum and in the spectral engines alike
+        custom = generator(
+            "custom", eval=lambda t: t * math.log(t), f_at_zero=0.0, fstar_at_zero=math.inf,
+            right_deriv_at_one=1.0,
+        )
+        kl = generator("kl")
+        q = make_distribution([0.123456, 0.876544])
+        for eps in (1e-3, 1e-6, 1e-9):
+            p = make_distribution([0.123456 + eps, 0.876544 - eps])
+            for f, g in ((custom, kl), (conjugate(custom), conjugate(kl))):
+                want = f_divergence(g, p, q).value
+                got = [f_divergence(f, p, q).value]
+                got += [engine(f, p, q) for engine in (represent_general, represent_inverse_g)]
+                assert all(abs(v - want) <= 1e-7 * want for v in got)
 
     def test_mismatched_lengths_same_message(self):
         p = make_distribution([0.5, 0.5])

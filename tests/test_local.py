@@ -10,6 +10,7 @@ from divkit import (
     chi2_mixture_scaling,
     chi2_mixture_three,
     chis_mixture_scaling,
+    affine_shift,
     conjugate,
     divergence,
     f_divergence,
@@ -285,9 +286,10 @@ class TestRenyiLocal:
         assert abs(est.extrapolated - est.target) <= 1e-4 * est.target
 
     def test_order_zero(self, bern_pair):
-        est = renyi_local_estimate(0.0, *bern_pair)
-        assert est.target == 0.0
-        assert est.extrapolated == 0.0
+        # identically 0 along the path, an exact 0 also past the cap
+        for pair in (bern_pair, _past_the_cap()):
+            est = renyi_local_estimate(0.0, *pair)
+            assert est.target == est.extrapolated == est.residual == 0.0
 
     def test_order_infinity_diverges(self, bern_pair):
         est = renyi_local_estimate(math.inf, *bern_pair)
@@ -403,3 +405,43 @@ def test_one_point_estimate_within_its_residual(spec, masses, capped, direction)
             ratio_limit_pair(kl, chi2, p, q)
     else:
         assert abs(ratio_limit_pair(kl, chi2, p, q) - 0.5) <= 1e-12
+
+
+CUSTOM_KL = dict(
+    eval=lambda t: t * math.log(t), f_at_zero=0.0, fstar_at_zero=math.inf,
+    right_deriv_at_one=1.0, second_at_one=1.0,
+)
+
+
+@pytest.mark.parametrize("direction", ["mixture_first", "mixture_second"])
+@pytest.mark.parametrize(
+    "masses",
+    [
+        ([0.7, 0.3], [0.5, 0.5]),
+        ([0.2, 0.3, 0.5], [0.3, 0.3, 0.4]),
+        ([0.5, 0.5], [1e-6, 1.0 - 1e-6]),
+        ([0.5 + 1e-7, 0.5 - 1e-7], [0.5, 0.5]),
+    ],
+    ids=["symmetric", "three-atom", "skewed", "near-equal"],
+)
+def test_custom_generator_within_its_residual(masses, direction):
+    """A custom generator's term reads the masses alone, which carry no step
+    at the lam* of a catalog term; it is read where they do.  A custom KL,
+    its conjugate, a shift of it and (t - 1)^2 / 2 written to cancel to an
+    ulp of 1 near t = 1 read KL's target within their residuals, which take
+    in that rounding; D_KL/D_custom along the path reads 1, and
+    D_custom/D_chi2 reads 1/2 within the residual of the custom reading."""
+    p, q = map(make_distribution, masses)
+    kl, custom = generator("kl"), generator("custom", **CUSTOM_KL)
+    cancelling = generator(
+        "custom", eval=lambda t: (t * t - 1.0) / 2.0 - (t - 1.0), f_at_zero=0.5,
+        fstar_at_zero=math.inf, right_deriv_at_one=0.0, second_at_one=1.0,
+    )
+    target = local_limit_estimate(kl, p, q, direction).target
+    for f in (custom, conjugate(custom), affine_shift(custom, 3.0), cancelling):
+        est = local_limit_estimate(f, p, q, direction)
+        assert est.target == target and 0.0 < est.residual < math.inf
+        assert abs(est.extrapolated - target) <= est.residual + 8 * EPS * target
+    assert abs(ratio_limit_pair(kl, custom, p, q) - 1.0) <= 1e-9
+    slack = local_limit_estimate(custom, p, q).residual / (2.0 * target)
+    assert abs(ratio_limit_pair(custom, generator("chi_squared"), p, q) - 0.5) <= slack + EPS
